@@ -49,6 +49,7 @@ from .errors import (
     BudgetExceededError,
     GameError,
     InconsistentPrioritiesError,
+    InvariantViolatedError,
     LayerCapExhaustedError,
     LengthMismatchError,
     LevelMismatchError,

@@ -187,12 +187,6 @@ def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
     return weights
 
 
-def deviation_cost(game: Game, state: State, player: int, strategy: Iterable[str] | str) -> ExtCost:
-    """Cost the player would pay after unilaterally switching to ``strategy``."""
-    new = frozenset([strategy]) if isinstance(strategy, str) else frozenset(strategy)
-    return player_cost(game, state.with_player(player, new), player)
-
-
 def is_better_response(
     game: Game, state: State, player: int, new_strategy: Iterable[str] | str
 ) -> bool:
@@ -204,7 +198,7 @@ def is_better_response(
             [Violation("BAD_STRATEGY", f"player {player}", f"{sorted(new)}")],
         )
     current = player_cost(game, state, player)
-    return deviation_cost(game, state, player, new) < current
+    return player_cost(game, state.with_player(player, new), player) < current
 
 
 def has_better_response(game: Game, state: State, player: int) -> bool:

@@ -110,10 +110,6 @@ class DelaySpec:
         """Whether (x, y) lies in the evaluable domain."""
         raise NotImplementedError
 
-    def max_bound(self) -> int | None:
-        """Largest supported x + y, or None when unbounded."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=True)
 class TableDelay(DelaySpec):
@@ -134,9 +130,6 @@ class TableDelay(DelaySpec):
 
     def supports(self, x: int, y: int) -> bool:
         return x >= 0 and y >= 1 and x + y <= self.bound
-
-    def max_bound(self) -> int | None:
-        return self.bound
 
     def completeness_violations(self) -> list[Violation]:
         out = []
@@ -181,9 +174,6 @@ class AffineDelay(DelaySpec):
     def supports(self, x: int, y: int) -> bool:
         return x >= 0 and y >= 1
 
-    def max_bound(self) -> int | None:
-        return None
-
 
 @dataclass(frozen=True, eq=True)
 class ClassicDelay(DelaySpec):
@@ -214,9 +204,6 @@ class ClassicDelay(DelaySpec):
             return False
         return x >= 1 or y <= len(self.values)
 
-    def max_bound(self) -> int | None:
-        return None  # bounded in y only; supports() is the precise test
-
     def univariate_nondecreasing(self) -> bool:
         return all(a <= b for a, b in zip(self.values, self.values[1:]))
 
@@ -240,11 +227,6 @@ class PerPlayerDelay(DelaySpec):
 
     def supports(self, x: int, y: int) -> bool:
         return all(s.supports(x, y) for s in self.specs.values())
-
-    def max_bound(self) -> int | None:
-        bounds = [s.max_bound() for s in self.specs.values()]
-        finite = [b for b in bounds if b is not None]
-        return min(finite) if finite else None
 
 
 def evaluate_delay(spec: DelaySpec, x: int, y: int, player: int | None = None) -> ExtCost:

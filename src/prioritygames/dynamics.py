@@ -38,6 +38,7 @@ from .core import Game
 from .costs import ExtCost, improvement, sum_costs
 from .errors import (
     InconsistentPrioritiesError,
+    InvariantViolatedError,
     LayerCapExhaustedError,
     NotSingletonError,
 )
@@ -56,6 +57,9 @@ POLICIES = ("roundrobin", "first", "best")
 
 CONVERGED = "Converged"
 CAP_REACHED = "CapReached"
+
+# capped attempts after the first for a player-specific layer before giving up
+LAYER_RESTARTS = 10
 
 
 @dataclass
@@ -264,11 +268,7 @@ def run_dynamics(
 # Layered construction for consistent priorities
 
 
-def solve_consistent_layered(
-    game: Game,
-    *,
-    restarts: int = 10,
-) -> tuple[State, MoveTrace]:
+def solve_consistent_layered(game: Game) -> tuple[State, MoveTrace]:
     """Build an equilibrium level by level, lower priorities first.
 
     Once a level's players sit at a mutual best response given the frozen
@@ -278,8 +278,9 @@ def solve_consistent_layered(
 
     Shared-delay layers descend an exact scalar potential and need no cap.
     Player-specific layers run displaced-player-first dynamics under a cap
-    of n^2 * m * (#levels) steps with deterministic restarts; exhausting all
-    restarts raises LAYER_CAP_EXHAUSTED rather than returning silently.
+    of n^2 * m * (#levels) steps with ``LAYER_RESTARTS`` deterministic
+    restarts; exhausting them raises LAYER_CAP_EXHAUSTED rather than
+    returning silently.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("layered construction needs consistent priorities")
@@ -292,9 +293,7 @@ def solve_consistent_layered(
     for q in levels:
         layer = sorted(i for i in game.players() if level_of[i] == q)
         if game.player_specific:
-            outer = _solve_layer_capped(
-                game, outer, q, layer, trace, round_box, cap=cap, restarts=restarts
-            )
+            outer = _solve_layer_capped(game, outer, q, layer, trace, round_box, cap=cap)
         else:
             outer = _solve_layer_potential(game, outer, q, layer, trace, round_box, cap=cap)
     trace.final = outer
@@ -356,14 +355,11 @@ def _solve_layer_potential(
     cap: int,
 ) -> State:
     phase = f"layer:{q}"
-
-    def snap(working: State) -> str:
-        return level_potential(game, outer, q, _layer_inner(working, outer)).canonical()
-
     working = outer
     for i in layer:
         s = _initial_strategy(game, working, i)
         working = working.with_player(i, s)
+        potential = level_potential(game, outer, q, _layer_inner(working, outer))
         _record(
             trace,
             round_box,
@@ -373,7 +369,7 @@ def _solve_layer_potential(
             s,
             None,
             player_cost(game, working, i),
-            snap(working),
+            potential.canonical(),
         )
         round_box[0] += 1
 
@@ -386,17 +382,23 @@ def _solve_layer_potential(
             if br == working.strategy(i):
                 continue
             improved = True
-            pot_before = level_potential(game, outer, q, _layer_inner(working, outer))
             for nxt in _decompose_move(game, working, i, br):
                 frm = working.strategy(i)
                 cost_b = player_cost(game, working, i)
                 working = working.with_player(i, nxt)
                 cost_a = player_cost(game, working, i)
-                _record(trace, round_box, phase, i, frm, nxt, cost_b, cost_a, snap(working))
-                pot_after = level_potential(game, outer, q, _layer_inner(working, outer))
-                if pot_before.value.is_finite or pot_after.value.is_finite:
-                    assert pot_after.value < pot_before.value, "layer potential failed to drop"
-                pot_before = pot_after
+                pot_before = potential
+                potential = level_potential(game, outer, q, _layer_inner(working, outer))
+                _record(
+                    trace, round_box, phase, i, frm, nxt, cost_b, cost_a, potential.canonical()
+                )
+                finite = pot_before.value.is_finite or potential.value.is_finite
+                if finite and not potential.value < pot_before.value:
+                    raise InvariantViolatedError(
+                        f"level {q} potential did not drop when player {i} moved"
+                        f" {sorted(frm)} -> {sorted(nxt)}:"
+                        f" {pot_before.canonical()} -> {potential.canonical()}"
+                    )
             round_box[0] += 1
             moves += 1
             if moves > max(cap, 1) * 8:
@@ -416,12 +418,11 @@ def _solve_layer_capped(
     round_box: list[int],
     *,
     cap: int,
-    restarts: int,
 ) -> State:
     """Displaced-player-first capped dynamics with deterministic restarts."""
     phase = f"layer:{q}"
     checkpoint = len(trace.steps)
-    for attempt in range(restarts + 1):
+    for attempt in range(LAYER_RESTARTS + 1):
         del trace.steps[checkpoint:]
         working = outer
         for j, i in enumerate(layer):
@@ -485,7 +486,7 @@ def _solve_layer_capped(
                     pending.append(i)
                     queued.add(i)
     raise LayerCapExhaustedError(
-        f"level {q} dynamics failed to converge within {restarts + 1} capped attempts"
+        f"level {q} dynamics failed to converge within {LAYER_RESTARTS + 1} capped attempts"
     )
 
 
@@ -493,11 +494,7 @@ def _solve_layer_capped(
 # Insertion algorithm for singleton games
 
 
-def solve_insertion(
-    game: Game,
-    *,
-    verify_rounds: bool = True,
-) -> tuple[State, MoveTrace]:
+def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     """Place players one at a time on their cheapest resource, evicting
     residents that start wanting to leave.
 
@@ -507,17 +504,20 @@ def solve_insertion(
     prioritized there; if one shares the newcomer's priority, exactly that
     one (smallest id) discards, otherwise all strictly less prioritized
     improvers discard.  Discarded players re-enter the queue.  The two-part
-    insertion potential strictly increases across these rounds.
+    insertion potential strictly increases across these rounds; the value
+    recorded on a round's last row is the one compared.
 
     One wrinkle: a multi-eviction can thin a resource's crowd faster than
     the newcomer fills it, handing some player *elsewhere* a strictly
     better option mid-run (her view of the resource moves from d(x, y+1) to
     d(x+1, y-1), which monotonicity does not order).  Each round therefore
     ends by discarding any such stray improvers too (phase ``rebalance``),
-    so the round invariant "no covered player wants to move" always holds
-    and an emptied queue is a pure Nash equilibrium by construction.
-    Rebalance rounds are rare, sit outside the potential's strict-increase
-    guarantee, and are covered by the safety cap.
+    one at a time, until no placed player has a better response.  That exit
+    condition is the round invariant "no covered player wants to move", so
+    an emptied queue is a pure Nash equilibrium by construction, and
+    ``certify_trace`` re-verifies it after every round.  Rebalance rounds
+    are rare, sit outside the potential's strict-increase guarantee, and
+    are covered by the safety cap.
     """
     if not all(sp.is_singleton_space() for sp in game.spaces.values()):
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
@@ -540,6 +540,7 @@ def solve_insertion(
         rid = min(sorted(allowed), key=lambda r: (weights[r], r))
         old_state = state
         state = state.with_player(i, frozenset([rid]))
+        potential = insertion_potential(game, state)
         _record(
             trace,
             round_box,
@@ -549,25 +550,32 @@ def solve_insertion(
             frozenset([rid]),
             None,
             weights[rid],
-            insertion_potential(game, state).canonical(),
+            potential.canonical(),
         )
 
         residents = [p for p, s in old_state.items() if rid in s]
         improvers = [p for p in residents if has_better_response(game, state, p)]
         mine = game.priority(rid, i)
-        assert all(
-            game.priority(rid, p) >= mine for p in improvers
-        ), "an improver outranks the newcomer"
+        outranking = [p for p in improvers if game.priority(rid, p) < mine]
+        if outranking:
+            raise InvariantViolatedError(
+                f"improvers {outranking} on resource {rid} outrank newcomer {i}"
+            )
         equal = [p for p in improvers if game.priority(rid, p) == mine]
         if improvers and equal:
             # exactly one equal-priority improver leaves (case B1)
             j_star = min(equal)
             same_before = congestion_view(game, old_state, rid).count_at(mine)
             tol_out = tol_value(game, old_state, j_star)
-            assert tol_out == same_before, "leaving player's tolerance is off"
+            if tol_out != same_before:
+                raise InvariantViolatedError(
+                    f"leaving player {j_star} on resource {rid} has tolerance {tol_out},"
+                    f" expected {same_before}"
+                )
             cost_b = player_cost(game, state, j_star)
             state = state.without_player(j_star)
             queue.append(j_star)
+            potential = insertion_potential(game, state)
             _record(
                 trace,
                 round_box,
@@ -577,16 +585,21 @@ def solve_insertion(
                 None,
                 cost_b,
                 None,
-                insertion_potential(game, state).canonical(),
+                potential.canonical(),
             )
             tol_in = tol_value(game, state, i)
-            assert tol_in >= same_before + 1, "newcomer's tolerance is off"
+            if tol_in < same_before + 1:
+                raise InvariantViolatedError(
+                    f"newcomer {i} on resource {rid} has tolerance {tol_in},"
+                    f" expected at least {same_before + 1}"
+                )
         elif improvers:
             # every improver is strictly less prioritized here (case B2)
             for j in sorted(improvers):
                 cost_b = player_cost(game, state, j)
                 state = state.without_player(j)
                 queue.append(j)
+                potential = insertion_potential(game, state)
                 _record(
                     trace,
                     round_box,
@@ -596,7 +609,7 @@ def solve_insertion(
                     None,
                     cost_b,
                     None,
-                    insertion_potential(game, state).canonical(),
+                    potential.canonical(),
                 )
 
         # restore the round invariant: multi-evictions can leave a player on
@@ -615,6 +628,7 @@ def solve_insertion(
             cost_b = player_cost(game, state, stray)
             state = state.without_player(stray)
             queue.append(stray)
+            potential = insertion_potential(game, state)
             _record(
                 trace,
                 round_box,
@@ -624,20 +638,17 @@ def solve_insertion(
                 None,
                 cost_b,
                 None,
-                insertion_potential(game, state).canonical(),
+                potential.canonical(),
             )
-        round_box[0] += 1
 
-        potential = insertion_potential(game, state)
-        if not rebalanced:
-            assert (
-                insertion_potential_compare(prev_potential, potential) == LESS
-            ), "insertion potential failed to increase"
+        if not rebalanced and insertion_potential_compare(prev_potential, potential) != LESS:
+            raise InvariantViolatedError(
+                f"insertion potential did not rise in round {round_box[0]}"
+                f" (newcomer {i} on {rid}): {prev_potential.canonical()}"
+                f" -> {potential.canonical()}"
+            )
         prev_potential = potential
-        if verify_rounds:
-            assert not any(
-                has_better_response(game, state, p) for p in state.players()
-            ), "a covered player has a better response after the round"
+        round_box[0] += 1
     trace.final = state
     trace.status = CONVERGED
     return state, trace

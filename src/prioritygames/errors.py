@@ -93,6 +93,12 @@ class LayerCapExhaustedError(GameError):
     code = "LAYER_CAP_EXHAUSTED"
 
 
+class InvariantViolatedError(GameError):
+    """A solver or potential invariant that the paper's argument guarantees failed."""
+
+    code = "INVARIANT_VIOLATED"
+
+
 class NonMonotoneDelayError(GameError):
     code = "NON_MONOTONE_DELAY"
 

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .costs import ExtCost, sum_costs
 from .errors import (
+    InvariantViolatedError,
     NoExchangeError,
     NotImprovingError,
     ValidationFailed,
@@ -467,7 +468,10 @@ def greedy_min_base(
         if space.is_independent(frozenset(chosen | {r})):
             chosen.add(r)
     result = frozenset(chosen)
-    assert space.is_base(result), "greedy failed to reach a base"
+    if not space.is_base(result):
+        raise InvariantViolatedError(
+            f"greedy stopped at {sorted(result)}, which is not a base of the space"
+        )
     return result
 
 
@@ -509,20 +513,3 @@ def lazy_path(
         if not swapped:  # impossible for a true matroid with heavier current
             raise NoExchangeError("no improving swap found; space is not a matroid")
     return path
-
-
-def space_from_kind(kind: str, **kwargs) -> StrategySpace:
-    """Factory used by the JSON layer and the generator."""
-    if kind == "singleton":
-        return SingletonSpace(kwargs["allowed"])
-    if kind == "explicit":
-        return ExplicitSpace(kwargs["sets"])
-    if kind == "uniform":
-        return UniformMatroid(kwargs["ground"], kwargs["rank"])
-    if kind == "partition":
-        return PartitionMatroid(kwargs["blocks"], kwargs["caps"])
-    if kind == "graphic":
-        return GraphicMatroid(kwargs["edges"])
-    if kind == "explicit_bases":
-        return ExplicitBasesSpace(kwargs["bases"])
-    raise ValueError(f"unknown strategy space kind {kind!r}")

@@ -28,6 +28,9 @@ from .markets import (
 )
 from .potentials import (
     LESS,
+    InsertionPotentialValue,
+    LexVector,
+    ScalarPotential,
     _consistent_level,
     insertion_potential,
     insertion_potential_compare,
@@ -144,7 +147,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     better-response runs on shared-delay singleton games, scalar decrease
     inside layers, insertion-potential increase across insertion rounds
     with the no-incentive invariant after every round), the recorded final
-    state, and that a converged run ends in a pure Nash equilibrium.
+    state, and that a converged run ends in a pure Nash equilibrium.  The
+    potential of each replayed state is recomputed once and serves both the
+    snapshot comparison and the monotonicity checks.
     """
     report = CertifyReport()
     state = trace.start
@@ -171,12 +176,13 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     round_rebalanced = False
 
     def check_round_boundary(
-        at_state: State, round_no: int, last_index: int, rebalanced: bool
+        at_state: State,
+        current: InsertionPotentialValue,
+        round_no: int,
+        last_index: int,
+        rebalanced: bool,
     ) -> None:
         nonlocal prev_round_potential
-        if not insertion:
-            return
-        current = insertion_potential(game, at_state)
         # rebalance rounds repair the invariant and are exempt from the
         # strict-increase guarantee
         if not rebalanced and insertion_potential_compare(prev_round_potential, current) != LESS:
@@ -263,51 +269,48 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                         TraceViolation(idx, "NOT_IMPROVING", "recomputed costs do not drop")
                     )
 
-        expected_potential = _expected_potential(
-            game, trace, state, step, level_of, singleton
-        )
-        if step.potential and expected_potential is not None:
-            if step.potential != expected_potential:
+        potential = _expected_potential(game, trace, state, step, level_of, singleton)
+        if step.potential and potential is not None:
+            expected = potential.canonical()
+            if step.potential != expected:
                 report.violations.append(
                     TraceViolation(
                         idx,
                         "POTENTIAL_MISMATCH",
-                        f"recorded {step.potential!r}, recomputed {expected_potential!r}",
+                        f"recorded {step.potential!r}, recomputed {expected!r}",
                     )
                 )
 
         if lexable and state.is_full(game):
-            current = lex_potential_singleton(game, state)
-            if prev_lex is not None and lex_compare(current, prev_lex) != LESS:
+            if prev_lex is not None and lex_compare(potential, prev_lex) != LESS:
                 report.violations.append(
                     TraceViolation(idx, "POTENTIAL_NOT_DECREASING", "lexicographic potential")
                 )
-            prev_lex = current
+            prev_lex = potential
 
         if layered and step.phase.startswith("layer:"):
             q = int(step.phase.split(":", 1)[1])
-            scalar = _layer_scalar(game, state, q, level_of)
             if step.phase != layer_phase:
-                layer_phase, layer_prev_scalar = step.phase, scalar
+                layer_phase, layer_prev_scalar = step.phase, potential
             else:
                 if step.frm is not None and step.to is not None:
                     if (
                         layer_prev_scalar is not None
-                        and (scalar.value.is_finite or layer_prev_scalar.value.is_finite)
-                        and not scalar.value < layer_prev_scalar.value
+                        and (potential.value.is_finite or layer_prev_scalar.value.is_finite)
+                        and not potential.value < layer_prev_scalar.value
                     ):
                         report.violations.append(
                             TraceViolation(
                                 idx, "POTENTIAL_NOT_DECREASING", f"level {q} scalar potential"
                             )
                         )
-                layer_prev_scalar = scalar
+                layer_prev_scalar = potential
 
         if step.phase == "rebalance":
             round_rebalanced = True
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
-        if nxt is None or nxt.round != step.round:
-            check_round_boundary(state, step.round, idx, round_rebalanced)
+        if insertion and (nxt is None or nxt.round != step.round):
+            check_round_boundary(state, potential, step.round, idx, round_rebalanced)
             round_rebalanced = False
 
     if trace.final is not None and trace.final != state:
@@ -343,12 +346,13 @@ def _expected_potential(
     step: TraceStep,
     level_of: dict[int, int],
     singleton: bool,
-) -> str | None:
-    """Recompute what the snapshot column should contain after this step."""
+) -> InsertionPotentialValue | LexVector | ScalarPotential | None:
+    """Recompute the potential whose canonical string the snapshot column
+    should contain after this step, or None when the run records none."""
     if trace.kind == "insertion" and singleton:
-        return insertion_potential(game, state).canonical()
+        return insertion_potential(game, state)
     if trace.kind == "br" and singleton and not game.player_specific and state.is_full(game):
-        return lex_potential_singleton(game, state).canonical()
+        return lex_potential_singleton(game, state)
     if (
         trace.kind == "layered"
         and step.phase.startswith("layer:")
@@ -356,5 +360,5 @@ def _expected_potential(
         and not game.player_specific
     ):
         q = int(step.phase.split(":", 1)[1])
-        return _layer_scalar(game, state, q, level_of).canonical()
+        return _layer_scalar(game, state, q, level_of)
     return None

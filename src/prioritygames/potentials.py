@@ -17,13 +17,13 @@ Everything compares exactly; no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .congestion import State, congestion_view, entry_weights, validate_state
 from .core import Game
 from .costs import INFINITY, ExtCost, sum_costs
 from .errors import (
     InconsistentPrioritiesError,
+    InvariantViolatedError,
     LengthMismatchError,
     LevelMismatchError,
     NotSingletonError,
@@ -68,10 +68,6 @@ class InsertionPotentialValue:
         return f"phi={rows};tol={self.tol_sum}"
 
 
-def _pair_key(pair: tuple[ExtCost, int]):
-    return pair  # ExtCost is totally ordered; tuples compare cost-first
-
-
 def _require_singleton(game) -> None:
     if not all(sp.is_singleton_space() for sp in game.spaces.values()):
         raise NotSingletonError("every strategy space must be singleton")
@@ -83,7 +79,7 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
     Each resource with present levels q_1 < ... < q_k contributes, per level
     q and per y = 1..count(q), the pair (d(below(q), y), q); the n pairs are
     then sorted nondecreasing.  Per-resource blocks are already nondecreasing
-    by the delay axioms, which is asserted during construction.
+    by the delay axioms, which is checked during construction.
     """
     _require_singleton(game)
     if game.player_specific:
@@ -102,9 +98,13 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
                 block.append((spec.value(prefix, y), q))
             prefix += cnt
         for a, b in zip(block, block[1:]):
-            assert _pair_key(a) <= _pair_key(b), "resource block violates the delay axioms"
+            if not a <= b:
+                raise InvariantViolatedError(
+                    f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
+                    " violate the delay axioms"
+                )
         pairs.extend(block)
-    pairs.sort(key=_pair_key)
+    pairs.sort()
     return LexVector(pairs=tuple(pairs))
 
 
@@ -192,9 +192,13 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
                 block.append((tri.value(rank, prefix, y), rank))
             prefix += cnt
         for a, b in zip(block, block[1:]):
-            assert _pair_key(a) <= _pair_key(b), "resource block violates the market axioms"
+            if not a <= b:
+                raise InvariantViolatedError(
+                    f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
+                    " violate the market axioms"
+                )
         pairs.extend(block)
-    pairs.sort(key=_pair_key)
+    pairs.sort()
     return LexVector(pairs=tuple(pairs))
 
 
@@ -267,8 +271,3 @@ def insertion_potential_compare(a: InsertionPotentialValue, b: InsertionPotentia
     if b.tol_sum < a.tol_sum:
         return GREATER
     return EQUAL
-
-
-def exact_potential_delta(before: ScalarPotential, after: ScalarPotential) -> Fraction:
-    """Finite potential difference, for exactness checks in tests."""
-    return after.value.finite() - before.value.finite()
