@@ -150,41 +150,71 @@ def congestion_view(game: Game, state: State, resource: str) -> CongestionView:
     )
 
 
-def _resource_delay(game: Game, state: State, resource: str, player: int) -> ExtCost:
-    q = game.priority(resource, player)
-    below = 0
-    same = 0
-    for p, s in state.items():
-        if resource in s:
-            qq = game.priority(resource, p)
-            if qq < q:
-                below += 1
-            elif qq == q:
-                same += 1
-    return game.delay(player, resource, below, same)
+LevelCounts = dict[str, dict[int, int]]
+
+
+def level_counts(game: Game, state: State) -> LevelCounts:
+    """Per resource, how many covered players sit at each priority level.
+
+    One pass over the state's strategies; resources nobody uses are absent.
+    Every congestion query below reads its counts from this one table.
+    """
+    table: LevelCounts = {}
+    for p, s in state._strats.items():
+        for r in s:
+            row = table.setdefault(r, {})
+            q = game.priority(r, p)
+            row[q] = row.get(q, 0) + 1
+    return table
+
+
+def count_below(row: Mapping[int, int], level: int) -> int:
+    """Players in a level-count row with strictly smaller level."""
+    return sum(c for q, c in row.items() if q < level)
+
+
+def _cost_from(
+    game: Game, counts: LevelCounts, strategy: frozenset[str], player: int
+) -> ExtCost:
+    parts = []
+    for r in strategy:
+        q = game.priority(r, player)
+        row = counts[r]
+        parts.append(game.delay(player, r, count_below(row, q), row[q]))
+    return sum_costs(parts)
 
 
 def player_cost(game: Game, state: State, player: int) -> ExtCost:
     """Total delay over the player's strategy; saturates at infinity."""
     strategy = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
-    return sum_costs(_resource_delay(game, state, r, player) for r in strategy)
+    return _cost_from(game, level_counts(game, state), strategy, player)
+
+
+def weights_from_counts(
+    game: Game, counts: LevelCounts, state: State, player: int
+) -> dict[str, ExtCost]:
+    """:func:`entry_weights` read from a prebuilt :func:`level_counts` table."""
+    own = state._strats.get(player, frozenset())
+    weights: dict[str, ExtCost] = {}
+    for r in sorted(game.ground_of(player)):
+        q = game.priority(r, player)
+        row = counts.get(r, {})
+        # her own membership is already counted at level q; otherwise she joins
+        same = row.get(q, 0) + (0 if r in own else 1)
+        weights[r] = game.delay(player, r, count_below(row, q), same)
+    return weights
 
 
 def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
     """What each resource would cost the player, opponents held fixed.
 
-    The player's own current membership is removed before counting, so the
-    weight at r is exactly the delay she would face with r in her strategy.
-    Summing weights over any candidate strategy reproduces its exact cost,
-    which is what makes greedy best responses exact for matroid spaces.
+    The weight at r is exactly the delay she would face with r in her
+    strategy: the state's level counts are taken once, and where she already
+    uses r her own membership is not counted a second time.  Summing weights
+    over any candidate strategy reproduces its exact cost, which is what
+    makes greedy best responses exact for matroid spaces.
     """
-    others = state.without_player(player) if state.covers(player) else state
-    weights: dict[str, ExtCost] = {}
-    for r in sorted(game.ground_of(player)):
-        q = game.priority(r, player)
-        view = congestion_view(game, others, r)
-        weights[r] = game.delay(player, r, view.below(q), view.count_at(q) + 1)
-    return weights
+    return weights_from_counts(game, level_counts(game, state), state, player)
 
 
 def is_better_response(
@@ -207,9 +237,13 @@ def has_better_response(game: Game, state: State, player: int) -> bool:
     Matroid spaces are answered exactly through the greedy minimum-weight
     base; other spaces by enumeration.
     """
-    current = player_cost(game, state, player)
+    return _improvable(game, level_counts(game, state), state, player)
+
+
+def _improvable(game: Game, counts: LevelCounts, state: State, player: int) -> bool:
+    current = _cost_from(game, counts, state.strategy(player), player)
     space = game.spaces[player]
-    weights = entry_weights(game, state, player)
+    weights = weights_from_counts(game, counts, state, player)
     if space.matroid:
         best = greedy_min_base(space, weights)
         return sum_costs(weights[r] for r in best) < current
@@ -225,4 +259,5 @@ def is_pure_nash(game: Game, state: State) -> bool:
     no strictly cheaper alternative has no better response.
     """
     validate_state(game, state, full=True)
-    return not any(has_better_response(game, state, p) for p in game.players())
+    counts = level_counts(game, state)
+    return not any(_improvable(game, counts, state, p) for p in game.players())

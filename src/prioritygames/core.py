@@ -283,12 +283,21 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     def supported(x: int, y: int) -> bool:
         return spec.supports(x, y)
 
+    # each point is compared up to four times; evaluate it once
+    values: dict[tuple[int, int], ExtCost] = {}
+
+    def value(x: int, y: int) -> ExtCost:
+        v = values.get((x, y))
+        if v is None:
+            v = values[(x, y)] = spec.value(x, y)
+        return v
+
     for x, y in domain_points(bound):
         if not supported(x, y):
             continue
-        here = spec.value(x, y)
+        here = value(x, y)
         if x + 1 + y <= bound and supported(x + 1, y):
-            right = spec.value(x + 1, y)
+            right = value(x + 1, y)
             if not here <= right:
                 out.append(
                     Violation(
@@ -298,7 +307,7 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
                     )
                 )
         if x + y + 1 <= bound and supported(x, y + 1):
-            up = spec.value(x, y + 1)
+            up = value(x, y + 1)
             if not here <= up:
                 out.append(
                     Violation(
@@ -308,7 +317,7 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
                     )
                 )
         if supported(x + y - 1, 1):
-            swapped = spec.value(x + y - 1, 1)
+            swapped = value(x + y - 1, 1)
             if not here <= swapped:
                 out.append(
                     Violation(

@@ -31,6 +31,7 @@ from .congestion import (
     congestion_view,
     entry_weights,
     has_better_response,
+    level_counts,
     player_cost,
     validate_state,
 )
@@ -45,9 +46,11 @@ from .errors import (
 from .matroids import greedy_min_base, lazy_path, singleton_resources
 from .potentials import (
     LESS,
+    InsertionPotentialValue,
     _consistent_level,
     insertion_potential,
     insertion_potential_compare,
+    insertion_rows,
     level_potential,
     lex_potential_singleton,
     tol_value,
@@ -494,6 +497,25 @@ def _solve_layer_capped(
 # Insertion algorithm for singleton games
 
 
+def _retally(
+    game: Game, state: State, touched: str, reach: dict[str, list[int]], tol: dict[int, int]
+) -> InsertionPotentialValue:
+    """The insertion potential after a move on ``touched``.
+
+    A move changes only ``touched``'s counts, and a tolerance reads only the
+    counts in its owner's ground, so just the players reaching ``touched``
+    are refreshed in ``tol`` (and dropped when no longer placed).
+    """
+    for p in reach[touched]:
+        if state.covers(p):
+            tol[p] = tol_value(game, state, p)
+        else:
+            tol.pop(p, None)
+    return InsertionPotentialValue(
+        rows=insertion_rows(game, level_counts(game, state)), tol_sum=sum(tol.values())
+    )
+
+
 def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     """Place players one at a time on their cheapest resource, evicting
     residents that start wanting to leave.
@@ -518,6 +540,17 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     ``certify_trace`` re-verifies it after every round.  Rebalance rounds
     are rare, sit outside the potential's strict-increase guarantee, and
     are covered by the safety cap.
+
+    The stray scan asks only players whose ground holds a resource touched
+    this round (the newcomer's, or one a stray left).  That is exact: when
+    the round began nobody had a better response, and a player's options
+    read only the counts of resources in her ground, which for everybody
+    else are unchanged.  For the same reason the recorded potentials are
+    kept up to date instead of rebuilt: after each row only the placed
+    players reaching the touched resource get their tolerance recomputed,
+    and the rows are read off one level-count table.  ``certify_trace``
+    still rebuilds every row's potential from the replayed state, so a
+    slip in this bookkeeping shows as a potential mismatch.
     """
     if not all(sp.is_singleton_space() for sp in game.spaces.values()):
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
@@ -526,6 +559,13 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     queue: deque[int] = deque(sorted(game.players()))
     round_box = [0]
     prev_potential = insertion_potential(game, state)
+    # reach[r]: the players whose ground holds r, the only ones whose
+    # tolerance reads r's counts; tol: every placed player's tolerance
+    reach: dict[str, list[int]] = {r: [] for r in game.resources}
+    for p in game.players():
+        for r in game.ground_of(p):
+            reach[r].append(p)
+    tol: dict[int, int] = {}
     safety = 1000 + game.n_players**4 * len(game.resources) * (
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1
     )
@@ -540,7 +580,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         rid = min(sorted(allowed), key=lambda r: (weights[r], r))
         old_state = state
         state = state.with_player(i, frozenset([rid]))
-        potential = insertion_potential(game, state)
+        potential = _retally(game, state, rid, reach, tol)
         _record(
             trace,
             round_box,
@@ -575,7 +615,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             cost_b = player_cost(game, state, j_star)
             state = state.without_player(j_star)
             queue.append(j_star)
-            potential = insertion_potential(game, state)
+            potential = _retally(game, state, rid, reach, tol)
             _record(
                 trace,
                 round_box,
@@ -587,7 +627,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
                 None,
                 potential.canonical(),
             )
-            tol_in = tol_value(game, state, i)
+            tol_in = tol[i]
             if tol_in < same_before + 1:
                 raise InvariantViolatedError(
                     f"newcomer {i} on resource {rid} has tolerance {tol_in},"
@@ -599,7 +639,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
                 cost_b = player_cost(game, state, j)
                 state = state.without_player(j)
                 queue.append(j)
-                potential = insertion_potential(game, state)
+                potential = _retally(game, state, rid, reach, tol)
                 _record(
                     trace,
                     round_box,
@@ -614,13 +654,14 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
 
         # restore the round invariant: multi-evictions can leave a player on
         # another resource strictly better off moving; discard those too,
-        # one at a time (evicting one stray can already pacify the next)
+        # one at a time (evicting one stray can already pacify the next).
+        # Only players reaching a resource touched this round can have gained
+        # an option: nobody could improve when the round began.
         rebalanced = False
+        touched = {rid}
         while True:
-            stray = next(
-                (p for p in state.players() if has_better_response(game, state, p)),
-                None,
-            )
+            suspects = sorted({p for r in touched for p in reach[r] if state.covers(p)})
+            stray = next((p for p in suspects if has_better_response(game, state, p)), None)
             if stray is None:
                 break
             rebalanced = True
@@ -628,7 +669,8 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             cost_b = player_cost(game, state, stray)
             state = state.without_player(stray)
             queue.append(stray)
-            potential = insertion_potential(game, state)
+            touched.add(held)
+            potential = _retally(game, state, held, reach, tol)
             _record(
                 trace,
                 round_box,

@@ -18,7 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congestion import State, congestion_view, entry_weights, validate_state
+from .congestion import (
+    LevelCounts,
+    State,
+    congestion_view,  # noqa: F401  (bench/test_bench.py reads it from this module)
+    count_below,
+    level_counts,
+    validate_state,
+    weights_from_counts,
+)
 from .core import Game
 from .costs import INFINITY, ExtCost, sum_costs
 from .errors import (
@@ -87,13 +95,13 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
             "the lexicographic potential needs one shared delay per resource"
         )
     validate_state(game, prof, full=True)
+    counts = level_counts(game, prof)
     pairs: list[tuple[ExtCost, int]] = []
     for rid in game.resources:
-        view = congestion_view(game, prof, rid)
         spec = game.delays[rid]
         block: list[tuple[ExtCost, int]] = []
         prefix = 0
-        for q, cnt in view.level_counts:
+        for q, cnt in sorted(counts.get(rid, {}).items()):
             for y in range(1, cnt + 1):
                 block.append((spec.value(prefix, y), q))
             prefix += cnt
@@ -143,10 +151,12 @@ def level_potential(game: Game, outer: State, q: int, inner: State) -> ScalarPot
         level = _consistent_level(game, p)
         if level != q:
             raise LevelMismatchError(f"inner player {p} has priority {level} != {q}")
+    frozen_counts = level_counts(game, outer)
+    active_counts = level_counts(game, inner)
     parts: list[ExtCost] = []
     for rid in game.resources:
-        frozen = sum(1 for _, s in outer.items() if rid in s)
-        active = sum(1 for _, s in inner.items() if rid in s)
+        frozen = sum(frozen_counts.get(rid, {}).values())
+        active = sum(active_counts.get(rid, {}).values())
         spec = game.delays[rid]
         for k in range(1, active + 1):
             parts.append(spec.value(frozen, k))
@@ -214,20 +224,27 @@ def tol_value(game: Game, state: State, player: int, *, cap: int | None = None) 
     at most every alternative resource's post-move delay.  Zero when even
     y = 1 is beaten, which only happens in states where she already has a
     better response.
+
+    Only the counts on resources in her ground are read, so a move on a
+    resource she cannot reach leaves her tolerance unchanged; the insertion
+    solver relies on that to refresh tolerances incrementally.  Her own
+    membership needs no removal: she sits at level q on her resource, so the
+    count strictly below q is the same with or without her.
     """
     cap = game.n_players if cap is None else cap
     strategy = state.strategy(player)
     if len(strategy) != 1:
         raise NotSingletonError("tolerance is defined for singleton strategies")
     (rid,) = strategy
-    rivals = entry_weights(game, state, player)
+    counts = level_counts(game, state)
+    rivals = weights_from_counts(game, counts, state, player)
     allowed = singleton_resources(game.spaces[player])
     ceiling = INFINITY
     for alt in allowed:
         if alt != rid and rivals[alt] < ceiling:
             ceiling = rivals[alt]
     q = game.priority(rid, player)
-    below = congestion_view(game, state.without_player(player), rid).below(q)
+    below = count_below(counts[rid], q)
     best = 0
     for y in range(1, cap + 1):
         if game.delay(player, rid, below, y) <= ceiling:
@@ -248,14 +265,23 @@ def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
     """
     _require_singleton(game)
     validate_state(game, state)
-    rows: list[tuple[int, ...]] = []
-    for rid in game.resources:
-        top = game.priorities.max_level(rid)
-        view = congestion_view(game, state, rid)
-        rows.append(tuple(view.count_at(q) for q in range(1, top + 1)))
-    rows.sort()
     tol_sum = sum(tol_value(game, state, p) for p in state.players())
-    return InsertionPotentialValue(rows=tuple(rows), tol_sum=tol_sum)
+    return InsertionPotentialValue(
+        rows=insertion_rows(game, level_counts(game, state)), tol_sum=tol_sum
+    )
+
+
+def insertion_rows(game: Game, counts: LevelCounts) -> tuple[tuple[int, ...], ...]:
+    """The insertion potential's first part, read from a level-count table.
+
+    Per resource e, the counts at levels 1..q*_e (q*_e its largest level in
+    the game), rows sorted lexicographically nondecreasing.
+    """
+    rows = []
+    for rid in game.resources:
+        row = counts.get(rid, {})
+        rows.append(tuple(row.get(q, 0) for q in range(1, game.priorities.max_level(rid) + 1)))
+    return tuple(sorted(rows))
 
 
 def insertion_potential_compare(a: InsertionPotentialValue, b: InsertionPotentialValue) -> int:

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 import prioritygames as pg
 from conftest import gen_game, make_t1_consistent
 from prioritygames.oracle import _profile_is_pne_naive
+
+DATA = Path(__file__).parent / "data"
 
 
 def constant_table(value, bound=3):
@@ -284,6 +288,36 @@ class TestInsertionSolver:
         final, trace = pg.solve_insertion(game)
         stats = pg.count_steps(trace)
         assert stats.by_phase.get("rebalance", 0) >= 1
+        assert _profile_is_pne_naive(game, final)
+        report = pg.certify_trace(game, trace)
+        assert report.ok, report.summary()
+
+    def test_rebalance_fixture_trace(self):
+        # n=6, both players may use r0 and r1, shared affine delays.  In
+        # round 5 newcomer 6 lands on r1 and evicts players 2 and 4 (case
+        # B2); player 3, sitting on r0, then sees r1 at (x=1, y=1) instead of
+        # (x=1, y=2) and is rebalanced.  The smallest known instance where
+        # the stray is not a resident of the newcomer's resource.
+        game = pg.parse_instance((DATA / "rebalance_n6.json").read_bytes())
+        final, trace = pg.solve_insertion(game)
+        rows = [(s.round, s.phase, s.player, s.potential) for s in trace.steps]
+        assert rows == [
+            (0, "insert", 1, "phi=0,0,0,0|1,0,0;tol=1"),
+            (1, "insert", 2, "phi=0,0,1,0|1,0,0;tol=5"),
+            (2, "insert", 3, "phi=0,0,1,0|1,0,1;tol=6"),
+            (3, "insert", 4, "phi=0,0,1,1|1,0,1;tol=9"),
+            (4, "insert", 5, "phi=0,0,1,1|1,0,2;tol=12"),
+            (5, "insert", 6, "phi=1,0,1,1|1,0,2;tol=15"),
+            (5, "discard", 2, "phi=1,0,0,1|1,0,2;tol=11"),
+            (5, "discard", 4, "phi=1,0,0,0|1,0,2;tol=6"),
+            (5, "rebalance", 3, "phi=1,0,0,0|1,0,1;tol=5"),
+            (6, "insert", 2, "phi=1,0,0,0|1,1,1;tol=5"),
+            (6, "discard", 5, "phi=1,0,0,0|1,1,0;tol=5"),
+            (7, "insert", 4, "phi=1,0,0,1|1,1,0;tol=8"),
+            (8, "insert", 3, "phi=1,0,0,2|1,1,0;tol=11"),
+            (9, "insert", 5, "phi=1,0,0,2|1,1,1;tol=14"),
+        ]
+        assert trace.steps[8].frm == frozenset({"r0"})
         assert _profile_is_pne_naive(game, final)
         report = pg.certify_trace(game, trace)
         assert report.ok, report.summary()

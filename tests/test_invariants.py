@@ -1,15 +1,20 @@
 """Solver invariants are real checks, and each trace row's potential is built once."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import prioritygames as pg
 from conftest import gen_game
-from prioritygames import dynamics, oracle
+from prioritygames import dynamics, oracle, potentials
 
 PACKAGE_DIR = Path(pg.__file__).parent
+REBALANCE_FIXTURE = Path(__file__).parent / "data" / "rebalance_n6.json"
 
 
 def test_no_assert_in_package():
@@ -19,6 +24,54 @@ def test_no_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+# Run in a child interpreter started with -O: seeded insertion (with
+# discards on seeds 0 and 3, and the rebalance fixture), layered and
+# better-response runs, each certified by replay.
+OPTIMIZED_SWEEP = """
+import json
+import sys
+import prioritygames as pg
+from prioritygames.generator import GenParams, generate_random_instance
+from prioritygames.jsonio import document_to_source
+
+def game(seed, **kw):
+    src = document_to_source(generate_random_instance(GenParams(**kw), seed))
+    return pg.reduce_affine_to_priority(src) if isinstance(src, pg.AffineGame) else src
+
+g = pg.parse_instance(open(sys.argv[1], "rb").read())
+reports = [("insertion", pg.solve_insertion(g)[1], g)]
+for seed in range(4):
+    g = game(seed, players=7, resources=3, levels=3)
+    reports.append(("insertion", pg.solve_insertion(g)[1], g))
+    g = game(seed, players=6, resources=3, space_kind="uniform", levels=2, consistent=True)
+    reports.append(("layered", pg.solve_consistent_layered(g)[1], g))
+    g = game(seed, players=5, resources=3, model="affine", space_kind="mixed")
+    start = pg.State({p: g.spaces[p].all_bases()[0] for p in g.players()})
+    reports.append(("br", pg.run_dynamics(g, start)[1], g))
+print(json.dumps({
+    "debug": __debug__,
+    "reports": [[m, pg.certify_trace(g, t).ok] for m, t, g in reports],
+}))
+"""
+
+
+def test_solvers_certify_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SWEEP, str(REBALANCE_FIXTURE)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["debug"] is False
+    assert len(result["reports"]) == 13
+    assert {m for m, _ in result["reports"]} == {"insertion", "layered", "br"}
+    assert all(ok for _, ok in result["reports"]), result["reports"]
 
 
 def test_invariant_error_is_a_game_error():
@@ -56,14 +109,18 @@ def layered_game():
 
 def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
     solver_calls = count_calls(monkeypatch, dynamics, "insertion_potential")
+    solver_tols = count_calls(monkeypatch, dynamics, "tol_value")
     _, trace = pg.solve_insertion(singleton_game)
     stats = pg.count_steps(trace)
     assert stats.by_phase.get("discard", 0) > 0 and stats.rounds < stats.total
-    assert len(solver_calls) == len(trace.steps) + 1  # plus the empty start
+    # the empty start only: later rows refresh just the touched tolerances
+    assert len(solver_calls) == 1
 
     certify_calls = count_calls(monkeypatch, oracle, "insertion_potential")
+    certify_tols = count_calls(monkeypatch, potentials, "tol_value")
     assert pg.certify_trace(singleton_game, trace).ok
     assert len(certify_calls) == len(trace.steps) + 1  # plus the empty start
+    assert len(solver_tols) < len(certify_tols)
 
 
 def test_level_potential_once_per_row(monkeypatch, layered_game):

@@ -1,0 +1,177 @@
+"""The one-pass level-count kernel agrees with a naive per-resource recount.
+
+The reference functions below rescan every covered player for every
+resource they ask about, as the congestion queries and potentials did before
+they read one shared table.  A seeded sweep over the generator's instance
+classes compares both on full and partial states.
+"""
+
+import random
+
+import pytest
+
+import prioritygames as pg
+from conftest import gen_source
+from prioritygames.congestion import level_counts
+from prioritygames.costs import sum_costs
+from prioritygames.matroids import singleton_resources
+
+# (model, space kind, consistent priorities, player-specific delays)
+CLASSES = (
+    ("priority", "singleton", False, False),
+    ("priority", "singleton", False, True),
+    ("priority", "uniform", True, False),
+    ("priority", "partition", True, False),
+    ("priority", "graphic", True, False),
+    ("classic", "singleton", False, False),
+    ("classic", "uniform", True, False),
+    ("affine", "singleton", False, False),
+    ("affine", "mixed", False, False),
+    ("market", "singleton", False, False),
+)
+SEEDS = range(6)
+
+
+def naive_counts(game, state, rid) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for p, s in state.items():
+        if rid in s:
+            q = game.priority(rid, p)
+            counts[q] = counts.get(q, 0) + 1
+    return counts
+
+
+def naive_below(counts, level) -> int:
+    return sum(c for q, c in counts.items() if q < level)
+
+
+def naive_cost(game, state, player):
+    parts = []
+    for rid in state.strategy(player):
+        q = game.priority(rid, player)
+        counts = naive_counts(game, state, rid)
+        parts.append(game.delay(player, rid, naive_below(counts, q), counts[q]))
+    return sum_costs(parts)
+
+
+def naive_weights(game, state, player):
+    others = state.without_player(player) if state.covers(player) else state
+    weights = {}
+    for rid in sorted(game.ground_of(player)):
+        q = game.priority(rid, player)
+        counts = naive_counts(game, others, rid)
+        weights[rid] = game.delay(player, rid, naive_below(counts, q), counts.get(q, 0) + 1)
+    return weights
+
+
+def naive_lex_pairs(game, prof):
+    pairs = []
+    for rid in game.resources:
+        counts = naive_counts(game, prof, rid)
+        prefix = 0
+        for q in sorted(counts):
+            for y in range(1, counts[q] + 1):
+                pairs.append((game.delays[rid].value(prefix, y), q))
+            prefix += counts[q]
+    return tuple(sorted(pairs))
+
+
+def naive_level_value(game, outer, inner):
+    parts = []
+    for rid in game.resources:
+        frozen = sum(1 for _, s in outer.items() if rid in s)
+        active = sum(1 for _, s in inner.items() if rid in s)
+        parts += [game.delays[rid].value(frozen, k) for k in range(1, active + 1)]
+    return sum_costs(parts)
+
+
+def naive_tol(game, state, player) -> int:
+    (rid,) = state.strategy(player)
+    rivals = naive_weights(game, state, player)
+    ceiling = pg.INFINITY
+    for alt in singleton_resources(game.spaces[player]):
+        if alt != rid and rivals[alt] < ceiling:
+            ceiling = rivals[alt]
+    q = game.priority(rid, player)
+    below = naive_below(naive_counts(game, state.without_player(player), rid), q)
+    best = 0
+    for y in range(1, game.n_players + 1):
+        if not game.delay(player, rid, below, y) <= ceiling:
+            break
+        best = y
+    return best
+
+
+def naive_insertion(game, state):
+    rows = []
+    for rid in game.resources:
+        counts = naive_counts(game, state, rid)
+        top = game.priorities.max_level(rid)
+        rows.append(tuple(counts.get(q, 0) for q in range(1, top + 1)))
+    tol_sum = sum(naive_tol(game, state, p) for p in state.players())
+    return tuple(sorted(rows)), tol_sum
+
+
+def sample_states(game, rng):
+    """One full profile and two partial states (one may be empty)."""
+    full = pg.State({p: rng.choice(game.spaces[p].all_bases()) for p in game.players()})
+    out = [full]
+    for _ in range(2):
+        keep = [p for p in game.players() if rng.random() < 0.5]
+        out.append(pg.State({p: full.strategy(p) for p in keep}))
+    return out
+
+
+def check_state(game, state, *, full):
+    for rid in game.resources:
+        expected = naive_counts(game, state, rid)
+        assert level_counts(game, state).get(rid, {}) == expected
+        view = pg.congestion_view(game, state, rid)
+        assert view.level_counts == tuple(sorted(expected.items()))
+        assert view.total == sum(expected.values())
+    for p in game.players():
+        assert pg.entry_weights(game, state, p) == naive_weights(game, state, p)
+        if state.covers(p):
+            assert pg.player_cost(game, state, p) == naive_cost(game, state, p)
+    singleton = game.is_singleton_game()
+    if singleton:
+        value = pg.insertion_potential(game, state)
+        assert (value.rows, value.tol_sum) == naive_insertion(game, state)
+        for p in state.players():
+            assert pg.tol_value(game, state, p) == naive_tol(game, state, p)
+    if full and singleton and not game.player_specific:
+        assert pg.lex_potential_singleton(game, state).pairs == naive_lex_pairs(game, state)
+    if full and game.priorities.consistent and not game.player_specific:
+        level_of = {p: game.priority(game.resources[0], p) for p in game.players()}
+        for q in sorted(set(level_of.values())):
+            outer = pg.State({p: s for p, s in state.items() if level_of[p] < q})
+            inner = pg.State({p: s for p, s in state.items() if level_of[p] == q})
+            got = pg.level_potential(game, outer, q, inner).value
+            assert got == naive_level_value(game, outer, inner)
+
+
+@pytest.mark.parametrize("model,space,consistent,specific", CLASSES)
+def test_kernel_matches_naive_recount(model, space, consistent, specific):
+    for seed in SEEDS:
+        source = gen_source(
+            seed,
+            players=3 + seed % 4,
+            resources=2 + seed % 3,
+            model=model,
+            space_kind=space,
+            levels=2 + seed % 2,
+            consistent=consistent,
+            player_specific=specific,
+        )
+        if isinstance(source, pg.MarketGame):
+            game = pg.reduce_market_to_playerspecific(source)
+        elif isinstance(source, pg.ClassicGame):
+            game = pg.reduce_classic_to_priority(source)
+        elif isinstance(source, pg.AffineGame):
+            game = pg.reduce_affine_to_priority(source)
+        else:
+            game = source
+        assert game.player_specific == (specific or model == "market")
+        rng = random.Random(f"kernel:{model}:{space}:{seed}")
+        for k, state in enumerate(sample_states(game, rng)):
+            check_state(game, state, full=k == 0)
