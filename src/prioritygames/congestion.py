@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .costs import ExtCost, sum_costs
 from .core import Game
 from .errors import PlayerNotPlacedError, ValidationFailed, Violation
-from .matroids import greedy_min_base
+from .matroids import base_weight, greedy_min_base
 
 
 class State:
@@ -62,9 +62,6 @@ class State:
 
     def is_full(self, game: Game) -> bool:
         return set(self._strats) == set(game.players())
-
-    def key(self):
-        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, State) and self._key == other._key
@@ -234,22 +231,18 @@ def is_better_response(
 def has_better_response(game: Game, state: State, player: int) -> bool:
     """True when some strategy strictly beats the player's current one.
 
-    Matroid spaces are answered exactly through the greedy minimum-weight
-    base; other spaces by enumeration.
+    The cheapest strategy is ``greedy_min_base`` over the player's entry
+    weights, the one cheapest-strategy rule of all three solvers (exact
+    greedy on matroid spaces, enumeration otherwise, ties toward the
+    smallest sorted id list).
     """
     return _improvable(game, level_counts(game, state), state, player)
 
 
 def _improvable(game: Game, counts: LevelCounts, state: State, player: int) -> bool:
     current = _cost_from(game, counts, state.strategy(player), player)
-    space = game.spaces[player]
     weights = weights_from_counts(game, counts, state, player)
-    if space.matroid:
-        best = greedy_min_base(space, weights)
-        return sum_costs(weights[r] for r in best) < current
-    return any(
-        sum_costs(weights[r] for r in cand) < current for cand in space.all_bases()
-    )
+    return base_weight(greedy_min_base(game.spaces[player], weights), weights) < current
 
 
 def is_pure_nash(game: Game, state: State) -> bool:

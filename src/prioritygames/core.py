@@ -71,17 +71,6 @@ class PriorityFunction:
     def defined(self, resource: str, player: int) -> bool:
         return player in self._maps.get(resource, {})
 
-    def resource_map(self, resource: str) -> dict[int, int]:
-        return dict(self._maps.get(resource, {}))
-
-    def resources(self) -> list[str]:
-        return sorted(self._maps)
-
-    def levels(self) -> list[int]:
-        """Sorted distinct priority values over all resources and players."""
-        vals = {q for m in self._maps.values() for q in m.values()}
-        return sorted(vals)
-
     def max_level(self, resource: str) -> int:
         m = self._maps.get(resource, {})
         return max(m.values()) if m else 0
@@ -350,20 +339,11 @@ class Game:
     def priority(self, resource: str, player: int) -> int:
         return self.priorities.of(resource, player)
 
-    def delay_spec(self, resource: str, player: int | None = None) -> DelaySpec:
-        spec = self.delays[resource]
-        if isinstance(spec, PerPlayerDelay) and player is not None:
-            return spec.for_player(player)
-        return spec
-
     def delay(self, player: int, resource: str, x: int, y: int) -> ExtCost:
         return evaluate_delay(self.delays[resource], x, y, player=player)
 
     def ground_of(self, player: int) -> frozenset[str]:
         return self.spaces[player].ground()
-
-    def strategies_of(self, player: int) -> tuple[frozenset[str], ...]:
-        return self.spaces[player].all_bases()
 
     def is_singleton_game(self) -> bool:
         return all(sp.is_singleton_space() for sp in self.spaces.values())

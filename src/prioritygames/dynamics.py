@@ -36,14 +36,14 @@ from .congestion import (
     validate_state,
 )
 from .core import Game
-from .costs import ExtCost, improvement, sum_costs
+from .costs import ExtCost, improvement
 from .errors import (
     InconsistentPrioritiesError,
     InvariantViolatedError,
     LayerCapExhaustedError,
     NotSingletonError,
 )
-from .matroids import greedy_min_base, lazy_path, singleton_resources
+from .matroids import base_weight, greedy_min_base, lazy_path
 from .potentials import (
     LESS,
     InsertionPotentialValue,
@@ -128,25 +128,17 @@ def count_steps(trace: MoveTrace) -> StepStats:
 def best_response(game: Game, state: State, player: int) -> frozenset[str]:
     """The player's cheapest strategy against the others' fixed strategies.
 
-    Matroid spaces are solved exactly by the greedy minimum-weight base over
-    per-resource entry weights; explicit spaces by enumeration.  A player
-    already at an optimum keeps her strategy; otherwise ties break toward
-    the id-lexicographically smallest optimum.
+    The cheapest strategy is ``greedy_min_base`` over her entry weights, the
+    one cheapest-strategy rule of all three solvers: exact greedy on matroid
+    spaces, enumeration otherwise, ties toward the smallest sorted id list.
+    A player already at an optimum keeps her strategy.
     """
-    space = game.spaces[player]
     weights = entry_weights(game, state, player)
+    best = greedy_min_base(game.spaces[player], weights)
     current = state.strategy(player)
-    current_cost = sum_costs(weights[r] for r in current)
-    if space.matroid:
-        best = greedy_min_base(space, weights)
-    else:
-        best = min(
-            space.all_bases(),
-            key=lambda b: (sum_costs(weights[r] for r in b), tuple(sorted(b))),
-        )
-    if not sum_costs(weights[r] for r in best) < current_cost:
-        return current
-    return best
+    if base_weight(best, weights) < base_weight(current, weights):
+        return best
+    return current
 
 
 def _decompose_move(
@@ -165,10 +157,47 @@ def _decompose_move(
         return [target]
     weights = entry_weights(game, state, player)
     path = lazy_path(space, current, target, weights)
-    costs = [sum_costs(weights[r] for r in b) for b in path]
+    costs = [base_weight(b, weights) for b in path]
     if all(b < a for a, b in zip(costs, costs[1:])):
         return path[1:]
     return [target]
+
+
+def _record(
+    game: Game,
+    trace: MoveTrace,
+    round_no: int,
+    phase: str,
+    player: int,
+    before: State,
+    after: State,
+    potential: str,
+) -> None:
+    """Append the row for ``player``'s change from ``before`` to ``after``.
+
+    Strategies and costs are read off the two states; an unplaced player
+    has neither.
+    """
+
+    def seen(state: State) -> tuple[frozenset[str] | None, ExtCost | None]:
+        if not state.covers(player):
+            return None, None
+        return state.strategy(player), player_cost(game, state, player)
+
+    (frm, cost_before), (to, cost_after) = seen(before), seen(after)
+    trace.steps.append(
+        TraceStep(
+            index=len(trace.steps),
+            round=round_no,
+            phase=phase,
+            player=player,
+            frm=frm,
+            to=to,
+            cost_before=cost_before,
+            cost_after=cost_after,
+            potential=potential,
+        )
+    )
 
 
 def _lex_snapshot(game: Game):
@@ -206,19 +235,15 @@ def run_dynamics(
     while True:
         mover: int | None = None
         target: frozenset[str] | None = None
-        if policy == "roundrobin":
+        if policy != "best":
+            # the first improver from rr_idx (roundrobin) or from player 1 (first)
+            begin = rr_idx if policy == "roundrobin" else 0
             for off in range(len(players)):
-                p = players[(rr_idx + off) % len(players)]
+                p = players[(begin + off) % len(players)]
                 br = best_response(game, state, p)
                 if br != state.strategy(p):
                     mover, target = p, br
-                    rr_idx = (rr_idx + off + 1) % len(players)
-                    break
-        elif policy == "first":
-            for p in players:
-                br = best_response(game, state, p)
-                if br != state.strategy(p):
-                    mover, target = p, br
+                    rr_idx = (begin + off + 1) % len(players)
                     break
         else:  # steepest improvement, ties to the smallest id
             best_gain: ExtCost | None = None
@@ -242,23 +267,8 @@ def run_dynamics(
             if len(trace.steps) >= cap:
                 capped = True
                 break
-            frm = state.strategy(mover)
-            cost_b = player_cost(game, state, mover)
-            state = state.with_player(mover, nxt)
-            cost_a = player_cost(game, state, mover)
-            trace.steps.append(
-                TraceStep(
-                    index=len(trace.steps),
-                    round=round_no,
-                    phase="br",
-                    player=mover,
-                    frm=frm,
-                    to=nxt,
-                    cost_before=cost_b,
-                    cost_after=cost_a,
-                    potential=snapshot(state),
-                )
-            )
+            before, state = state, state.with_player(mover, nxt)
+            _record(game, trace, round_no, "br", mover, before, state, snapshot(state))
         round_no += 1
         if capped:
             trace.status = CAP_REACHED
@@ -309,44 +319,6 @@ def _layer_inner(state: State, outer: State) -> State:
     return State(inner)
 
 
-def _initial_strategy(game: Game, state: State, player: int) -> frozenset[str]:
-    """Cheapest strategy for a not-yet-placed player; deterministic ties."""
-    space = game.spaces[player]
-    weights = entry_weights(game, state, player)
-    if space.matroid:
-        return greedy_min_base(space, weights)
-    return min(
-        space.all_bases(),
-        key=lambda b: (sum_costs(weights[r] for r in b), tuple(sorted(b))),
-    )
-
-
-def _record(
-    trace: MoveTrace,
-    round_box: list[int],
-    phase: str,
-    player: int,
-    frm: frozenset[str] | None,
-    to: frozenset[str] | None,
-    cost_before: ExtCost | None,
-    cost_after: ExtCost | None,
-    potential: str,
-) -> None:
-    trace.steps.append(
-        TraceStep(
-            index=len(trace.steps),
-            round=round_box[0],
-            phase=phase,
-            player=player,
-            frm=frm,
-            to=to,
-            cost_before=cost_before,
-            cost_after=cost_after,
-            potential=potential,
-        )
-    )
-
-
 def _solve_layer_potential(
     game: Game,
     outer: State,
@@ -360,20 +332,10 @@ def _solve_layer_potential(
     phase = f"layer:{q}"
     working = outer
     for i in layer:
-        s = _initial_strategy(game, working, i)
-        working = working.with_player(i, s)
+        s = greedy_min_base(game.spaces[i], entry_weights(game, working, i))
+        before, working = working, working.with_player(i, s)
         potential = level_potential(game, outer, q, _layer_inner(working, outer))
-        _record(
-            trace,
-            round_box,
-            phase,
-            i,
-            None,
-            s,
-            None,
-            player_cost(game, working, i),
-            potential.canonical(),
-        )
+        _record(game, trace, round_box[0], phase, i, before, working, potential.canonical())
         round_box[0] += 1
 
     moves = 0
@@ -386,20 +348,15 @@ def _solve_layer_potential(
                 continue
             improved = True
             for nxt in _decompose_move(game, working, i, br):
-                frm = working.strategy(i)
-                cost_b = player_cost(game, working, i)
-                working = working.with_player(i, nxt)
-                cost_a = player_cost(game, working, i)
+                before, working = working, working.with_player(i, nxt)
                 pot_before = potential
                 potential = level_potential(game, outer, q, _layer_inner(working, outer))
-                _record(
-                    trace, round_box, phase, i, frm, nxt, cost_b, cost_a, potential.canonical()
-                )
+                _record(game, trace, round_box[0], phase, i, before, working, potential.canonical())
                 finite = pot_before.value.is_finite or potential.value.is_finite
                 if finite and not potential.value < pot_before.value:
                     raise InvariantViolatedError(
                         f"level {q} potential did not drop when player {i} moved"
-                        f" {sorted(frm)} -> {sorted(nxt)}:"
+                        f" {sorted(before.strategy(i))} -> {sorted(nxt)}:"
                         f" {pot_before.canonical()} -> {potential.canonical()}"
                     )
             round_box[0] += 1
@@ -430,14 +387,12 @@ def _solve_layer_capped(
         working = outer
         for j, i in enumerate(layer):
             if attempt == 0:
-                s = _initial_strategy(game, working, i)
+                s = greedy_min_base(game.spaces[i], entry_weights(game, working, i))
             else:
                 bases = game.spaces[i].all_bases()
                 s = bases[(attempt + j) % len(bases)]
-            working = working.with_player(i, s)
-            _record(
-                trace, round_box, phase, i, None, s, None, player_cost(game, working, i), ""
-            )
+            before, working = working, working.with_player(i, s)
+            _record(game, trace, round_box[0], phase, i, before, working, "")
             round_box[0] += 1
 
         steps_used = 0
@@ -458,11 +413,8 @@ def _solve_layer_capped(
                     j: player_cost(game, working, j) for j in layer if j != i
                 }
                 for nxt in _decompose_move(game, working, i, br):
-                    frm = working.strategy(i)
-                    cost_b = player_cost(game, working, i)
-                    working = working.with_player(i, nxt)
-                    cost_a = player_cost(game, working, i)
-                    _record(trace, round_box, phase, i, frm, nxt, cost_b, cost_a, "")
+                    before, working = working, working.with_player(i, nxt)
+                    _record(game, trace, round_box[0], phase, i, before, working, "")
                     steps_used += 1
                 round_box[0] += 1
                 displaced = [
@@ -521,7 +473,9 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     residents that start wanting to leave.
 
     Each round pops an unplaced player from a FIFO queue and adds her to the
-    resource imposing minimum cost (ties: smallest resource id).  Residents
+    resource imposing minimum cost, chosen by ``greedy_min_base``, the one
+    cheapest-strategy rule of all three solvers (ties: smallest resource
+    id, the smallest sorted id list of a singleton space).  Residents
     of that resource that now have a better response must be weakly less
     prioritized there; if one shares the newcomer's priority, exactly that
     one (smallest id) discards, otherwise all strictly less prioritized
@@ -557,7 +511,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     trace = MoveTrace(kind="insertion", start=State({}))
     state = State({})
     queue: deque[int] = deque(sorted(game.players()))
-    round_box = [0]
+    round_no = 0
     prev_potential = insertion_potential(game, state)
     # reach[r]: the players whose ground holds r, the only ones whose
     # tolerance reads r's counts; tol: every placed player's tolerance
@@ -569,29 +523,28 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     safety = 1000 + game.n_players**4 * len(game.resources) * (
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1
     )
-    rounds = 0
+
+    def discard(phase: str, j: int) -> InsertionPotentialValue:
+        """Unplace ``j``, requeue her and record the row; the new potential."""
+        nonlocal state
+        (held,) = state.strategy(j)
+        before, state = state, state.without_player(j)
+        queue.append(j)
+        potential = _retally(game, state, held, reach, tol)
+        _record(game, trace, round_no, phase, j, before, state, potential.canonical())
+        return potential
+
     while queue:
-        rounds += 1
-        if rounds > safety:  # the potential argument makes this unreachable
-            raise RuntimeError("insertion algorithm exceeded its safety cap")
+        if round_no >= safety:  # the potential argument makes this unreachable
+            raise InvariantViolatedError(
+                f"insertion algorithm exceeded its safety cap of {safety} rounds"
+            )
         i = queue.popleft()
-        weights = entry_weights(game, state, i)
-        allowed = singleton_resources(game.spaces[i])
-        rid = min(sorted(allowed), key=lambda r: (weights[r], r))
+        (rid,) = greedy_min_base(game.spaces[i], entry_weights(game, state, i))
         old_state = state
         state = state.with_player(i, frozenset([rid]))
         potential = _retally(game, state, rid, reach, tol)
-        _record(
-            trace,
-            round_box,
-            "insert",
-            i,
-            None,
-            frozenset([rid]),
-            None,
-            weights[rid],
-            potential.canonical(),
-        )
+        _record(game, trace, round_no, "insert", i, old_state, state, potential.canonical())
 
         residents = [p for p, s in old_state.items() if rid in s]
         improvers = [p for p in residents if has_better_response(game, state, p)]
@@ -612,21 +565,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
                     f"leaving player {j_star} on resource {rid} has tolerance {tol_out},"
                     f" expected {same_before}"
                 )
-            cost_b = player_cost(game, state, j_star)
-            state = state.without_player(j_star)
-            queue.append(j_star)
-            potential = _retally(game, state, rid, reach, tol)
-            _record(
-                trace,
-                round_box,
-                "discard",
-                j_star,
-                frozenset([rid]),
-                None,
-                cost_b,
-                None,
-                potential.canonical(),
-            )
+            potential = discard("discard", j_star)
             tol_in = tol[i]
             if tol_in < same_before + 1:
                 raise InvariantViolatedError(
@@ -636,21 +575,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         elif improvers:
             # every improver is strictly less prioritized here (case B2)
             for j in sorted(improvers):
-                cost_b = player_cost(game, state, j)
-                state = state.without_player(j)
-                queue.append(j)
-                potential = _retally(game, state, rid, reach, tol)
-                _record(
-                    trace,
-                    round_box,
-                    "discard",
-                    j,
-                    frozenset([rid]),
-                    None,
-                    cost_b,
-                    None,
-                    potential.canonical(),
-                )
+                potential = discard("discard", j)
 
         # restore the round invariant: multi-evictions can leave a player on
         # another resource strictly better off moving; discard those too,
@@ -665,32 +590,17 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             if stray is None:
                 break
             rebalanced = True
-            (held,) = state.strategy(stray)
-            cost_b = player_cost(game, state, stray)
-            state = state.without_player(stray)
-            queue.append(stray)
-            touched.add(held)
-            potential = _retally(game, state, held, reach, tol)
-            _record(
-                trace,
-                round_box,
-                "rebalance",
-                stray,
-                frozenset([held]),
-                None,
-                cost_b,
-                None,
-                potential.canonical(),
-            )
+            touched |= state.strategy(stray)
+            potential = discard("rebalance", stray)
 
         if not rebalanced and insertion_potential_compare(prev_potential, potential) != LESS:
             raise InvariantViolatedError(
-                f"insertion potential did not rise in round {round_box[0]}"
+                f"insertion potential did not rise in round {round_no}"
                 f" (newcomer {i} on {rid}): {prev_potential.canonical()}"
                 f" -> {potential.canonical()}"
             )
         prev_potential = potential
-        round_box[0] += 1
+        round_no += 1
     trace.final = state
     trace.status = CONVERGED
     return state, trace

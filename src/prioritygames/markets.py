@@ -40,7 +40,7 @@ from .errors import (
     ValidationFailed,
     Violation,
 )
-from .matroids import StrategySpace, greedy_min_base
+from .matroids import StrategySpace, base_weight, greedy_min_base
 
 
 @dataclass(frozen=True, eq=True)
@@ -278,14 +278,8 @@ def market_entry_weights(market: MarketGame, state: State, player: int) -> dict[
 
 def market_has_better_response(market: MarketGame, state: State, player: int) -> bool:
     current = market_player_cost(market, state, player)
-    space = market.spaces[player]
     weights = market_entry_weights(market, state, player)
-    if space.matroid:
-        best = greedy_min_base(space, weights)
-        return sum_costs(weights[r] for r in best) < current
-    return any(
-        sum_costs(weights[r] for r in cand) < current for cand in space.all_bases()
-    )
+    return base_weight(greedy_min_base(market.spaces[player], weights), weights) < current
 
 
 def market_is_pure_nash(market: MarketGame, state: State) -> bool:

@@ -449,9 +449,12 @@ def greedy_min_base(
 ) -> frozenset[str]:
     """A minimum-total-weight strategy; ties break toward smaller ids.
 
-    Runs the matroid greedy algorithm when an independence oracle exists,
-    otherwise enumerates the explicit family.  Exact for matroids because
-    per-element weights are independent.
+    This is the one cheapest-strategy rule: best responses, better-response
+    checks, layer placements and insertion placements all call it on entry
+    weights.  Runs the matroid greedy algorithm when an independence oracle
+    exists, otherwise enumerates the explicit family; either way ties go to
+    the smallest sorted id list (greedy scans elements by (weight, id)).
+    Exact for matroids because per-element weights are independent.
     """
     missing = space.ground() - set(weights)
     if missing:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,18 +13,36 @@ import pytest
 import prioritygames as pg
 from conftest import gen_game
 from prioritygames import dynamics, oracle, potentials
+from prioritygames.cli import cli_main
+from prioritygames.jsonio import emit_instance
 
 PACKAGE_DIR = Path(pg.__file__).parent
 REBALANCE_FIXTURE = Path(__file__).parent / "data" / "rebalance_n6.json"
 
 
-def test_no_assert_in_package():
-    """Invariants raise typed errors, so ``python -O`` cannot strip them."""
+def _package_nodes(match) -> list[str]:
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-    assert found == []
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if match(n)]
+    return found
+
+
+def test_no_assert_in_package():
+    """Invariants raise typed errors, so ``python -O`` cannot strip them."""
+    assert _package_nodes(lambda n: isinstance(n, ast.Assert)) == []
+
+
+def _raises_runtime_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "RuntimeError"
+
+
+def test_no_runtime_error_in_package():
+    """Solver invariants fail as a ``GameError``, which the CLI maps to exit 1."""
+    assert _package_nodes(_raises_runtime_error) == []
 
 
 # Run in a child interpreter started with -O: seeded insertion (with
@@ -143,3 +162,24 @@ def test_lex_potential_once_per_row_in_certify(monkeypatch, singleton_game):
     certify_calls = count_calls(monkeypatch, oracle, "lex_potential_singleton")
     assert pg.certify_trace(singleton_game, trace).ok
     assert len(certify_calls) == len(trace.steps) + 1  # plus the full start
+
+
+def test_insertion_safety_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    """A solver stuck past the cap exits 1 through the CLI, not with a traceback."""
+    game = pg.build_game(
+        n_players=2,
+        resources=["r"],
+        spaces={1: pg.SingletonSpace(["r"]), 2: pg.SingletonSpace(["r"])},
+        priorities=pg.PriorityFunction({"r": {1: 1, 2: 2}}),
+        delays={"r": pg.AffineDelay(alpha=Fraction(1), beta=Fraction(1))},
+    )
+    path = tmp_path / "stuck.json"
+    path.write_bytes(emit_instance(game))
+    # every placed player is then a stray: each round ends with the board empty
+    monkeypatch.setattr(dynamics, "has_better_response", lambda *args: True)
+    with pytest.raises(pg.InvariantViolatedError, match="safety cap of 1048 rounds"):
+        pg.solve_insertion(game)
+
+    capsys.readouterr()
+    assert cli_main(["solve", str(path), "--method", "insertion", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "INVARIANT_VIOLATED"

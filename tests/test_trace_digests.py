@@ -1,0 +1,105 @@
+"""Golden SHA-256 digests of solver traces on a fixed set of generated games.
+
+Each digest covers the full trace CSV (steps, costs and potential strings),
+so any change in a solver's move order, tie-breaking, recorded costs or
+potentials shows up here.  The cases span explicit, uniform, partition,
+graphic and mixed spaces, shared, classic, affine and player-specific delays.
+"""
+
+import hashlib
+
+import pytest
+
+import prioritygames as pg
+from conftest import gen_game
+from prioritygames.traceio import trace_to_csv_text
+
+BR_GAMES = {
+    "explicit": (24, dict(players=7, resources=4, space_kind="explicit", levels=3)),
+    "uniform-ps": (0, dict(players=6, resources=4, space_kind="uniform", player_specific=True)),
+    "partition": (13, dict(players=7, resources=5, space_kind="partition", levels=3)),
+    "graphic-classic": (22, dict(players=6, resources=4, space_kind="graphic", model="classic")),
+    "mixed-affine": (1, dict(players=7, resources=4, space_kind="mixed", model="affine")),
+    "singleton": (14, dict(players=8, resources=3, levels=3)),
+}
+
+LAYERED_GAMES = {
+    "explicit": (0, dict(players=7, resources=4, space_kind="explicit", levels=3, consistent=True)),
+    "uniform-ps": (
+        15,
+        dict(players=6, resources=4, space_kind="uniform", consistent=True, player_specific=True),
+    ),
+    "partition": (7, dict(players=7, resources=5, space_kind="partition", consistent=True)),
+    "graphic": (6, dict(players=6, resources=4, space_kind="graphic", consistent=True)),
+    "mixed-affine": (0, dict(players=7, resources=4, space_kind="mixed", model="affine")),
+    "singleton-ps": (19, dict(players=7, resources=3, consistent=True, player_specific=True)),
+}
+
+INSERTION_GAMES = {
+    "shared": (20, dict(players=8, resources=3, levels=3)),
+    "player-specific": (11, dict(players=8, resources=3, levels=3, player_specific=True)),
+    "classic": (23, dict(players=8, resources=3, model="classic", levels=3)),
+    "affine": (39, dict(players=8, resources=3, model="affine", levels=3)),
+}
+
+DIGESTS = {
+    "br/best/explicit": "a09c3857c6d61fc4448053fa5d5f21173399f4b58c4938fd78cf6d4503c1aad6",
+    "br/best/graphic-classic": "c147e3637adb4a2802562a56fbc05563f15f784203309c8b82c4fe20df37cfae",
+    "br/best/mixed-affine": "6623566678cab5df96d6fdd5fec0180c9451cbb165711fd4861772339d7d0341",
+    "br/best/partition": "40c36f7e57188d9094b8a4ba73d19ff39515d033f0317a5c710e41477d9e3c20",
+    "br/best/singleton": "f283b9fd5aea618152fae60af405af2949fb9d2bc71101a638e1d529eb550cf1",
+    "br/best/uniform-ps": "0129a400b5316c5e47e15cd3b3054665e63d578e40cecad101bbf1f4b09d6ab3",
+    "br/first/explicit": "beec8389834c48c55d03be72731a7ccf5e38cfffb2164393b6f6620c0de7138e",
+    "br/first/graphic-classic": "c147e3637adb4a2802562a56fbc05563f15f784203309c8b82c4fe20df37cfae",
+    "br/first/mixed-affine": "9ba09979ee82dbf4b1ea1edee198972da75613c1aaeaa186890228b65c688c6a",
+    "br/first/partition": "84d623dc7a761e97091f1aa010a85bfb0be936e58154174b0a31d78926e6129f",
+    "br/first/singleton": "3b08f3c40d82b7da0f4da474846775078e3ce2b60788906194c1413ae2876040",
+    "br/first/uniform-ps": "0db25420f33cc90791b83fc56b389024d32089a5f9e4f5a95ff90a87984bdeb1",
+    "br/roundrobin/explicit": "8f18df5ebe8180c0070f928d77335a63742fc039662a69cbc96e1fff3ceb6ccd",
+    "br/roundrobin/graphic-classic": "af4b442b13bcca422a751a969784da2f3bd3bbc7e5a68ca9565b97ecb6af2348",
+    "br/roundrobin/mixed-affine": "91fef7d516a4d8f4a5df96df66e1bbbf0dd889349e49012c5b8bdbde63fe934c",
+    "br/roundrobin/partition": "84d623dc7a761e97091f1aa010a85bfb0be936e58154174b0a31d78926e6129f",
+    "br/roundrobin/singleton": "1dd19fa8a495ee455e05226a04127fcaf82da25035667bc820f3dd7e33bb7b47",
+    "br/roundrobin/uniform-ps": "cf5abb90f58442f14ab19ce99af45b97cf991c0a847b2ec77a6c1463f03270a8",
+    "insertion/affine": "34bd1ae439828524c9ee92fd3bbf2813b087a14ee582ff0d1ea54a814fb76146",
+    "insertion/classic": "fccc7fc5d8ff0d484622eae04db1ea2623b814a8c9aab7c69cc1ebf53e97c539",
+    "insertion/player-specific": "035ddb8d74958568ef56bdac1bdeca0c91e9dc5196e4b83447f509a4d2ab40df",
+    "insertion/shared": "6f3df6737fbcd9fccc2a45dfc200dd06d2e77b076462aec60921013660fc644e",
+    "layered/explicit": "c075cdd27f6e7d1b5047f551f41205107cbe6a74cf33c43f8217ec281251a22d",
+    "layered/graphic": "5f21dac75015ac315f035d91e89a9431ed0ea36bcd5bee1a18dec9221f5fcda3",
+    "layered/mixed-affine": "3c328b9151f0ce016d221226086df4bce57d936506a5ee00d1390a2003ae1d75",
+    "layered/partition": "4c9d167a3272096d01fe3ca43a4e93465b21ca332903b906285c92daf73370e6",
+    "layered/singleton-ps": "f015955163268b42755c4f2f1a62c6c572cd4dd73469136d20e00e517e256910",
+    "layered/uniform-ps": "deded6fb1a8b44376f5ef19e41774fd2f066b4955f316625fd3d75a8f3573c92",
+}
+
+
+def _digest(trace) -> str:
+    return hashlib.sha256(trace_to_csv_text(trace).encode()).hexdigest()
+
+
+def _first_bases(game):
+    return pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+
+
+@pytest.mark.parametrize("policy", pg.dynamics.POLICIES)
+@pytest.mark.parametrize("name", sorted(BR_GAMES))
+def test_run_dynamics_trace_digest(name, policy):
+    seed, kw = BR_GAMES[name]
+    game = gen_game(seed, **kw)
+    _, trace = pg.run_dynamics(game, _first_bases(game), policy=policy)
+    assert _digest(trace) == DIGESTS[f"br/{policy}/{name}"]
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED_GAMES))
+def test_layered_trace_digest(name):
+    seed, kw = LAYERED_GAMES[name]
+    _, trace = pg.solve_consistent_layered(gen_game(seed, **kw))
+    assert _digest(trace) == DIGESTS[f"layered/{name}"]
+
+
+@pytest.mark.parametrize("name", sorted(INSERTION_GAMES))
+def test_insertion_trace_digest(name):
+    seed, kw = INSERTION_GAMES[name]
+    _, trace = pg.solve_insertion(gen_game(seed, **kw))
+    assert _digest(trace) == DIGESTS[f"insertion/{name}"]
