@@ -16,7 +16,9 @@ The same workflow is available from the shell:
     pcg reduce game.json --to market -o market.json
 """
 
+import atexit
 import io
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from prioritygames.jsonio import document_to_source, emit_instance, parse_instan
 from prioritygames.traceio import read_trace_csv, trace_to_csv_text
 
 workdir = Path(tempfile.mkdtemp(prefix="pcg-demo-"))
+atexit.register(shutil.rmtree, workdir)
 
 # Generate deterministically, write, reload: same bytes, same game.
 doc = generate_random_instance(GenParams(players=4, resources=3, levels=3), seed=42)

@@ -13,6 +13,14 @@ axioms on its whole bounded domain, checked exactly:
 * nondecreasing in y,
 * d(x, y) <= d(x + y - 1, 1)  (trading equal-priority co-users for more
   prioritized ones never lowers the delay).
+
+Two spec kinds meet them by their form.  An affine delay
+alpha * (x + (y + 1)/2) + beta with alpha >= 0 rises by alpha in x and by
+alpha/2 in y, and d(x + y - 1, 1) - d(x, y) = alpha * (y - 1)/2 >= 0.  A
+classic wrap is +infinity wherever x >= 1, so every comparison but the one
+along its x = 0 column holds, and that column is its value list: the wrap
+obeys the axioms exactly when the list is nondecreasing.  Only tables are
+checked point by point.
 """
 
 from __future__ import annotations
@@ -88,15 +96,11 @@ class PriorityFunction:
 
 
 class DelaySpec:
-    """A bivariate delay d(x, y), x >= 0, y >= 1, with a supported domain."""
+    """A bivariate delay d(x, y), x >= 0, y >= 1."""
 
     kind = "abstract"
 
     def value(self, x: int, y: int) -> ExtCost:
-        raise NotImplementedError
-
-    def supports(self, x: int, y: int) -> bool:
-        """Whether (x, y) lies in the evaluable domain."""
         raise NotImplementedError
 
 
@@ -117,9 +121,6 @@ class TableDelay(DelaySpec):
                 f"table delay has no entry at (x={x}, y={y}), bound {self.bound}"
             ) from None
 
-    def supports(self, x: int, y: int) -> bool:
-        return x >= 0 and y >= 1 and x + y <= self.bound
-
     def completeness_violations(self) -> list[Violation]:
         out = []
         for x, y in domain_points(self.bound):
@@ -128,7 +129,7 @@ class TableDelay(DelaySpec):
                     Violation("MISSING_ENTRY", f"(x={x}, y={y})", "no table entry within bound")
                 )
         for (x, y) in self.entries:
-            if not self.supports(x, y):
+            if x < 0 or y < 1 or x + y > self.bound:
                 out.append(
                     Violation("STRAY_ENTRY", f"(x={x}, y={y})", "entry outside declared bound")
                 )
@@ -160,9 +161,6 @@ class AffineDelay(DelaySpec):
             raise OutOfBoundError(f"delay arguments out of domain: (x={x}, y={y})")
         return ExtCost(self.alpha * (x + Fraction(y + 1, 2)) + self.beta)
 
-    def supports(self, x: int, y: int) -> bool:
-        return x >= 0 and y >= 1
-
 
 @dataclass(frozen=True, eq=True)
 class ClassicDelay(DelaySpec):
@@ -188,11 +186,6 @@ class ClassicDelay(DelaySpec):
             )
         return self.values[y - 1]
 
-    def supports(self, x: int, y: int) -> bool:
-        if x < 0 or y < 1:
-            return False
-        return x >= 1 or y <= len(self.values)
-
     def univariate_nondecreasing(self) -> bool:
         return all(a <= b for a, b in zip(self.values, self.values[1:]))
 
@@ -213,9 +206,6 @@ class PerPlayerDelay(DelaySpec):
 
     def value(self, x: int, y: int) -> ExtCost:
         raise TypeError("player-specific delay needs a player; use evaluate_delay(..., player=i)")
-
-    def supports(self, x: int, y: int) -> bool:
-        return all(s.supports(x, y) for s in self.specs.values())
 
 
 def evaluate_delay(spec: DelaySpec, x: int, y: int, player: int | None = None) -> ExtCost:
@@ -244,9 +234,15 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     """Check the three delay axioms on the whole domain up to ``bound``.
 
     Returns violations (empty list = all hold).  Comparison is exact; there
-    is no tolerance.  Monotonicity is checked on adjacent points, which is
-    equivalent by transitivity; the replacement axiom is checked at every
-    in-bound point.
+    is no tolerance.  An affine spec holds all three by its form: with
+    alpha >= 0 (enforced on construction) it is nondecreasing in x and y,
+    and d(x + y - 1, 1) - d(x, y) = alpha * (y - 1)/2 >= 0.  A classic wrap
+    is +infinity for x >= 1, so only its x = 0 column can fail, and only by
+    decreasing: adjacent values among the first ``bound`` are compared.
+    Anything else, tables in practice, is walked point by point:
+    monotonicity on adjacent points, which is equivalent by transitivity,
+    and the replacement axiom at every in-bound point.  A table whose own
+    bound is below ``bound`` is reported by its uncovered points alone.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -256,37 +252,30 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
             for v in validate_delay_properties(sub, bound):
                 out.append(Violation(v.code, f"player {i}: {v.where}", v.message))
         return out
+    if isinstance(spec, AffineDelay):
+        return []
+    if isinstance(spec, ClassicDelay):
+        head = spec.values[:bound]
+        return [
+            Violation("NOT_MONOTONE_Y", f"(x=0, y={y})", f"d(0,{y})={a} > d(0,{y + 1})={b}")
+            for y, (a, b) in enumerate(zip(head, head[1:]), start=1)
+            if not a <= b
+        ]
 
     out: list[Violation] = []
     if isinstance(spec, TableDelay):
-        # only tables promise completeness over the whole bounded domain; a
-        # classic wrap's x = 0 column simply ends with its value list
-        for x, y in domain_points(bound):
-            if not spec.supports(x, y):
-                out.append(
-                    Violation("MISSING_ENTRY", f"(x={x}, y={y})", "domain point not supported")
-                )
+        out = [
+            Violation("MISSING_ENTRY", f"(x={x}, y={y})", "domain point not supported")
+            for x, y in domain_points(bound)
+            if x + y > spec.bound
+        ]
         if out:
             return out
 
-    def supported(x: int, y: int) -> bool:
-        return spec.supports(x, y)
-
-    # each point is compared up to four times; evaluate it once
-    values: dict[tuple[int, int], ExtCost] = {}
-
-    def value(x: int, y: int) -> ExtCost:
-        v = values.get((x, y))
-        if v is None:
-            v = values[(x, y)] = spec.value(x, y)
-        return v
-
     for x, y in domain_points(bound):
-        if not supported(x, y):
-            continue
-        here = value(x, y)
-        if x + 1 + y <= bound and supported(x + 1, y):
-            right = value(x + 1, y)
+        here = spec.value(x, y)
+        if x + y < bound:
+            right = spec.value(x + 1, y)
             if not here <= right:
                 out.append(
                     Violation(
@@ -295,8 +284,7 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
                         f"d({x},{y})={here} > d({x + 1},{y})={right}",
                     )
                 )
-        if x + y + 1 <= bound and supported(x, y + 1):
-            up = value(x, y + 1)
+            up = spec.value(x, y + 1)
             if not here <= up:
                 out.append(
                     Violation(
@@ -305,16 +293,15 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
                         f"d({x},{y})={here} > d({x},{y + 1})={up}",
                     )
                 )
-        if supported(x + y - 1, 1):
-            swapped = value(x + y - 1, 1)
-            if not here <= swapped:
-                out.append(
-                    Violation(
-                        "REPLACEMENT_FAILED",
-                        f"(x={x}, y={y})",
-                        f"d({x},{y})={here} > d({x + y - 1},1)={swapped}",
-                    )
+        swapped = spec.value(x + y - 1, 1)
+        if not here <= swapped:
+            out.append(
+                Violation(
+                    "REPLACEMENT_FAILED",
+                    f"(x={x}, y={y})",
+                    f"d({x},{y})={here} > d({x + y - 1},1)={swapped}",
                 )
+            )
     return out
 
 
@@ -423,16 +410,10 @@ def build_game(
 
     singleton = all(sp.is_singleton_space() for sp in spaces.values())
     bound = required_table_bound(n_players, singleton=singleton)
+    # classic wraps are infinite for x >= 1 and only define n univariate
+    # values; their axioms are fully determined by points with y <= n + 1
+    classic_bound = max(2, min(bound, n_players + 1))
     player_specific = False
-
-    def axiom_bound(spec: DelaySpec) -> int:
-        # classic wraps are infinite for x >= 1 and only define n univariate
-        # values; their axioms are fully determined by points with y <= n + 1
-        if isinstance(spec, ClassicDelay):
-            return max(2, min(bound, n_players + 1))
-        if isinstance(spec, PerPlayerDelay):
-            return min(axiom_bound(s) for s in spec.specs.values())
-        return bound
 
     def check_plain_spec(spec: DelaySpec, where: str) -> list[Violation]:
         local: list[Violation] = []
@@ -488,7 +469,8 @@ def build_game(
             else [(f"resource {rid}", spec)]
         )
         for where, sub in subspecs:
-            for v in validate_delay_properties(sub, axiom_bound(sub)):
+            sub_bound = classic_bound if isinstance(sub, ClassicDelay) else bound
+            for v in validate_delay_properties(sub, sub_bound):
                 violations.append(Violation(v.code, f"{where}: {v.where}", v.message))
 
     if violations:

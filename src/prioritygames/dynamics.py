@@ -201,8 +201,7 @@ def _record(
 
 
 def _lex_snapshot(game: Game):
-    singleton = all(sp.is_singleton_space() for sp in game.spaces.values())
-    if singleton and not game.player_specific:
+    if game.is_singleton_game() and not game.player_specific:
         return lambda state: lex_potential_singleton(game, state).canonical()
     return lambda state: ""
 
@@ -506,7 +505,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     still rebuilds every row's potential from the replayed state, so a
     slip in this bookkeeping shows as a potential mismatch.
     """
-    if not all(sp.is_singleton_space() for sp in game.spaces.values()):
+    if not game.is_singleton_game():
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
     trace = MoveTrace(kind="insertion", start=State({}))
     state = State({})

@@ -522,33 +522,24 @@ def reduce_market_to_playerspecific(market: MarketGame) -> Game:
 
     Priorities are the dense ranks of the raw costs per resource (ties map
     to equal priorities), and each player's bivariate delay is her cost
-    level's slice of the trivariate table.  Cost-identical on every profile.
+    level's slice of the trivariate table; a resource nobody can reach gets
+    an all-zero table.  Cost-identical on every profile.
     """
+    bound = required_table_bound(
+        market.n_players, singleton=market.is_singleton_market()
+    )
     maps: dict[str, dict[int, int]] = {}
-    delays: dict[str, PerPlayerDelay] = {}
+    delays: dict[str, TableDelay | PerPlayerDelay] = {}
     for rid in market.resources:
         reachable = market.reachable_players(rid)
         maps[rid] = {i: market.player_level(rid, i) for i in reachable}
         tri = market.delays[rid]
-        per_player = {
-            i: tri.level_slice(market.player_level(rid, i)) for i in reachable
-        }
-        if not per_player:
-            # unreachable resource: keep a trivially valid constant spec
-            per_player = {}
-        delays[rid] = PerPlayerDelay(specs=per_player)
-    priorities = PriorityFunction({rid: maps[rid] for rid in market.resources})
-    # resources unreachable by everyone carry empty per-player specs; give
-    # them a harmless constant table so build_game's delay checks pass
-    plain_delays: dict[str, TableDelay | PerPlayerDelay] = {}
-    bound = required_table_bound(
-        market.n_players, singleton=market.is_singleton_market()
-    )
-    for rid in market.resources:
-        if delays[rid].specs:
-            plain_delays[rid] = delays[rid]
+        if reachable:
+            delays[rid] = PerPlayerDelay(
+                specs={i: tri.level_slice(maps[rid][i]) for i in reachable}
+            )
         else:
-            plain_delays[rid] = TableDelay(
+            delays[rid] = TableDelay(
                 entries={(x, y): ExtCost.of(0) for x, y in domain_points(bound)},
                 bound=bound,
             )
@@ -556,6 +547,6 @@ def reduce_market_to_playerspecific(market: MarketGame) -> Game:
         n_players=market.n_players,
         resources=market.resources,
         spaces=market.spaces,
-        priorities=priorities,
-        delays=plain_delays,
+        priorities=PriorityFunction(maps),
+        delays=delays,
     )

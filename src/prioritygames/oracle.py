@@ -159,7 +159,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         report.violations.append(TraceViolation(-1, "BAD_START", str(exc)))
         return report
 
-    singleton = all(sp.is_singleton_space() for sp in game.spaces.values())
+    singleton = game.is_singleton_game()
     lexable = trace.kind == "br" and singleton and not game.player_specific
     insertion = trace.kind == "insertion" and singleton
     layered = trace.kind == "layered" and game.priorities.consistent and not game.player_specific

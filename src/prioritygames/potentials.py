@@ -216,7 +216,7 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
 # Insertion potential
 
 
-def tol_value(game: Game, state: State, player: int, *, cap: int | None = None) -> int:
+def tol_value(game: Game, state: State, player: int) -> int:
     """How crowded the player's resource may get before she wants to leave.
 
     The largest y (capped at the player count: congestion never exceeds it)
@@ -231,7 +231,6 @@ def tol_value(game: Game, state: State, player: int, *, cap: int | None = None) 
     membership needs no removal: she sits at level q on her resource, so the
     count strictly below q is the same with or without her.
     """
-    cap = game.n_players if cap is None else cap
     strategy = state.strategy(player)
     if len(strategy) != 1:
         raise NotSingletonError("tolerance is defined for singleton strategies")
@@ -246,7 +245,7 @@ def tol_value(game: Game, state: State, player: int, *, cap: int | None = None) 
     q = game.priority(rid, player)
     below = count_below(counts[rid], q)
     best = 0
-    for y in range(1, cap + 1):
+    for y in range(1, game.n_players + 1):
         if game.delay(player, rid, below, y) <= ceiling:
             best = y
         else:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,183 @@ def test_noncontiguous_priorities_supported():
     prof = pg.profile({1: "a", 2: "a"})
     assert pg.player_cost(game, prof, 1) == pg.cost(1)
     assert pg.player_cost(game, prof, 2) == pg.cost(3)
+
+
+# ---------------------------------------------------------------------------
+# Parity of validate_delay_properties with a naive grid walk
+
+
+def naive_supports(spec, x, y):
+    """The domain each spec kind can be evaluated on; classic wraps are ragged."""
+    if x < 0 or y < 1:
+        return False
+    if isinstance(spec, pg.TableDelay):
+        return x + y <= spec.bound
+    if isinstance(spec, pg.ClassicDelay):
+        return x >= 1 or y <= len(spec.values)
+    return True
+
+
+def naive_validate(spec, bound):
+    """Every axiom at every supported point up to ``bound``, for every kind."""
+    if bound < 2:
+        raise ValueError("bound must be >= 2")
+    if isinstance(spec, pg.PerPlayerDelay):
+        return [
+            pg.Violation(v.code, f"player {i}: {v.where}", v.message)
+            for i, sub in sorted(spec.specs.items())
+            for v in naive_validate(sub, bound)
+        ]
+    out = []
+    if isinstance(spec, pg.TableDelay):
+        out = [
+            pg.Violation("MISSING_ENTRY", f"(x={x}, y={y})", "domain point not supported")
+            for x, y in domain_points(bound)
+            if not naive_supports(spec, x, y)
+        ]
+        if out:
+            return out
+    for x, y in domain_points(bound):
+        if not naive_supports(spec, x, y):
+            continue
+        here = spec.value(x, y)
+        if x + 1 + y <= bound and naive_supports(spec, x + 1, y):
+            right = spec.value(x + 1, y)
+            if not here <= right:
+                out.append(
+                    pg.Violation(
+                        "NOT_MONOTONE_X",
+                        f"(x={x}, y={y})",
+                        f"d({x},{y})={here} > d({x + 1},{y})={right}",
+                    )
+                )
+        if x + y + 1 <= bound and naive_supports(spec, x, y + 1):
+            up = spec.value(x, y + 1)
+            if not here <= up:
+                out.append(
+                    pg.Violation(
+                        "NOT_MONOTONE_Y",
+                        f"(x={x}, y={y})",
+                        f"d({x},{y})={here} > d({x},{y + 1})={up}",
+                    )
+                )
+        if naive_supports(spec, x + y - 1, 1):
+            swapped = spec.value(x + y - 1, 1)
+            if not here <= swapped:
+                out.append(
+                    pg.Violation(
+                        "REPLACEMENT_FAILED",
+                        f"(x={x}, y={y})",
+                        f"d({x},{y})={here} > d({x + y - 1},1)={swapped}",
+                    )
+                )
+    return out
+
+
+def random_cost(rng):
+    return pg.INFINITY if rng.random() < 0.1 else pg.cost(Fraction(rng.randint(0, 12), rng.randint(1, 3)))
+
+
+def random_affine(rng, bound):
+    return pg.AffineDelay(
+        alpha=Fraction(rng.randint(0, 6), rng.randint(1, 4)),
+        beta=Fraction(rng.randint(0, 6), rng.randint(1, 4)),
+    )
+
+
+def random_classic(rng, bound):
+    length = rng.randint(1, bound + 3)
+    if rng.random() < 0.5:
+        return pg.ClassicDelay(values=tuple(random_cost(rng) for _ in range(length)))
+    # mostly nondecreasing, with the odd drop
+    values, level = [], 0
+    for _ in range(length):
+        level = max(0, level + rng.choice((-1, 0, 1, 2, 2)))
+        values.append(pg.cost(level))
+    return pg.ClassicDelay(values=tuple(values))
+
+
+def random_table(rng, bound):
+    own = max(2, bound + rng.randint(-2, 2))
+    if rng.random() < 0.5:
+        return pg.TableDelay(
+            entries={p: random_cost(rng) for p in domain_points(own)}, bound=own
+        )
+    # a valid shape, perturbed at a few points
+    entries = {(x, y): pg.cost(2 * x + y) for x, y in domain_points(own)}
+    for _ in range(rng.randint(0, 2)):
+        p = rng.choice(sorted(entries))
+        entries[p] = random_cost(rng)
+    return pg.TableDelay(entries=entries, bound=own)
+
+
+def random_per_player(rng, bound):
+    makers = (random_affine, random_classic, random_table)
+    return pg.PerPlayerDelay(
+        specs={i: rng.choice(makers)(rng, bound) for i in range(1, rng.randint(1, 4))}
+    )
+
+
+def as_tuples(violations):
+    return [(v.code, v.where, v.message) for v in violations]
+
+
+@pytest.mark.parametrize(
+    "make", [random_affine, random_classic, random_table, random_per_player]
+)
+def test_validate_matches_naive_grid_walk(make):
+    rng = random.Random(f"parity-{make.__name__}")
+    flagged = 0
+    for _ in range(300):
+        bound = rng.randint(2, 12)
+        spec = make(rng, bound)
+        expected = as_tuples(naive_validate(spec, bound))
+        assert as_tuples(pg.validate_delay_properties(spec, bound)) == expected, (spec, bound)
+        flagged += bool(expected)
+    if make is not random_affine:
+        # the sample reaches the failing cases, not only clean specs
+        assert flagged > 30
+
+
+def classic_game(values, n=4):
+    return pg.build_game(
+        n_players=n,
+        resources=["a"],
+        spaces={i: pg.SingletonSpace(["a"]) for i in range(1, n + 1)},
+        priorities=pg.PriorityFunction.constant(["a"], range(1, n + 1)),
+        delays={"a": pg.ClassicDelay(values=tuple(pg.cost(v) for v in values))},
+    )
+
+
+class TestClassicAxiomBound:
+    # n = 4 singleton players: tables need bound 7, classic wraps are checked
+    # on their first n + 1 = 5 values
+
+    def test_drop_after_value_n_plus_1_accepted(self):
+        game = classic_game([1, 2, 3, 4, 5, 0, 0])
+        assert game.delays["a"].values[5] == pg.cost(0)
+
+    def test_drop_within_first_n_plus_1_rejected(self):
+        with pytest.raises(pg.ValidationFailed) as err:
+            classic_game([1, 2, 3, 4, 0, 0, 0])
+        assert as_tuples(err.value.violations) == [
+            ("NOT_MONOTONE_Y", "resource a: (x=0, y=4)", "d(0,4)=4/1 > d(0,5)=0/1")
+        ]
+
+    def test_player_specific_classic_uses_same_rule(self):
+        def game(values):
+            spec = pg.ClassicDelay(values=tuple(pg.cost(v) for v in values))
+            return pg.build_game(
+                n_players=4,
+                resources=["a"],
+                spaces={i: pg.SingletonSpace(["a"]) for i in range(1, 5)},
+                priorities=pg.PriorityFunction.constant(["a"], range(1, 5)),
+                delays={"a": pg.PerPlayerDelay(specs={i: spec for i in range(1, 5)})},
+            )
+
+        assert game([1, 2, 3, 4, 5, 0]).player_specific
+        with pytest.raises(pg.ValidationFailed) as err:
+            game([1, 2, 3, 4, 0])
+        assert [v.where for v in err.value.violations] == [
+            f"resource a, player {i}: (x=0, y=4)" for i in range(1, 5)
+        ]

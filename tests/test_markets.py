@@ -212,6 +212,26 @@ class TestMarketToPlayerSpecific:
             for i in (1, 2):
                 assert pg.player_cost(back, prof, i) == pg.player_cost(t1, prof, i)
 
+    def test_unreachable_resource_gets_zero_table(self):
+        # nobody can use "f"; the reduction still gives it a valid delay
+        tri = pg.tritable_from_function(lambda l, x, y: l + x + y, levels=2, bound=3)
+        market = pg.build_market(
+            n_players=2,
+            resources=["e", "f"],
+            spaces={1: pg.SingletonSpace(["e"]), 2: pg.SingletonSpace(["e"])},
+            costs={(1, "e"): Fraction(1), (2, "e"): Fraction(5)},
+            delays={"e": tri, "f": pg.TriTable(levels=0, bound=3, entries={})},
+        )
+        game = pg.reduce_market_to_playerspecific(market)
+        assert game.player_specific
+        assert game.delays["e"] == pg.PerPlayerDelay(
+            specs={1: tri.level_slice(1), 2: tri.level_slice(2)}
+        )
+        assert game.delays["f"] == pg.table_from_function(lambda x, y: 0, 3)
+        prof = pg.profile({1: "e", 2: "e"})
+        for i in (1, 2):
+            assert pg.player_cost(game, prof, i) == pg.market_player_cost(market, prof, i)
+
 
 def test_equilibrium_preservation_small_sweep():
     for seed in range(6):
