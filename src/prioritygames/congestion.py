@@ -170,21 +170,23 @@ def count_below(row: Mapping[int, int], level: int) -> int:
     return sum(c for q, c in row.items() if q < level)
 
 
-def _cost_from(
-    game: Game, counts: LevelCounts, strategy: frozenset[str], player: int
+def player_cost(
+    game: Game, state: State, player: int, counts: LevelCounts | None = None
 ) -> ExtCost:
+    """Total delay over the player's strategy; saturates at infinity.
+
+    ``counts`` is the state's :func:`level_counts` table when the caller
+    already holds it.
+    """
+    strategy = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
+    if counts is None:
+        counts = level_counts(game, state)
     parts = []
     for r in strategy:
         q = game.priority(r, player)
         row = counts[r]
         parts.append(game.delay(player, r, count_below(row, q), row[q]))
     return sum_costs(parts)
-
-
-def player_cost(game: Game, state: State, player: int) -> ExtCost:
-    """Total delay over the player's strategy; saturates at infinity."""
-    strategy = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
-    return _cost_from(game, level_counts(game, state), strategy, player)
 
 
 def weights_from_counts(
@@ -228,19 +230,20 @@ def is_better_response(
     return player_cost(game, state.with_player(player, new), player) < current
 
 
-def has_better_response(game: Game, state: State, player: int) -> bool:
+def has_better_response(
+    game: Game, state: State, player: int, counts: LevelCounts | None = None
+) -> bool:
     """True when some strategy strictly beats the player's current one.
 
     The cheapest strategy is ``greedy_min_base`` over the player's entry
     weights, the one cheapest-strategy rule of all three solvers (exact
     greedy on matroid spaces, enumeration otherwise, ties toward the
-    smallest sorted id list).
+    smallest sorted id list).  ``counts`` is the state's
+    :func:`level_counts` table when the caller already holds it.
     """
-    return _improvable(game, level_counts(game, state), state, player)
-
-
-def _improvable(game: Game, counts: LevelCounts, state: State, player: int) -> bool:
-    current = _cost_from(game, counts, state.strategy(player), player)
+    if counts is None:
+        counts = level_counts(game, state)
+    current = player_cost(game, state, player, counts)
     weights = weights_from_counts(game, counts, state, player)
     return base_weight(greedy_min_base(game.spaces[player], weights), weights) < current
 
@@ -253,4 +256,4 @@ def is_pure_nash(game: Game, state: State) -> bool:
     """
     validate_state(game, state, full=True)
     counts = level_counts(game, state)
-    return not any(_improvable(game, counts, state, p) for p in game.players())
+    return not any(has_better_response(game, state, p, counts) for p in game.players())

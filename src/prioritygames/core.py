@@ -157,9 +157,22 @@ class AffineDelay(DelaySpec):
             )
 
     def value(self, x: int, y: int) -> ExtCost:
+        """alpha * (2x + y + 1)/2 + beta over one common denominator.
+
+        With alpha = a/c and beta = b/d in lowest terms the value is
+        ((2x + y + 1) * a * d + 2 * b * c) / (2 * c * d): integer products
+        and a single normalising gcd instead of four Fraction operations.
+        """
         if x < 0 or y < 1:
             raise OutOfBoundError(f"delay arguments out of domain: (x={x}, y={y})")
-        return ExtCost(self.alpha * (x + Fraction(y + 1, 2)) + self.beta)
+        alpha, beta = self.alpha, self.beta
+        return ExtCost(
+            Fraction(
+                (2 * x + y + 1) * alpha.numerator * beta.denominator
+                + 2 * beta.numerator * alpha.denominator,
+                2 * alpha.denominator * beta.denominator,
+            )
+        )
 
 
 @dataclass(frozen=True, eq=True)
@@ -242,7 +255,8 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     Anything else, tables in practice, is walked point by point:
     monotonicity on adjacent points, which is equivalent by transitivity,
     and the replacement axiom at every in-bound point.  A table whose own
-    bound is below ``bound`` is reported by its uncovered points alone.
+    bound is below ``bound``, or with holes inside it, is reported by its
+    missing points alone.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -265,9 +279,15 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     out: list[Violation] = []
     if isinstance(spec, TableDelay):
         out = [
-            Violation("MISSING_ENTRY", f"(x={x}, y={y})", "domain point not supported")
+            Violation(
+                "MISSING_ENTRY",
+                f"(x={x}, y={y})",
+                "domain point not supported"
+                if x + y > spec.bound
+                else "no table entry within bound",
+            )
             for x, y in domain_points(bound)
-            if x + y > spec.bound
+            if x + y > spec.bound or (x, y) not in spec.entries
         ]
         if out:
             return out
@@ -417,6 +437,15 @@ def build_game(
 
     def check_plain_spec(spec: DelaySpec, where: str) -> list[Violation]:
         local: list[Violation] = []
+        if isinstance(spec, PerPlayerDelay):
+            # only reachable inside another PerPlayerDelay
+            return [
+                Violation(
+                    "NESTED_PLAYER_DELAY",
+                    where,
+                    "a player-specific delay holds plain specs, not another one",
+                )
+            ]
         if isinstance(spec, TableDelay):
             if spec.bound < bound:
                 return [

@@ -83,10 +83,6 @@ class ExtCost:
         return cls(frac)
 
     @property
-    def is_infinite(self) -> bool:
-        return self.frac is None
-
-    @property
     def is_finite(self) -> bool:
         return self.frac is not None
 
@@ -124,7 +120,13 @@ class ExtCost:
         return self.frac < other.frac
 
     def __le__(self, other: "ExtCost") -> bool:
-        return self == other or self < other
+        if not isinstance(other, ExtCost):
+            return NotImplemented
+        if other.frac is None:
+            return True
+        if self.frac is None:
+            return False
+        return self.frac <= other.frac
 
     def __gt__(self, other: "ExtCost") -> bool:
         if not isinstance(other, ExtCost):
@@ -132,7 +134,9 @@ class ExtCost:
         return other < self
 
     def __ge__(self, other: "ExtCost") -> bool:
-        return self == other or other < self
+        if not isinstance(other, ExtCost):
+            return NotImplemented
+        return other <= self
 
     def __hash__(self) -> int:
         return hash(self.frac)

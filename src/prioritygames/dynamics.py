@@ -185,6 +185,20 @@ def _record(
         return state.strategy(player), player_cost(game, state, player)
 
     (frm, cost_before), (to, cost_after) = seen(before), seen(after)
+    _append_row(trace, round_no, phase, player, frm, to, cost_before, cost_after, potential)
+
+
+def _append_row(
+    trace: MoveTrace,
+    round_no: int,
+    phase: str,
+    player: int,
+    frm: frozenset[str] | None,
+    to: frozenset[str] | None,
+    cost_before: ExtCost | None,
+    cost_after: ExtCost | None,
+    potential: str,
+) -> None:
     trace.steps.append(
         TraceStep(
             index=len(trace.steps),
@@ -455,16 +469,17 @@ def _retally(
 
     A move changes only ``touched``'s counts, and a tolerance reads only the
     counts in its owner's ground, so just the players reaching ``touched``
-    are refreshed in ``tol`` (and dropped when no longer placed).
+    are refreshed in ``tol`` (and dropped when no longer placed).  One
+    level-count table of ``state`` serves every refreshed tolerance and the
+    rows.
     """
+    counts = level_counts(game, state)
     for p in reach[touched]:
         if state.covers(p):
-            tol[p] = tol_value(game, state, p)
+            tol[p] = tol_value(game, state, p, counts)
         else:
             tol.pop(p, None)
-    return InsertionPotentialValue(
-        rows=insertion_rows(game, level_counts(game, state)), tol_sum=sum(tol.values())
-    )
+    return InsertionPotentialValue(rows=insertion_rows(game, counts), tol_sum=sum(tol.values()))
 
 
 def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
@@ -539,11 +554,16 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
                 f"insertion algorithm exceeded its safety cap of {safety} rounds"
             )
         i = queue.popleft()
-        (rid,) = greedy_min_base(game.spaces[i], entry_weights(game, state, i))
+        weights = entry_weights(game, state, i)
+        placed = greedy_min_base(game.spaces[i], weights)
+        (rid,) = placed
         old_state = state
-        state = state.with_player(i, frozenset([rid]))
+        state = state.with_player(i, placed)
         potential = _retally(game, state, rid, reach, tol)
-        _record(game, trace, round_no, "insert", i, old_state, state, potential.canonical())
+        # her entry weight at rid is exactly her cost once placed there
+        _append_row(
+            trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()
+        )
 
         residents = [p for p, s in old_state.items() if rid in s]
         improvers = [p for p in residents if has_better_response(game, state, p)]

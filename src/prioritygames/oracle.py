@@ -13,7 +13,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .congestion import State, has_better_response, is_pure_nash, player_cost, validate_state
+from .congestion import (
+    LevelCounts,
+    State,
+    has_better_response,
+    is_pure_nash,
+    level_counts,
+    player_cost,
+    validate_state,
+)
 from .core import Game
 from .costs import ExtCost
 from .errors import BudgetExceededError, ValidationFailed
@@ -150,6 +158,12 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     state, and that a converged run ends in a pure Nash equilibrium.  The
     potential of each replayed state is recomputed once and serves both the
     snapshot comparison and the monotonicity checks.
+
+    One level-count table per replayed row, built from the replayed state
+    and never taken from the solver, serves every query on that state: the
+    recorded-cost checks, the insertion potential and the round-boundary
+    incentive scan.  A slip in the solver's own bookkeeping therefore still
+    shows.
     """
     report = CertifyReport()
     state = trace.start
@@ -158,6 +172,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     except ValidationFailed as exc:
         report.violations.append(TraceViolation(-1, "BAD_START", str(exc)))
         return report
+    counts = level_counts(game, state)
 
     singleton = game.is_singleton_game()
     lexable = trace.kind == "br" and singleton and not game.player_specific
@@ -170,13 +185,14 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     )
 
     prev_lex = lex_potential_singleton(game, state) if lexable and state.is_full(game) else None
-    prev_round_potential = insertion_potential(game, state) if insertion else None
+    prev_round_potential = insertion_potential(game, state, counts) if insertion else None
     layer_phase = None
     layer_prev_scalar = None
     round_rebalanced = False
 
     def check_round_boundary(
         at_state: State,
+        at_counts: LevelCounts,
         current: InsertionPotentialValue,
         round_no: int,
         last_index: int,
@@ -195,7 +211,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             )
         prev_round_potential = current
         for p in at_state.players():
-            if has_better_response(game, at_state, p):
+            if has_better_response(game, at_state, p, at_counts):
                 report.violations.append(
                     TraceViolation(
                         last_index,
@@ -206,7 +222,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
     for pos, step in enumerate(trace.steps):
         idx = step.index
-        if step.player not in set(game.players()):
+        if step.player not in game.players():
             report.violations.append(
                 TraceViolation(idx, "UNKNOWN_PLAYER", f"player {step.player}")
             )
@@ -220,7 +236,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     f"recorded {_fmt(step.frm)}, replay has {_fmt(actual_frm)}",
                 )
             )
-        cost_b = player_cost(game, state, step.player) if state.covers(step.player) else None
+        cost_b = None
+        if state.covers(step.player):
+            cost_b = player_cost(game, state, step.player, counts)
         if step.frm is not None:
             if step.cost_before != cost_b:
                 report.violations.append(
@@ -237,6 +255,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         if step.to is None:
             state = state.without_player(step.player)
+            counts = level_counts(game, state)
             if step.cost_after is not None:
                 report.violations.append(
                     TraceViolation(idx, "COST_AFTER_MISMATCH", "discarded player has no cost")
@@ -249,7 +268,8 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                 )
                 return report
             state = state.with_player(step.player, step.to)
-            cost_a = player_cost(game, state, step.player)
+            counts = level_counts(game, state)
+            cost_a = player_cost(game, state, step.player, counts)
             if step.cost_after != cost_a:
                 report.violations.append(
                     TraceViolation(
@@ -269,7 +289,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                         TraceViolation(idx, "NOT_IMPROVING", "recomputed costs do not drop")
                     )
 
-        potential = _expected_potential(game, trace, state, step, level_of, singleton)
+        potential = _expected_potential(game, trace, state, counts, step, level_of, singleton)
         if step.potential and potential is not None:
             expected = potential.canonical()
             if step.potential != expected:
@@ -310,7 +330,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             round_rebalanced = True
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
         if insertion and (nxt is None or nxt.round != step.round):
-            check_round_boundary(state, potential, step.round, idx, round_rebalanced)
+            check_round_boundary(state, counts, potential, step.round, idx, round_rebalanced)
             round_rebalanced = False
 
     if trace.final is not None and trace.final != state:
@@ -343,6 +363,7 @@ def _expected_potential(
     game: Game,
     trace: MoveTrace,
     state: State,
+    counts: LevelCounts,
     step: TraceStep,
     level_of: dict[int, int],
     singleton: bool,
@@ -350,7 +371,7 @@ def _expected_potential(
     """Recompute the potential whose canonical string the snapshot column
     should contain after this step, or None when the run records none."""
     if trace.kind == "insertion" and singleton:
-        return insertion_potential(game, state)
+        return insertion_potential(game, state, counts)
     if trace.kind == "br" and singleton and not game.player_specific and state.is_full(game):
         return lex_potential_singleton(game, state)
     if (

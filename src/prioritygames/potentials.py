@@ -216,7 +216,7 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
 # Insertion potential
 
 
-def tol_value(game: Game, state: State, player: int) -> int:
+def tol_value(game: Game, state: State, player: int, counts: LevelCounts | None = None) -> int:
     """How crowded the player's resource may get before she wants to leave.
 
     The largest y (capped at the player count: congestion never exceeds it)
@@ -225,17 +225,27 @@ def tol_value(game: Game, state: State, player: int) -> int:
     y = 1 is beaten, which only happens in states where she already has a
     better response.
 
+    y is found by bisection.  ``build_game`` checks that every accepted
+    spec is nondecreasing in y on the whole domain up to
+    ``required_table_bound``, which for singleton games holds every probe
+    here (x = below <= n - 1, y <= n), so "d(below, y) <= ceiling" holds on
+    a prefix of 1..n and the bisection finds that prefix's end, the value a
+    linear scan stopping at the first failure would find.  Every probe lies
+    in that same domain, so no probe raises where the scan would not.
+
     Only the counts on resources in her ground are read, so a move on a
     resource she cannot reach leaves her tolerance unchanged; the insertion
     solver relies on that to refresh tolerances incrementally.  Her own
     membership needs no removal: she sits at level q on her resource, so the
-    count strictly below q is the same with or without her.
+    count strictly below q is the same with or without her.  ``counts`` is
+    the state's :func:`level_counts` table when the caller already holds it.
     """
     strategy = state.strategy(player)
     if len(strategy) != 1:
         raise NotSingletonError("tolerance is defined for singleton strategies")
     (rid,) = strategy
-    counts = level_counts(game, state)
+    if counts is None:
+        counts = level_counts(game, state)
     rivals = weights_from_counts(game, counts, state, player)
     allowed = singleton_resources(game.spaces[player])
     ceiling = INFINITY
@@ -244,30 +254,35 @@ def tol_value(game: Game, state: State, player: int) -> int:
             ceiling = rivals[alt]
     q = game.priority(rid, player)
     below = count_below(counts[rid], q)
-    best = 0
-    for y in range(1, game.n_players + 1):
-        if game.delay(player, rid, below, y) <= ceiling:
-            best = y
+    # d(below, y) <= ceiling for every 1 <= y <= lo, and > ceiling for y > hi
+    lo, hi = 0, game.n_players
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if game.delay(player, rid, below, mid) <= ceiling:
+            lo = mid
         else:
-            break
-    return best
+            hi = mid - 1
+    return lo
 
 
-def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
+def insertion_potential(
+    game: Game, state: State, counts: LevelCounts | None = None
+) -> InsertionPotentialValue:
     """The two-part termination potential of the insertion algorithm.
 
     First part: per resource e, the vector (count at level 1, ..., count at
     level q*_e) of present players by priority level, rows sorted
     lexicographically nondecreasing.  Second part: the summed tolerance of
     all covered players.  The algorithm strictly increases this value, rows
-    compared first.
+    compared first.  Both parts read one :func:`level_counts` table of the
+    state: ``counts`` when given, otherwise one built here.
     """
     _require_singleton(game)
     validate_state(game, state)
-    tol_sum = sum(tol_value(game, state, p) for p in state.players())
-    return InsertionPotentialValue(
-        rows=insertion_rows(game, level_counts(game, state)), tol_sum=tol_sum
-    )
+    if counts is None:
+        counts = level_counts(game, state)
+    tol_sum = sum(tol_value(game, state, p, counts) for p in state.players())
+    return InsertionPotentialValue(rows=insertion_rows(game, counts), tol_sum=tol_sum)
 
 
 def insertion_rows(game: Game, counts: LevelCounts) -> tuple[tuple[int, ...], ...]:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import prioritygames as pg
 from prioritygames.core import domain_points
@@ -356,3 +358,40 @@ class TestClassicAxiomBound:
         assert [v.where for v in err.value.violations] == [
             f"resource a, player {i}: (x=0, y=4)" for i in range(1, 5)
         ]
+
+
+# ---------------------------------------------------------------------------
+# The affine closed form, nested player-specific delays, table holes
+
+rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**4)
+
+
+@given(rationals, rationals, st.integers(0, 10**4), st.integers(1, 10**4))
+def test_affine_value_matches_definition(alpha, beta, x, y):
+    spec = pg.AffineDelay(alpha=alpha, beta=beta)
+    assert spec.value(x, y).finite() == alpha * (x + Fraction(y + 1, 2)) + beta
+
+
+def test_nested_player_delay_rejected():
+    classic = pg.ClassicDelay(values=tuple(pg.cost(v) for v in (1, 2, 3, 4)))
+    nested = pg.PerPlayerDelay(specs={1: classic})
+    with pytest.raises(pg.ValidationFailed) as err:
+        pg.build_game(
+            n_players=4,
+            resources=["a"],
+            spaces={i: pg.SingletonSpace(["a"]) for i in range(1, 5)},
+            priorities=pg.PriorityFunction.constant(["a"], range(1, 5)),
+            delays={"a": pg.PerPlayerDelay(specs={i: nested for i in range(1, 5)})},
+        )
+    assert [(v.code, v.where) for v in err.value.violations] == [
+        ("NESTED_PLAYER_DELAY", f"resource a, player {i}") for i in range(1, 5)
+    ]
+
+
+def test_table_hole_reported_as_missing_entry():
+    entries = dict(pg.table_from_function(lambda x, y: x + y, 4).entries)
+    del entries[(1, 1)]
+    holed = pg.TableDelay(entries=entries, bound=4)
+    assert as_tuples(pg.validate_delay_properties(holed, 4)) == [
+        ("MISSING_ENTRY", "(x=1, y=1)", "no table entry within bound")
+    ]

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -82,3 +83,18 @@ def test_string_round_trip(a):
 @given(any_costs, any_costs)
 def test_addition_monotone(a, b):
     assert a <= a + b
+
+
+@given(any_costs, any_costs)
+def test_le_and_ge_agree_with_lt_and_eq(a, b):
+    assert (a <= b) == (a < b or a == b)
+    assert (a >= b) == (b < a or a == b)
+
+
+@pytest.mark.parametrize("other", [3, Fraction(1, 2), "1/2", None])
+def test_ordering_against_non_costs_raises(other):
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(cost(1), other)
+        with pytest.raises(TypeError):
+            op(other, INFINITY)

@@ -12,7 +12,7 @@ import pytest
 
 import prioritygames as pg
 from conftest import gen_game
-from prioritygames import dynamics, oracle, potentials
+from prioritygames import congestion, dynamics, oracle, potentials
 from prioritygames.cli import cli_main
 from prioritygames.jsonio import emit_instance
 
@@ -162,6 +162,39 @@ def test_lex_potential_once_per_row_in_certify(monkeypatch, singleton_game):
     certify_calls = count_calls(monkeypatch, oracle, "lex_potential_singleton")
     assert pg.certify_trace(singleton_game, trace).ok
     assert len(certify_calls) == len(trace.steps) + 1  # plus the full start
+
+
+def count_level_counts(monkeypatch) -> list:
+    """Count ``level_counts`` calls from every package module importing it."""
+    calls = []
+    original = congestion.level_counts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    holders = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("prioritygames.") and getattr(module, "level_counts", None) is original
+    ]
+    assert congestion in holders
+    for module in holders:
+        monkeypatch.setattr(module, "level_counts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["fixture", "rebalance"])
+def test_certify_builds_one_count_table_per_row(monkeypatch, singleton_game, source):
+    """Costs, potential and incentive scan of a replayed row share one table."""
+    game = singleton_game
+    if source == "rebalance":
+        game = pg.parse_instance(REBALANCE_FIXTURE.read_bytes())
+    _, trace = pg.solve_insertion(game)
+    calls = count_level_counts(monkeypatch)
+    assert pg.certify_trace(game, trace).ok
+    # one per row, plus the start and the final equilibrium check
+    assert len(calls) <= len(trace.steps) + 3
 
 
 def test_insertion_safety_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):

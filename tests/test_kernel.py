@@ -175,3 +175,90 @@ def test_kernel_matches_naive_recount(model, space, consistent, specific):
         rng = random.Random(f"kernel:{model}:{space}:{seed}")
         for k, state in enumerate(sample_states(game, rng)):
             check_state(game, state, full=k == 0)
+
+
+# ---------------------------------------------------------------------------
+# Tolerances: bisection over y, with and without a prebuilt table
+
+
+def check_tolerances(game, state):
+    counts = level_counts(game, state)
+    for p in state.players():
+        expected = naive_tol(game, state, p)
+        assert pg.tol_value(game, state, p) == expected
+        assert pg.tol_value(game, state, p, counts) == expected
+    assert pg.insertion_potential(game, state, counts) == pg.insertion_potential(game, state)
+
+
+def random_singleton_game(rng, delay_of):
+    """Per-resource priorities on 1..3, random singleton spaces."""
+    n = rng.randint(4, 9)
+    resources = [f"r{k}" for k in range(rng.randint(2, 4))]
+    spaces = {
+        p: pg.SingletonSpace(rng.sample(resources, rng.randint(1, len(resources))))
+        for p in range(1, n + 1)
+    }
+    priorities = {r: {p: rng.randint(1, 3) for p in range(1, n + 1)} for r in resources}
+    return pg.build_game(
+        n_players=n,
+        resources=resources,
+        spaces=spaces,
+        priorities=pg.PriorityFunction(priorities),
+        delays={r: delay_of(rng, n) for r in resources},
+    )
+
+
+def plateau_table(rng, n):
+    """a*x + floor((y + s)/w): flat runs of w equal values in y."""
+    a, s, w = rng.randint(1, 3), rng.randint(0, 3), rng.randint(2, 5)
+    return pg.table_from_function(lambda x, y: a * x + (y + s) // w, 2 * n - 1)
+
+
+def plateau_classic(rng, n):
+    """+infinity whenever x >= 1; flat runs along x = 0."""
+    w = rng.randint(2, 4)
+    return pg.ClassicDelay(values=tuple(pg.cost(1 + y // w) for y in range(n)))
+
+
+def priority_game(source):
+    if isinstance(source, pg.MarketGame):
+        return pg.reduce_market_to_playerspecific(source)
+    if isinstance(source, pg.ClassicGame):
+        return pg.reduce_classic_to_priority(source)
+    if isinstance(source, pg.AffineGame):
+        return pg.reduce_affine_to_priority(source)
+    return source
+
+
+@pytest.mark.parametrize(
+    "model,consistent,specific", [(m, c, s) for m, sp, c, s in CLASSES if sp == "singleton"]
+)
+def test_tolerance_matches_naive_scan(model, consistent, specific):
+    for seed in SEEDS:
+        source = gen_source(
+            seed,
+            players=3 + seed % 4,
+            resources=2 + seed % 3,
+            model=model,
+            space_kind="singleton",
+            levels=2 + seed % 2,
+            consistent=consistent,
+            player_specific=specific,
+        )
+        game = priority_game(source)
+        rng = random.Random(f"tol:{model}:{specific}:{seed}")
+        for state in sample_states(game, rng):
+            check_tolerances(game, state)
+
+
+@pytest.mark.parametrize("delay_of", [plateau_table, plateau_classic])
+def test_tolerance_matches_naive_scan_on_ties(delay_of):
+    tolerances = set()
+    for seed in range(12):
+        rng = random.Random(f"tol-ties:{delay_of.__name__}:{seed}")
+        game = random_singleton_game(rng, delay_of)
+        for state in sample_states(game, rng):
+            check_tolerances(game, state)
+            tolerances |= {pg.tol_value(game, state, p) for p in state.players()}
+    # the sample reaches zero tolerances and several larger ones
+    assert 0 in tolerances and len(tolerances) > 3

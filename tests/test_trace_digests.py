@@ -7,6 +7,7 @@ graphic and mixed spaces, shared, classic, affine and player-specific delays.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -103,3 +104,54 @@ def test_insertion_trace_digest(name):
     seed, kw = INSERTION_GAMES[name]
     _, trace = pg.solve_insertion(gen_game(seed, **kw))
     assert _digest(trace) == DIGESTS[f"insertion/{name}"]
+
+
+def make_affine_n24() -> pg.Game:
+    """24 singleton players, 4 affine resources, per-resource priorities 1..3.
+
+    Tolerances here reach 15, so the tolerance bisection takes several
+    steps on most rows instead of stopping at its first probe.
+    """
+    resources = ["a", "b", "c", "d"]
+    params = {
+        "a": (Fraction(1), Fraction(0)),
+        "b": (Fraction(1, 2), Fraction(3)),
+        "c": (Fraction(2), Fraction(5, 2)),
+        "d": (Fraction(3, 2), Fraction(1)),
+    }
+    n = 24
+    spaces = {
+        p: pg.SingletonSpace(
+            resources if p % 3 else resources[(p // 3) % 4 :] + resources[:1]
+        )
+        for p in range(1, n + 1)
+    }
+    priorities = {
+        r: {p: 1 + (p * (k + 2) + k) % 3 for p in range(1, n + 1)}
+        for k, r in enumerate(resources)
+    }
+    return pg.build_game(
+        n_players=n,
+        resources=resources,
+        spaces=spaces,
+        priorities=pg.PriorityFunction(priorities),
+        delays={r: pg.AffineDelay(alpha=a, beta=b) for r, (a, b) in params.items()},
+    )
+
+
+AFFINE_N24_DIGESTS = {
+    "insertion": "fe318a62638662813fcaf7046536701e54463ef88103cb1f4000c461e474824e",
+    "br/roundrobin": "a10b003c195d7f31a8d5a7fe20df7790c8fd75d13621dc7d2e3e42aff7b3f68d",
+}
+
+
+def test_insertion_trace_digest_affine_n24():
+    _, trace = pg.solve_insertion(make_affine_n24())
+    assert pg.count_steps(trace).by_phase == {"insert": 35, "discard": 11}
+    assert _digest(trace) == AFFINE_N24_DIGESTS["insertion"]
+
+
+def test_run_dynamics_trace_digest_affine_n24():
+    game = make_affine_n24()
+    _, trace = pg.run_dynamics(game, _first_bases(game), policy="roundrobin")
+    assert _digest(trace) == AFFINE_N24_DIGESTS["br/roundrobin"]
