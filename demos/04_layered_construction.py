@@ -38,15 +38,15 @@ print("equilibrium:", pg.is_pure_nash(game, final))
 print("oracle agrees:", final in pg.brute_force_pne(game))
 
 # The scalar potential is an exact potential for its level: any unilateral
-# deviation of a level-2 player changes it by exactly her cost change.
-outer = pg.State({1: final.strategy(1)})
-inner = pg.State({2: final.strategy(2), 3: final.strategy(3)})
-base = pg.level_potential(game, outer, 2, inner)
+# deviation of a level-2 player changes it by exactly her cost change.  It
+# reads the whole profile; players less prioritized than the level (none
+# here) would be ignored.
+base = pg.level_potential(game, final, 2)
 print("\nlevel-2 potential at the equilibrium:", base.canonical())
 for alt in game.spaces[3].all_bases():
     if alt == final.strategy(3):
         continue
-    shifted = pg.level_potential(game, outer, 2, inner.with_player(3, alt))
+    shifted = pg.level_potential(game, final.with_player(3, alt), 2)
     d_phi = shifted.value.finite() - base.value.finite()
     d_cost = (
         pg.player_cost(game, final.with_player(3, alt), 3).finite()

@@ -52,7 +52,6 @@ from .errors import (
     InvariantViolatedError,
     LayerCapExhaustedError,
     LengthMismatchError,
-    LevelMismatchError,
     NoExchangeError,
     NonMonotoneDelayError,
     NotImprovingError,

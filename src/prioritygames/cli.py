@@ -203,15 +203,7 @@ def _parse_profile_arg(raw: str, game: Game | MarketGame) -> State:
         else:
             raise ParseError(f"--profile values are resource ids or lists, got {val!r}")
     state = State(strategies)
-    if isinstance(game, Game):
-        validate_state(game, state, full=True)
-    else:
-        missing = set(game.players()) - set(state.players())
-        if missing:
-            raise ValidationFailed(f"profile misses players {sorted(missing)}")
-        for p, s in state.items():
-            if not game.spaces[p].is_base(s):
-                raise ValidationFailed(f"player {p} strategy {sorted(s)} not in her space")
+    validate_state(game, state, full=True)
     return state
 
 

@@ -84,8 +84,9 @@ def profile(strategies: Mapping[int, Iterable[str] | str]) -> State:
 def validate_state(game: Game, state: State, *, full: bool = False) -> None:
     """Raise ValidationFailed unless every covered strategy is legal."""
     violations = []
+    players = game.players()
     for p, s in state.items():
-        if p not in set(game.players()):
+        if p not in players:
             violations.append(Violation("UNKNOWN_PLAYER", f"player {p}", "not in the game"))
             continue
         if not game.spaces[p].is_base(s):
@@ -95,7 +96,7 @@ def validate_state(game: Game, state: State, *, full: bool = False) -> None:
                 )
             )
     if full:
-        missing = set(game.players()) - set(state.players())
+        missing = set(players) - set(state.players())
         if missing:
             violations.append(
                 Violation("PARTIAL_PROFILE", "profile", f"players {sorted(missing)} unplaced")
@@ -134,16 +135,10 @@ class CongestionView:
 
 
 def congestion_view(game: Game, state: State, resource: str) -> CongestionView:
-    counts: dict[int, int] = {}
-    for p, s in state.items():
-        if resource in s:
-            q = game.priority(resource, p)
-            counts[q] = counts.get(q, 0) + 1
-    level_counts = tuple(sorted(counts.items()))
+    """The resource's row of the state's :func:`level_counts` table."""
+    row = level_counts(game, state).get(resource, {})
     return CongestionView(
-        resource=resource,
-        total=sum(counts.values()),
-        level_counts=level_counts,
+        resource=resource, total=sum(row.values()), level_counts=tuple(sorted(row.items()))
     )
 
 

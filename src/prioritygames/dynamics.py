@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from .congestion import (
     State,
-    congestion_view,
     entry_weights,
     has_better_response,
     level_counts,
@@ -327,11 +326,6 @@ def solve_consistent_layered(game: Game) -> tuple[State, MoveTrace]:
     return outer, trace
 
 
-def _layer_inner(state: State, outer: State) -> State:
-    inner = {p: s for p, s in state.items() if not outer.covers(p)}
-    return State(inner)
-
-
 def _solve_layer_potential(
     game: Game,
     outer: State,
@@ -347,7 +341,7 @@ def _solve_layer_potential(
     for i in layer:
         s = greedy_min_base(game.spaces[i], entry_weights(game, working, i))
         before, working = working, working.with_player(i, s)
-        potential = level_potential(game, outer, q, _layer_inner(working, outer))
+        potential = level_potential(game, working, q)
         _record(game, trace, round_box[0], phase, i, before, working, potential.canonical())
         round_box[0] += 1
 
@@ -363,7 +357,7 @@ def _solve_layer_potential(
             for nxt in _decompose_move(game, working, i, br):
                 before, working = working, working.with_player(i, nxt)
                 pot_before = potential
-                potential = level_potential(game, outer, q, _layer_inner(working, outer))
+                potential = level_potential(game, working, q)
                 _record(game, trace, round_box[0], phase, i, before, working, potential.canonical())
                 finite = pot_before.value.is_finite or potential.value.is_finite
                 if finite and not potential.value < pot_before.value:
@@ -577,7 +571,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         if improvers and equal:
             # exactly one equal-priority improver leaves (case B1)
             j_star = min(equal)
-            same_before = congestion_view(game, old_state, rid).count_at(mine)
+            same_before = sum(1 for p in residents if game.priority(rid, p) == mine)
             tol_out = tol_value(game, old_state, j_star)
             if tol_out != same_before:
                 raise InvariantViolatedError(

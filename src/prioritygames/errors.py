@@ -77,10 +77,6 @@ class LengthMismatchError(GameError):
     code = "LENGTH_MISMATCH"
 
 
-class LevelMismatchError(GameError):
-    code = "LEVEL_MISMATCH"
-
-
 class ShapeMismatchError(GameError):
     code = "SHAPE_MISMATCH"
 

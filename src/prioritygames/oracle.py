@@ -25,7 +25,7 @@ from .congestion import (
 from .core import Game
 from .costs import ExtCost
 from .errors import BudgetExceededError, ValidationFailed
-from .dynamics import MoveTrace, TraceStep, CONVERGED
+from .dynamics import MoveTrace, CONVERGED
 from .markets import (
     AffineGame,
     ClassicGame,
@@ -39,7 +39,6 @@ from .potentials import (
     InsertionPotentialValue,
     LexVector,
     ScalarPotential,
-    _consistent_level,
     insertion_potential,
     insertion_potential_compare,
     level_potential,
@@ -178,11 +177,6 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     lexable = trace.kind == "br" and singleton and not game.player_specific
     insertion = trace.kind == "insertion" and singleton
     layered = trace.kind == "layered" and game.priorities.consistent and not game.player_specific
-    level_of = (
-        {i: _consistent_level(game, i) for i in game.players()}
-        if game.priorities.consistent
-        else {}
-    )
 
     prev_lex = lex_potential_singleton(game, state) if lexable and state.is_full(game) else None
     prev_round_potential = insertion_potential(game, state, counts) if insertion else None
@@ -289,7 +283,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                         TraceViolation(idx, "NOT_IMPROVING", "recomputed costs do not drop")
                     )
 
-        potential = _expected_potential(game, trace, state, counts, step, level_of, singleton)
+        potential = _expected_potential(
+            game, state, counts, step.phase, lexable=lexable, insertion=insertion, layered=layered
+        )
         if step.potential and potential is not None:
             expected = potential.canonical()
             if step.potential != expected:
@@ -353,33 +349,23 @@ def _fmt(s: frozenset[str] | None) -> str:
     return "-" if s is None else "+".join(sorted(s)) or "{}"
 
 
-def _layer_scalar(game: Game, state: State, q: int, level_of: dict[int, int]):
-    outer = State({p: s for p, s in state.items() if level_of[p] < q})
-    inner = State({p: s for p, s in state.items() if level_of[p] == q})
-    return level_potential(game, outer, q, inner)
-
-
 def _expected_potential(
     game: Game,
-    trace: MoveTrace,
     state: State,
     counts: LevelCounts,
-    step: TraceStep,
-    level_of: dict[int, int],
-    singleton: bool,
+    phase: str,
+    *,
+    lexable: bool,
+    insertion: bool,
+    layered: bool,
 ) -> InsertionPotentialValue | LexVector | ScalarPotential | None:
     """Recompute the potential whose canonical string the snapshot column
-    should contain after this step, or None when the run records none."""
-    if trace.kind == "insertion" and singleton:
+    should contain after this step, or None when the run records none.
+    The flags say which potential the run's kind and game record."""
+    if insertion:
         return insertion_potential(game, state, counts)
-    if trace.kind == "br" and singleton and not game.player_specific and state.is_full(game):
+    if lexable and state.is_full(game):
         return lex_potential_singleton(game, state)
-    if (
-        trace.kind == "layered"
-        and step.phase.startswith("layer:")
-        and game.priorities.consistent
-        and not game.player_specific
-    ):
-        q = int(step.phase.split(":", 1)[1])
-        return _layer_scalar(game, state, q, level_of)
+    if layered and phase.startswith("layer:"):
+        return level_potential(game, state, int(phase.split(":", 1)[1]))
     return None

@@ -6,17 +6,23 @@ Four constructions certify convergence and equilibrium existence:
   per-resource priorities, strictly decreasing under every better response;
 * its trivariate analogue for generalized two-sided markets, where the pair's
   second slot is the per-resource dense rank of the player's cost;
-* an exact scalar potential for the fixed-level subgame of a
-  consistent-priority game (arbitrary strategy spaces);
+* an exact scalar potential for the level-q subgame of a
+  consistent-priority game (arbitrary strategy spaces), read from the whole
+  state: less prioritized players never enter a level-q delay;
 * the two-part insertion potential (sorted per-resource level-count rows,
   then a summed tolerance) that proves the insertion algorithm terminates.
 
-Everything compares exactly; no tolerances anywhere.
+Each potential is a function of one state.  The priority-game potentials
+read its counts from one :func:`~prioritygames.congestion.level_counts`
+table; the market potential tallies each resource's users by raw cost in
+one pass over the profile.  Everything compares exactly; no tolerances
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .congestion import (
     LevelCounts,
@@ -33,7 +39,6 @@ from .errors import (
     InconsistentPrioritiesError,
     InvariantViolatedError,
     LengthMismatchError,
-    LevelMismatchError,
     NotSingletonError,
     PlayerSpecificInputError,
     ShapeMismatchError,
@@ -130,36 +135,26 @@ def lex_compare(a: LexVector, b: LexVector) -> int:
     return EQUAL
 
 
-def level_potential(game: Game, outer: State, q: int, inner: State) -> ScalarPotential:
-    """Exact potential of the level-q subgame with lower levels frozen.
+def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
+    """Exact potential of the level-q subgame, read from one state.
 
-    ``outer`` holds the strategies of the strictly more prioritized players
-    (priority < q), ``inner`` those of level-q players.  The value is
-    sum over resources e of sum_{k=1..n_e(inner)} d_e(n_e(outer), k);
-    changes under a unilateral level-q deviation equal the deviator's cost
-    change exactly.
+    A level-q player's delay counts only more prioritized and equal-priority
+    co-users, so the state alone fixes the subgame: players below q are
+    frozen, players at q are active, and less prioritized players (above q)
+    are ignored.  The value is sum over resources e of
+    sum_{k=1..count at q} d_e(count below q, k), read from one
+    :func:`level_counts` table; changes under a unilateral level-q deviation
+    equal the deviator's cost change exactly.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("the level potential needs consistent priorities")
     if game.player_specific:
         raise PlayerSpecificInputError("the level potential needs one shared delay per resource")
-    for p, _ in outer.items():
-        level = _consistent_level(game, p)
-        if level >= q:
-            raise LevelMismatchError(f"outer player {p} has priority {level} >= {q}")
-    for p, _ in inner.items():
-        level = _consistent_level(game, p)
-        if level != q:
-            raise LevelMismatchError(f"inner player {p} has priority {level} != {q}")
-    frozen_counts = level_counts(game, outer)
-    active_counts = level_counts(game, inner)
     parts: list[ExtCost] = []
-    for rid in game.resources:
-        frozen = sum(frozen_counts.get(rid, {}).values())
-        active = sum(active_counts.get(rid, {}).values())
+    for rid, row in level_counts(game, state).items():
         spec = game.delays[rid]
-        for k in range(1, active + 1):
-            parts.append(spec.value(frozen, k))
+        below = count_below(row, q)
+        parts.extend(spec.value(below, k) for k in range(1, row.get(q, 0) + 1))
     return ScalarPotential(value=sum_costs(parts))
 
 
@@ -188,15 +183,19 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
     missing = set(market.players()) - set(prof.players())
     if missing:
         raise LengthMismatchError(f"profile must cover all players, missing {sorted(missing)}")
+    # per resource, how many of its users have each raw cost
+    tally: dict[str, dict[Fraction, int]] = {}
+    for p, s in prof.items():
+        for rid in s:
+            row = tally.setdefault(rid, {})
+            c = market.costs[(p, rid)]
+            row[c] = row.get(c, 0) + 1
     pairs: list[tuple[ExtCost, int]] = []
     for rid in market.resources:
-        users = [p for p, s in prof.items() if rid in s]
-        present = sorted({market.costs[(p, rid)] for p in users})
         tri = market.delays[rid]
         block: list[tuple[ExtCost, int]] = []
         prefix = 0
-        for c in present:
-            cnt = sum(1 for p in users if market.costs[(p, rid)] == c)
+        for c, cnt in sorted(tally.get(rid, {}).items()):
             rank = market.cost_rank(rid, c)
             for y in range(1, cnt + 1):
                 block.append((tri.value(rank, prefix, y), rank))

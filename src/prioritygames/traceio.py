@@ -108,7 +108,10 @@ def read_trace_csv(source) -> MoveTrace:
             strategy = _parse_strategy(to)
             if strategy is None:
                 raise ParseError(f"line {lineno}: start rows need a strategy")
-            start[int(player)] = strategy
+            try:
+                start[int(player)] = strategy
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
             continue
         if phase == "cap":
             status = CAP_REACHED
@@ -117,9 +120,7 @@ def read_trace_csv(source) -> MoveTrace:
         # discards and rebalances belong to the round of the insertion that
         # caused them; lazy-swap grouping is not recoverable from CSV, which
         # only affects round numbering cosmetically
-        if phase in ("discard", "rebalance") and steps:
-            pass
-        else:
+        if phase not in ("discard", "rebalance") or not steps:
             round_no += 1
         try:
             steps.append(

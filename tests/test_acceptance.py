@@ -127,16 +127,19 @@ def test_criterion_4_level_potential_is_exact():
         q = rng.choice(sorted(set(levels.values())))
         lower = [i for i in game.players() if levels[i] < q]
         mine = [i for i in game.players() if levels[i] == q]
+        above = [i for i in game.players() if levels[i] > q]
         outer = pg.State({i: rng.choice(game.spaces[i].all_bases()) for i in lower})
         inner = pg.State({i: rng.choice(game.spaces[i].all_bases()) for i in mine})
-        full = pg.State(dict(list(outer.items()) + list(inner.items())))
-        base = pg.level_potential(game, outer, q, inner)
+        # less prioritized players sit in the state but never count
+        ignored = {i: rng.choice(game.spaces[i].all_bases()) for i in above}
+        full = pg.State(dict(list(outer.items()) + list(inner.items())) | ignored)
+        base = pg.level_potential(game, full, q)
         for i in mine:
             cost_before = pg.player_cost(game, full, i)
             for alt in game.spaces[i].all_bases():
                 if alt == inner.strategy(i):
                     continue
-                after = pg.level_potential(game, outer, q, inner.with_player(i, alt))
+                after = pg.level_potential(game, full.with_player(i, alt), q)
                 delta_phi = after.value.finite() - base.value.finite()
                 delta_cost = (
                     pg.player_cost(game, full.with_player(i, alt), i).finite()

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import make_t1
 from prioritygames.cli import cli_main
-from prioritygames.jsonio import emit_instance
+from prioritygames.jsonio import emit_instance, parse_instance
+from prioritygames.oracle import brute_force_pne
 
 
 @pytest.fixture
@@ -69,6 +71,16 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", t1_file, "--method", "layered"])
         assert code == 1 and "INCONSISTENT_PRIORITIES" in err
 
+    def test_layer_cap_exhausted_exit_two(self, capsys):
+        # s=321, mixed spaces (see TestLayeredSolver in test_dynamics.py): no
+        # pure Nash equilibrium exists, so every capped attempt fails and the
+        # solver raises instead of returning
+        path = Path(__file__).parent / "data" / "layer_exhausted_s321.json"
+        assert brute_force_pne(parse_instance(path.read_bytes())) == []
+        code, out, _ = run(capsys, ["solve", path, "--method", "layered", "--json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "LAYER_CAP_EXHAUSTED"
+
     def test_cap_exit_two(self, capsys, t1_file):
         code, out, _ = run(
             capsys,
@@ -108,6 +120,21 @@ class TestVerify:
     def test_profile_invalid(self, capsys, t1_file):
         code, _, err = run(capsys, ["verify", t1_file, "--profile", '{"1":"zz","2":"a"}'])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "raw, violation",
+        [
+            ('{"1":"a","2":"a","3":"a","9":"b"}', "UNKNOWN_PLAYER"),
+            ('{"1":"a","2":"a"}', "PARTIAL_PROFILE"),
+            ('{"1":"b","2":"a","3":"a"}', "BAD_STRATEGY"),
+        ],
+    )
+    def test_market_profile_invalid(self, capsys, tmp_path, raw, violation):
+        market = tmp_path / "m.json"
+        gen = ["gen", "--seed", "1", "--players", "3", "--resources", "2", "--model", "market"]
+        run(capsys, gen + ["-o", market])
+        code, _, err = run(capsys, ["verify", market, "--profile", raw])
+        assert code == 1 and violation in err
 
     def test_trace_round_trip(self, capsys, t1_file, tmp_path):
         trace_path = tmp_path / "t.csv"

@@ -4,6 +4,7 @@ import pytest
 
 import prioritygames as pg
 from conftest import gen_game, make_t1_consistent
+from prioritygames import dynamics
 from prioritygames.oracle import _profile_is_pne_naive
 
 DATA = Path(__file__).parent / "data"
@@ -200,6 +201,28 @@ class TestLayeredSolver:
             final, trace = pg.solve_consistent_layered(game)
             assert pg.is_pure_nash(game, final)
             assert final in pg.brute_force_pne(game)
+
+    # tests/data/layer_*_s<s>.json come from a sweep of consistent
+    # player-specific generator instances: GenParams(players=2+s%7,
+    # resources=2+s%5, space_kind=k, consistent=True, player_specific=True,
+    # levels=1+s%3) at seed s.  The exhausted one is exercised in
+    # tests/test_cli.py.
+
+    def test_layer_restart_converges(self, monkeypatch):
+        # s=27, explicit spaces, one level of 8 players: dynamics from the
+        # greedy start (attempt 0) run past the step cap; the first
+        # restart converges
+        game = pg.parse_instance((DATA / "layer_restart_s27.json").read_bytes())
+        final, trace = pg.solve_consistent_layered(game)
+        report = pg.certify_trace(game, trace)
+        assert report.ok, report.summary()
+        pne = pg.brute_force_pne(game)
+        assert len(pne) == 3 and final in pne
+        monkeypatch.setattr(dynamics, "LAYER_RESTARTS", 1)
+        assert pg.solve_consistent_layered(game)[0] == final
+        monkeypatch.setattr(dynamics, "LAYER_RESTARTS", 0)
+        with pytest.raises(pg.LayerCapExhaustedError):
+            pg.solve_consistent_layered(game)
 
 
 class TestInsertionSolver:

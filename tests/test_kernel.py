@@ -146,7 +146,7 @@ def check_state(game, state, *, full):
         for q in sorted(set(level_of.values())):
             outer = pg.State({p: s for p, s in state.items() if level_of[p] < q})
             inner = pg.State({p: s for p, s in state.items() if level_of[p] == q})
-            got = pg.level_potential(game, outer, q, inner).value
+            got = pg.level_potential(game, state, q).value
             assert got == naive_level_value(game, outer, inner)
 
 

@@ -151,24 +151,25 @@ class TestLevelPotential:
 
     def test_two_players_one_resource(self):
         game = self.game_2x_y(2, {1: 1, 2: 1})
-        pot = pg.level_potential(game, pg.State({}), 1, pg.State({1: "e", 2: "e"}))
+        pot = pg.level_potential(game, pg.State({1: "e", 2: "e"}), 1)
         assert pot.value == pg.cost(3)  # d(0,1) + d(0,2)
 
     def test_empty_inner_is_zero(self):
         game = self.game_2x_y(2, {1: 1, 2: 1})
-        assert pg.level_potential(game, pg.State({}), 1, pg.State({})).value == pg.ZERO
+        assert pg.level_potential(game, pg.State({}), 1).value == pg.ZERO
 
     def test_one_frozen_outer_player(self):
         game = self.game_2x_y(2, {1: 1, 2: 2})
-        pot = pg.level_potential(game, pg.State({1: "e"}), 2, pg.State({2: "e"}))
+        pot = pg.level_potential(game, pg.State({1: "e", 2: "e"}), 2)
         assert pot.value == pg.cost(3)  # d(1, 1)
 
-    def test_level_mismatch_rejected(self):
-        game = self.game_2x_y(2, {1: 1, 2: 2})
-        with pytest.raises(pg.LevelMismatchError):
-            pg.level_potential(game, pg.State({2: "e"}), 2, pg.State({}))
-        with pytest.raises(pg.LevelMismatchError):
-            pg.level_potential(game, pg.State({}), 2, pg.State({1: "e"}))
+    def test_less_prioritized_players_ignored(self):
+        game = self.game_2x_y(3, {1: 1, 2: 2, 3: 2})
+        state = pg.State({1: "e", 2: "e", 3: "f"})
+        assert pg.level_potential(game, state, 1).value == pg.cost(1)  # d(0, 1)
+        assert pg.level_potential(game, pg.State({1: "e"}), 1).value == pg.cost(1)
+        # players 2 and 3 only: player 1 is below, nobody is above
+        assert pg.level_potential(game, state, 2).value == pg.cost(4)  # d(1,1) + d(0,1)
 
     def test_exactness_small_sweep(self):
         import random
@@ -184,22 +185,24 @@ class TestLevelPotential:
             for q in sorted(set(levels.values())):
                 lower = [i for i in game.players() if levels[i] < q]
                 mine = [i for i in game.players() if levels[i] == q]
+                above = [i for i in game.players() if levels[i] > q and rng.random() < 0.5]
                 outer = pg.State(
                     {i: rng.choice(game.spaces[i].all_bases()) for i in lower}
                 )
                 inner = pg.State(
                     {i: rng.choice(game.spaces[i].all_bases()) for i in mine}
                 )
-                base = pg.level_potential(game, outer, q, inner)
-                full = pg.State(dict(list(outer.items()) + list(inner.items())))
+                # less prioritized players sit in the state but never count
+                ignored = {i: rng.choice(game.spaces[i].all_bases()) for i in above}
+                full = pg.State(dict(list(outer.items()) + list(inner.items())) | ignored)
+                base = pg.level_potential(game, full, q)
                 for i in mine:
                     before_cost = pg.player_cost(game, full, i)
                     for alt in game.spaces[i].all_bases():
                         if alt == inner.strategy(i):
                             continue
-                        moved_inner = inner.with_player(i, alt)
                         moved_full = full.with_player(i, alt)
-                        after = pg.level_potential(game, outer, q, moved_inner)
+                        after = pg.level_potential(game, moved_full, q)
                         d_pot = after.value.finite() - base.value.finite()
                         d_cost = (
                             pg.player_cost(game, moved_full, i).finite()

@@ -65,3 +65,11 @@ def test_bad_header_rejected():
         read_trace_csv(io.StringIO("a,b,c\n1,2,3\n"))
     with pytest.raises(pg.ParseError):
         read_trace_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize("row", ["0,start,x,,a,,,", "0,insert,x,,a,,1/1,"])
+def test_non_integer_player_is_parse_error(row):
+    text = "step,phase,player,from,to,cost_before,cost_after,potential\n" + row + "\n"
+    with pytest.raises(pg.ParseError, match="line 2"):
+        read_trace_csv(io.StringIO(text))
+
