@@ -23,16 +23,19 @@ is recorded whole (that only occurs across plateaus at infinite cost).
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
 from .congestion import (
+    LevelCounts,
     State,
     entry_weights,
     has_better_response,
     level_counts,
     player_cost,
     validate_state,
+    weights_from_counts,
 )
 from .core import Game
 from .costs import ExtCost, improvement
@@ -56,6 +59,9 @@ from .potentials import (
 )
 
 POLICIES = ("roundrobin", "first", "best")
+
+# row phases besides the layered solver's "layer:<level>"
+PHASES = ("br", "insert", "discard", "rebalance")
 
 CONVERGED = "Converged"
 CAP_REACHED = "CapReached"
@@ -98,6 +104,12 @@ class StepStats:
     by_phase: dict[str, int]
 
 
+def layer_level(phase: str) -> int | None:
+    """The priority level of a ``layer:<level>`` phase; None for any other phase."""
+    m = re.fullmatch(r"layer:([0-9]+)", phase)
+    return None if m is None else int(m.group(1))
+
+
 def count_steps(trace: MoveTrace) -> StepStats:
     by_phase: dict[str, int] = {}
     placements = moves = discards = 0
@@ -124,15 +136,21 @@ def count_steps(trace: MoveTrace) -> StepStats:
 # Best responses and move decomposition
 
 
-def best_response(game: Game, state: State, player: int) -> frozenset[str]:
+def best_response(
+    game: Game, state: State, player: int, counts: LevelCounts | None = None
+) -> frozenset[str]:
     """The player's cheapest strategy against the others' fixed strategies.
 
     The cheapest strategy is ``greedy_min_base`` over her entry weights, the
     one cheapest-strategy rule of all three solvers: exact greedy on matroid
     spaces, enumeration otherwise, ties toward the smallest sorted id list.
-    A player already at an optimum keeps her strategy.
+    A player already at an optimum keeps her strategy.  ``counts`` is the
+    state's :func:`level_counts` table when the caller already holds it; the
+    solvers keep one table per state and pass it to every call.
     """
-    weights = entry_weights(game, state, player)
+    if counts is None:
+        counts = level_counts(game, state)
+    weights = weights_from_counts(game, counts, state, player)
     best = greedy_min_base(game.spaces[player], weights)
     current = state.strategy(player)
     if base_weight(best, weights) < base_weight(current, weights):
@@ -141,7 +159,11 @@ def best_response(game: Game, state: State, player: int) -> frozenset[str]:
 
 
 def _decompose_move(
-    game: Game, state: State, player: int, target: frozenset[str]
+    game: Game,
+    state: State,
+    player: int,
+    target: frozenset[str],
+    weights: dict[str, ExtCost],
 ) -> list[frozenset[str]]:
     """Intermediate strategies realizing the move as improving single swaps.
 
@@ -149,12 +171,13 @@ def _decompose_move(
     strategy, which may be a base at most as cheap as ``target``).  Falls
     back to the whole move at once when strict per-swap cost decrease is
     unattainable, which only happens across infinite-cost plateaus.
+    ``weights`` are the mover's entry weights in ``state``; they price every
+    link of the chain, since her own strategy never enters them.
     """
     space = game.spaces[player]
     current = state.strategy(player)
     if not space.matroid or len(current - target) <= 1:
         return [target]
-    weights = entry_weights(game, state, player)
     path = lazy_path(space, current, target, weights)
     costs = [base_weight(b, weights) for b in path]
     if all(b < a for a, b in zip(costs, costs[1:])):
@@ -162,29 +185,26 @@ def _decompose_move(
     return [target]
 
 
-def _record(
-    game: Game,
+def _append_move(
     trace: MoveTrace,
     round_no: int,
     phase: str,
     player: int,
-    before: State,
-    after: State,
+    frm: frozenset[str] | None,
+    to: frozenset[str],
+    weights: dict[str, ExtCost],
     potential: str,
 ) -> None:
-    """Append the row for ``player``'s change from ``before`` to ``after``.
+    """Append a move or placement row priced from the mover's entry weights.
 
-    Strategies and costs are read off the two states; an unplaced player
-    has neither.
+    Her weights do not depend on her own strategy, so summed over ``frm``
+    (None: she was unplaced) and over ``to`` they are her exact costs before
+    and after, the others held fixed.
     """
-
-    def seen(state: State) -> tuple[frozenset[str] | None, ExtCost | None]:
-        if not state.covers(player):
-            return None, None
-        return state.strategy(player), player_cost(game, state, player)
-
-    (frm, cost_before), (to, cost_after) = seen(before), seen(after)
-    _append_row(trace, round_no, phase, player, frm, to, cost_before, cost_after, potential)
+    cost_before = None if frm is None else base_weight(frm, weights)
+    _append_row(
+        trace, round_no, phase, player, frm, to, cost_before, base_weight(to, weights), potential
+    )
 
 
 def _append_row(
@@ -215,8 +235,8 @@ def _append_row(
 
 def _lex_snapshot(game: Game):
     if game.is_singleton_game() and not game.player_specific:
-        return lambda state: lex_potential_singleton(game, state).canonical()
-    return lambda state: ""
+        return lambda state, counts: lex_potential_singleton(game, state, counts).canonical()
+    return lambda state, counts: ""
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +254,14 @@ def run_dynamics(
     Every recorded step strictly decreases the mover's cost.  The returned
     status is ``Converged`` exactly when no player has a better response at
     the final profile; hitting the cap is a status, not an error.
+
+    One :func:`level_counts` table per state serves the whole scan: it is
+    built at the start and once after each recorded row, never per player.
+    The steepest-gain policy prices each player's current strategy and best
+    response from her entry weights in that table.  Every row's two costs
+    are the mover's entry weights summed over her old and new strategy.
+    That is exact: her weights do not depend on her own strategy, so their
+    sum over any strategy is what she pays there, the others held fixed.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
@@ -241,6 +269,7 @@ def run_dynamics(
     snapshot = _lex_snapshot(game)
     players = list(game.players())
     state = start
+    counts = level_counts(game, state)
     trace = MoveTrace(kind="br", start=start)
     rr_idx = 0
     round_no = 0
@@ -252,22 +281,23 @@ def run_dynamics(
             begin = rr_idx if policy == "roundrobin" else 0
             for off in range(len(players)):
                 p = players[(begin + off) % len(players)]
-                br = best_response(game, state, p)
+                br = best_response(game, state, p, counts)
                 if br != state.strategy(p):
                     mover, target = p, br
+                    weights = weights_from_counts(game, counts, state, p)
                     rr_idx = (begin + off + 1) % len(players)
                     break
         else:  # steepest improvement, ties to the smallest id
             best_gain: ExtCost | None = None
             for p in players:
-                br = best_response(game, state, p)
-                if br == state.strategy(p):
+                w = weights_from_counts(game, counts, state, p)
+                br = greedy_min_base(game.spaces[p], w)
+                before, after = base_weight(state.strategy(p), w), base_weight(br, w)
+                if not after < before:
                     continue
-                before = player_cost(game, state, p)
-                after = player_cost(game, state.with_player(p, br), p)
                 gain = improvement(before, after)
                 if best_gain is None or best_gain < gain:
-                    best_gain, mover, target = gain, p, br
+                    best_gain, mover, target, weights = gain, p, br, w
         if mover is None:
             trace.status = CONVERGED
             break
@@ -275,12 +305,13 @@ def run_dynamics(
             trace.status = CAP_REACHED
             break
         capped = False
-        for nxt in _decompose_move(game, state, mover, target):
+        for nxt in _decompose_move(game, state, mover, target, weights):
             if len(trace.steps) >= cap:
                 capped = True
                 break
-            before, state = state, state.with_player(mover, nxt)
-            _record(game, trace, round_no, "br", mover, before, state, snapshot(state))
+            frm, state = state.strategy(mover), state.with_player(mover, nxt)
+            counts = level_counts(game, state)
+            _append_move(trace, round_no, "br", mover, frm, nxt, weights, snapshot(state, counts))
         round_no += 1
         if capped:
             trace.status = CAP_REACHED
@@ -338,11 +369,14 @@ def _solve_layer_potential(
 ) -> State:
     phase = f"layer:{q}"
     working = outer
+    counts = level_counts(game, working)
     for i in layer:
-        s = greedy_min_base(game.spaces[i], entry_weights(game, working, i))
-        before, working = working, working.with_player(i, s)
-        potential = level_potential(game, working, q)
-        _record(game, trace, round_box[0], phase, i, before, working, potential.canonical())
+        weights = weights_from_counts(game, counts, working, i)
+        s = greedy_min_base(game.spaces[i], weights)
+        working = working.with_player(i, s)
+        counts = level_counts(game, working)
+        potential = level_potential(game, working, q, counts)
+        _append_move(trace, round_box[0], phase, i, None, s, weights, potential.canonical())
         round_box[0] += 1
 
     moves = 0
@@ -350,20 +384,24 @@ def _solve_layer_potential(
     while stable_passes < 1:
         improved = False
         for i in layer:
-            br = best_response(game, working, i)
+            br = best_response(game, working, i, counts)
             if br == working.strategy(i):
                 continue
             improved = True
-            for nxt in _decompose_move(game, working, i, br):
-                before, working = working, working.with_player(i, nxt)
+            weights = weights_from_counts(game, counts, working, i)
+            for nxt in _decompose_move(game, working, i, br, weights):
+                frm, working = working.strategy(i), working.with_player(i, nxt)
+                counts = level_counts(game, working)
                 pot_before = potential
-                potential = level_potential(game, working, q)
-                _record(game, trace, round_box[0], phase, i, before, working, potential.canonical())
+                potential = level_potential(game, working, q, counts)
+                _append_move(
+                    trace, round_box[0], phase, i, frm, nxt, weights, potential.canonical()
+                )
                 finite = pot_before.value.is_finite or potential.value.is_finite
                 if finite and not potential.value < pot_before.value:
                     raise InvariantViolatedError(
                         f"level {q} potential did not drop when player {i} moved"
-                        f" {sorted(before.strategy(i))} -> {sorted(nxt)}:"
+                        f" {sorted(frm)} -> {sorted(nxt)}:"
                         f" {pot_before.canonical()} -> {potential.canonical()}"
                     )
             round_box[0] += 1
@@ -392,14 +430,17 @@ def _solve_layer_capped(
     for attempt in range(LAYER_RESTARTS + 1):
         del trace.steps[checkpoint:]
         working = outer
+        counts = level_counts(game, working)
         for j, i in enumerate(layer):
+            weights = weights_from_counts(game, counts, working, i)
             if attempt == 0:
-                s = greedy_min_base(game.spaces[i], entry_weights(game, working, i))
+                s = greedy_min_base(game.spaces[i], weights)
             else:
                 bases = game.spaces[i].all_bases()
                 s = bases[(attempt + j) % len(bases)]
-            before, working = working, working.with_player(i, s)
-            _record(game, trace, round_box[0], phase, i, before, working, "")
+            working = working.with_player(i, s)
+            counts = level_counts(game, working)
+            _append_move(trace, round_box[0], phase, i, None, s, weights, "")
             round_box[0] += 1
 
         steps_used = 0
@@ -410,24 +451,26 @@ def _solve_layer_capped(
             while pending:
                 i = pending.popleft()
                 queued.discard(i)
-                br = best_response(game, working, i)
+                br = best_response(game, working, i, counts)
                 if br == working.strategy(i):
                     continue
                 if steps_used >= cap:
                     failed = True
                     break
                 others_before = {
-                    j: player_cost(game, working, j) for j in layer if j != i
+                    j: player_cost(game, working, j, counts) for j in layer if j != i
                 }
-                for nxt in _decompose_move(game, working, i, br):
-                    before, working = working, working.with_player(i, nxt)
-                    _record(game, trace, round_box[0], phase, i, before, working, "")
+                weights = weights_from_counts(game, counts, working, i)
+                for nxt in _decompose_move(game, working, i, br, weights):
+                    frm, working = working.strategy(i), working.with_player(i, nxt)
+                    counts = level_counts(game, working)
+                    _append_move(trace, round_box[0], phase, i, frm, nxt, weights, "")
                     steps_used += 1
                 round_box[0] += 1
                 displaced = [
                     j
                     for j in layer
-                    if j != i and others_before[j] < player_cost(game, working, j)
+                    if j != i and others_before[j] < player_cost(game, working, j, counts)
                 ]
                 for j in sorted(displaced, reverse=True):
                     if j not in queued:
@@ -439,7 +482,7 @@ def _solve_layer_capped(
             if failed:
                 break
             stragglers = [
-                i for i in layer if best_response(game, working, i) != working.strategy(i)
+                i for i in layer if best_response(game, working, i, counts) != working.strategy(i)
             ]
             if not stragglers:
                 return working
@@ -535,11 +578,13 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     def discard(phase: str, j: int) -> InsertionPotentialValue:
         """Unplace ``j``, requeue her and record the row; the new potential."""
         nonlocal state
-        (held,) = state.strategy(j)
-        before, state = state, state.without_player(j)
+        frm = state.strategy(j)
+        (held,) = frm
+        cost = player_cost(game, state, j)  # priced on the state she leaves
+        state = state.without_player(j)
         queue.append(j)
         potential = _retally(game, state, held, reach, tol)
-        _record(game, trace, round_no, phase, j, before, state, potential.canonical())
+        _append_row(trace, round_no, phase, j, frm, None, cost, None, potential.canonical())
         return potential
 
     while queue:

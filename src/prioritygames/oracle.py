@@ -25,7 +25,7 @@ from .congestion import (
 from .core import Game
 from .costs import ExtCost
 from .errors import BudgetExceededError, ValidationFailed
-from .dynamics import MoveTrace, CONVERGED
+from .dynamics import CONVERGED, MoveTrace, layer_level
 from .markets import (
     AffineGame,
     ClassicGame,
@@ -178,7 +178,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     insertion = trace.kind == "insertion" and singleton
     layered = trace.kind == "layered" and game.priorities.consistent and not game.player_specific
 
-    prev_lex = lex_potential_singleton(game, state) if lexable and state.is_full(game) else None
+    prev_lex = (
+        lex_potential_singleton(game, state, counts) if lexable and state.is_full(game) else None
+    )
     prev_round_potential = insertion_potential(game, state, counts) if insertion else None
     layer_phase = None
     layer_prev_scalar = None
@@ -283,8 +285,16 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                         TraceViolation(idx, "NOT_IMPROVING", "recomputed costs do not drop")
                     )
 
+        level = layer_level(step.phase)
+        if level is None and step.phase.startswith("layer:"):
+            report.violations.append(
+                TraceViolation(idx, "BAD_PHASE", f"malformed layer phase {step.phase!r}")
+            )
+            layer_phase = None  # the next row starts its layer's checks afresh
+        if not layered:
+            level = None  # this game's layered rows record no potential
         potential = _expected_potential(
-            game, state, counts, step.phase, lexable=lexable, insertion=insertion, layered=layered
+            game, state, counts, level, lexable=lexable, insertion=insertion
         )
         if step.potential and potential is not None:
             expected = potential.canonical()
@@ -304,8 +314,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                 )
             prev_lex = potential
 
-        if layered and step.phase.startswith("layer:"):
-            q = int(step.phase.split(":", 1)[1])
+        if level is not None:
             if step.phase != layer_phase:
                 layer_phase, layer_prev_scalar = step.phase, potential
             else:
@@ -317,7 +326,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     ):
                         report.violations.append(
                             TraceViolation(
-                                idx, "POTENTIAL_NOT_DECREASING", f"level {q} scalar potential"
+                                idx, "POTENTIAL_NOT_DECREASING", f"level {level} scalar potential"
                             )
                         )
                 layer_prev_scalar = potential
@@ -353,19 +362,19 @@ def _expected_potential(
     game: Game,
     state: State,
     counts: LevelCounts,
-    phase: str,
+    level: int | None,
     *,
     lexable: bool,
     insertion: bool,
-    layered: bool,
 ) -> InsertionPotentialValue | LexVector | ScalarPotential | None:
     """Recompute the potential whose canonical string the snapshot column
     should contain after this step, or None when the run records none.
-    The flags say which potential the run's kind and game record."""
+    The flags say which potential the run's kind and game record; ``level``
+    is a layered row's priority level, None on every other row."""
     if insertion:
         return insertion_potential(game, state, counts)
     if lexable and state.is_full(game):
-        return lex_potential_singleton(game, state)
-    if layered and phase.startswith("layer:"):
-        return level_potential(game, state, int(phase.split(":", 1)[1]))
+        return lex_potential_singleton(game, state, counts)
+    if level is not None:
+        return level_potential(game, state, level, counts)
     return None

@@ -86,13 +86,17 @@ def _require_singleton(game) -> None:
         raise NotSingletonError("every strategy space must be singleton")
 
 
-def lex_potential_singleton(game: Game, prof: State) -> LexVector:
+def lex_potential_singleton(
+    game: Game, prof: State, counts: LevelCounts | None = None
+) -> LexVector:
     """The (delay, priority) pair vector of a singleton-game profile.
 
     Each resource with present levels q_1 < ... < q_k contributes, per level
     q and per y = 1..count(q), the pair (d(below(q), y), q); the n pairs are
     then sorted nondecreasing.  Per-resource blocks are already nondecreasing
-    by the delay axioms, which is checked during construction.
+    by the delay axioms, which is checked during construction.  ``counts``
+    is the profile's :func:`level_counts` table when the caller already
+    holds it.
     """
     _require_singleton(game)
     if game.player_specific:
@@ -100,7 +104,8 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
             "the lexicographic potential needs one shared delay per resource"
         )
     validate_state(game, prof, full=True)
-    counts = level_counts(game, prof)
+    if counts is None:
+        counts = level_counts(game, prof)
     pairs: list[tuple[ExtCost, int]] = []
     for rid in game.resources:
         spec = game.delays[rid]
@@ -135,7 +140,9 @@ def lex_compare(a: LexVector, b: LexVector) -> int:
     return EQUAL
 
 
-def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
+def level_potential(
+    game: Game, state: State, q: int, counts: LevelCounts | None = None
+) -> ScalarPotential:
     """Exact potential of the level-q subgame, read from one state.
 
     A level-q player's delay counts only more prioritized and equal-priority
@@ -143,15 +150,18 @@ def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
     frozen, players at q are active, and less prioritized players (above q)
     are ignored.  The value is sum over resources e of
     sum_{k=1..count at q} d_e(count below q, k), read from one
-    :func:`level_counts` table; changes under a unilateral level-q deviation
-    equal the deviator's cost change exactly.
+    :func:`level_counts` table (``counts`` when the caller already holds
+    it); changes under a unilateral level-q deviation equal the deviator's
+    cost change exactly.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("the level potential needs consistent priorities")
     if game.player_specific:
         raise PlayerSpecificInputError("the level potential needs one shared delay per resource")
+    if counts is None:
+        counts = level_counts(game, state)
     parts: list[ExtCost] = []
-    for rid, row in level_counts(game, state).items():
+    for rid, row in counts.items():
         spec = game.delays[rid]
         below = count_below(row, q)
         parts.extend(spec.value(below, k) for k in range(1, row.get(q, 0) + 1))

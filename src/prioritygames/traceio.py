@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .congestion import State
 from .costs import ExtCost
-from .dynamics import CAP_REACHED, CONVERGED, MoveTrace, TraceStep
+from .dynamics import CAP_REACHED, CONVERGED, PHASES, MoveTrace, TraceStep, layer_level
 from .errors import ParseError
 
 HEADER = ["step", "phase", "player", "from", "to", "cost_before", "cost_after", "potential"]
@@ -83,7 +83,12 @@ def _parse_cost(cell: str) -> ExtCost | None:
 
 
 def read_trace_csv(source) -> MoveTrace:
-    """Rebuild a trace from CSV; the kind is inferred from the phases."""
+    """Rebuild a trace from CSV; the kind is inferred from the phases.
+
+    Besides ``start`` and ``cap``, a row's phase is one of ``br``,
+    ``insert``, ``discard``, ``rebalance`` or ``layer:<level>``; any other
+    phase is a ParseError naming its line.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
             return read_trace_csv(fh)
@@ -116,6 +121,8 @@ def read_trace_csv(source) -> MoveTrace:
         if phase == "cap":
             status = CAP_REACHED
             continue
+        if phase not in PHASES and layer_level(phase) is None:
+            raise ParseError(f"line {lineno}: unknown phase {phase!r}")
         seen_phases.add(phase)
         # discards and rebalances belong to the round of the insertion that
         # caused them; lazy-swap grouping is not recoverable from CSV, which

@@ -5,6 +5,7 @@ import pytest
 import prioritygames as pg
 from conftest import all_profiles, gen_game, make_t1
 from prioritygames.costs import sum_costs
+from prioritygames.matroids import base_weight
 from prioritygames.oracle import _profile_is_pne_naive
 
 
@@ -102,6 +103,38 @@ class TestEntryWeights:
                     weights = pg.entry_weights(game, prof, p)
                     direct = pg.player_cost(game, prof, p)
                     assert sum_costs(weights[r] for r in prof.strategy(p)) == direct
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(space_kind="mixed", levels=3),
+            dict(space_kind="graphic", levels=2),
+            dict(space_kind="partition", levels=3),
+            dict(space_kind="mixed", model="classic"),
+            dict(space_kind="graphic", model="classic"),
+            dict(space_kind="mixed", player_specific=True, levels=2),
+            dict(space_kind="partition", player_specific=True, levels=2),
+        ],
+        ids=lambda kw: "-".join(str(v) for v in kw.values()),
+    )
+    def test_weight_sums_price_every_base(self, kw):
+        """Summed over any base, a player's weights are that base's exact cost.
+
+        Her weights do not depend on her own strategy, so the solvers read a
+        move's cost before and after from one set of weights.
+        """
+        saw_infinite = False
+        for seed in range(4):
+            game = gen_game(500 + seed, players=3, resources=4, **kw)
+            for prof in all_profiles(game):
+                for p in game.players():
+                    weights = pg.entry_weights(game, prof, p)
+                    for base in game.spaces[p].all_bases():
+                        direct = pg.player_cost(game, prof.with_player(p, base), p)
+                        assert base_weight(base, weights) == direct
+                        saw_infinite |= direct == pg.INFINITY
+        if kw.get("model") == "classic":
+            assert saw_infinite  # the wrap's +inf is exercised, not only finite sums
 
 
 class TestBetterResponse:

@@ -12,6 +12,7 @@ import pytest
 
 import prioritygames as pg
 from conftest import gen_game
+from test_trace_digests import BR_GAMES, LAYERED_GAMES
 from prioritygames import congestion, dynamics, oracle, potentials
 from prioritygames.cli import cli_main
 from prioritygames.jsonio import emit_instance
@@ -195,6 +196,30 @@ def test_certify_builds_one_count_table_per_row(monkeypatch, singleton_game, sou
     assert pg.certify_trace(game, trace).ok
     # one per row, plus the start and the final equilibrium check
     assert len(calls) <= len(trace.steps) + 3
+
+
+@pytest.mark.parametrize("policy", pg.dynamics.POLICIES)
+def test_run_dynamics_builds_one_count_table_per_row(monkeypatch, policy):
+    """Every scan, row cost and lex snapshot of a state shares one table."""
+    seed, kw = BR_GAMES["singleton"]
+    game = gen_game(seed, **kw)
+    start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    calls = count_level_counts(monkeypatch)
+    _, trace = pg.run_dynamics(game, start, policy=policy)
+    assert trace.steps and trace.status == "Converged"
+    # one for the start and one per row, never one per player scanned
+    assert len(calls) <= len(trace.steps) + 2
+
+
+def test_layered_builds_one_count_table_per_row(monkeypatch):
+    seed, kw = LAYERED_GAMES["explicit"]
+    game = gen_game(seed, **kw)
+    calls = count_level_counts(monkeypatch)
+    _, trace = pg.solve_consistent_layered(game)
+    levels = {s.phase for s in trace.steps}
+    assert pg.count_steps(trace).moves > 0 and len(levels) > 1
+    # one per row, one per layer's frozen outer state, and one to spare
+    assert len(calls) <= len(trace.steps) + len(levels) + 1
 
 
 def test_insertion_safety_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):

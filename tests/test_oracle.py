@@ -108,6 +108,19 @@ class TestCertifyTrace:
         assert report.ok, report.summary()
 
 
+@pytest.mark.parametrize("player_specific", [False, True])
+def test_malformed_layer_phase_is_a_violation(player_specific):
+    game = gen_game(
+        3, players=6, resources=3, levels=2, consistent=True, player_specific=player_specific
+    )
+    _, trace = pg.solve_consistent_layered(game)
+    assert pg.certify_trace(game, trace).ok
+    bad = next(s for s in trace.steps if s.phase == "layer:1")
+    bad.phase = "layer:x"
+    report = pg.certify_trace(game, trace)
+    assert [(v.step, v.code) for v in report.violations] == [(bad.index, "BAD_PHASE")]
+
+
 def test_existence_small_sweep():
     for seed in range(10):
         game = gen_game(1300 + seed, players=3, resources=3, space_kind="singleton", levels=3)

@@ -142,6 +142,8 @@ def make_affine_n24() -> pg.Game:
 AFFINE_N24_DIGESTS = {
     "insertion": "fe318a62638662813fcaf7046536701e54463ef88103cb1f4000c461e474824e",
     "br/roundrobin": "a10b003c195d7f31a8d5a7fe20df7790c8fd75d13621dc7d2e3e42aff7b3f68d",
+    "br/first": "285594021fc609572f982dd4e0c57de230b5de552edd863467d6bb42d102e764",
+    "br/best": "2ed6b3fd43bf202dad13b8ece59b7ac9ce0481464728b3bbf03e0b4e8073c1a2",
 }
 
 
@@ -155,3 +157,10 @@ def test_run_dynamics_trace_digest_affine_n24():
     game = make_affine_n24()
     _, trace = pg.run_dynamics(game, _first_bases(game), policy="roundrobin")
     assert _digest(trace) == AFFINE_N24_DIGESTS["br/roundrobin"]
+
+
+@pytest.mark.parametrize("policy", ["first", "best"])
+def test_run_dynamics_trace_digest_affine_n24_first_and_best(policy):
+    game = make_affine_n24()
+    _, trace = pg.run_dynamics(game, _first_bases(game), policy=policy)
+    assert _digest(trace) == AFFINE_N24_DIGESTS[f"br/{policy}"]

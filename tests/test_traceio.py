@@ -73,3 +73,10 @@ def test_non_integer_player_is_parse_error(row):
     with pytest.raises(pg.ParseError, match="line 2"):
         read_trace_csv(io.StringIO(text))
 
+
+@pytest.mark.parametrize("phase", ["layer:x", "layer:", "layer:-1", "move", "Br", ""])
+def test_unknown_phase_is_parse_error(phase):
+    text = "step,phase,player,from,to,cost_before,cost_after,potential\n"
+    text += "0,start,1,,a,,,\n" + f"1,{phase},1,a,b,1/1,0/1,\n"
+    with pytest.raises(pg.ParseError, match="line 3"):
+        read_trace_csv(io.StringIO(text))
