@@ -242,6 +242,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.max_steps < 0:
+        raise ParseError(f"--max-steps must be >= 0, got {args.max_steps}")
     instance = _load(args.file)
     game = _as_game(instance)
 

@@ -25,7 +25,7 @@ checked point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -339,6 +339,8 @@ class Game:
     priorities: PriorityFunction
     delays: Mapping[str, DelaySpec]
     player_specific: bool
+    # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def players(self) -> range:
         return range(1, self.n_players + 1)
@@ -346,8 +348,28 @@ class Game:
     def priority(self, resource: str, player: int) -> int:
         return self.priorities.of(resource, player)
 
-    def delay(self, player: int, resource: str, x: int, y: int) -> ExtCost:
-        return evaluate_delay(self.delays[resource], x, y, player=player)
+    def delay(self, player: int | None, resource: str, x: int, y: int) -> ExtCost:
+        """d_e(x, y) for the player at ``resource``, built once per game.
+
+        Every cost, potential and tolerance on the solver, potential and
+        certify paths reads its delays here.  The first call at a point
+        stores what :func:`evaluate_delay` returns; later calls return that
+        same ``ExtCost`` object.  That is exact, not an approximation: specs
+        are frozen and ``evaluate_delay`` is a pure function of
+        (spec, x, y, player), so a stored value is the value a fresh
+        evaluation would give.  The player is part of the key only on
+        resources whose spec is a :class:`PerPlayerDelay`, and is ignored
+        (may be None) elsewhere.  Failed evaluations are not stored, so an
+        out-of-domain or out-of-table probe raises ``OutOfBoundError`` on
+        every call.
+        """
+        spec = self.delays[resource]
+        key = (resource, x, y, player) if isinstance(spec, PerPlayerDelay) else (resource, x, y)
+        try:
+            return self._points[key]
+        except KeyError:
+            value = self._points[key] = evaluate_delay(spec, x, y, player=player)
+            return value
 
     def ground_of(self, player: int) -> frozenset[str]:
         return self.spaces[player].ground()

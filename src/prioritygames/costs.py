@@ -105,12 +105,19 @@ class ExtCost:
             return self
         return NotImplemented
 
+    # Games hand out one shared object per delay point, so comparing an
+    # object with itself is common and answered without touching the value.
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ExtCost):
             return NotImplemented
         return self.frac == other.frac
 
     def __lt__(self, other: "ExtCost") -> bool:
+        if self is other:
+            return False
         if not isinstance(other, ExtCost):
             return NotImplemented
         if self.frac is None:
@@ -120,6 +127,8 @@ class ExtCost:
         return self.frac < other.frac
 
     def __le__(self, other: "ExtCost") -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ExtCost):
             return NotImplemented
         if other.frac is None:
@@ -170,9 +179,12 @@ def cost(value: CostLike) -> ExtCost:
 
 
 def sum_costs(values: Iterable[ExtCost]) -> ExtCost:
-    """Saturating sum; empty sums are zero."""
+    """Saturating sum; empty sums are zero, and a single part is returned as is."""
+    parts = list(values)
+    if len(parts) == 1:
+        return parts[0]
     total_frac = Fraction(0)
-    for v in values:
+    for v in parts:
         if v.frac is None:
             return INFINITY
         total_frac += v.frac

@@ -253,7 +253,8 @@ def run_dynamics(
 
     Every recorded step strictly decreases the mover's cost.  The returned
     status is ``Converged`` exactly when no player has a better response at
-    the final profile; hitting the cap is a status, not an error.
+    the final profile; hitting the cap is a status, not an error.  A
+    negative cap, like an unknown policy, raises ``ValueError``.
 
     One :func:`level_counts` table per state serves the whole scan: it is
     built at the start and once after each recorded row, never per player.
@@ -265,6 +266,8 @@ def run_dynamics(
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     validate_state(game, start, full=True)
     snapshot = _lex_snapshot(game)
     players = list(game.players())

@@ -31,7 +31,6 @@ from .congestion import (
     count_below,
     level_counts,
     validate_state,
-    weights_from_counts,
 )
 from .core import Game
 from .costs import INFINITY, ExtCost, sum_costs
@@ -108,12 +107,11 @@ def lex_potential_singleton(
         counts = level_counts(game, prof)
     pairs: list[tuple[ExtCost, int]] = []
     for rid in game.resources:
-        spec = game.delays[rid]
         block: list[tuple[ExtCost, int]] = []
         prefix = 0
         for q, cnt in sorted(counts.get(rid, {}).items()):
             for y in range(1, cnt + 1):
-                block.append((spec.value(prefix, y), q))
+                block.append((game.delay(None, rid, prefix, y), q))
             prefix += cnt
         for a, b in zip(block, block[1:]):
             if not a <= b:
@@ -162,9 +160,8 @@ def level_potential(
         counts = level_counts(game, state)
     parts: list[ExtCost] = []
     for rid, row in counts.items():
-        spec = game.delays[rid]
         below = count_below(row, q)
-        parts.extend(spec.value(below, k) for k in range(1, row.get(q, 0) + 1))
+        parts.extend(game.delay(None, rid, below, k) for k in range(1, row.get(q, 0) + 1))
     return ScalarPotential(value=sum_costs(parts))
 
 
@@ -242,12 +239,17 @@ def tol_value(game: Game, state: State, player: int, counts: LevelCounts | None 
     linear scan stopping at the first failure would find.  Every probe lies
     in that same domain, so no probe raises where the scan would not.
 
-    Only the counts on resources in her ground are read, so a move on a
-    resource she cannot reach leaves her tolerance unchanged; the insertion
-    solver relies on that to refresh tolerances incrementally.  Her own
-    membership needs no removal: she sits at level q on her resource, so the
-    count strictly below q is the same with or without her.  ``counts`` is
-    the state's :func:`level_counts` table when the caller already holds it.
+    Only her alternatives are priced: the ceiling is the least post-move
+    delay over ``singleton_resources`` of her space other than her own
+    resource, each read straight from the count table (she is not on an
+    alternative, so she joins its level-q count).  Dead ground elements,
+    which no strategy uses, are never priced.  Only the counts on resources
+    in her ground are read, so a move on a resource she cannot reach leaves
+    her tolerance unchanged; the insertion solver relies on that to refresh
+    tolerances incrementally.  Her own membership needs no removal: she
+    sits at level q on her resource, so the count strictly below q is the
+    same with or without her.  ``counts`` is the state's
+    :func:`level_counts` table when the caller already holds it.
     """
     strategy = state.strategy(player)
     if len(strategy) != 1:
@@ -255,12 +257,13 @@ def tol_value(game: Game, state: State, player: int, counts: LevelCounts | None 
     (rid,) = strategy
     if counts is None:
         counts = level_counts(game, state)
-    rivals = weights_from_counts(game, counts, state, player)
-    allowed = singleton_resources(game.spaces[player])
     ceiling = INFINITY
-    for alt in allowed:
-        if alt != rid and rivals[alt] < ceiling:
-            ceiling = rivals[alt]
+    for alt in singleton_resources(game.spaces[player]) - {rid}:
+        level = game.priority(alt, player)
+        row = counts.get(alt, {})
+        rival = game.delay(player, alt, count_below(row, level), row.get(level, 0) + 1)
+        if rival < ceiling:
+            ceiling = rival
     q = game.priority(rid, player)
     below = count_below(counts[rid], q)
     # d(below, y) <= ceiling for every 1 <= y <= lo, and > ceiling for y > hi

@@ -89,6 +89,16 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["status"] == "CapReached"
 
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_negative_max_steps_is_parse_error(self, capsys, t1_file, json_mode):
+        argv = ["solve", t1_file, "--method", "br", "--max-steps", "-1"]
+        code, out, err = run(capsys, argv + ["--json"] * json_mode)
+        assert code == 1
+        if json_mode:
+            assert json.loads(out)["error"] == "PARSE_ERROR"
+        else:
+            assert out == "" and "PARSE_ERROR" in err and "--max-steps" in err
+
     def test_brute_and_layered_agree_on_consistent_instances(self, capsys, tmp_path):
         for seed in (1, 2, 3, 4):
             path = tmp_path / f"c{seed}.json"

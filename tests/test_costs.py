@@ -98,3 +98,41 @@ def test_ordering_against_non_costs_raises(other):
             op(cost(1), other)
         with pytest.raises(TypeError):
             op(other, INFINITY)
+
+
+def _truth_key(c: ExtCost):
+    """The exact order of the value a cost stands for (None = +infinity)."""
+    return (c.frac is None, c.frac if c.frac is not None else 0)
+
+
+cost_pairs = st.one_of(
+    any_costs.map(lambda a: (a, a)),  # one shared object
+    any_costs.map(lambda a: (a, ExtCost(a.frac))),  # equal values, distinct objects
+    st.tuples(any_costs, any_costs),  # independent draws, mostly different
+)
+
+
+@given(cost_pairs)
+def test_comparisons_agree_with_the_exact_values(pair):
+    a, b = pair
+    ka, kb = _truth_key(a), _truth_key(b)
+    assert (a == b) == (ka == kb)
+    assert (a != b) == (ka != kb)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+
+
+def test_same_object_comparisons():
+    for a in (INFINITY, ZERO, cost("7/2")):
+        assert a == a and a <= a and a >= a
+        assert not (a < a or a > a or a != a)
+
+
+@given(any_costs)
+def test_single_part_sum_is_the_part(a):
+    plain = INFINITY if a.frac is None else ExtCost(sum([a.frac], Fraction(0)))
+    for total in (sum_costs([a]), sum_costs(v for v in (a,))):
+        assert total is a
+        assert total == plain and total.to_string() == plain.to_string()

@@ -111,6 +111,14 @@ class TestRunDynamics:
         with pytest.raises(ValueError):
             pg.run_dynamics(t1, pg.profile({1: "a", 2: "b"}), policy="zigzag")
 
+    @pytest.mark.parametrize("policy", ["roundrobin", "first", "best"])
+    def test_negative_cap_rejected(self, t1, policy):
+        with pytest.raises(ValueError, match="cap"):
+            pg.run_dynamics(t1, pg.profile({1: "a", 2: "a"}), policy=policy, cap=-1)
+        # a zero cap is still a status, not an error
+        _, trace = pg.run_dynamics(t1, pg.profile({1: "a", 2: "a"}), policy=policy, cap=0)
+        assert trace.status == "CapReached" and trace.steps == []
+
     def test_infinite_plateau_move_recorded_whole(self):
         # both of player 1's resources cost infinity (a better-ranked player
         # holds them), so no single swap strictly improves; the move must be

@@ -262,3 +262,36 @@ def test_tolerance_matches_naive_scan_on_ties(delay_of):
             tolerances |= {pg.tol_value(game, state, p) for p in state.players()}
     # the sample reaches zero tolerances and several larger ones
     assert 0 in tolerances and len(tolerances) > 3
+
+
+def test_tolerance_skips_dead_ground_elements():
+    """Rank-1 partition spaces with a zero-cap block: their ground is larger
+    than the resources a strategy can use.  Every player's dead block holds
+    ``z``, whose delay is zero everywhere, so pricing a dead element would
+    lower the ceiling and the tolerance with it."""
+    for seed in range(12):
+        rng = random.Random(f"tol-dead:{seed}")
+        n = rng.randint(4, 8)
+        resources = [f"r{k}" for k in range(rng.randint(3, 5))]
+        spaces = {}
+        for p in range(1, n + 1):
+            live = rng.sample(resources, rng.randint(1, len(resources) - 1))
+            rest = [r for r in resources if r not in live]
+            dead = ["z"] + rng.sample(rest, rng.randint(0, len(rest)))
+            spaces[p] = pg.PartitionMatroid([live, dead], [1, 0])
+        ids = resources + ["z"]
+        priorities = {r: {p: rng.randint(1, 3) for p in range(1, n + 1)} for r in ids}
+        delays = {r: plateau_table(rng, n) for r in resources}
+        delays["z"] = pg.table_from_function(lambda x, y: 0, 2 * n - 1)
+        game = pg.build_game(
+            n_players=n,
+            resources=ids,
+            spaces=spaces,
+            priorities=pg.PriorityFunction(priorities),
+            delays=delays,
+        )
+        assert game.is_singleton_game()
+        for p in game.players():
+            assert "z" in game.ground_of(p) - singleton_resources(game.spaces[p])
+        for state in sample_states(game, rng):
+            check_tolerances(game, state)
