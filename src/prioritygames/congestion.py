@@ -1,9 +1,10 @@
 """Congestion counting and cost evaluation over full or partial assignments.
 
 A :class:`State` maps a subset of players to strategies; a profile is a
-state covering everyone.  All functions here are pure; costs of players
-outside a state are an error, never zero (the insertion machinery relies
-on that distinction).
+state covering everyone.  Every function here returns what a pure function
+of its arguments would; :func:`tally` only remembers the last count table
+it built.  Costs of players outside a state are an error, never zero (the
+insertion machinery relies on that distinction).
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class CongestionView:
 
 def congestion_view(game: Game, state: State, resource: str) -> CongestionView:
     """The resource's row of the state's :func:`level_counts` table."""
-    row = level_counts(game, state).get(resource, {})
+    row = tally(game, state).get(resource, {})
     return CongestionView(
         resource=resource, total=sum(row.values()), level_counts=tuple(sorted(row.items()))
     )
@@ -149,7 +150,8 @@ def level_counts(game: Game, state: State) -> LevelCounts:
     """Per resource, how many covered players sit at each priority level.
 
     One pass over the state's strategies; resources nobody uses are absent.
-    Every congestion query below reads its counts from this one table.
+    Every call builds a fresh table; the congestion queries below read
+    theirs through :func:`tally`.
     """
     table: LevelCounts = {}
     for p, s in state._strats.items():
@@ -160,22 +162,37 @@ def level_counts(game: Game, state: State) -> LevelCounts:
     return table
 
 
+def tally(game: Game, state: State) -> LevelCounts:
+    """The state's :func:`level_counts` table, counted once per state object.
+
+    The game keeps the last (state, table) pair counted here in one slot.
+    A query on that same state object reads the kept table; any other state,
+    even an equal one, is counted afresh and its pair replaces the old one,
+    after the count succeeds.  States are immutable, so a kept table is what
+    a fresh count would give.  Every cost, weight, potential and tolerance
+    query reads its counts here, so a solver that moves from state to state
+    counts each state once.  The table is shared: read it, never change it.
+    """
+    kept = game._tally
+    if kept is not None and kept[0] is state:
+        return kept[1]
+    table = level_counts(game, state)
+    object.__setattr__(game, "_tally", (state, table))
+    return table
+
+
 def count_below(row: Mapping[int, int], level: int) -> int:
     """Players in a level-count row with strictly smaller level."""
     return sum(c for q, c in row.items() if q < level)
 
 
-def player_cost(
-    game: Game, state: State, player: int, counts: LevelCounts | None = None
-) -> ExtCost:
+def player_cost(game: Game, state: State, player: int) -> ExtCost:
     """Total delay over the player's strategy; saturates at infinity.
 
-    ``counts`` is the state's :func:`level_counts` table when the caller
-    already holds it.
+    The counts come from the state's :func:`tally` table.
     """
     strategy = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
-    if counts is None:
-        counts = level_counts(game, state)
+    counts = tally(game, state)
     parts = []
     for r in strategy:
         q = game.priority(r, player)
@@ -184,31 +201,25 @@ def player_cost(
     return sum_costs(parts)
 
 
-def weights_from_counts(
-    game: Game, counts: LevelCounts, state: State, player: int
-) -> dict[str, ExtCost]:
-    """:func:`entry_weights` read from a prebuilt :func:`level_counts` table."""
+def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
+    """What each resource would cost the player, opponents held fixed.
+
+    The weight at r is exactly the delay she would face with r in her
+    strategy, read from the state's :func:`tally` table: where she already
+    uses r her own membership is counted once, elsewhere she joins r's
+    count at her level.  Summing weights over any candidate strategy
+    reproduces its exact cost, which is what makes greedy best responses
+    exact for matroid spaces.
+    """
+    counts = tally(game, state)
     own = state._strats.get(player, frozenset())
     weights: dict[str, ExtCost] = {}
     for r in sorted(game.ground_of(player)):
         q = game.priority(r, player)
         row = counts.get(r, {})
-        # her own membership is already counted at level q; otherwise she joins
         same = row.get(q, 0) + (0 if r in own else 1)
         weights[r] = game.delay(player, r, count_below(row, q), same)
     return weights
-
-
-def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
-    """What each resource would cost the player, opponents held fixed.
-
-    The weight at r is exactly the delay she would face with r in her
-    strategy: the state's level counts are taken once, and where she already
-    uses r her own membership is not counted a second time.  Summing weights
-    over any candidate strategy reproduces its exact cost, which is what
-    makes greedy best responses exact for matroid spaces.
-    """
-    return weights_from_counts(game, level_counts(game, state), state, player)
 
 
 def is_better_response(
@@ -225,21 +236,17 @@ def is_better_response(
     return player_cost(game, state.with_player(player, new), player) < current
 
 
-def has_better_response(
-    game: Game, state: State, player: int, counts: LevelCounts | None = None
-) -> bool:
+def has_better_response(game: Game, state: State, player: int) -> bool:
     """True when some strategy strictly beats the player's current one.
 
     The cheapest strategy is ``greedy_min_base`` over the player's entry
     weights, the one cheapest-strategy rule of all three solvers (exact
     greedy on matroid spaces, enumeration otherwise, ties toward the
-    smallest sorted id list).  ``counts`` is the state's
-    :func:`level_counts` table when the caller already holds it.
+    smallest sorted id list).  Cost and weights read the state's
+    :func:`tally` table.
     """
-    if counts is None:
-        counts = level_counts(game, state)
-    current = player_cost(game, state, player, counts)
-    weights = weights_from_counts(game, counts, state, player)
+    current = player_cost(game, state, player)
+    weights = entry_weights(game, state, player)
     return base_weight(greedy_min_base(game.spaces[player], weights), weights) < current
 
 
@@ -250,5 +257,4 @@ def is_pure_nash(game: Game, state: State) -> bool:
     no strictly cheaper alternative has no better response.
     """
     validate_state(game, state, full=True)
-    counts = level_counts(game, state)
-    return not any(has_better_response(game, state, p, counts) for p in game.players())
+    return not any(has_better_response(game, state, p) for p in game.players())

@@ -341,6 +341,8 @@ class Game:
     player_specific: bool
     # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (state, its level-count table) of the last state congestion.tally counted
+    _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def players(self) -> range:
         return range(1, self.n_players + 1)
@@ -392,22 +394,15 @@ def required_table_bound(n_players: int, *, singleton: bool) -> int:
     return max(2, 2 * n_players - 1 if singleton else n_players)
 
 
-def build_game(
-    *,
-    n_players: int,
-    resources: Iterable[str],
-    spaces: Mapping[int, StrategySpace],
-    priorities: PriorityFunction,
-    delays: Mapping[str, DelaySpec],
-) -> Game:
-    """Validate and freeze a game; raises ValidationFailed with diagnostics.
+def structural_violations(
+    n_players: int, resources: tuple[str, ...], spaces: Mapping[int, StrategySpace]
+) -> list[Violation]:
+    """The structural checks every game and market builder runs first.
 
-    Checks: player ids are exactly 1..n; every strategy uses listed
-    resources; spaces are nonempty; priorities exist wherever a player can
-    reach a resource; every reachable delay spec passes the three axioms up
-    to the computed required bound.
+    Player ids are exactly 1..n; resource ids are distinct, nonempty,
+    '+'-free and not 'DISCARDED'; every space is nonempty and uses listed
+    resources only.  ``resources`` is the builder's sorted id tuple.
     """
-    resources = tuple(sorted(resources))
     violations: list[Violation] = []
 
     if n_players < 1:
@@ -438,7 +433,26 @@ def build_game(
             violations.append(
                 Violation("UNKNOWN_RESOURCE", f"player {i}", f"strategies use {sorted(extra)}")
             )
+    return violations
 
+
+def build_game(
+    *,
+    n_players: int,
+    resources: Iterable[str],
+    spaces: Mapping[int, StrategySpace],
+    priorities: PriorityFunction,
+    delays: Mapping[str, DelaySpec],
+) -> Game:
+    """Validate and freeze a game; raises ValidationFailed with diagnostics.
+
+    Checks: player ids are exactly 1..n; every strategy uses listed
+    resources; spaces are nonempty; priorities exist wherever a player can
+    reach a resource; every reachable delay spec passes the three axioms up
+    to the computed required bound.
+    """
+    resources = tuple(sorted(resources))
+    violations = structural_violations(n_players, resources, spaces)
     if violations:
         raise ValidationFailed("invalid game description", violations)
 

@@ -28,14 +28,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .congestion import (
-    LevelCounts,
     State,
     entry_weights,
     has_better_response,
-    level_counts,
     player_cost,
+    tally,
     validate_state,
-    weights_from_counts,
 )
 from .core import Game
 from .costs import ExtCost, improvement
@@ -136,21 +134,17 @@ def count_steps(trace: MoveTrace) -> StepStats:
 # Best responses and move decomposition
 
 
-def best_response(
-    game: Game, state: State, player: int, counts: LevelCounts | None = None
-) -> frozenset[str]:
+def best_response(game: Game, state: State, player: int) -> frozenset[str]:
     """The player's cheapest strategy against the others' fixed strategies.
 
     The cheapest strategy is ``greedy_min_base`` over her entry weights, the
     one cheapest-strategy rule of all three solvers: exact greedy on matroid
     spaces, enumeration otherwise, ties toward the smallest sorted id list.
-    A player already at an optimum keeps her strategy.  ``counts`` is the
-    state's :func:`level_counts` table when the caller already holds it; the
-    solvers keep one table per state and pass it to every call.
+    A player already at an optimum keeps her strategy.  The weights read
+    the state's :func:`~prioritygames.congestion.tally` table, which every
+    query on the same state object shares.
     """
-    if counts is None:
-        counts = level_counts(game, state)
-    weights = weights_from_counts(game, counts, state, player)
+    weights = entry_weights(game, state, player)
     best = greedy_min_base(game.spaces[player], weights)
     current = state.strategy(player)
     if base_weight(best, weights) < base_weight(current, weights):
@@ -233,12 +227,6 @@ def _append_row(
     )
 
 
-def _lex_snapshot(game: Game):
-    if game.is_singleton_game() and not game.player_specific:
-        return lambda state, counts: lex_potential_singleton(game, state, counts).canonical()
-    return lambda state, counts: ""
-
-
 # ---------------------------------------------------------------------------
 # Plain better-response dynamics
 
@@ -256,51 +244,48 @@ def run_dynamics(
     the final profile; hitting the cap is a status, not an error.  A
     negative cap, like an unknown policy, raises ``ValueError``.
 
-    One :func:`level_counts` table per state serves the whole scan: it is
-    built at the start and once after each recorded row, never per player.
-    The steepest-gain policy prices each player's current strategy and best
-    response from her entry weights in that table.  Every row's two costs
-    are the mover's entry weights summed over her old and new strategy.
-    That is exact: her weights do not depend on her own strategy, so their
-    sum over any strategy is what she pays there, the others held fixed.
+    Every policy scans players the same way: each one's current strategy
+    and cheapest strategy are priced from her entry weights, and she
+    improves exactly when the cheapest is strictly cheaper.  Roundrobin
+    takes the first improver from where the last move left off, first the
+    first from player 1, best the steepest gain (ties to the smallest id).
+    All weights of one state read its one
+    :func:`~prioritygames.congestion.tally` table, so each state is counted
+    once, never per player.  Every row's two costs are the mover's entry
+    weights summed over her old and new strategy.  That is exact: her
+    weights do not depend on her own strategy, so their sum over any
+    strategy is what she pays there, the others held fixed.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     validate_state(game, start, full=True)
-    snapshot = _lex_snapshot(game)
+    lexable = game.is_singleton_game() and not game.player_specific
     players = list(game.players())
     state = start
-    counts = level_counts(game, state)
     trace = MoveTrace(kind="br", start=start)
     rr_idx = 0
     round_no = 0
     while True:
         mover: int | None = None
         target: frozenset[str] | None = None
-        if policy != "best":
-            # the first improver from rr_idx (roundrobin) or from player 1 (first)
-            begin = rr_idx if policy == "roundrobin" else 0
-            for off in range(len(players)):
-                p = players[(begin + off) % len(players)]
-                br = best_response(game, state, p, counts)
-                if br != state.strategy(p):
-                    mover, target = p, br
-                    weights = weights_from_counts(game, counts, state, p)
-                    rr_idx = (begin + off + 1) % len(players)
-                    break
-        else:  # steepest improvement, ties to the smallest id
-            best_gain: ExtCost | None = None
-            for p in players:
-                w = weights_from_counts(game, counts, state, p)
-                br = greedy_min_base(game.spaces[p], w)
-                before, after = base_weight(state.strategy(p), w), base_weight(br, w)
-                if not after < before:
-                    continue
-                gain = improvement(before, after)
-                if best_gain is None or best_gain < gain:
-                    best_gain, mover, target, weights = gain, p, br, w
+        best_gain: ExtCost | None = None
+        begin = rr_idx if policy == "roundrobin" else 0
+        for off in range(len(players)):
+            p = players[(begin + off) % len(players)]
+            w = entry_weights(game, state, p)
+            br = greedy_min_base(game.spaces[p], w)
+            before, after = base_weight(state.strategy(p), w), base_weight(br, w)
+            if not after < before:
+                continue
+            if policy != "best":
+                mover, target, weights = p, br, w
+                rr_idx = (begin + off + 1) % len(players)
+                break
+            gain = improvement(before, after)
+            if best_gain is None or best_gain < gain:
+                best_gain, mover, target, weights = gain, p, br, w
         if mover is None:
             trace.status = CONVERGED
             break
@@ -313,8 +298,8 @@ def run_dynamics(
                 capped = True
                 break
             frm, state = state.strategy(mover), state.with_player(mover, nxt)
-            counts = level_counts(game, state)
-            _append_move(trace, round_no, "br", mover, frm, nxt, weights, snapshot(state, counts))
+            potential = lex_potential_singleton(game, state).canonical() if lexable else ""
+            _append_move(trace, round_no, "br", mover, frm, nxt, weights, potential)
         round_no += 1
         if capped:
             trace.status = CAP_REACHED
@@ -372,13 +357,11 @@ def _solve_layer_potential(
 ) -> State:
     phase = f"layer:{q}"
     working = outer
-    counts = level_counts(game, working)
     for i in layer:
-        weights = weights_from_counts(game, counts, working, i)
+        weights = entry_weights(game, working, i)
         s = greedy_min_base(game.spaces[i], weights)
         working = working.with_player(i, s)
-        counts = level_counts(game, working)
-        potential = level_potential(game, working, q, counts)
+        potential = level_potential(game, working, q)
         _append_move(trace, round_box[0], phase, i, None, s, weights, potential.canonical())
         round_box[0] += 1
 
@@ -387,16 +370,15 @@ def _solve_layer_potential(
     while stable_passes < 1:
         improved = False
         for i in layer:
-            br = best_response(game, working, i, counts)
+            br = best_response(game, working, i)
             if br == working.strategy(i):
                 continue
             improved = True
-            weights = weights_from_counts(game, counts, working, i)
+            weights = entry_weights(game, working, i)
             for nxt in _decompose_move(game, working, i, br, weights):
                 frm, working = working.strategy(i), working.with_player(i, nxt)
-                counts = level_counts(game, working)
                 pot_before = potential
-                potential = level_potential(game, working, q, counts)
+                potential = level_potential(game, working, q)
                 _append_move(
                     trace, round_box[0], phase, i, frm, nxt, weights, potential.canonical()
                 )
@@ -433,16 +415,14 @@ def _solve_layer_capped(
     for attempt in range(LAYER_RESTARTS + 1):
         del trace.steps[checkpoint:]
         working = outer
-        counts = level_counts(game, working)
         for j, i in enumerate(layer):
-            weights = weights_from_counts(game, counts, working, i)
+            weights = entry_weights(game, working, i)
             if attempt == 0:
                 s = greedy_min_base(game.spaces[i], weights)
             else:
                 bases = game.spaces[i].all_bases()
                 s = bases[(attempt + j) % len(bases)]
             working = working.with_player(i, s)
-            counts = level_counts(game, working)
             _append_move(trace, round_box[0], phase, i, None, s, weights, "")
             round_box[0] += 1
 
@@ -454,26 +434,23 @@ def _solve_layer_capped(
             while pending:
                 i = pending.popleft()
                 queued.discard(i)
-                br = best_response(game, working, i, counts)
+                br = best_response(game, working, i)
                 if br == working.strategy(i):
                     continue
                 if steps_used >= cap:
                     failed = True
                     break
-                others_before = {
-                    j: player_cost(game, working, j, counts) for j in layer if j != i
-                }
-                weights = weights_from_counts(game, counts, working, i)
+                others_before = {j: player_cost(game, working, j) for j in layer if j != i}
+                weights = entry_weights(game, working, i)
                 for nxt in _decompose_move(game, working, i, br, weights):
                     frm, working = working.strategy(i), working.with_player(i, nxt)
-                    counts = level_counts(game, working)
                     _append_move(trace, round_box[0], phase, i, frm, nxt, weights, "")
                     steps_used += 1
                 round_box[0] += 1
                 displaced = [
                     j
                     for j in layer
-                    if j != i and others_before[j] < player_cost(game, working, j, counts)
+                    if j != i and others_before[j] < player_cost(game, working, j)
                 ]
                 for j in sorted(displaced, reverse=True):
                     if j not in queued:
@@ -485,7 +462,7 @@ def _solve_layer_capped(
             if failed:
                 break
             stragglers = [
-                i for i in layer if best_response(game, working, i, counts) != working.strategy(i)
+                i for i in layer if best_response(game, working, i) != working.strategy(i)
             ]
             if not stragglers:
                 return working
@@ -509,17 +486,19 @@ def _retally(
 
     A move changes only ``touched``'s counts, and a tolerance reads only the
     counts in its owner's ground, so just the players reaching ``touched``
-    are refreshed in ``tol`` (and dropped when no longer placed).  One
-    level-count table of ``state`` serves every refreshed tolerance and the
-    rows.
+    are refreshed in ``tol`` (and dropped when no longer placed).  The
+    state's one :func:`~prioritygames.congestion.tally` table serves every
+    refreshed tolerance and the rows, and then the round's incentive checks
+    on the same state.
     """
-    counts = level_counts(game, state)
     for p in reach[touched]:
         if state.covers(p):
-            tol[p] = tol_value(game, state, p, counts)
+            tol[p] = tol_value(game, state, p)
         else:
             tol.pop(p, None)
-    return InsertionPotentialValue(rows=insertion_rows(game, counts), tol_sum=sum(tol.values()))
+    return InsertionPotentialValue(
+        rows=insertion_rows(game, tally(game, state)), tol_sum=sum(tol.values())
+    )
 
 
 def solve_insertion(game: Game) -> tuple[State, MoveTrace]:

@@ -440,6 +440,8 @@ def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
             raise ParseError(f"{path}.levels: expected an integer >= 0")
         if not isinstance(bound, int) or bound < 2:
             raise ParseError(f"{path}.bound: expected an integer >= 2")
+        if not isinstance(spec["entries"], list):
+            raise ParseError(f"{path}.entries: expected a list")
         entries = {}
         for k, row in enumerate(spec["entries"]):
             if not (isinstance(row, list) and len(row) == 4):

@@ -30,6 +30,7 @@ from .core import (
     build_game,
     domain_points,
     required_table_bound,
+    structural_violations,
     validate_delay_properties,
 )
 from .costs import INFINITY, ExtCost, sum_costs
@@ -129,28 +130,14 @@ def build_market(
 ) -> MarketGame:
     """Validate and freeze a market; raises ValidationFailed with diagnostics.
 
-    Beyond the structural checks shared with priority games, every
+    Beyond the structural checks shared with priority games
+    (:func:`~prioritygames.core.structural_violations`), every
     trivariate table must cover all its cost levels up to the required
     bound and satisfy the four market axioms exactly: nondecreasing in the
     cost level, nondecreasing in x and in y, and d(c, x, y) <= d(c, x+y-1, 1).
     """
     resources = tuple(sorted(resources))
-    violations: list[Violation] = []
-
-    expected_players = set(range(1, n_players + 1))
-    if set(spaces) != expected_players:
-        violations.append(
-            Violation("BAD_SPACE_KEYS", "strategy spaces", f"got players {sorted(spaces)}")
-        )
-    rset = set(resources)
-    for i, sp in sorted(spaces.items()):
-        if not sp.all_bases():
-            violations.append(Violation("EMPTY_SPACE", f"player {i}", "no strategies"))
-        extra = sp.ground() - rset
-        if extra:
-            violations.append(
-                Violation("UNKNOWN_RESOURCE", f"player {i}", f"strategies use {sorted(extra)}")
-            )
+    violations = structural_violations(n_players, resources, spaces)
     if violations:
         raise ValidationFailed("invalid market description", violations)
 
@@ -318,15 +305,18 @@ def build_classic_game(
     priorities: PriorityFunction,
     values: Mapping[str, Iterable[ExtCost]],
 ) -> ClassicGame:
+    """Validate and freeze a classical game; raises ValidationFailed.
+
+    The structural checks are :func:`build_game`'s; then every reachable
+    resource needs a priority and at least n delay values.
+    """
     resources = tuple(sorted(resources))
-    violations: list[Violation] = []
+    violations = structural_violations(n_players, resources, spaces)
+    if violations:
+        raise ValidationFailed("invalid classical game description", violations)
     for i, sp in sorted(spaces.items()):
-        if not sp.all_bases():
-            violations.append(Violation("EMPTY_SPACE", f"player {i}", "no strategies"))
         for rid in sorted(sp.ground()):
-            if rid not in resources:
-                violations.append(Violation("UNKNOWN_RESOURCE", f"player {i}", rid))
-            elif not priorities.defined(rid, i):
+            if not priorities.defined(rid, i):
                 violations.append(
                     Violation("MISSING_PRIORITY", f"resource {rid}", f"player {i} unranked")
                 )
@@ -390,8 +380,15 @@ def build_affine_game(
     level_map: Mapping[int, int],
     params: Mapping[str, tuple[Fraction, Fraction]],
 ) -> AffineGame:
+    """Validate and freeze an affine game; raises ValidationFailed.
+
+    The structural checks are :func:`build_game`'s; then every player needs
+    a level >= 1 and every resource nonnegative (alpha, beta).
+    """
     resources = tuple(sorted(resources))
-    violations: list[Violation] = []
+    violations = structural_violations(n_players, resources, spaces)
+    if violations:
+        raise ValidationFailed("invalid affine game description", violations)
     for i in range(1, n_players + 1):
         if level_map.get(i, 0) < 1:
             violations.append(Violation("BAD_PRIORITY", f"player {i}", "missing or < 1"))
@@ -401,9 +398,6 @@ def build_affine_game(
             violations.append(Violation("MISSING_DELAY", f"resource {rid}", "no (alpha, beta)"))
         elif ab[0] < 0 or ab[1] < 0:
             violations.append(Violation("BAD_AFFINE", f"resource {rid}", f"{ab}"))
-    for i, sp in sorted(spaces.items()):
-        if not sp.all_bases():
-            violations.append(Violation("EMPTY_SPACE", f"player {i}", "no strategies"))
     if violations:
         raise ValidationFailed("invalid affine game description", violations)
     return AffineGame(

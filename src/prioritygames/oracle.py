@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .congestion import (
-    LevelCounts,
     State,
     has_better_response,
     is_pure_nash,
-    level_counts,
     player_cost,
     validate_state,
 )
@@ -158,11 +156,12 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     potential of each replayed state is recomputed once and serves both the
     snapshot comparison and the monotonicity checks.
 
-    One level-count table per replayed row, built from the replayed state
-    and never taken from the solver, serves every query on that state: the
-    recorded-cost checks, the insertion potential and the round-boundary
-    incentive scan.  A slip in the solver's own bookkeeping therefore still
-    shows.
+    Replay makes a new ``State`` for every row, and every query on that
+    state (the recorded-cost checks, the potential and the round-boundary
+    incentive scan) reads the one level-count table that
+    :func:`~prioritygames.congestion.tally` counts from it.  ``tally`` keys
+    its table by state identity, so no replayed row reads a table the
+    solver counted, and a slip in the solver's own bookkeeping still shows.
     """
     report = CertifyReport()
     state = trace.start
@@ -171,24 +170,20 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     except ValidationFailed as exc:
         report.violations.append(TraceViolation(-1, "BAD_START", str(exc)))
         return report
-    counts = level_counts(game, state)
 
     singleton = game.is_singleton_game()
     lexable = trace.kind == "br" and singleton and not game.player_specific
     insertion = trace.kind == "insertion" and singleton
     layered = trace.kind == "layered" and game.priorities.consistent and not game.player_specific
 
-    prev_lex = (
-        lex_potential_singleton(game, state, counts) if lexable and state.is_full(game) else None
-    )
-    prev_round_potential = insertion_potential(game, state, counts) if insertion else None
+    prev_lex = lex_potential_singleton(game, state) if lexable and state.is_full(game) else None
+    prev_round_potential = insertion_potential(game, state) if insertion else None
     layer_phase = None
     layer_prev_scalar = None
     round_rebalanced = False
 
     def check_round_boundary(
         at_state: State,
-        at_counts: LevelCounts,
         current: InsertionPotentialValue,
         round_no: int,
         last_index: int,
@@ -207,7 +202,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             )
         prev_round_potential = current
         for p in at_state.players():
-            if has_better_response(game, at_state, p, at_counts):
+            if has_better_response(game, at_state, p):
                 report.violations.append(
                     TraceViolation(
                         last_index,
@@ -234,7 +229,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             )
         cost_b = None
         if state.covers(step.player):
-            cost_b = player_cost(game, state, step.player, counts)
+            cost_b = player_cost(game, state, step.player)
         if step.frm is not None:
             if step.cost_before != cost_b:
                 report.violations.append(
@@ -251,7 +246,6 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         if step.to is None:
             state = state.without_player(step.player)
-            counts = level_counts(game, state)
             if step.cost_after is not None:
                 report.violations.append(
                     TraceViolation(idx, "COST_AFTER_MISMATCH", "discarded player has no cost")
@@ -264,8 +258,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                 )
                 return report
             state = state.with_player(step.player, step.to)
-            counts = level_counts(game, state)
-            cost_a = player_cost(game, state, step.player, counts)
+            cost_a = player_cost(game, state, step.player)
             if step.cost_after != cost_a:
                 report.violations.append(
                     TraceViolation(
@@ -293,9 +286,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             layer_phase = None  # the next row starts its layer's checks afresh
         if not layered:
             level = None  # this game's layered rows record no potential
-        potential = _expected_potential(
-            game, state, counts, level, lexable=lexable, insertion=insertion
-        )
+        potential = _expected_potential(game, state, level, lexable=lexable, insertion=insertion)
         if step.potential and potential is not None:
             expected = potential.canonical()
             if step.potential != expected:
@@ -335,7 +326,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             round_rebalanced = True
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
         if insertion and (nxt is None or nxt.round != step.round):
-            check_round_boundary(state, counts, potential, step.round, idx, round_rebalanced)
+            check_round_boundary(state, potential, step.round, idx, round_rebalanced)
             round_rebalanced = False
 
     if trace.final is not None and trace.final != state:
@@ -361,7 +352,6 @@ def _fmt(s: frozenset[str] | None) -> str:
 def _expected_potential(
     game: Game,
     state: State,
-    counts: LevelCounts,
     level: int | None,
     *,
     lexable: bool,
@@ -372,9 +362,9 @@ def _expected_potential(
     The flags say which potential the run's kind and game record; ``level``
     is a layered row's priority level, None on every other row."""
     if insertion:
-        return insertion_potential(game, state, counts)
+        return insertion_potential(game, state)
     if lexable and state.is_full(game):
-        return lex_potential_singleton(game, state, counts)
+        return lex_potential_singleton(game, state)
     if level is not None:
-        return level_potential(game, state, level, counts)
+        return level_potential(game, state, level)
     return None

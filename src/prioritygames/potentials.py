@@ -13,7 +13,7 @@ Four constructions certify convergence and equilibrium existence:
   then a summed tolerance) that proves the insertion algorithm terminates.
 
 Each potential is a function of one state.  The priority-game potentials
-read its counts from one :func:`~prioritygames.congestion.level_counts`
+read its counts from the state's :func:`~prioritygames.congestion.tally`
 table; the market potential tallies each resource's users by raw cost in
 one pass over the profile.  Everything compares exactly; no tolerances
 anywhere.
@@ -29,7 +29,7 @@ from .congestion import (
     State,
     congestion_view,  # noqa: F401  (bench/test_bench.py reads it from this module)
     count_below,
-    level_counts,
+    tally,
     validate_state,
 )
 from .core import Game
@@ -85,17 +85,14 @@ def _require_singleton(game) -> None:
         raise NotSingletonError("every strategy space must be singleton")
 
 
-def lex_potential_singleton(
-    game: Game, prof: State, counts: LevelCounts | None = None
-) -> LexVector:
+def lex_potential_singleton(game: Game, prof: State) -> LexVector:
     """The (delay, priority) pair vector of a singleton-game profile.
 
     Each resource with present levels q_1 < ... < q_k contributes, per level
     q and per y = 1..count(q), the pair (d(below(q), y), q); the n pairs are
     then sorted nondecreasing.  Per-resource blocks are already nondecreasing
-    by the delay axioms, which is checked during construction.  ``counts``
-    is the profile's :func:`level_counts` table when the caller already
-    holds it.
+    by the delay axioms, which is checked during construction.  The counts
+    come from the profile's :func:`tally` table.
     """
     _require_singleton(game)
     if game.player_specific:
@@ -103,8 +100,7 @@ def lex_potential_singleton(
             "the lexicographic potential needs one shared delay per resource"
         )
     validate_state(game, prof, full=True)
-    if counts is None:
-        counts = level_counts(game, prof)
+    counts = tally(game, prof)
     pairs: list[tuple[ExtCost, int]] = []
     for rid in game.resources:
         block: list[tuple[ExtCost, int]] = []
@@ -138,26 +134,22 @@ def lex_compare(a: LexVector, b: LexVector) -> int:
     return EQUAL
 
 
-def level_potential(
-    game: Game, state: State, q: int, counts: LevelCounts | None = None
-) -> ScalarPotential:
+def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
     """Exact potential of the level-q subgame, read from one state.
 
     A level-q player's delay counts only more prioritized and equal-priority
     co-users, so the state alone fixes the subgame: players below q are
     frozen, players at q are active, and less prioritized players (above q)
     are ignored.  The value is sum over resources e of
-    sum_{k=1..count at q} d_e(count below q, k), read from one
-    :func:`level_counts` table (``counts`` when the caller already holds
-    it); changes under a unilateral level-q deviation equal the deviator's
-    cost change exactly.
+    sum_{k=1..count at q} d_e(count below q, k), read from the state's
+    :func:`tally` table; changes under a unilateral level-q deviation
+    equal the deviator's cost change exactly.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("the level potential needs consistent priorities")
     if game.player_specific:
         raise PlayerSpecificInputError("the level potential needs one shared delay per resource")
-    if counts is None:
-        counts = level_counts(game, state)
+    counts = tally(game, state)
     parts: list[ExtCost] = []
     for rid, row in counts.items():
         below = count_below(row, q)
@@ -222,7 +214,7 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
 # Insertion potential
 
 
-def tol_value(game: Game, state: State, player: int, counts: LevelCounts | None = None) -> int:
+def tol_value(game: Game, state: State, player: int) -> int:
     """How crowded the player's resource may get before she wants to leave.
 
     The largest y (capped at the player count: congestion never exceeds it)
@@ -241,22 +233,20 @@ def tol_value(game: Game, state: State, player: int, counts: LevelCounts | None 
 
     Only her alternatives are priced: the ceiling is the least post-move
     delay over ``singleton_resources`` of her space other than her own
-    resource, each read straight from the count table (she is not on an
+    resource, each read straight from the state's :func:`tally` table (she is not on an
     alternative, so she joins its level-q count).  Dead ground elements,
     which no strategy uses, are never priced.  Only the counts on resources
     in her ground are read, so a move on a resource she cannot reach leaves
     her tolerance unchanged; the insertion solver relies on that to refresh
     tolerances incrementally.  Her own membership needs no removal: she
     sits at level q on her resource, so the count strictly below q is the
-    same with or without her.  ``counts`` is the state's
-    :func:`level_counts` table when the caller already holds it.
+    same with or without her.
     """
     strategy = state.strategy(player)
     if len(strategy) != 1:
         raise NotSingletonError("tolerance is defined for singleton strategies")
     (rid,) = strategy
-    if counts is None:
-        counts = level_counts(game, state)
+    counts = tally(game, state)
     ceiling = INFINITY
     for alt in singleton_resources(game.spaces[player]) - {rid}:
         level = game.priority(alt, player)
@@ -277,24 +267,20 @@ def tol_value(game: Game, state: State, player: int, counts: LevelCounts | None 
     return lo
 
 
-def insertion_potential(
-    game: Game, state: State, counts: LevelCounts | None = None
-) -> InsertionPotentialValue:
+def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
     """The two-part termination potential of the insertion algorithm.
 
     First part: per resource e, the vector (count at level 1, ..., count at
     level q*_e) of present players by priority level, rows sorted
     lexicographically nondecreasing.  Second part: the summed tolerance of
     all covered players.  The algorithm strictly increases this value, rows
-    compared first.  Both parts read one :func:`level_counts` table of the
-    state: ``counts`` when given, otherwise one built here.
+    compared first.  Both parts read the state's :func:`tally` table, so
+    the state is counted at most once for the rows and every tolerance.
     """
     _require_singleton(game)
     validate_state(game, state)
-    if counts is None:
-        counts = level_counts(game, state)
-    tol_sum = sum(tol_value(game, state, p, counts) for p in state.players())
-    return InsertionPotentialValue(rows=insertion_rows(game, counts), tol_sum=tol_sum)
+    tol_sum = sum(tol_value(game, state, p) for p in state.players())
+    return InsertionPotentialValue(rows=insertion_rows(game, tally(game, state)), tol_sum=tol_sum)
 
 
 def insertion_rows(game: Game, counts: LevelCounts) -> tuple[tuple[int, ...], ...]:

@@ -45,6 +45,19 @@ class TestValidate:
         code, _, err = run(capsys, ["validate", tmp_path / "nope.json"])
         assert code == 1 and "IO_ERROR" in err
 
+    @pytest.mark.parametrize("entries", [5, None, True])
+    def test_market_entries_not_a_list(self, capsys, tmp_path, entries):
+        market = tmp_path / "m.json"
+        gen = ["gen", "--seed", "1", "--players", "3", "--resources", "2", "--model", "market"]
+        run(capsys, gen + ["-o", market])
+        doc = json.loads(market.read_text())
+        rid = sorted(doc["market_delays"])[0]
+        doc["market_delays"][rid]["entries"] = entries
+        market.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["validate", market])
+        assert code == 1
+        assert "PARSE_ERROR" in err and f"market_delays.{rid}.entries: expected a list" in err
+
 
 class TestSolve:
     def test_insertion_with_trace(self, capsys, t1_file, tmp_path):

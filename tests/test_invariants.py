@@ -222,6 +222,45 @@ def test_layered_builds_one_count_table_per_row(monkeypatch):
     assert len(calls) <= len(trace.steps) + len(levels) + 1
 
 
+@pytest.mark.parametrize("source", ["fixture", "rebalance"])
+def test_insertion_builds_one_count_table_per_row(monkeypatch, singleton_game, source):
+    """Placement, incentive checks, tolerances and rows of a state share one table."""
+    game = singleton_game
+    if source == "rebalance":
+        game = pg.parse_instance(REBALANCE_FIXTURE.read_bytes())
+    calls = count_level_counts(monkeypatch)
+    _, trace = pg.solve_insertion(game)
+    assert trace.status == "Converged"
+    # one per row, plus the empty start and one to spare
+    assert len(calls) <= len(trace.steps) + 2
+
+
+def test_tally_keys_its_table_by_state_identity(monkeypatch, singleton_game):
+    game = singleton_game
+    strategies = {p: game.spaces[p].all_bases()[0] for p in game.players()}
+    first, twin = pg.State(strategies), pg.State(strategies)
+    assert first == twin and first is not twin
+    calls = count_level_counts(monkeypatch)
+    table = congestion.tally(game, first)
+    assert congestion.tally(game, first) is table
+    assert len(calls) == 1
+    # an equal but distinct state is counted afresh, to the same table
+    again = congestion.tally(game, twin)
+    assert len(calls) == 2 and again is not table and again == table
+
+
+def test_failed_count_leaves_the_tally_slot_unchanged(monkeypatch, singleton_game):
+    game = singleton_game
+    state = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    table = congestion.tally(game, state)
+    kept = game._tally
+    with pytest.raises(KeyError):  # player 99 has no priority anywhere
+        congestion.tally(game, pg.State({99: game.resources[0]}))
+    assert game._tally is kept
+    calls = count_level_counts(monkeypatch)
+    assert congestion.tally(game, state) is table and not calls
+
+
 def test_insertion_safety_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):
     """A solver stuck past the cap exits 1 through the CLI, not with a traceback."""
     game = pg.build_game(

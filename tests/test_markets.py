@@ -256,3 +256,80 @@ def test_market_better_response_matches_naive():
                     for alt in market.spaces[p].all_bases()
                 )
                 assert market_has_better_response(market, prof, p) == naive
+
+
+# ---------------------------------------------------------------------------
+# Structural checks shared by all four builders
+
+BUILDERS = ("priority", "market", "classic", "affine")
+
+
+def build_any(kind, n, resources, spaces):
+    """One of the four builders on the given structure; everything else valid."""
+    players = range(1, n + 1)
+    if kind == "priority":
+        return pg.build_game(
+            n_players=n,
+            resources=resources,
+            spaces=spaces,
+            priorities=pg.PriorityFunction.constant(resources, players),
+            delays={r: pg.AffineDelay(alpha=Fraction(1), beta=Fraction(0)) for r in resources},
+        )
+    if kind == "market":
+        tri = pg.tritable_from_function(lambda l, x, y: x + y, levels=1, bound=2 * n)
+        return pg.build_market(
+            n_players=n,
+            resources=resources,
+            spaces=spaces,
+            costs={(i, r): Fraction(1) for i in players for r in resources},
+            delays={r: tri for r in resources},
+        )
+    if kind == "classic":
+        return pg.build_classic_game(
+            n_players=n,
+            resources=resources,
+            spaces=spaces,
+            priorities=pg.PriorityFunction.constant(resources, players),
+            values={r: tuple(pg.cost(k) for k in players) for r in resources},
+        )
+    return pg.build_affine_game(
+        n_players=n,
+        resources=resources,
+        spaces=spaces,
+        level_map={i: 1 for i in players},
+        params={r: (Fraction(1), Fraction(0)) for r in resources},
+    )
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_builders_accept_a_sound_structure(kind):
+    spaces = {i: pg.SingletonSpace(["a", "b"]) for i in (1, 2, 3)}
+    assert build_any(kind, 3, ["a", "b"], spaces).n_players == 3
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+@pytest.mark.parametrize(
+    "n, resources, spaces, code",
+    [
+        # a strategy on a resource that is not listed
+        (2, ["a"], {1: pg.SingletonSpace(["a", "zz"]), 2: pg.SingletonSpace(["a"])}, "UNKNOWN_RESOURCE"),
+        # spaces for 1 of 3 players
+        (3, ["a"], {1: pg.SingletonSpace(["a"])}, "BAD_SPACE_KEYS"),
+        # '+' joins resource ids in traces, so no id may hold it
+        (1, ["a+b"], {1: pg.SingletonSpace(["a+b"])}, "BAD_RESOURCE_ID"),
+    ],
+    ids=["unknown-resource", "missing-spaces", "plus-in-id"],
+)
+def test_builders_share_the_structural_checks(kind, n, resources, spaces, code):
+    with pytest.raises(pg.ValidationFailed) as exc:
+        build_any(kind, n, resources, spaces)
+    assert code in {v.code for v in exc.value.violations}
+
+
+def test_build_game_structural_messages():
+    with pytest.raises(pg.ValidationFailed) as exc:
+        build_any("priority", 3, ["a"], {1: pg.SingletonSpace(["a", "zz"])})
+    assert [str(v) for v in exc.value.violations] == [
+        str(pg.Violation("BAD_SPACE_KEYS", "strategy spaces", "expected players [1, 2, 3], got [1]")),
+        str(pg.Violation("UNKNOWN_RESOURCE", "player 1", "strategies use ['zz']")),
+    ]
