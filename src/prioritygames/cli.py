@@ -32,20 +32,11 @@ from .errors import (
     ValidationFailed,
 )
 from .generator import GenParams, generate_random_instance
-from .jsonio import (
-    document_to_source,
-    emit_instance,
-    parse_document,
-    parse_instance,
-)
+from .jsonio import emit_instance, parse_instance
 from .markets import (
-    AffineGame,
-    ClassicGame,
     MarketGame,
     market_is_pure_nash,
     market_player_cost,
-    reduce_affine_to_priority,
-    reduce_classic_to_priority,
     reduce_market_to_playerspecific,
     reduce_priority_to_market,
 )
@@ -326,15 +317,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    source = document_to_source(parse_document(args.file.read_bytes()))
+    out = _load(args.file)
     target = args.to
-
-    out = source
-    if isinstance(out, ClassicGame):
-        out = reduce_classic_to_priority(out)
-    elif isinstance(out, AffineGame):
-        out = reduce_affine_to_priority(out)
-
     if target == "priority":
         if isinstance(out, MarketGame):
             out = reduce_market_to_playerspecific(out)

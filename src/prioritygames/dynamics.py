@@ -5,9 +5,11 @@ Three solvers, all emitting full replayable traces:
 * ``run_dynamics``: plain better-response descent under a round-robin,
   first-improver, or steepest-improver policy, with a step cap;
 * ``solve_consistent_layered``: ascending-priority layer construction for
-  consistent-priority games over arbitrary strategy spaces; each shared-delay
-  layer descends a scalar exact potential, player-specific layers run capped
-  displaced-player-first dynamics with deterministic restarts;
+  consistent-priority games over arbitrary strategy spaces; each
+  shared-delay layer runs ``run_dynamics``' round-robin descent over its
+  own players, which strictly lowers a scalar exact potential, and
+  player-specific layers run capped displaced-player-first dynamics with
+  deterministic restarts;
 * ``solve_insertion``: one-at-a-time placement for singleton games with
   arbitrary (player-specific, inconsistent) priorities, evicting residents
   by the equal-priority/lower-priority case split and certifying
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .congestion import (
     State,
@@ -47,6 +50,7 @@ from .matroids import base_weight, greedy_min_base, lazy_path
 from .potentials import (
     LESS,
     InsertionPotentialValue,
+    ScalarPotential,
     _consistent_level,
     insertion_potential,
     insertion_potential_compare,
@@ -214,21 +218,67 @@ def _append_row(
 ) -> None:
     trace.steps.append(
         TraceStep(
-            index=len(trace.steps),
-            round=round_no,
-            phase=phase,
-            player=player,
-            frm=frm,
-            to=to,
-            cost_before=cost_before,
-            cost_after=cost_after,
-            potential=potential,
+            len(trace.steps), round_no, phase, player, frm, to, cost_before, cost_after, potential
         )
     )
 
 
 # ---------------------------------------------------------------------------
-# Plain better-response dynamics
+# Better-response descent
+
+
+def _descend(
+    game: Game,
+    state: State,
+    movers: list[int],
+    trace: MoveTrace,
+    round_no: int,
+    phase: str,
+    policy: str,
+    cap: int,
+    snapshot: Callable[[State], str],
+) -> tuple[State, int, str]:
+    """Better-response moves of ``movers`` until none improves or the trace
+    holds ``cap`` rows; returns the state, the next round and the status.
+
+    A scan asks each mover in turn for her :func:`best_response`; she
+    improves when it is not her strategy.  Roundrobin moves the first
+    improver after the last mover, first the first in ``movers``, best the
+    steepest gain (ties to the earliest).  Only improvers' entry weights are
+    priced.  They give the gain, the swaps and both costs of every row,
+    exactly: a mover's weights do not depend on her own strategy.  All
+    queries on one state read its one
+    :func:`~prioritygames.congestion.tally` table.  A move is one round, and
+    ``snapshot`` gives each row's potential.
+    """
+    rr_idx = 0
+    while True:
+        mover: int | None = None
+        best_gain: ExtCost | None = None
+        begin = rr_idx if policy == "roundrobin" else 0
+        for off in range(len(movers)):
+            p = movers[(begin + off) % len(movers)]
+            br = best_response(game, state, p)
+            if br == state.strategy(p):
+                continue
+            w = entry_weights(game, state, p)
+            if policy != "best":
+                mover, target, weights = p, br, w
+                rr_idx = (begin + off + 1) % len(movers)
+                break
+            gain = improvement(base_weight(state.strategy(p), w), base_weight(br, w))
+            if best_gain is None or best_gain < gain:
+                best_gain, mover, target, weights = gain, p, br, w
+        if mover is None:
+            return state, round_no, CONVERGED
+        if len(trace.steps) >= cap:
+            return state, round_no, CAP_REACHED
+        for nxt in _decompose_move(game, state, mover, target, weights):
+            if len(trace.steps) >= cap:
+                return state, round_no + 1, CAP_REACHED
+            frm, state = state.strategy(mover), state.with_player(mover, nxt)
+            _append_move(trace, round_no, phase, mover, frm, nxt, weights, snapshot(state))
+        round_no += 1
 
 
 def run_dynamics(
@@ -244,17 +294,9 @@ def run_dynamics(
     the final profile; hitting the cap is a status, not an error.  A
     negative cap, like an unknown policy, raises ``ValueError``.
 
-    Every policy scans players the same way: each one's current strategy
-    and cheapest strategy are priced from her entry weights, and she
-    improves exactly when the cheapest is strictly cheaper.  Roundrobin
-    takes the first improver from where the last move left off, first the
-    first from player 1, best the steepest gain (ties to the smallest id).
-    All weights of one state read its one
-    :func:`~prioritygames.congestion.tally` table, so each state is counted
-    once, never per player.  Every row's two costs are the mover's entry
-    weights summed over her old and new strategy.  That is exact: her
-    weights do not depend on her own strategy, so their sum over any
-    strategy is what she pays there, the others held fixed.
+    All players run the :func:`_descend` scan, which the shared-delay
+    layers of :func:`solve_consistent_layered` run too.  Rows of
+    shared-delay singleton games carry the lexicographic potential.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
@@ -262,48 +304,14 @@ def run_dynamics(
         raise ValueError(f"cap must be >= 0, got {cap}")
     validate_state(game, start, full=True)
     lexable = game.is_singleton_game() and not game.player_specific
-    players = list(game.players())
-    state = start
+
+    def snapshot(s: State) -> str:
+        return lex_potential_singleton(game, s).canonical() if lexable else ""
+
     trace = MoveTrace(kind="br", start=start)
-    rr_idx = 0
-    round_no = 0
-    while True:
-        mover: int | None = None
-        target: frozenset[str] | None = None
-        best_gain: ExtCost | None = None
-        begin = rr_idx if policy == "roundrobin" else 0
-        for off in range(len(players)):
-            p = players[(begin + off) % len(players)]
-            w = entry_weights(game, state, p)
-            br = greedy_min_base(game.spaces[p], w)
-            before, after = base_weight(state.strategy(p), w), base_weight(br, w)
-            if not after < before:
-                continue
-            if policy != "best":
-                mover, target, weights = p, br, w
-                rr_idx = (begin + off + 1) % len(players)
-                break
-            gain = improvement(before, after)
-            if best_gain is None or best_gain < gain:
-                best_gain, mover, target, weights = gain, p, br, w
-        if mover is None:
-            trace.status = CONVERGED
-            break
-        if len(trace.steps) >= cap:
-            trace.status = CAP_REACHED
-            break
-        capped = False
-        for nxt in _decompose_move(game, state, mover, target, weights):
-            if len(trace.steps) >= cap:
-                capped = True
-                break
-            frm, state = state.strategy(mover), state.with_player(mover, nxt)
-            potential = lex_potential_singleton(game, state).canonical() if lexable else ""
-            _append_move(trace, round_no, "br", mover, frm, nxt, weights, potential)
-        round_no += 1
-        if capped:
-            trace.status = CAP_REACHED
-            break
+    state, _, trace.status = _descend(
+        game, start, list(game.players()), trace, 0, "br", policy, cap, snapshot
+    )
     trace.final = state
     return state, trace
 
@@ -320,11 +328,13 @@ def solve_consistent_layered(game: Game) -> tuple[State, MoveTrace]:
     never enter a lower level's delay arguments), so the stacked profile is
     an equilibrium of the whole game.
 
-    Shared-delay layers descend an exact scalar potential and need no cap.
-    Player-specific layers run displaced-player-first dynamics under a cap
-    of n^2 * m * (#levels) steps with ``LAYER_RESTARTS`` deterministic
-    restarts; exhausting them raises LAYER_CAP_EXHAUSTED rather than
-    returning silently.
+    A layer first places its players one by one on their cheapest strategy.
+    A shared-delay layer then runs :func:`run_dynamics`' roundrobin scan
+    over its players; its rows record the level's exact scalar potential,
+    which must strictly drop with each move.  Player-specific layers run
+    displaced-player-first dynamics under a cap of n^2 * m * (#levels)
+    steps with ``LAYER_RESTARTS`` deterministic restarts from rotated bases;
+    exhausting them raises LAYER_CAP_EXHAUSTED rather than returning.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("layered construction needs consistent priorities")
@@ -333,143 +343,124 @@ def solve_consistent_layered(game: Game) -> tuple[State, MoveTrace]:
     cap = max(16, game.n_players**2 * len(game.resources) * len(levels))
     trace = MoveTrace(kind="layered", start=State({}))
     outer = State({})
-    round_box = [0]
+    round_no = 0
     for q in levels:
         layer = sorted(i for i in game.players() if level_of[i] == q)
-        if game.player_specific:
-            outer = _solve_layer_capped(game, outer, q, layer, trace, round_box, cap=cap)
-        else:
-            outer = _solve_layer_potential(game, outer, q, layer, trace, round_box, cap=cap)
+        solve_layer = _solve_layer_capped if game.player_specific else _solve_layer_potential
+        outer, round_no = solve_layer(game, outer, q, layer, trace, round_no, cap)
     trace.final = outer
     trace.status = CONVERGED
     return outer, trace
 
 
-def _solve_layer_potential(
+def _place(
     game: Game,
-    outer: State,
-    q: int,
+    state: State,
     layer: list[int],
     trace: MoveTrace,
-    round_box: list[int],
-    *,
-    cap: int,
-) -> State:
-    phase = f"layer:{q}"
-    working = outer
-    for i in layer:
-        weights = entry_weights(game, working, i)
-        s = greedy_min_base(game.spaces[i], weights)
-        working = working.with_player(i, s)
-        potential = level_potential(game, working, q)
-        _append_move(trace, round_box[0], phase, i, None, s, weights, potential.canonical())
-        round_box[0] += 1
+    round_no: int,
+    phase: str,
+    pick: Callable[[int, int, dict[str, ExtCost]], frozenset[str]],
+    snapshot: Callable[[State], str],
+) -> tuple[State, int]:
+    """Put the j-th player i of ``layer`` on ``pick(j, i, her weights)``, a round each."""
+    for j, i in enumerate(layer):
+        weights = entry_weights(game, state, i)
+        s = pick(j, i, weights)
+        state = state.with_player(i, s)
+        _append_move(trace, round_no, phase, i, None, s, weights, snapshot(state))
+        round_no += 1
+    return state, round_no
 
-    moves = 0
-    stable_passes = 0
-    while stable_passes < 1:
-        improved = False
-        for i in layer:
-            br = best_response(game, working, i)
-            if br == working.strategy(i):
-                continue
-            improved = True
-            weights = entry_weights(game, working, i)
-            for nxt in _decompose_move(game, working, i, br, weights):
-                frm, working = working.strategy(i), working.with_player(i, nxt)
-                pot_before = potential
-                potential = level_potential(game, working, q)
-                _append_move(
-                    trace, round_box[0], phase, i, frm, nxt, weights, potential.canonical()
-                )
-                finite = pot_before.value.is_finite or potential.value.is_finite
-                if finite and not potential.value < pot_before.value:
-                    raise InvariantViolatedError(
-                        f"level {q} potential did not drop when player {i} moved"
-                        f" {sorted(frm)} -> {sorted(nxt)}:"
-                        f" {pot_before.canonical()} -> {potential.canonical()}"
-                    )
-            round_box[0] += 1
-            moves += 1
-            if moves > max(cap, 1) * 8:
-                # unreachable for finite delays: the potential strictly drops
-                raise LayerCapExhaustedError(f"level {q} descent exceeded the safety cap")
-        if not improved:
-            stable_passes += 1
-    return working
+
+def _solve_layer_potential(
+    game: Game, outer: State, q: int, layer: list[int], trace: MoveTrace, round_no: int, cap: int
+) -> tuple[State, int]:
+    """Cheapest placement, then roundrobin descent of the level potential."""
+    phase = f"layer:{q}"
+    last: ScalarPotential | None = None
+
+    def placed(state: State) -> str:
+        nonlocal last
+        last = level_potential(game, state, q)
+        return last.canonical()
+
+    def moved(state: State) -> str:
+        nonlocal last
+        before, last = last, level_potential(game, state, q)
+        finite = before.value.is_finite or last.value.is_finite
+        if finite and not last.value < before.value:
+            raise InvariantViolatedError(
+                f"level {q} potential did not drop at trace row {len(trace.steps)}:"
+                f" {before.canonical()} -> {last.canonical()}"
+            )
+        return last.canonical()
+
+    cheapest = lambda j, i, weights: greedy_min_base(game.spaces[i], weights)  # noqa: E731
+    working, round_no = _place(game, outer, layer, trace, round_no, phase, cheapest, placed)
+    # the potential strictly drops, so the row limit is unreachable for finite delays
+    limit = len(trace.steps) + 8 * cap
+    working, round_no, status = _descend(
+        game, working, layer, trace, round_no, phase, "roundrobin", limit, moved
+    )
+    if status == CAP_REACHED:
+        raise LayerCapExhaustedError(f"level {q} descent exceeded the safety cap")
+    return working, round_no
 
 
 def _solve_layer_capped(
-    game: Game,
-    outer: State,
-    q: int,
-    layer: list[int],
-    trace: MoveTrace,
-    round_box: list[int],
-    *,
-    cap: int,
-) -> State:
+    game: Game, outer: State, q: int, layer: list[int], trace: MoveTrace, round_no: int, cap: int
+) -> tuple[State, int]:
     """Displaced-player-first capped dynamics with deterministic restarts."""
     phase = f"layer:{q}"
     checkpoint = len(trace.steps)
+
+    def pick(j: int, i: int, weights: dict[str, ExtCost]) -> frozenset[str]:
+        """Cheapest first; each restart rotates the j-th player's bases."""
+        if attempt == 0:
+            return greedy_min_base(game.spaces[i], weights)
+        bases = game.spaces[i].all_bases()
+        return bases[(attempt + j) % len(bases)]
+
     for attempt in range(LAYER_RESTARTS + 1):
         del trace.steps[checkpoint:]
-        working = outer
-        for j, i in enumerate(layer):
-            weights = entry_weights(game, working, i)
-            if attempt == 0:
-                s = greedy_min_base(game.spaces[i], weights)
-            else:
-                bases = game.spaces[i].all_bases()
-                s = bases[(attempt + j) % len(bases)]
-            working = working.with_player(i, s)
-            _append_move(trace, round_box[0], phase, i, None, s, weights, "")
-            round_box[0] += 1
+        working, round_no = _place(game, outer, layer, trace, round_no, phase, pick, lambda s: "")
 
         steps_used = 0
         pending = deque(layer)
         queued = set(layer)
-        failed = False
-        while True:
-            while pending:
-                i = pending.popleft()
-                queued.discard(i)
-                br = best_response(game, working, i)
-                if br == working.strategy(i):
-                    continue
+        while pending:
+            i = pending.popleft()
+            queued.discard(i)
+            br = best_response(game, working, i)
+            if br != working.strategy(i):
                 if steps_used >= cap:
-                    failed = True
                     break
                 others_before = {j: player_cost(game, working, j) for j in layer if j != i}
                 weights = entry_weights(game, working, i)
                 for nxt in _decompose_move(game, working, i, br, weights):
                     frm, working = working.strategy(i), working.with_player(i, nxt)
-                    _append_move(trace, round_box[0], phase, i, frm, nxt, weights, "")
+                    _append_move(trace, round_no, phase, i, frm, nxt, weights, "")
                     steps_used += 1
-                round_box[0] += 1
+                round_no += 1
                 displaced = [
-                    j
-                    for j in layer
-                    if j != i and others_before[j] < player_cost(game, working, j)
+                    j for j in layer if j != i and others_before[j] < player_cost(game, working, j)
                 ]
                 for j in sorted(displaced, reverse=True):
                     if j not in queued:
                         pending.appendleft(j)
                         queued.add(j)
-                if i not in queued:
-                    pending.append(i)
-                    queued.add(i)
-            if failed:
-                break
-            stragglers = [
-                i for i in layer if best_response(game, working, i) != working.strategy(i)
-            ]
-            if not stragglers:
-                return working
-            for i in stragglers:
-                if i not in queued:
-                    pending.append(i)
-                    queued.add(i)
+                pending.append(i)
+                queued.add(i)
+            if not pending:
+                # a player whose options improved without her cost rising
+                stragglers = [
+                    j for j in layer if best_response(game, working, j) != working.strategy(j)
+                ]
+                pending.extend(stragglers)
+                queued.update(stragglers)
+        else:
+            return working, round_no
     raise LayerCapExhaustedError(
         f"level {q} dynamics failed to converge within {LAYER_RESTARTS + 1} capped attempts"
     )
@@ -578,7 +569,8 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         weights = entry_weights(game, state, i)
         placed = greedy_min_base(game.spaces[i], weights)
         (rid,) = placed
-        old_state = state
+        # the residents of rid, with their tolerances before she joins them
+        residents = {p: tol[p] for p, s in state.items() if rid in s}
         state = state.with_player(i, placed)
         potential = _retally(game, state, rid, reach, tol)
         # her entry weight at rid is exactly her cost once placed there
@@ -586,7 +578,6 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()
         )
 
-        residents = [p for p, s in old_state.items() if rid in s]
         improvers = [p for p in residents if has_better_response(game, state, p)]
         mine = game.priority(rid, i)
         outranking = [p for p in improvers if game.priority(rid, p) < mine]
@@ -599,7 +590,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             # exactly one equal-priority improver leaves (case B1)
             j_star = min(equal)
             same_before = sum(1 for p in residents if game.priority(rid, p) == mine)
-            tol_out = tol_value(game, old_state, j_star)
+            tol_out = residents[j_star]
             if tol_out != same_before:
                 raise InvariantViolatedError(
                     f"leaving player {j_star} on resource {rid} has tolerance {tol_out},"

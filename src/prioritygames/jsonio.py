@@ -2,6 +2,9 @@
 
 Rationals travel as gcd-reduced ``"p/q"`` strings (``"inf"`` reserved for
 the infinite delay); floats never appear.  Unknown fields are rejected.
+Integer fields test ``type(v) is int``: JSON ``true``/``false`` load as
+Python bools, which ``isinstance(v, int)`` would accept and emission would
+write back as ``true``/``false``.
 Emission is canonical (sorted keys, sorted id lists, two-space indent,
 trailing newline), so ``parse -> emit`` is byte-identical on canonical
 files and ``emit -> parse`` is the identity up to canonicalization.
@@ -96,13 +99,13 @@ def document_to_source(doc: dict) -> SourceInstance:
         required=("version", "model", "players", "resources", "strategies"),
         optional=("priorities", "delays", "player_specific", "cost_matrix", "market_delays"),
     )
-    if doc["version"] != SCHEMA_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {doc['version']!r}")
     model = doc["model"]
     if model not in MODELS:
         raise ParseError(f"unknown model {model!r}")
     n = doc["players"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(f"players must be a positive integer, got {n!r}")
     resources = doc["resources"]
     if (
@@ -243,7 +246,7 @@ def _parse_priorities(obj: Any, n: int, resources: list[str]) -> PriorityFunctio
         for idx, v in enumerate(row):
             if v is None:
                 continue
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ParseError(f"{path}[{idx}]: priorities are integers >= 1 or null")
             out[idx + 1] = v
         return out
@@ -297,14 +300,14 @@ def _parse_space(spec: Any, path: str) -> StrategySpace:
         return ExplicitSpace([_id_list(s, f"{path}.sets") for s in spec["sets"]])
     if kind == "uniform":
         _require_fields(spec, path, required=("kind", "ground", "rank"))
-        if not isinstance(spec["rank"], int):
+        if type(spec["rank"]) is not int:
             raise ParseError(f"{path}.rank: expected an integer")
         return UniformMatroid(_id_list(spec["ground"], f"{path}.ground"), spec["rank"])
     if kind == "partition":
         _require_fields(spec, path, required=("kind", "blocks", "caps"))
         if not isinstance(spec["blocks"], list) or not isinstance(spec["caps"], list):
             raise ParseError(f"{path}: blocks and caps must be lists")
-        if not all(isinstance(c, int) for c in spec["caps"]):
+        if not all(type(c) is int for c in spec["caps"]):
             raise ParseError(f"{path}.caps: expected integers")
         blocks = [_id_list(b, f"{path}.blocks") for b in spec["blocks"]]
         return PartitionMatroid(blocks, spec["caps"])
@@ -332,7 +335,7 @@ def _parse_delay(spec: Any, path: str) -> DelaySpec:
     if kind == "table":
         _require_fields(spec, path, required=("kind", "bound", "entries"))
         bound = spec["bound"]
-        if not isinstance(bound, int) or bound < 2:
+        if type(bound) is not int or bound < 2:
             raise ParseError(f"{path}.bound: expected an integer >= 2")
         entries = {}
         if not isinstance(spec["entries"], list):
@@ -341,7 +344,7 @@ def _parse_delay(spec: Any, path: str) -> DelaySpec:
             if not (isinstance(row, list) and len(row) == 3):
                 raise ParseError(f"{path}.entries[{k}]: expected [x, y, value]")
             x, y, val = row
-            if not (isinstance(x, int) and isinstance(y, int)) or x < 0 or y < 1:
+            if not (type(x) is int and type(y) is int) or x < 0 or y < 1:
                 raise ParseError(f"{path}.entries[{k}]: x >= 0 and y >= 1 required")
             if (x, y) in entries:
                 raise ParseError(f"{path}.entries[{k}]: duplicate point ({x}, {y})")
@@ -436,9 +439,9 @@ def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
         if spec["kind"] != "tritable":
             raise ParseError(f"{path}: unknown delay kind {spec['kind']!r}")
         levels, bound = spec["levels"], spec["bound"]
-        if not isinstance(levels, int) or levels < 0:
+        if type(levels) is not int or levels < 0:
             raise ParseError(f"{path}.levels: expected an integer >= 0")
-        if not isinstance(bound, int) or bound < 2:
+        if type(bound) is not int or bound < 2:
             raise ParseError(f"{path}.bound: expected an integer >= 2")
         if not isinstance(spec["entries"], list):
             raise ParseError(f"{path}.entries: expected a list")
@@ -447,7 +450,7 @@ def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
             if not (isinstance(row, list) and len(row) == 4):
                 raise ParseError(f"{path}.entries[{k}]: expected [level, x, y, value]")
             l, x, y, val = row
-            if not all(isinstance(v, int) for v in (l, x, y)) or l < 1 or x < 0 or y < 1:
+            if not all(type(v) is int for v in (l, x, y)) or l < 1 or x < 0 or y < 1:
                 raise ParseError(f"{path}.entries[{k}]: bad coordinates")
             if (l, x, y) in entries:
                 raise ParseError(f"{path}.entries[{k}]: duplicate point")

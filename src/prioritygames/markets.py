@@ -133,8 +133,9 @@ def build_market(
     Beyond the structural checks shared with priority games
     (:func:`~prioritygames.core.structural_violations`), every
     trivariate table must cover all its cost levels up to the required
-    bound and satisfy the four market axioms exactly: nondecreasing in the
-    cost level, nondecreasing in x and in y, and d(c, x, y) <= d(c, x+y-1, 1).
+    bound, hold no entry outside those levels and that bound, and satisfy
+    the four market axioms exactly: nondecreasing in the cost level,
+    nondecreasing in x and in y, and d(c, x, y) <= d(c, x+y-1, 1).
     """
     resources = tuple(sorted(resources))
     violations = structural_violations(n_players, resources, spaces)
@@ -201,6 +202,16 @@ def build_market(
                             "no table entry within bound",
                         )
                     )
+        for l, x, y in sorted(tri.entries):
+            if not 1 <= l <= tri.levels or x < 0 or y < 1 or x + y > tri.bound:
+                complete = False
+                violations.append(
+                    Violation(
+                        "STRAY_ENTRY",
+                        f"resource {rid}: (level={l}, x={x}, y={y})",
+                        "entry outside declared levels or bound",
+                    )
+                )
         if not complete:
             continue
         for l in range(1, tri.levels + 1):

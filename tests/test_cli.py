@@ -6,6 +6,7 @@ import pytest
 from conftest import make_t1
 from prioritygames.cli import cli_main
 from prioritygames.jsonio import emit_instance, parse_instance
+from prioritygames.markets import reduce_market_to_playerspecific, reduce_priority_to_market
 from prioritygames.oracle import brute_force_pne
 
 
@@ -196,6 +197,22 @@ class TestReduce:
         code, _, _ = run(capsys, ["reduce", classic, "--to", "priority", "-o", out_path])
         assert code == 0
         assert json.loads(out_path.read_text())["model"] == "priority"
+
+    @pytest.mark.parametrize("model", ["classic", "affine"])
+    @pytest.mark.parametrize("target", ["priority", "market", "playerspecific"])
+    def test_source_models_reduce_like_the_library(self, capsys, tmp_path, model, target):
+        src, out_path = tmp_path / "src.json", tmp_path / "out.json"
+        gen = ["gen", "--seed", "7", "--players", "3", "--resources", "2", "--model", model]
+        run(capsys, gen + ["-o", src])
+        game = parse_instance(src.read_bytes())
+        expected = {
+            "priority": game,
+            "market": reduce_priority_to_market(game),
+            "playerspecific": reduce_market_to_playerspecific(reduce_priority_to_market(game)),
+        }[target]
+        code, _, _ = run(capsys, ["reduce", src, "--to", target, "-o", out_path])
+        assert code == 0
+        assert out_path.read_bytes() == emit_instance(expected)
 
 
 class TestGen:

@@ -210,6 +210,17 @@ class TestLayeredSolver:
             assert pg.is_pure_nash(game, final)
             assert final in pg.brute_force_pne(game)
 
+    def test_shared_layer_potential_must_drop(self, monkeypatch):
+        # seed 41: greedy placement leaves one layer move, which a constant
+        # level potential would record without a drop
+        game = gen_game(41, players=4, resources=3, space_kind="singleton", consistent=True, levels=2)
+        _, trace = pg.solve_consistent_layered(game)
+        assert any(s.frm is not None for s in trace.steps)
+        flat = pg.potentials.ScalarPotential(value=pg.cost(0))
+        monkeypatch.setattr(dynamics, "level_potential", lambda game, state, q: flat)
+        with pytest.raises(pg.InvariantViolatedError, match="potential did not drop"):
+            pg.solve_consistent_layered(game)
+
     # tests/data/layer_*_s<s>.json come from a sweep of consistent
     # player-specific generator instances: GenParams(players=2+s%7,
     # resources=2+s%5, space_kind=k, consistent=True, player_specific=True,

@@ -89,6 +89,48 @@ class TestParseErrors:
         with pytest.raises(pg.ParseError):
             document_to_source(doc)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d.update(version=True), "schema version"),
+            (lambda d: d.update(players=True), "players must be"),
+            (lambda d: d["priorities"]["per_resource"]["a"].__setitem__(0, True), "priorities are"),
+            (
+                lambda d: d["strategies"].update(
+                    {"1": {"kind": "uniform", "ground": ["a", "b"], "rank": True}}
+                ),
+                "rank",
+            ),
+            (
+                lambda d: d["strategies"].update(
+                    {"1": {"kind": "partition", "blocks": [["a"], ["b"]], "caps": [True, 0]}}
+                ),
+                "caps",
+            ),
+            (lambda d: d["delays"]["a"].update(bound=True), "bound"),
+            (lambda d: d["delays"]["a"]["entries"][0].__setitem__(0, False), "x >= 0"),
+            (lambda d: d["delays"]["a"]["entries"][0].__setitem__(1, True), "x >= 0"),
+        ],
+        ids=["version", "players", "priority", "rank", "caps", "bound", "x", "y"],
+    )
+    def test_json_booleans_are_not_integers(self, t1, edit, match):
+        # true/false are Python ints: accepted, they would be written back as true/false
+        doc = self.doc(t1)
+        edit(doc)
+        with pytest.raises(pg.ParseError, match=match):
+            document_to_source(doc)
+
+    @pytest.mark.parametrize("field", ["levels", "bound", "level"])
+    def test_market_booleans_are_not_integers(self, field):
+        doc = instance_to_document(gen_source(4, players=3, resources=3, model="market"))
+        table = doc["market_delays"]["a"]  # one cost level
+        if field == "level":
+            table["entries"][0][0] = True
+        else:
+            table[field] = True
+        with pytest.raises(pg.ParseError, match="levels|bound|coordinates"):
+            document_to_source(doc)
+
 
 class TestGenerator:
     def test_deterministic_per_seed(self):

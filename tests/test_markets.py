@@ -333,3 +333,25 @@ def test_build_game_structural_messages():
         str(pg.Violation("BAD_SPACE_KEYS", "strategy spaces", "expected players [1, 2, 3], got [1]")),
         str(pg.Violation("UNKNOWN_RESOURCE", "player 1", "strategies use ['zz']")),
     ]
+
+
+def test_build_market_rejects_stray_entries():
+    # like a bivariate table, a trivariate one may hold no point past its
+    # levels or its bound: emitting the market would write those points back
+    costs = {(1, "e"): Fraction(1), (2, "e"): Fraction(1)}
+    tri = pg.tritable_from_function(lambda l, x, y: x + y, levels=1, bound=3)
+    stray = dict(tri.entries)
+    stray[(2, 0, 1)] = pg.cost(1)  # level past the table's one level
+    stray[(1, 2, 2)] = pg.cost(4)  # x + y past the bound
+    with pytest.raises(pg.ValidationFailed) as exc:
+        pg.build_market(
+            n_players=2,
+            resources=["e"],
+            spaces={i: pg.SingletonSpace(["e"]) for i in (1, 2)},
+            costs=costs,
+            delays={"e": pg.TriTable(levels=1, bound=3, entries=stray)},
+        )
+    assert sorted((v.code, v.where) for v in exc.value.violations) == [
+        ("STRAY_ENTRY", "resource e: (level=1, x=2, y=2)"),
+        ("STRAY_ENTRY", "resource e: (level=2, x=0, y=1)"),
+    ]
