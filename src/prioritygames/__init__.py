@@ -11,6 +11,7 @@ from .congestion import (
     CongestionView,
     Profile,
     State,
+    best_response,
     congestion_view,
     entry_weights,
     has_better_response,
@@ -39,7 +40,6 @@ from .dynamics import (
     MoveTrace,
     StepStats,
     TraceStep,
-    best_response,
     count_steps,
     run_dynamics,
     solve_consistent_layered,

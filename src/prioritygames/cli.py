@@ -163,9 +163,12 @@ def _budget() -> EnumerationBudget:
     if raw is None:
         return EnumerationBudget()
     try:
-        return EnumerationBudget(max_profiles=int(raw))
+        budget = int(raw)
     except ValueError:
         raise ParseError(f"PCG_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ParseError(f"PCG_BUDGET must be >= 0, got {budget}")
+    return EnumerationBudget(max_profiles=budget)
 
 
 def _strategy_json(s: frozenset[str]):
@@ -185,7 +188,7 @@ def _parse_profile_arg(raw: str, game: Game | MarketGame) -> State:
         raise ParseError("--profile must be a JSON object of player -> strategy")
     strategies = {}
     for key, val in doc.items():
-        if not key.isdigit():
+        if not (key.isascii() and key.isdigit()):
             raise ParseError(f"--profile keys are player ids, got {key!r}")
         if isinstance(val, str):
             strategies[int(key)] = frozenset([val])

@@ -2,9 +2,10 @@
 
 A :class:`State` maps a subset of players to strategies; a profile is a
 state covering everyone.  Every function here returns what a pure function
-of its arguments would; :func:`tally` only remembers the last count table
-it built.  Costs of players outside a state are an error, never zero (the
-insertion machinery relies on that distinction).
+of its arguments would; :func:`tally` only remembers the last state it
+counted, with its count table and entry weights.  Costs of players outside a
+state are an error, never zero (the insertion machinery relies on that
+distinction).
 """
 
 from __future__ import annotations
@@ -165,19 +166,20 @@ def level_counts(game: Game, state: State) -> LevelCounts:
 def tally(game: Game, state: State) -> LevelCounts:
     """The state's :func:`level_counts` table, counted once per state object.
 
-    The game keeps the last (state, table) pair counted here in one slot.
-    A query on that same state object reads the kept table; any other state,
-    even an equal one, is counted afresh and its pair replaces the old one,
-    after the count succeeds.  States are immutable, so a kept table is what
-    a fresh count would give.  Every cost, weight, potential and tolerance
-    query reads its counts here, so a solver that moves from state to state
-    counts each state once.  The table is shared: read it, never change it.
+    The game keeps the last state counted here in one slot, with its table
+    and the :func:`entry_weights` priced on it.  A query on that same state
+    object reads the slot; any other state, even an equal one, is counted
+    afresh and replaces it, after the count succeeds.  States are immutable,
+    so a kept table is what a fresh count would give.  Every cost, weight,
+    potential and tolerance query reads its counts here, so a solver that
+    moves from state to state counts each state once.  The slot is shared:
+    read it, never change it.
     """
     kept = game._tally
     if kept is not None and kept[0] is state:
         return kept[1]
     table = level_counts(game, state)
-    object.__setattr__(game, "_tally", (state, table))
+    object.__setattr__(game, "_tally", (state, table, {}))
     return table
 
 
@@ -209,17 +211,36 @@ def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
     uses r her own membership is counted once, elsewhere she joins r's
     count at her level.  Summing weights over any candidate strategy
     reproduces its exact cost, which is what makes greedy best responses
-    exact for matroid spaces.
+    exact for matroid spaces.  Weights are priced once per state object:
+    once every probe succeeds they are kept in its :func:`tally` slot, and
+    a second query returns the same dict.  Read it, never change it.
     """
     counts = tally(game, state)
-    own = state._strats.get(player, frozenset())
-    weights: dict[str, ExtCost] = {}
-    for r in sorted(game.ground_of(player)):
-        q = game.priority(r, player)
-        row = counts.get(r, {})
-        same = row.get(q, 0) + (0 if r in own else 1)
-        weights[r] = game.delay(player, r, count_below(row, q), same)
+    priced = game._tally[2]  # the slot tally just kept for this state
+    if (weights := priced.get(player)) is None:
+        own = state._strats.get(player, frozenset())
+        weights = {}
+        for r in sorted(game.ground_of(player)):
+            q = game.priority(r, player)
+            row = counts.get(r, {})
+            same = row.get(q, 0) + (0 if r in own else 1)
+            weights[r] = game.delay(player, r, count_below(row, q), same)
+        priced[player] = weights
     return weights
+
+
+def best_response(game: Game, state: State, player: int) -> frozenset[str]:
+    """The placed player's cheapest strategy against the others' fixed ones.
+
+    This is the one cheapest-strategy test of all three solvers:
+    ``greedy_min_base`` over her entry weights, exact greedy on matroid
+    spaces, enumeration otherwise, ties toward the smallest sorted id list.
+    A player already at an optimum keeps her strategy.
+    """
+    current = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
+    weights = entry_weights(game, state, player)
+    best = greedy_min_base(game.spaces[player], weights)
+    return best if base_weight(best, weights) < base_weight(current, weights) else current
 
 
 def is_better_response(
@@ -232,22 +253,14 @@ def is_better_response(
             "strategy outside the player's space",
             [Violation("BAD_STRATEGY", f"player {player}", f"{sorted(new)}")],
         )
-    current = player_cost(game, state, player)
-    return player_cost(game, state.with_player(player, new), player) < current
+    current = state.strategy(player)
+    weights = entry_weights(game, state, player)
+    return base_weight(new, weights) < base_weight(current, weights)
 
 
 def has_better_response(game: Game, state: State, player: int) -> bool:
-    """True when some strategy strictly beats the player's current one.
-
-    The cheapest strategy is ``greedy_min_base`` over the player's entry
-    weights, the one cheapest-strategy rule of all three solvers (exact
-    greedy on matroid spaces, enumeration otherwise, ties toward the
-    smallest sorted id list).  Cost and weights read the state's
-    :func:`tally` table.
-    """
-    current = player_cost(game, state, player)
-    weights = entry_weights(game, state, player)
-    return base_weight(greedy_min_base(game.spaces[player], weights), weights) < current
+    """True when some strategy strictly beats the player's current one."""
+    return best_response(game, state, player) != state.strategy(player)
 
 
 def is_pure_nash(game: Game, state: State) -> bool:

@@ -341,7 +341,8 @@ class Game:
     player_specific: bool
     # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (state, its level-count table) of the last state congestion.tally counted
+    # (state, level-count table, player -> entry weights) of the last state
+    # congestion.tally counted
     _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def players(self) -> range:

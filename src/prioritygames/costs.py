@@ -44,7 +44,7 @@ def _is_int(s: str) -> bool:
     s = s.strip()
     if s.startswith("-"):
         s = s[1:]
-    return s.isdigit()
+    return s.isascii() and s.isdigit()
 
 
 def format_fraction(value: Fraction) -> str:

@@ -18,9 +18,11 @@ Three solvers, all emitting full replayable traces:
   re-queueing her too, so every round provably ends with nobody wanting
   to move.
 
-Moves of matroid players are realized as chains of single-element swaps
-whenever every link strictly decreases the mover's cost; otherwise the move
-is recorded whole (that only occurs across plateaus at infinite cost).
+Who wants to move is asked of :func:`~prioritygames.congestion.best_response`,
+which prices each player once per state.  Moves of matroid players are
+realized as chains of single-element swaps whenever every link strictly
+decreases the mover's cost; otherwise the move is recorded whole (that only
+occurs across plateaus at infinite cost).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Callable
 
 from .congestion import (
     State,
+    best_response,
     entry_weights,
     has_better_response,
     player_cost,
@@ -135,25 +138,7 @@ def count_steps(trace: MoveTrace) -> StepStats:
 
 
 # ---------------------------------------------------------------------------
-# Best responses and move decomposition
-
-
-def best_response(game: Game, state: State, player: int) -> frozenset[str]:
-    """The player's cheapest strategy against the others' fixed strategies.
-
-    The cheapest strategy is ``greedy_min_base`` over her entry weights, the
-    one cheapest-strategy rule of all three solvers: exact greedy on matroid
-    spaces, enumeration otherwise, ties toward the smallest sorted id list.
-    A player already at an optimum keeps her strategy.  The weights read
-    the state's :func:`~prioritygames.congestion.tally` table, which every
-    query on the same state object shares.
-    """
-    weights = entry_weights(game, state, player)
-    best = greedy_min_base(game.spaces[player], weights)
-    current = state.strategy(player)
-    if base_weight(best, weights) < base_weight(current, weights):
-        return best
-    return current
+# Move decomposition and trace rows
 
 
 def _decompose_move(
@@ -244,12 +229,11 @@ def _descend(
     A scan asks each mover in turn for her :func:`best_response`; she
     improves when it is not her strategy.  Roundrobin moves the first
     improver after the last mover, first the first in ``movers``, best the
-    steepest gain (ties to the earliest).  Only improvers' entry weights are
-    priced.  They give the gain, the swaps and both costs of every row,
-    exactly: a mover's weights do not depend on her own strategy.  All
-    queries on one state read its one
-    :func:`~prioritygames.congestion.tally` table.  A move is one round, and
-    ``snapshot`` gives each row's potential.
+    steepest gain (ties to the earliest).  The entry weights her answer was
+    priced from, kept in the state's :func:`~prioritygames.congestion.tally`
+    slot, give the gain, the swaps and both costs of every row, exactly: a
+    mover's weights do not depend on her own strategy.  A move is one round,
+    and ``snapshot`` gives each row's potential.
     """
     rr_idx = 0
     while True:

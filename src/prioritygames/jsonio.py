@@ -211,7 +211,7 @@ def _require_fields(obj: Any, path: str, required=(), optional=()) -> None:
 
 
 def _player_key(key: str, n: int, path: str) -> int:
-    if not isinstance(key, str) or not key.isdigit():
+    if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
         raise ParseError(f"{path}: player keys are decimal strings, got {key!r}")
     i = int(key)
     if not 1 <= i <= n:
@@ -569,8 +569,7 @@ def _classic_document(cg: ClassicGame) -> dict:
     doc = _base_document(cg, "classic")
     doc["priorities"] = _priorities_document(cg.priorities, cg.n_players, sorted(cg.resources))
     doc["delays"] = {
-        rid: {"kind": "classic", "values": [v.to_string() for v in cg.values[rid]]}
-        for rid in sorted(cg.resources)
+        rid: _delay_document(ClassicDelay(cg.values[rid])) for rid in sorted(cg.resources)
     }
     return doc
 
@@ -581,12 +580,7 @@ def _affine_document(ag: AffineGame) -> dict:
         "consistent": [ag.level_map[i] for i in range(1, ag.n_players + 1)]
     }
     doc["delays"] = {
-        rid: {
-            "kind": "affine",
-            "alpha": format_fraction(a),
-            "beta": format_fraction(b),
-        }
-        for rid, (a, b) in sorted(ag.params.items())
+        rid: _delay_document(AffineDelay(a, b)) for rid, (a, b) in sorted(ag.params.items())
     }
     return doc
 

@@ -59,6 +59,17 @@ class TestValidate:
         assert code == 1
         assert "PARSE_ERROR" in err and f"market_delays.{rid}.entries: expected a list" in err
 
+    @pytest.mark.parametrize("key", ["\u00b2", "\u0661"], ids=["superscript-2", "arabic-1"])
+    def test_non_ascii_player_key(self, capsys, tmp_path, key):
+        # "\u00b2" passes str.isdigit() but not int(); "\u0661" would read as player 1
+        doc = json.loads(emit_instance(make_t1()).decode())
+        doc["strategies"][key] = doc["strategies"].pop("1")
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", path])
+        assert code == 1 and out == ""
+        assert "PARSE_ERROR" in err and "player keys are decimal strings" in err
+
 
 class TestSolve:
     def test_insertion_with_trace(self, capsys, t1_file, tmp_path):
@@ -144,6 +155,13 @@ class TestVerify:
     def test_profile_invalid(self, capsys, t1_file):
         code, _, err = run(capsys, ["verify", t1_file, "--profile", '{"1":"zz","2":"a"}'])
         assert code == 1
+
+    @pytest.mark.parametrize("key", ["\u00b2", "\u0661"], ids=["superscript-2", "arabic-1"])
+    def test_profile_non_ascii_player_key(self, capsys, t1_file, key):
+        raw = json.dumps({key: "a", "2": "b"})
+        code, out, err = run(capsys, ["verify", t1_file, "--profile", raw])
+        assert code == 1 and out == ""
+        assert "PARSE_ERROR" in err and "--profile keys are player ids" in err
 
     @pytest.mark.parametrize(
         "raw, violation",
@@ -247,3 +265,13 @@ def test_budget_env_var(capsys, t1_file, monkeypatch):
     monkeypatch.setenv("PCG_BUDGET", "100")
     code, _, _ = run(capsys, ["solve", t1_file, "--method", "brute"])
     assert code == 0
+
+
+def test_negative_budget_is_parse_error(capsys, t1_file, monkeypatch):
+    monkeypatch.setenv("PCG_BUDGET", "-1")
+    code, _, err = run(capsys, ["solve", t1_file, "--method", "brute"])
+    assert code == 1 and "PARSE_ERROR" in err and "PCG_BUDGET" in err
+    # zero is a legal budget that no enumeration fits in
+    monkeypatch.setenv("PCG_BUDGET", "0")
+    code, _, err = run(capsys, ["solve", t1_file, "--method", "brute"])
+    assert code == 2 and "BUDGET_EXCEEDED" in err

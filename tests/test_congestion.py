@@ -9,6 +9,25 @@ from prioritygames.matroids import base_weight
 from prioritygames.oracle import _profile_is_pne_naive
 
 
+# generator games of every space kind, with classic (+inf) and player-specific delays
+SWEEP_KINDS = pytest.mark.parametrize(
+    "kw",
+    [
+        dict(space_kind="singleton", levels=3),
+        dict(space_kind="explicit", levels=2),
+        dict(space_kind="uniform", levels=2),
+        dict(space_kind="mixed", levels=3),
+        dict(space_kind="graphic", levels=2),
+        dict(space_kind="partition", levels=3),
+        dict(space_kind="mixed", model="classic"),
+        dict(space_kind="graphic", model="classic"),
+        dict(space_kind="mixed", player_specific=True, levels=2),
+        dict(space_kind="partition", player_specific=True, levels=2),
+    ],
+    ids=lambda kw: "-".join(str(v) for v in kw.values()),
+)
+
+
 def three_on_one_game(delay=lambda x, y: x + y):
     return pg.build_game(
         n_players=3,
@@ -104,19 +123,7 @@ class TestEntryWeights:
                     direct = pg.player_cost(game, prof, p)
                     assert sum_costs(weights[r] for r in prof.strategy(p)) == direct
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(space_kind="mixed", levels=3),
-            dict(space_kind="graphic", levels=2),
-            dict(space_kind="partition", levels=3),
-            dict(space_kind="mixed", model="classic"),
-            dict(space_kind="graphic", model="classic"),
-            dict(space_kind="mixed", player_specific=True, levels=2),
-            dict(space_kind="partition", player_specific=True, levels=2),
-        ],
-        ids=lambda kw: "-".join(str(v) for v in kw.values()),
-    )
+    @SWEEP_KINDS
     def test_weight_sums_price_every_base(self, kw):
         """Summed over any base, a player's weights are that base's exact cost.
 
@@ -153,6 +160,35 @@ class TestBetterResponse:
         )
         with pytest.raises(pg.ValidationFailed):
             pg.is_better_response(game, pg.profile({1: "a"}), 1, "b")
+
+    @SWEEP_KINDS
+    def test_queries_match_the_naive_scan(self, kw):
+        """best_response, has_better_response and is_better_response against
+        the cost of every deviation, each priced on its own state."""
+        saw_move = saw_infinite = False
+        for seed in range(4):
+            game = gen_game(600 + seed, players=3, resources=4, **kw)
+            for prof in all_profiles(game):
+                for p in game.players():
+                    cost = {
+                        base: pg.player_cost(game, prof.with_player(p, base), p)
+                        for base in game.spaces[p].all_bases()
+                    }
+                    current = prof.strategy(p)
+                    better = {b for b, c in cost.items() if c < cost[current]}
+                    br = pg.best_response(game, prof, p)
+                    assert pg.has_better_response(game, prof, p) == bool(better)
+                    if better:
+                        assert cost[br] == min(cost.values()) and br in better
+                    else:
+                        assert br == current
+                    for base in cost:
+                        assert pg.is_better_response(game, prof, p, base) == (base in better)
+                    saw_move |= bool(better)
+                    saw_infinite |= pg.INFINITY in cost.values()
+        assert saw_move
+        if kw.get("model") == "classic":
+            assert saw_infinite
 
 
 class TestIsPureNash:

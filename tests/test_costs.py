@@ -46,7 +46,9 @@ def test_parse_and_format():
     assert ExtCost.of(cost("inf")) is INFINITY
 
 
-@pytest.mark.parametrize("bad", ["3/0", "-1", "1/-2", "a/b", "1.5", "", "1/2/3"])
+@pytest.mark.parametrize(
+    "bad", ["3/0", "-1", "1/-2", "a/b", "1.5", "", "1/2/3", "\u0661/\u0662", "\u00b2"]
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_fraction(bad)

@@ -261,6 +261,39 @@ def test_failed_count_leaves_the_tally_slot_unchanged(monkeypatch, singleton_gam
     assert congestion.tally(game, state) is table and not calls
 
 
+def test_entry_weights_are_priced_once_per_state_object(singleton_game):
+    game = singleton_game
+    strategies = {p: game.spaces[p].all_bases()[0] for p in game.players()}
+    first, twin = pg.State(strategies), pg.State(strategies)
+    weights = congestion.entry_weights(game, first, 1)
+    assert congestion.entry_weights(game, first, 1) is weights
+    # an equal but distinct state is priced afresh, to the same weights
+    again = congestion.entry_weights(game, twin, 1)
+    assert again is not weights and again == weights
+
+
+def test_failed_probe_stores_no_weights(monkeypatch, singleton_game):
+    game = singleton_game
+    state = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    *probed, failing = sorted(game.ground_of(1))
+    assert probed  # the failure comes after some probes succeeded
+    delay = pg.Game.delay
+
+    def probe(self, player, resource, x, y):
+        if resource == failing:
+            raise pg.OutOfBoundError(f"no delay at {resource}")
+        return delay(self, player, resource, x, y)
+
+    monkeypatch.setattr(pg.Game, "delay", probe)
+    with pytest.raises(pg.OutOfBoundError):
+        congestion.entry_weights(game, state, 1)
+    assert game._tally[0] is state and 1 not in game._tally[2]
+    monkeypatch.setattr(pg.Game, "delay", delay)
+    weights = congestion.entry_weights(game, state, 1)
+    assert weights == congestion.entry_weights(game, pg.State(dict(state.items())), 1)
+    assert sorted(weights) == sorted(game.ground_of(1))
+
+
 def test_insertion_safety_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):
     """A solver stuck past the cap exits 1 through the CLI, not with a traceback."""
     game = pg.build_game(
