@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--policy", choices=("roundrobin", "first", "best"), default="roundrobin")
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=_int_arg, default=100_000)
     p.add_argument("--trace", type=Path, default=None, help="write the move trace as CSV")
     p.add_argument("--json", action="store_true")
     p.add_argument("--approx", action="store_true", help="also print float approximations")
@@ -123,17 +123,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--players", type=int, required=True)
-    p.add_argument("--resources", type=int, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
+    p.add_argument("--players", type=_int_arg, required=True)
+    p.add_argument("--resources", type=_int_arg, required=True)
     p.add_argument("--model", choices=("priority", "classic", "affine", "market"), default="priority")
     p.add_argument(
         "--spaces",
         choices=("singleton", "explicit", "uniform", "partition", "graphic", "mixed"),
         default="singleton",
     )
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--max-delay", type=int, default=12)
+    p.add_argument("--levels", type=_int_arg, default=2)
+    p.add_argument("--max-delay", type=_int_arg, default=12)
     p.add_argument("--consistent", action="store_true")
     p.add_argument("--player-specific", action="store_true")
     p.add_argument("-o", "--output", type=Path, default=None, help="default: stdout")
@@ -158,13 +158,21 @@ def _as_game(instance: Game | MarketGame) -> Game:
     return instance
 
 
+def _int_arg(text: str) -> int:
+    """A decimal integer in ASCII digits, optionally signed: no ``_`` or padding."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _budget() -> EnumerationBudget:
     raw = os.environ.get("PCG_BUDGET")
     if raw is None:
         return EnumerationBudget()
     try:
-        budget = int(raw)
-    except ValueError:
+        budget = _int_arg(raw)
+    except argparse.ArgumentTypeError:
         raise ParseError(f"PCG_BUDGET must be an integer, got {raw!r}") from None
     if budget < 0:
         raise ParseError(f"PCG_BUDGET must be >= 0, got {budget}")

@@ -45,7 +45,7 @@ class PriorityFunction:
     need not be contiguous; nothing here assumes 1..k numbering.
     """
 
-    def __init__(self, maps: Mapping[str, Mapping[int, int]], consistent: bool | None = None):
+    def __init__(self, maps: Mapping[str, Mapping[int, int]]):
         self._maps = {r: dict(m) for r, m in maps.items()}
         for r, m in self._maps.items():
             for i, q in m.items():
@@ -54,16 +54,14 @@ class PriorityFunction:
                         "priorities must be >= 1",
                         [Violation("BAD_PRIORITY", f"resource {r}, player {i}", f"value {q}")],
                     )
-        if consistent is None:
-            vals = list(self._maps.values())
-            consistent = bool(vals) and all(m == vals[0] for m in vals)
-        self.consistent = consistent
+        vals = list(self._maps.values())
+        self.consistent = bool(vals) and all(m == vals[0] for m in vals)
 
     @classmethod
     def uniform(cls, resources: Iterable[str], mapping: Mapping[int, int]) -> "PriorityFunction":
         """One shared map for every resource (the consistent case)."""
         mapping = dict(mapping)
-        return cls({r: mapping for r in resources}, consistent=True)
+        return cls({r: mapping for r in resources})
 
     @classmethod
     def constant(cls, resources: Iterable[str], players: Iterable[int]) -> "PriorityFunction":

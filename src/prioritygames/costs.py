@@ -68,6 +68,11 @@ class ExtCost:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExtCost is immutable")
 
+    def __reduce__(self):
+        # copies and unpickled values are rebuilt from the wire form, so an
+        # infinite cost comes back as INFINITY itself
+        return (cost, (self.to_string(),))
+
     @classmethod
     def of(cls, value: CostLike) -> "ExtCost":
         """Coerce an int, Fraction, ``p/q``/``inf`` string, or ExtCost."""

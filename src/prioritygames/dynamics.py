@@ -397,7 +397,7 @@ def _solve_layer_capped(
 ) -> tuple[State, int]:
     """Displaced-player-first capped dynamics with deterministic restarts."""
     phase = f"layer:{q}"
-    checkpoint = len(trace.steps)
+    checkpoint, round0 = len(trace.steps), round_no
 
     def pick(j: int, i: int, weights: dict[str, ExtCost]) -> frozenset[str]:
         """Cheapest first; each restart rotates the j-th player's bases."""
@@ -408,7 +408,7 @@ def _solve_layer_capped(
 
     for attempt in range(LAYER_RESTARTS + 1):
         del trace.steps[checkpoint:]
-        working, round_no = _place(game, outer, layer, trace, round_no, phase, pick, lambda s: "")
+        working, round_no = _place(game, outer, layer, trace, round0, phase, pick, lambda s: "")
 
         steps_used = 0
         pending = deque(layer)

@@ -34,7 +34,6 @@ from .markets import (
 )
 from .potentials import (
     LESS,
-    InsertionPotentialValue,
     LexVector,
     ScalarPotential,
     insertion_potential,
@@ -145,203 +144,159 @@ class CertifyReport:
 def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     """Replay a recorded run and verify it against the game.
 
-    Checks, per step: the recorded previous strategy, both recorded costs
-    (recomputed exactly), strict cost decrease for strategy-to-strategy
-    moves, and the recorded potential snapshot.  Checks, per run: the
-    solver-specific potential monotonicity (lexicographic decrease for
-    better-response runs on shared-delay singleton games, scalar decrease
-    inside layers, insertion-potential increase across insertion rounds
-    with the no-incentive invariant after every round), the recorded final
-    state, and that a converged run ends in a pure Nash equilibrium.  The
-    potential of each replayed state is recomputed once and serves both the
-    snapshot comparison and the monotonicity checks.
+    Before any row, the start must be legal (``BAD_START``).  Every row: the
+    player is in the game (``UNKNOWN_PLAYER``) and the new strategy in her
+    space (``BAD_STRATEGY``), else the replay stops there; the recorded
+    previous strategy matches the replay (``FROM_MISMATCH``); both recorded
+    costs match exact recomputation and are blank for an unplaced or a
+    discarded player (``COST_BEFORE_MISMATCH``, ``COST_AFTER_MISMATCH``); a
+    move between strategies lowers the recorded and the recomputed cost
+    (``NOT_IMPROVING``); a ``layer:`` phase names a level (``BAD_PHASE``).
 
-    Replay makes a new ``State`` for every row, and every query on that
-    state (the recorded-cost checks, the potential and the round-boundary
-    incentive scan) reads the one level-count table that
-    :func:`~prioritygames.congestion.tally` counts from it.  ``tally`` keys
-    its table by state identity, so no replayed row reads a table the
-    solver counted, and a slip in the solver's own bookkeeping still shows.
+    One potential rule, chosen from the trace kind and the game, is
+    evaluated once per replayed row, compared with the row's nonblank
+    potential column (``POTENTIAL_MISMATCH``) and checked for monotonicity:
+
+    * ``br`` on a shared-delay singleton game: the lexicographic potential
+      of every full state falls strictly (``POTENTIAL_NOT_DECREASING``);
+    * ``layered`` on a consistent shared-delay game: every move row lowers
+      its ``layer:<q>`` level potential strictly unless it stays +inf
+      (``POTENTIAL_NOT_DECREASING``); the comparison restarts when the
+      phase changes and after a ``BAD_PHASE`` row;
+    * ``insertion`` on a singleton game: the insertion potential rises
+      strictly across every round without a ``rebalance`` row
+      (``POTENTIAL_NOT_INCREASING``), and after every round nobody has a
+      better response (``INCENTIVE_BROKEN``);
+    * any other run records no potential, and none is checked.
+
+    Per run: the recorded final state matches the replay
+    (``FINAL_MISMATCH``), and a converged run ends with every player placed
+    (``PARTIAL_FINAL``) in a pure Nash equilibrium (``NOT_EQUILIBRIUM``).
+
+    Replay makes a new ``State`` for every row, and every query on it reads
+    the one level-count table :func:`~prioritygames.congestion.tally`
+    counts from it.  ``tally`` keys its table by state identity, so no
+    replayed row reads a table the solver counted.
     """
     report = CertifyReport()
+
+    def flag(step: int, code: str, message: str) -> None:
+        report.violations.append(TraceViolation(step, code, message))
+
     state = trace.start
     try:
         validate_state(game, state)
     except ValidationFailed as exc:
-        report.violations.append(TraceViolation(-1, "BAD_START", str(exc)))
+        flag(-1, "BAD_START", str(exc))
         return report
 
-    singleton = game.is_singleton_game()
-    lexable = trace.kind == "br" and singleton and not game.player_specific
-    insertion = trace.kind == "insertion" and singleton
-    layered = trace.kind == "layered" and game.priorities.consistent and not game.player_specific
+    shared = not game.player_specific
+    if trace.kind == "insertion" and game.is_singleton_game():
+        rule = "insertion"
+    elif trace.kind == "br" and shared and game.is_singleton_game():
+        rule = "lex"
+    elif trace.kind == "layered" and shared and game.priorities.consistent:
+        rule = "layer"
+    else:
+        rule = None
 
-    prev_lex = lex_potential_singleton(game, state) if lexable and state.is_full(game) else None
-    prev_round_potential = insertion_potential(game, state) if insertion else None
-    layer_phase = None
-    layer_prev_scalar = None
-    round_rebalanced = False
-
-    def check_round_boundary(
-        at_state: State,
-        current: InsertionPotentialValue,
-        round_no: int,
-        last_index: int,
-        rebalanced: bool,
-    ) -> None:
-        nonlocal prev_round_potential
-        # rebalance rounds repair the invariant and are exempt from the
-        # strict-increase guarantee
-        if not rebalanced and insertion_potential_compare(prev_round_potential, current) != LESS:
-            report.violations.append(
-                TraceViolation(
-                    last_index,
-                    "POTENTIAL_NOT_INCREASING",
-                    f"insertion potential did not rise across round {round_no}",
-                )
-            )
-        prev_round_potential = current
-        for p in at_state.players():
-            if has_better_response(game, at_state, p):
-                report.violations.append(
-                    TraceViolation(
-                        last_index,
-                        "INCENTIVE_BROKEN",
-                        f"player {p} has a better response after round {round_no}",
-                    )
-                )
+    descent = None  # descending runs: (phase, potential) of the last row tracked
+    if rule == "lex" and state.is_full(game):
+        descent = ("", lex_potential_singleton(game, state))
+    # insertion runs: the potential at the last round boundary
+    round_potential = insertion_potential(game, state) if rule == "insertion" else None
+    rebalanced = False
 
     for pos, step in enumerate(trace.steps):
         idx = step.index
         if step.player not in game.players():
-            report.violations.append(
-                TraceViolation(idx, "UNKNOWN_PLAYER", f"player {step.player}")
-            )
+            flag(idx, "UNKNOWN_PLAYER", f"player {step.player}")
             return report
         actual_frm = state.strategy(step.player) if state.covers(step.player) else None
         if actual_frm != step.frm:
-            report.violations.append(
-                TraceViolation(
-                    idx,
-                    "FROM_MISMATCH",
-                    f"recorded {_fmt(step.frm)}, replay has {_fmt(actual_frm)}",
-                )
-            )
-        cost_b = None
-        if state.covers(step.player):
-            cost_b = player_cost(game, state, step.player)
-        if step.frm is not None:
-            if step.cost_before != cost_b:
-                report.violations.append(
-                    TraceViolation(
-                        idx,
-                        "COST_BEFORE_MISMATCH",
-                        f"recorded {step.cost_before}, recomputed {cost_b}",
-                    )
-                )
-        elif step.cost_before is not None:
-            report.violations.append(
-                TraceViolation(idx, "COST_BEFORE_MISMATCH", "unplaced player has no cost")
-            )
+            flag(idx, "FROM_MISMATCH", f"recorded {_fmt(step.frm)}, replay has {_fmt(actual_frm)}")
+        cost_b = None if actual_frm is None else player_cost(game, state, step.player)
+        if step.frm is not None and step.cost_before != cost_b:
+            flag(idx, "COST_BEFORE_MISMATCH", f"recorded {step.cost_before}, recomputed {cost_b}")
+        elif step.frm is None and step.cost_before is not None:
+            flag(idx, "COST_BEFORE_MISMATCH", "unplaced player has no cost")
 
         if step.to is None:
             state = state.without_player(step.player)
             if step.cost_after is not None:
-                report.violations.append(
-                    TraceViolation(idx, "COST_AFTER_MISMATCH", "discarded player has no cost")
-                )
+                flag(idx, "COST_AFTER_MISMATCH", "discarded player has no cost")
+        elif not game.spaces[step.player].is_base(step.to):
+            # the replay state would leave the game's vocabulary; stop here
+            flag(idx, "BAD_STRATEGY", f"{_fmt(step.to)} outside the space")
+            return report
         else:
-            if not game.spaces[step.player].is_base(step.to):
-                # the replay state would leave the game's vocabulary; stop here
-                report.violations.append(
-                    TraceViolation(idx, "BAD_STRATEGY", f"{_fmt(step.to)} outside the space")
-                )
-                return report
             state = state.with_player(step.player, step.to)
             cost_a = player_cost(game, state, step.player)
             if step.cost_after != cost_a:
-                report.violations.append(
-                    TraceViolation(
-                        idx,
-                        "COST_AFTER_MISMATCH",
-                        f"recorded {step.cost_after}, recomputed {cost_a}",
-                    )
-                )
+                flag(idx, "COST_AFTER_MISMATCH", f"recorded {step.cost_after}, recomputed {cost_a}")
             if step.frm is not None:
-                if step.cost_before is not None and step.cost_after is not None:
-                    if not step.cost_after < step.cost_before:
-                        report.violations.append(
-                            TraceViolation(idx, "NOT_IMPROVING", "recorded costs do not drop")
-                        )
+                before, after = step.cost_before, step.cost_after
+                if before is not None and after is not None and not after < before:
+                    flag(idx, "NOT_IMPROVING", "recorded costs do not drop")
                 if cost_b is not None and not cost_a < cost_b:
-                    report.violations.append(
-                        TraceViolation(idx, "NOT_IMPROVING", "recomputed costs do not drop")
-                    )
+                    flag(idx, "NOT_IMPROVING", "recomputed costs do not drop")
 
         level = layer_level(step.phase)
         if level is None and step.phase.startswith("layer:"):
-            report.violations.append(
-                TraceViolation(idx, "BAD_PHASE", f"malformed layer phase {step.phase!r}")
+            flag(idx, "BAD_PHASE", f"malformed layer phase {step.phase!r}")
+            if rule == "layer":
+                descent = None  # the next row starts its layer's checks afresh
+
+        if rule == "insertion":
+            potential = insertion_potential(game, state)
+        elif rule == "lex" and state.is_full(game):
+            potential = lex_potential_singleton(game, state)
+        elif rule == "layer" and level is not None:
+            potential = level_potential(game, state, level)
+        else:
+            potential = None
+        if step.potential and potential is not None and step.potential != potential.canonical():
+            flag(
+                idx,
+                "POTENTIAL_MISMATCH",
+                f"recorded {step.potential!r}, recomputed {potential.canonical()!r}",
             )
-            layer_phase = None  # the next row starts its layer's checks afresh
-        if not layered:
-            level = None  # this game's layered rows record no potential
-        potential = _expected_potential(game, state, level, lexable=lexable, insertion=insertion)
-        if step.potential and potential is not None:
-            expected = potential.canonical()
-            if step.potential != expected:
-                report.violations.append(
-                    TraceViolation(
-                        idx,
-                        "POTENTIAL_MISMATCH",
-                        f"recorded {step.potential!r}, recomputed {expected!r}",
-                    )
-                )
 
-        if lexable and state.is_full(game):
-            if prev_lex is not None and lex_compare(potential, prev_lex) != LESS:
-                report.violations.append(
-                    TraceViolation(idx, "POTENTIAL_NOT_DECREASING", "lexicographic potential")
-                )
-            prev_lex = potential
+        if potential is not None and rule in ("lex", "layer"):
+            phase = step.phase if rule == "layer" else ""
+            checked = rule == "lex" or (step.frm is not None and step.to is not None)
+            if descent is not None and descent[0] == phase and checked:
+                if not _falls(potential, descent[1]):
+                    what = "lexicographic" if rule == "lex" else f"level {level} scalar"
+                    flag(idx, "POTENTIAL_NOT_DECREASING", f"{what} potential")
+            descent = (phase, potential)
 
-        if level is not None:
-            if step.phase != layer_phase:
-                layer_phase, layer_prev_scalar = step.phase, potential
-            else:
-                if step.frm is not None and step.to is not None:
-                    if (
-                        layer_prev_scalar is not None
-                        and (potential.value.is_finite or layer_prev_scalar.value.is_finite)
-                        and not potential.value < layer_prev_scalar.value
-                    ):
-                        report.violations.append(
-                            TraceViolation(
-                                idx, "POTENTIAL_NOT_DECREASING", f"level {level} scalar potential"
-                            )
-                        )
-                layer_prev_scalar = potential
-
-        if step.phase == "rebalance":
-            round_rebalanced = True
+        rebalanced = rebalanced or step.phase == "rebalance"
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
-        if insertion and (nxt is None or nxt.round != step.round):
-            check_round_boundary(state, potential, step.round, idx, round_rebalanced)
-            round_rebalanced = False
+        if rule == "insertion" and (nxt is None or nxt.round != step.round):
+            # rebalance rounds repair the invariant and owe no strict rise
+            if not rebalanced and insertion_potential_compare(round_potential, potential) != LESS:
+                flag(
+                    idx,
+                    "POTENTIAL_NOT_INCREASING",
+                    f"insertion potential did not rise across round {step.round}",
+                )
+            for p in state.players():
+                if has_better_response(game, state, p):
+                    flag(
+                        idx,
+                        "INCENTIVE_BROKEN",
+                        f"player {p} has a better response after round {step.round}",
+                    )
+            round_potential, rebalanced = potential, False
 
     if trace.final is not None and trace.final != state:
-        report.violations.append(
-            TraceViolation(-1, "FINAL_MISMATCH", "recorded final state differs from replay")
-        )
+        flag(-1, "FINAL_MISMATCH", "recorded final state differs from replay")
     if trace.status == CONVERGED:
         if not state.is_full(game):
-            report.violations.append(
-                TraceViolation(-1, "PARTIAL_FINAL", "converged run left players unplaced")
-            )
+            flag(-1, "PARTIAL_FINAL", "converged run left players unplaced")
         elif not is_pure_nash(game, state):
-            report.violations.append(
-                TraceViolation(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")
-            )
+            flag(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")
     return report
 
 
@@ -349,22 +304,8 @@ def _fmt(s: frozenset[str] | None) -> str:
     return "-" if s is None else "+".join(sorted(s)) or "{}"
 
 
-def _expected_potential(
-    game: Game,
-    state: State,
-    level: int | None,
-    *,
-    lexable: bool,
-    insertion: bool,
-) -> InsertionPotentialValue | LexVector | ScalarPotential | None:
-    """Recompute the potential whose canonical string the snapshot column
-    should contain after this step, or None when the run records none.
-    The flags say which potential the run's kind and game record; ``level``
-    is a layered row's priority level, None on every other row."""
-    if insertion:
-        return insertion_potential(game, state)
-    if lexable and state.is_full(game):
-        return lex_potential_singleton(game, state)
-    if level is not None:
-        return level_potential(game, state, level)
-    return None
+def _falls(new: LexVector | ScalarPotential, old: LexVector | ScalarPotential) -> bool:
+    """Whether a descending run's potential dropped; a scalar +inf plateau counts."""
+    if isinstance(new, LexVector):
+        return lex_compare(new, old) == LESS
+    return new.value < old.value or not (new.value.is_finite or old.value.is_finite)

@@ -78,6 +78,12 @@ def _parse_strategy(cell: str) -> frozenset[str] | None:
     return None if cell == "" else frozenset(cell.split("+"))
 
 
+def _player(cell: str) -> int:
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"player ids are ASCII decimal strings, got {cell!r}")
+    return int(cell)
+
+
 def _parse_cost(cell: str) -> ExtCost | None:
     return None if cell == "" else ExtCost.of(cell)
 
@@ -114,7 +120,7 @@ def read_trace_csv(source) -> MoveTrace:
             if strategy is None:
                 raise ParseError(f"line {lineno}: start rows need a strategy")
             try:
-                start[int(player)] = strategy
+                start[_player(player)] = strategy
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
             continue
@@ -135,7 +141,7 @@ def read_trace_csv(source) -> MoveTrace:
                     index=len(steps),
                     round=round_no,
                     phase=phase,
-                    player=int(player),
+                    player=_player(player),
                     frm=_parse_strategy(frm),
                     to=_parse_strategy(to),
                     cost_before=_parse_cost(cost_b),

@@ -275,3 +275,37 @@ def test_negative_budget_is_parse_error(capsys, t1_file, monkeypatch):
     monkeypatch.setenv("PCG_BUDGET", "0")
     code, _, err = run(capsys, ["solve", t1_file, "--method", "brute"])
     assert code == 2 and "BUDGET_EXCEEDED" in err
+
+
+
+@pytest.mark.parametrize("raw", ["١", "1_0", " 7 "])
+def test_budget_is_ascii_decimal(capsys, t1_file, monkeypatch, raw):
+    # int() reads each of these as a number
+    monkeypatch.setenv("PCG_BUDGET", raw)
+    code, out, err = run(capsys, ["solve", t1_file, "--method", "brute"])
+    assert code == 1 and out == ""
+    assert "PARSE_ERROR" in err and "PCG_BUDGET must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "option, raw",
+    [
+        ("--max-steps", "abc"),
+        ("--max-steps", "٠"),
+        ("--max-steps", "1_0"),
+        ("--seed", "١"),
+        ("--players", "٣"),
+        ("--resources", " 2"),
+    ],
+)
+def test_integer_options_are_ascii_decimal(capsys, t1_file, option, raw):
+    # each is rejected the way argparse's own int rejects "abc"
+    if option == "--max-steps":
+        argv = ["solve", t1_file, "--method", "br", option, raw]
+    else:
+        argv = ["gen", "--seed", "1", "--players", "3", "--resources", "2"]
+        argv[argv.index(option) + 1] = raw
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid int value: {raw!r}" in capsys.readouterr().err

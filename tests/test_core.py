@@ -395,3 +395,15 @@ def test_table_hole_reported_as_missing_entry():
     assert as_tuples(pg.validate_delay_properties(holed, 4)) == [
         ("MISSING_ENTRY", "(x=1, y=1)", "no table entry within bound")
     ]
+
+
+def test_priority_consistency_is_always_computed():
+    maps = {"a": {1: 1, 2: 2}, "b": {1: 2, 2: 1}}
+    with pytest.raises(TypeError):
+        pg.PriorityFunction(maps, consistent=True)
+    assert pg.PriorityFunction.uniform(["a", "b"], {1: 1, 2: 2}).consistent
+    # a per-resource game writes every resource's row, so it reads back equal
+    game = make_t1()
+    assert game.priorities == pg.PriorityFunction(maps) and not game.priorities.consistent
+    back = pg.parse_instance(pg.emit_instance(game))
+    assert back == game and back.priorities.of("b", 1) == 2

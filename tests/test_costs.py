@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -138,3 +140,34 @@ def test_single_part_sum_is_the_part(a):
     for total in (sum_costs([a]), sum_costs(v for v in (a,))):
         assert total is a
         assert total == plain and total.to_string() == plain.to_string()
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": _pickled}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_costs_copy_and_pickle(how):
+    again = COPIES[how](cost("7/2"))
+    assert again == cost("7/2") and type(again) is ExtCost
+    assert COPIES[how](INFINITY) is INFINITY
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_traces_and_games_copy_and_pickle(how):
+    import prioritygames as pg
+    from conftest import gen_game
+    from prioritygames.traceio import trace_to_csv_text
+
+    game = gen_game(39, players=6, resources=3, model="affine", levels=3)
+    _, trace = pg.solve_insertion(game)
+    text = trace_to_csv_text(trace)
+    assert trace_to_csv_text(COPIES[how](trace)) == text
+    again = COPIES[how](game)
+    assert again == game
+    assert trace_to_csv_text(pg.solve_insertion(again)[1]) == text
+    report = pg.certify_trace(game, trace)
+    assert COPIES[how](report) == report and report.ok

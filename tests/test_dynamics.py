@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import prioritygames as pg
 from conftest import gen_game, make_t1_consistent
 from prioritygames import dynamics
 from prioritygames.oracle import _profile_is_pne_naive
+from prioritygames.traceio import read_trace_csv, trace_to_csv_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -381,3 +383,13 @@ class TestCountSteps:
     def test_b1_trace(self):
         _, trace = pg.solve_insertion(b1_forcing_game())
         assert pg.count_steps(trace).discards == 1
+
+
+def test_layer_restart_keeps_round_numbers_contiguous():
+    # the failed attempt's rows are dropped, and so are its round numbers
+    game = pg.parse_instance((DATA / "layer_restart_s27.json").read_bytes())
+    _, trace = pg.solve_consistent_layered(game)
+    assert [s.round for s in trace.steps] == list(range(13))
+    # the numbering a CSV round trip gives
+    back = read_trace_csv(io.StringIO(trace_to_csv_text(trace)))
+    assert [s.round for s in back.steps] == list(range(13))

@@ -1,7 +1,7 @@
 import pytest
 
 import prioritygames as pg
-from conftest import gen_game, make_t1_consistent
+from conftest import gen_game, make_t1, make_t1_consistent
 
 
 class TestEnumerateProfiles:
@@ -130,3 +130,205 @@ def test_existence_small_sweep():
             1400 + seed, players=3, resources=3, space_kind="mixed", consistent=True, levels=2
         )
         assert pg.brute_force_pne(game), f"no equilibrium at consistent seed {seed}"
+
+
+
+CAP = pg.dynamics.CAP_REACHED
+
+
+def replayed(game, kind, start, rows, status=pg.dynamics.CONVERGED):
+    """A clean trace of ``rows`` of (phase, player, to), where ``to`` is a
+    resource id or None for a discard, each row a round of its own, with
+    costs recomputed and the potential column blank (blank cells are not
+    compared)."""
+    trace = pg.MoveTrace(kind=kind, start=pg.State(start), status=status)
+    state = trace.start
+    for index, (phase, player, to) in enumerate(rows):
+        frm = state.strategy(player) if state.covers(player) else None
+        before = None if frm is None else pg.player_cost(game, state, player)
+        state = state.without_player(player) if to is None else state.with_player(player, to)
+        after = None if to is None else pg.player_cost(game, state, player)
+        to = None if to is None else frozenset([to])
+        trace.steps.append(pg.TraceStep(index, index, phase, player, frm, to, before, after, ""))
+    trace.final = state
+    return trace
+
+
+def _set(obj, **fields):
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
+
+
+def br_move(game):
+    """``run_dynamics`` on T1 from both on a: player 2 moves a -> b, cost 3 -> 1."""
+    _, trace = pg.run_dynamics(game, pg.profile({1: "a", 2: "a"}))
+    assert [(s.player, s.cost_before, s.cost_after) for s in trace.steps] == [
+        (2, pg.cost(3), pg.cost(1))
+    ]
+    return trace
+
+
+def first_row(trace, **fields):
+    _set(trace.steps[0], **fields)
+    return trace
+
+
+def corrupt_row(**fields):
+    """``br_move`` with its one row's fields overwritten."""
+    return lambda g: first_row(br_move(g), **fields)
+
+
+def lex_tie(phase):
+    """A discard, then the same placement: the full states' lex potentials tie."""
+    rows = [("br", 2, None), (phase, 2, "a")]
+    return lambda g: replayed(g, "br", {1: "a", 2: "a"}, rows, CAP)
+
+
+def layer_moves(phase):
+    """Player 2 (level 2) moves inside level 1's phase: her cost drops
+    (a -> b), the level-1 potential does not; with ``phase`` ``layer:x``
+    she then moves back (b -> a) in level 1's phase."""
+    rows = [("layer:1", 1, "a"), ("layer:1", 2, "a"), (phase, 2, "b")]
+    if phase != "layer:1":
+        rows.append(("layer:1", 2, "a"))
+    return lambda g: replayed(g, "layered", {}, rows, CAP)
+
+
+def insertion_loss(phase):
+    """Round 2 discards player 2: the insertion potential falls."""
+    rows = [("insert", 1, "a"), ("insert", 2, "b"), (phase, 2, None)]
+    return lambda g: replayed(g, "insertion", {}, rows, CAP)
+
+
+# (game, trace builder, expected (step, code[, message]) list); T1 has
+# shared delays and per-resource priorities, its consistent twin layers
+CERTIFY_CASES = {
+    "bad-start": (
+        make_t1,
+        lambda g: replayed(g, "br", {1: "zzz", 2: "a"}, []),
+        [(-1, "BAD_START")],
+    ),
+    "unknown-player": (make_t1, corrupt_row(player=9), [(0, "UNKNOWN_PLAYER", "player 9")]),
+    "from-mismatch": (
+        make_t1,
+        corrupt_row(frm=frozenset("b")),
+        [(0, "FROM_MISMATCH", "recorded b, replay has a")],
+    ),
+    "cost-before-recomputed": (
+        make_t1,
+        corrupt_row(cost_before=pg.cost(4)),
+        [(0, "COST_BEFORE_MISMATCH", "recorded 4/1, recomputed 3/1")],
+    ),
+    "cost-before-of-unplaced": (
+        make_t1,
+        lambda g: first_row(replayed(g, "br", {1: "a"}, [("br", 2, "b")]), cost_before=pg.cost(1)),
+        [(0, "COST_BEFORE_MISMATCH", "unplaced player has no cost")],
+    ),
+    "cost-after-recomputed": (
+        make_t1,
+        corrupt_row(cost_after=pg.cost(2)),
+        [(0, "COST_AFTER_MISMATCH", "recorded 2/1, recomputed 1/1")],
+    ),
+    "cost-after-of-discarded": (
+        make_t1,
+        lambda g: first_row(
+            replayed(g, "br", {1: "a", 2: "a"}, [("br", 2, None)], CAP),
+            cost_after=pg.cost(1),
+        ),
+        [(0, "COST_AFTER_MISMATCH", "discarded player has no cost")],
+    ),
+    "bad-strategy": (
+        make_t1,
+        corrupt_row(to=frozenset(["zzz"]), cost_after=pg.cost(7)),
+        [(0, "BAD_STRATEGY", "zzz outside the space")],
+    ),
+    "not-improving-recorded": (
+        make_t1,
+        corrupt_row(cost_after=pg.cost(3)),
+        [
+            (0, "COST_AFTER_MISMATCH", "recorded 3/1, recomputed 1/1"),
+            (0, "NOT_IMPROVING", "recorded costs do not drop"),
+        ],
+    ),
+    "not-improving-recomputed": (
+        make_t1,
+        # the recorded costs match replay (1 -> 1); T1 has no layered potential
+        lambda g: replayed(g, "layered", {1: "a", 2: "a"}, [("br", 1, "b")], CAP),
+        [
+            (0, "NOT_IMPROVING", "recorded costs do not drop"),
+            (0, "NOT_IMPROVING", "recomputed costs do not drop"),
+        ],
+    ),
+    "bad-phase": (
+        make_t1,
+        corrupt_row(phase="layer:"),
+        [(0, "BAD_PHASE", "malformed layer phase 'layer:'")],
+    ),
+    "potential-mismatch": (
+        make_t1,
+        corrupt_row(potential="0/1@1;1/1@1"),
+        [(0, "POTENTIAL_MISMATCH", "recorded '0/1@1;1/1@1', recomputed '1/1@1;1/1@1'")],
+    ),
+    "lex-not-decreasing": (
+        make_t1,
+        lex_tie("br"),
+        [(1, "POTENTIAL_NOT_DECREASING", "lexicographic potential")],
+    ),
+    "lex-not-decreasing-after-bad-phase": (
+        make_t1,
+        lex_tie("layer:x"),
+        [(1, "BAD_PHASE"), (1, "POTENTIAL_NOT_DECREASING", "lexicographic potential")],
+    ),
+    "layer-not-decreasing": (
+        make_t1_consistent,
+        layer_moves("layer:1"),
+        [(2, "POTENTIAL_NOT_DECREASING", "level 1 scalar potential")],
+    ),
+    "layer-restarts-after-bad-phase": (
+        make_t1_consistent,
+        layer_moves("layer:x"),
+        [(2, "BAD_PHASE"), (3, "NOT_IMPROVING"), (3, "NOT_IMPROVING")],
+    ),
+    "insertion-not-increasing": (
+        make_t1,
+        insertion_loss("discard"),
+        [(2, "POTENTIAL_NOT_INCREASING", "insertion potential did not rise across round 2")],
+    ),
+    "insertion-rebalance-exempt": (make_t1, insertion_loss("rebalance"), []),
+    "incentive-broken": (
+        make_t1,
+        lambda g: replayed(g, "insertion", {}, [("insert", 1, "a"), ("insert", 2, "a")], CAP),
+        [(1, "INCENTIVE_BROKEN", "player 2 has a better response after round 1")],
+    ),
+    "final-mismatch": (
+        make_t1,
+        lambda g: _set(br_move(g), final=pg.profile({1: "b", 2: "a"})),
+        [(-1, "FINAL_MISMATCH", "recorded final state differs from replay")],
+    ),
+    "partial-final": (
+        make_t1,
+        lambda g: replayed(g, "br", {1: "a"}, []),
+        [(-1, "PARTIAL_FINAL", "converged run left players unplaced")],
+    ),
+    "not-equilibrium": (
+        make_t1,
+        lambda g: replayed(g, "br", {1: "a", 2: "a"}, []),
+        [(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
+def test_each_violation_code_is_found(case):
+    make_game, build, expected = CERTIFY_CASES[case]
+    game = make_game()
+    found = [(v.step, v.code, v.message) for v in pg.certify_trace(game, build(game)).violations]
+    assert [f[: len(e)] for f, e in zip(found, expected)] == expected
+    assert len(found) == len(expected)
+
+
+def test_every_violation_code_has_a_case():
+    from test_certify_corpus import CODES
+
+    assert {e[1] for _, _, expected in CERTIFY_CASES.values() for e in expected} == CODES

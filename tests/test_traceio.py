@@ -80,3 +80,16 @@ def test_unknown_phase_is_parse_error(phase):
     text += "0,start,1,,a,,,\n" + f"1,{phase},1,a,b,1/1,0/1,\n"
     with pytest.raises(pg.ParseError, match="line 3"):
         read_trace_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("cell", ["١", "1_0", " 1", "-1", ""])
+@pytest.mark.parametrize("row", ["start", "step"])
+def test_player_cell_is_ascii_decimal(row, cell):
+    text = "step,phase,player,from,to,cost_before,cost_after,potential\n"
+    if row == "start":
+        text += f"0,start,{cell},,a,,,\n"
+    else:
+        text += "0,start,2,,a,,,\n" + f"1,br,{cell},a,b,1/1,0/1,\n"
+    line = 2 if row == "start" else 3
+    with pytest.raises(pg.ParseError, match=f"line {line}: player ids are ASCII decimal"):
+        read_trace_csv(io.StringIO(text))
