@@ -3,9 +3,9 @@
 A :class:`State` maps a subset of players to strategies; a profile is a
 state covering everyone.  Every function here returns what a pure function
 of its arguments would; :func:`tally` only remembers the last state it
-counted, with its count table and entry weights.  Costs of players outside a
-state are an error, never zero (the insertion machinery relies on that
-distinction).
+counted, with its count table, entry weights and tolerances.  Costs of
+players outside a state are an error, never zero (the insertion machinery
+relies on that distinction).
 """
 
 from __future__ import annotations
@@ -166,20 +166,22 @@ def level_counts(game: Game, state: State) -> LevelCounts:
 def tally(game: Game, state: State) -> LevelCounts:
     """The state's :func:`level_counts` table, counted once per state object.
 
-    The game keeps the last state counted here in one slot, with its table
-    and the :func:`entry_weights` priced on it.  A query on that same state
-    object reads the slot; any other state, even an equal one, is counted
-    afresh and replaces it, after the count succeeds.  States are immutable,
-    so a kept table is what a fresh count would give.  Every cost, weight,
-    potential and tolerance query reads its counts here, so a solver that
-    moves from state to state counts each state once.  The slot is shared:
-    read it, never change it.
+    The game keeps the last state counted here in one slot, with its table,
+    the :func:`entry_weights` priced on it, and the
+    :func:`~prioritygames.potentials.tolerance` records of its singleton
+    players with the (below, at) level counts they read.  A query on that
+    same state object reads the slot; any other state, even an equal one,
+    is counted afresh and replaces it, after the count succeeds.  States
+    are immutable, so a kept table is what a fresh count would give.  Every
+    cost, weight, potential and tolerance query reads its counts here, so a
+    solver that moves from state to state counts each state once.  The slot
+    is shared: read it, never change it.
     """
     kept = game._tally
     if kept is not None and kept[0] is state:
         return kept[1]
     table = level_counts(game, state)
-    object.__setattr__(game, "_tally", (state, table, {}))
+    object.__setattr__(game, "_tally", (state, table, {}, {}, {}))
     return table
 
 

@@ -56,6 +56,7 @@ class PriorityFunction:
                     )
         vals = list(self._maps.values())
         self.consistent = bool(vals) and all(m == vals[0] for m in vals)
+        self._top = {r: max(m.values(), default=0) for r, m in self._maps.items()}
 
     @classmethod
     def uniform(cls, resources: Iterable[str], mapping: Mapping[int, int]) -> "PriorityFunction":
@@ -78,8 +79,7 @@ class PriorityFunction:
         return player in self._maps.get(resource, {})
 
     def max_level(self, resource: str) -> int:
-        m = self._maps.get(resource, {})
-        return max(m.values()) if m else 0
+        return self._top.get(resource, 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PriorityFunction) and self._maps == other._maps
@@ -339,7 +339,8 @@ class Game:
     player_specific: bool
     # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (state, level-count table, player -> entry weights) of the last state
+    # (state, level-count table, player -> entry weights, player -> tolerance
+    # record, (resource, level) -> (count below, count at)) of the last state
     # congestion.tally counted
     _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
 

@@ -42,6 +42,7 @@ class StrategySpace:
 
     kind = "abstract"
     matroid = False  # True when the greedy/exchange machinery applies
+    _singletons: frozenset[str] | None = None  # kept by singleton_resources
 
     def ground(self) -> frozenset[str]:
         raise NotImplementedError
@@ -417,9 +418,12 @@ def singleton_resources(space: StrategySpace) -> frozenset[str]:
 
     For singleton-equivalent spaces this can be a strict subset of the
     ground set (a rank-1 partition matroid with a zero cap carries dead
-    ground elements).
+    ground elements).  Computed once per space: spaces are immutable, so
+    the set is kept on the space and every later call returns it.
     """
-    return frozenset(next(iter(b)) for b in space.all_bases() if len(b) == 1)
+    if space._singletons is None:
+        space._singletons = frozenset(next(iter(b)) for b in space.all_bases() if len(b) == 1)
+    return space._singletons
 
 
 def exchange_step(

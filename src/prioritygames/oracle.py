@@ -15,7 +15,6 @@ from typing import Iterator, Union
 
 from .congestion import (
     State,
-    has_better_response,
     is_pure_nash,
     player_cost,
     validate_state,
@@ -41,6 +40,7 @@ from .potentials import (
     level_potential,
     lex_compare,
     lex_potential_singleton,
+    tolerance,
 )
 
 AnyGame = Union[Game, MarketGame, ClassicGame, AffineGame]
@@ -166,7 +166,12 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     * ``insertion`` on a singleton game: the insertion potential rises
       strictly across every round without a ``rebalance`` row
       (``POTENTIAL_NOT_INCREASING``), and after every round nobody has a
-      better response (``INCENTIVE_BROKEN``);
+      better response (``INCENTIVE_BROKEN``).  That is read from each
+      placed player's :func:`~prioritygames.potentials.tolerance` record,
+      the one the row's potential summed: her ceiling, the least entry
+      cost over her alternatives, below her stay cost.  The solver asks
+      the greedy ``has_better_response`` instead, so the two reach their
+      incentive verdicts by separate computations;
     * any other run records no potential, and none is checked.
 
     Per run: the recorded final state matches the replay
@@ -175,8 +180,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
     Replay makes a new ``State`` for every row, and every query on it reads
     the one level-count table :func:`~prioritygames.congestion.tally`
-    counts from it.  ``tally`` keys its table by state identity, so no
-    replayed row reads a table the solver counted.
+    counts from it, and the weights and tolerance records kept beside it.
+    ``tally`` keys its slot by state identity, so no replayed row reads a
+    table, weight or record the solver priced, or one of another row.
     """
     report = CertifyReport()
 
@@ -282,7 +288,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     f"insertion potential did not rise across round {step.round}",
                 )
             for p in state.players():
-                if has_better_response(game, state, p):
+                if tolerance(game, state, p).improvable:
                     flag(
                         idx,
                         "INCENTIVE_BROKEN",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .congestion import (
     LevelCounts,
@@ -32,7 +33,7 @@ from .congestion import (
     tally,
     validate_state,
 )
-from .core import Game
+from .core import AffineDelay, Game, PerPlayerDelay
 from .costs import INFINITY, ExtCost, sum_costs
 from .errors import (
     InconsistentPrioritiesError,
@@ -214,50 +215,119 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
 # Insertion potential
 
 
+class Tolerance(NamedTuple):
+    """A placed singleton player's standing in one state.
+
+    ``ceiling`` is her least entry cost over her alternatives (+inf when she
+    has none), ``stay`` her cost where she is, ``tol`` her tolerance, and
+    ``improvable`` is ``ceiling < stay``: some strategy strictly beats hers.
+    """
+
+    ceiling: ExtCost
+    stay: ExtCost
+    tol: int
+    improvable: bool
+
+
+def tolerance(game: Game, state: State, player: int) -> Tolerance:
+    """The player's :class:`Tolerance` record, priced once per state object.
+
+    Only her alternatives are priced: the ceiling is the least post-move
+    delay over ``singleton_resources`` of her space other than her own
+    resource, each read straight from the state's :func:`tally` table (she
+    is not on an alternative, so she joins its level-q count).  Dead ground
+    elements, which no strategy uses, are never priced.  Only the counts on
+    resources in her ground are read, so a move on a resource she cannot
+    reach leaves her record unchanged; the insertion solver relies on that
+    to refresh tolerances incrementally.  Her own membership needs no
+    removal: she sits at level q on her resource, so the count strictly
+    below q is the same with or without her.
+
+    For a singleton player, ``improvable`` is exactly
+    :func:`~prioritygames.congestion.has_better_response`: her entry weight
+    on her own resource is her stay cost, and a better strategy is an
+    alternative strictly below it.  The record is kept in the state's
+    :func:`tally` slot beside her entry weights, so a second query on the
+    same state object is a lookup.
+    """
+    counts = tally(game, state)
+    _, _, _, kept, points = game._tally  # the slot tally just kept for this state
+    if (record := kept.get(player)) is None:
+        strategy = state.strategy(player)
+        if len(strategy) != 1:
+            raise NotSingletonError("tolerance is defined for singleton strategies")
+        (rid,) = strategy
+        ceiling = INFINITY
+        for alt in singleton_resources(game.spaces[player]):
+            if alt != rid:
+                below, same = _point(counts, points, alt, game.priority(alt, player))
+                rival = game.delay(player, alt, below, same + 1)
+                if rival < ceiling:
+                    ceiling = rival
+        below, same = _point(counts, points, rid, game.priority(rid, player))
+        stay = game.delay(player, rid, below, same)
+        tol = _tolerance_count(game, player, rid, below, ceiling)
+        record = kept[player] = Tolerance(ceiling, stay, tol, ceiling < stay)
+    return record
+
+
+def _point(
+    counts: LevelCounts, points: dict[tuple[str, int], tuple[int, int]], rid: str, level: int
+) -> tuple[int, int]:
+    """(count strictly below ``level``, count at it) on ``rid``, summed once per state."""
+    if (found := points.get((rid, level))) is None:
+        row = counts.get(rid, {})
+        found = points[rid, level] = (count_below(row, level), row.get(level, 0))
+    return found
+
+
 def tol_value(game: Game, state: State, player: int) -> int:
     """How crowded the player's resource may get before she wants to leave.
 
     The largest y (capped at the player count: congestion never exceeds it)
     such that staying with y equal-priority co-users, herself included, costs
-    at most every alternative resource's post-move delay.  Zero when even
-    y = 1 is beaten, which only happens in states where she already has a
-    better response.
+    at most every alternative resource's post-move delay, the ceiling of
+    her :func:`tolerance` record.  Zero when even y = 1 is beaten, which only
+    happens in states where she already has a better response.
+    """
+    return tolerance(game, state, player).tol
 
-    y is found by bisection.  ``build_game`` checks that every accepted
+
+def _tolerance_count(game: Game, player: int, rid: str, below: int, ceiling: ExtCost) -> int:
+    """The largest y in 0..n with d(below, y') <= ceiling for every y' <= y.
+
+    An affine delay d(x, y) = alpha * (x + (y + 1)/2) + beta, shared or
+    the player's own, solves for y in closed form with integers.  With
+    alpha = a_n/a_d, beta = b_n/b_d and ceiling c = c_n/c_d, d(below, y) <= c
+    reads y <= 2(c - beta)/alpha - 2 below - 1, so
+    y = floor(2 a_d (c_n b_d - b_n c_d) / (c_d b_d a_n)) - 2 below - 1,
+    clipped to [0, n].  With alpha = 0 the delay is beta everywhere: n when
+    beta <= c, else 0.  An infinite ceiling gives n.
+
+    Any other spec is bisected.  ``build_game`` checks that every accepted
     spec is nondecreasing in y on the whole domain up to
     ``required_table_bound``, which for singleton games holds every probe
     here (x = below <= n - 1, y <= n), so "d(below, y) <= ceiling" holds on
     a prefix of 1..n and the bisection finds that prefix's end, the value a
     linear scan stopping at the first failure would find.  Every probe lies
     in that same domain, so no probe raises where the scan would not.
-
-    Only her alternatives are priced: the ceiling is the least post-move
-    delay over ``singleton_resources`` of her space other than her own
-    resource, each read straight from the state's :func:`tally` table (she is not on an
-    alternative, so she joins its level-q count).  Dead ground elements,
-    which no strategy uses, are never priced.  Only the counts on resources
-    in her ground are read, so a move on a resource she cannot reach leaves
-    her tolerance unchanged; the insertion solver relies on that to refresh
-    tolerances incrementally.  Her own membership needs no removal: she
-    sits at level q on her resource, so the count strictly below q is the
-    same with or without her.
     """
-    strategy = state.strategy(player)
-    if len(strategy) != 1:
-        raise NotSingletonError("tolerance is defined for singleton strategies")
-    (rid,) = strategy
-    counts = tally(game, state)
-    ceiling = INFINITY
-    for alt in singleton_resources(game.spaces[player]) - {rid}:
-        level = game.priority(alt, player)
-        row = counts.get(alt, {})
-        rival = game.delay(player, alt, count_below(row, level), row.get(level, 0) + 1)
-        if rival < ceiling:
-            ceiling = rival
-    q = game.priority(rid, player)
-    below = count_below(counts[rid], q)
+    n = game.n_players
+    spec = game.delays[rid]
+    if isinstance(spec, PerPlayerDelay):
+        spec = spec.for_player(player)
+    if isinstance(spec, AffineDelay):
+        c = ceiling.frac
+        if c is None:
+            return n
+        a, b = spec.alpha, spec.beta
+        if a == 0:
+            return n if b <= c else 0
+        slack = 2 * a.denominator * (c.numerator * b.denominator - b.numerator * c.denominator)
+        y = slack // (c.denominator * b.denominator * a.numerator) - 2 * below - 1
+        return max(0, min(n, y))
     # d(below, y) <= ceiling for every 1 <= y <= lo, and > ceiling for y > hi
-    lo, hi = 0, game.n_players
+    lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if game.delay(player, rid, below, mid) <= ceiling:
@@ -275,7 +345,9 @@ def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
     lexicographically nondecreasing.  Second part: the summed tolerance of
     all covered players.  The algorithm strictly increases this value, rows
     compared first.  Both parts read the state's :func:`tally` table, so
-    the state is counted at most once for the rows and every tolerance.
+    the state is counted at most once for the rows and every tolerance, and
+    every placed player's :func:`tolerance` record stays kept there for
+    later queries on the same state object.
     """
     _require_singleton(game)
     validate_state(game, state)

@@ -93,7 +93,9 @@ def read_trace_csv(source) -> MoveTrace:
 
     Besides ``start`` and ``cap``, a row's phase is one of ``br``,
     ``insert``, ``discard``, ``rebalance`` or ``layer:<level>``; any other
-    phase is a ParseError naming its line.
+    phase is a ParseError naming its line.  So is a ``step`` cell other
+    than the row's 0-based position in ASCII decimal, as the writer numbers
+    rows, and a second ``start`` row for one player.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
@@ -114,15 +116,20 @@ def read_trace_csv(source) -> MoveTrace:
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(HEADER):
             raise ParseError(f"line {lineno}: expected {len(HEADER)} cells")
-        _, phase, player, frm, to, cost_b, cost_a, potential = row
+        step, phase, player, frm, to, cost_b, cost_a, potential = row
+        if step != str(lineno - 2):
+            raise ParseError(f"line {lineno}: step {step!r} is not the row's position {lineno - 2}")
         if phase == "start":
             strategy = _parse_strategy(to)
             if strategy is None:
                 raise ParseError(f"line {lineno}: start rows need a strategy")
             try:
-                start[_player(player)] = strategy
+                placed = _player(player)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
+            if placed in start:
+                raise ParseError(f"line {lineno}: a second start row for player {placed}")
+            start[placed] = strategy
             continue
         if phase == "cap":
             status = CAP_REACHED

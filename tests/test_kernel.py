@@ -15,6 +15,7 @@ from conftest import gen_source
 from prioritygames.congestion import level_counts
 from prioritygames.costs import sum_costs
 from prioritygames.matroids import singleton_resources
+from prioritygames.potentials import tolerance
 
 # (model, space kind, consistent priorities, player-specific delays)
 CLASSES = (
@@ -178,7 +179,8 @@ def test_kernel_matches_naive_recount(model, space, consistent, specific):
 
 
 # ---------------------------------------------------------------------------
-# Tolerances: bisection over y against a naive linear scan
+# Tolerances (closed form on affine delays, bisection otherwise) against a
+# naive linear scan
 
 
 def check_tolerances(game, state):
@@ -292,3 +294,77 @@ def test_tolerance_skips_dead_ground_elements():
             assert "z" in game.ground_of(p) - singleton_resources(game.spaces[p])
         for state in sample_states(game, rng):
             check_tolerances(game, state)
+
+
+# ---------------------------------------------------------------------------
+# The kept tolerance record: the certifier's incentive flag and tolerance
+
+
+def naive_ceiling(game, state, player):
+    (rid,) = state.strategy(player)
+    rivals = naive_weights(game, state, player)
+    alts = [rivals[alt] for alt in singleton_resources(game.spaces[player]) if alt != rid]
+    return min(alts, default=pg.INFINITY)
+
+
+def check_records(game, state) -> set[bool]:
+    """Records kept by ``insertion_potential`` against the greedy query and
+    the naive references; returns the flags seen."""
+    pg.insertion_potential(game, state)
+    kept = game._tally[3]
+    flags = set()
+    for p in state.players():
+        record = tolerance(game, state, p)
+        assert kept[p] is record  # a lookup, not a second pricing
+        assert record.improvable == pg.has_better_response(game, state, p)
+        assert record.tol == pg.tol_value(game, state, p) == naive_tol(game, state, p)
+        assert record.stay == naive_cost(game, state, p)
+        assert record.ceiling == naive_ceiling(game, state, p)
+        flags.add(record.improvable)
+    return flags
+
+
+def partial_states(game, rng, count=4):
+    """Random partial states: each player placed with probability 2/3."""
+    for _ in range(count):
+        yield pg.State(
+            {
+                p: rng.choice(game.spaces[p].all_bases())
+                for p in game.players()
+                if rng.random() < 2 / 3
+            }
+        )
+
+
+@pytest.mark.parametrize(
+    "model,consistent,specific", [(m, c, s) for m, sp, c, s in CLASSES if sp == "singleton"]
+)
+def test_kept_flag_matches_has_better_response(model, consistent, specific):
+    flags = set()
+    for seed in SEEDS:
+        source = gen_source(
+            seed,
+            players=3 + seed % 4,
+            resources=2 + seed % 3,
+            model=model,
+            space_kind="singleton",
+            levels=2 + seed % 2,
+            consistent=consistent,
+            player_specific=specific,
+        )
+        game = priority_game(source)
+        rng = random.Random(f"flag:{model}:{specific}:{seed}")
+        for state in partial_states(game, rng):
+            flags |= check_records(game, state)
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize("delay_of", [plateau_table, plateau_classic])
+def test_kept_flag_matches_has_better_response_on_ties(delay_of):
+    flags = set()
+    for seed in range(12):
+        rng = random.Random(f"flag-ties:{delay_of.__name__}:{seed}")
+        game = random_singleton_game(rng, delay_of)
+        for state in partial_states(game, rng):
+            flags |= check_records(game, state)
+    assert flags == {False, True}

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prioritygames as pg
 from conftest import all_profiles, alternatives, gen_game, gen_source
-from prioritygames.potentials import EQUAL, GREATER, LESS
+from prioritygames.potentials import EQUAL, GREATER, LESS, _tolerance_count
+from test_kernel import naive_tol
 
 
 def pairs(*items):
@@ -308,3 +309,100 @@ class TestInsertionPotential:
         b = pg.InsertionPotentialValue(rows=((0, 1), (1, 0)), tol_sum=0)
         with pytest.raises(pg.ShapeMismatchError):
             pg.insertion_potential_compare(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Affine tolerances in closed form against a linear scan
+
+RATIONALS = st.fractions(min_value=0, max_value=6, max_denominator=4)
+
+
+def scan_tolerance(spec, below, ceiling, n) -> int:
+    """The largest y in 0..n with d(below, y') <= ceiling for every y' <= y."""
+    best = 0
+    for y in range(1, n + 1):
+        if not spec.value(below, y) <= ceiling:
+            break
+        best = y
+    return best
+
+
+def crowd_game(n, spec):
+    """n players who can only use resource ``a``, all at one level."""
+    return pg.build_game(
+        n_players=n,
+        resources=["a"],
+        spaces={p: pg.SingletonSpace(["a"]) for p in range(1, n + 1)},
+        priorities=pg.PriorityFunction.constant(["a"], range(1, n + 1)),
+        delays={"a": spec},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=RATIONALS,
+    beta=RATIONALS,
+    ceiling=st.one_of(st.none(), st.fractions(min_value=0, max_value=40, max_denominator=6)),
+    below=st.integers(0, 7),
+    n=st.integers(1, 8),
+)
+@example(alpha=Fraction(0), beta=Fraction(1), ceiling=Fraction(2), below=3, n=5)  # beta <= c
+@example(alpha=Fraction(0), beta=Fraction(3), ceiling=Fraction(2), below=0, n=5)  # beta > c
+@example(alpha=Fraction(0), beta=Fraction(2), ceiling=Fraction(2), below=0, n=4)  # beta == c
+@example(alpha=Fraction(1), beta=Fraction(0), ceiling=None, below=6, n=7)  # c = +inf
+@example(alpha=Fraction(1, 2), beta=Fraction(0), ceiling=Fraction(100), below=0, n=4)  # clip at n
+@example(alpha=Fraction(3), beta=Fraction(2), ceiling=Fraction(1), below=2, n=6)  # clip at 0
+@example(alpha=Fraction(1), beta=Fraction(1, 3), ceiling=Fraction(7, 3), below=1, n=8)  # d == c
+def test_closed_form_affine_tolerance_matches_scan(alpha, beta, ceiling, below, n):
+    spec = pg.AffineDelay(alpha=alpha, beta=beta)
+    game = crowd_game(n, spec)
+    bound = pg.INFINITY if ceiling is None else pg.cost(ceiling)
+    below = min(below, n - 1)
+    expected = scan_tolerance(spec, below, bound, n)
+    assert _tolerance_count(game, 1, "a", below, bound) == expected
+    # a table of the same values takes the bisection to the same answer
+    table = crowd_game(n, pg.table_from_function(spec.value, game.required_bound()))
+    assert _tolerance_count(table, 1, "a", below, bound) == expected
+
+
+AFFINE_PARAMS = st.tuples(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), m=st.integers(2, 3))
+def test_per_player_affine_tolerances_match_scan_and_bisection(data, n, m):
+    """Each player's own affine delay: closed form, naive scan and the
+    bisection on the same values tabulated all agree on every state."""
+    resources = [f"r{k}" for k in range(m)]
+    allowed = st.lists(st.sampled_from(resources), min_size=1, unique=True)
+    spaces = {p: pg.SingletonSpace(data.draw(allowed)) for p in range(1, n + 1)}
+    priorities = pg.PriorityFunction(
+        {r: {p: data.draw(st.integers(1, 2)) for p in range(1, n + 1)} for r in resources}
+    )
+    params = {
+        r: {p: data.draw(AFFINE_PARAMS) for p in range(1, n + 1)} for r in resources
+    }
+
+    def build(spec_of):
+        delays = {
+            r: pg.PerPlayerDelay(specs={p: spec_of(a, b) for p, (a, b) in params[r].items()})
+            for r in resources
+        }
+        return pg.build_game(
+            n_players=n, resources=resources, spaces=spaces, priorities=priorities, delays=delays
+        )
+
+    affine = build(lambda a, b: pg.AffineDelay(alpha=a, beta=b))
+    tabled = build(
+        lambda a, b: pg.table_from_function(pg.AffineDelay(alpha=a, beta=b).value, 2 * n - 1)
+    )
+    assert affine.player_specific
+    placed = data.draw(st.lists(st.sampled_from(range(1, n + 1)), unique=True))
+    state = pg.State({p: data.draw(st.sampled_from(sorted(spaces[p].ground()))) for p in placed})
+    for p in state.players():
+        expected = naive_tol(affine, state, p)
+        assert pg.tol_value(affine, state, p) == expected
+        assert pg.tol_value(tabled, pg.State(dict(state.items())), p) == expected

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -92,4 +93,36 @@ def test_player_cell_is_ascii_decimal(row, cell):
         text += "0,start,2,,a,,,\n" + f"1,br,{cell},a,b,1/1,0/1,\n"
     line = 2 if row == "start" else 3
     with pytest.raises(pg.ParseError, match=f"line {line}: player ids are ASCII decimal"):
+        read_trace_csv(io.StringIO(text))
+
+
+TRACE_HEADER = "step,phase,player,from,to,cost_before,cost_after,potential\n"
+
+
+def test_hand_written_numbering_reads():
+    text = TRACE_HEADER + "0,start,1,,a,,,\n1,start,2,,a,,,\n2,br,2,a,b,1/1,0/1,\n3,cap,,,,,,\n"
+    trace = read_trace_csv(io.StringIO(text))
+    assert trace.start == pg.State({1: "a", 2: "a"})
+    assert [s.index for s in trace.steps] == [0] and trace.status == "CapReached"
+
+
+@pytest.mark.parametrize("cell", ["x", "7", "0", "01", " 1", "+1", "١", ""])
+def test_step_cell_is_the_row_position(cell):
+    text = TRACE_HEADER + "0,start,1,,a,,,\n" + f"{cell},br,1,a,b,1/1,0/1,\n"
+    message = re.escape(f"line 3: step {cell!r} is not the row's position 1")
+    with pytest.raises(pg.ParseError, match=message):
+        read_trace_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "rows,line", [("1,start,1,,a,,,\n", 2), ("0,start,1,,a,,,\n0,cap,,,,,,\n", 3)]
+)
+def test_start_and_cap_rows_are_numbered_too(rows, line):
+    with pytest.raises(pg.ParseError, match=f"line {line}: step"):
+        read_trace_csv(io.StringIO(TRACE_HEADER + rows))
+
+
+def test_second_start_row_for_a_player_is_parse_error():
+    text = TRACE_HEADER + "0,start,1,,a,,,\n1,start,1,,b,,,\n"
+    with pytest.raises(pg.ParseError, match="line 3: a second start row for player 1"):
         read_trace_csv(io.StringIO(text))
