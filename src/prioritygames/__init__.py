@@ -9,7 +9,6 @@ brute-force oracles and exact potential functions.
 
 from .congestion import (
     CongestionView,
-    Profile,
     State,
     best_response,
     congestion_view,
@@ -92,7 +91,6 @@ from .matroids import (
     SingletonSpace,
     StrategySpace,
     UniformMatroid,
-    exchange_step,
     greedy_min_base,
     is_base,
     lazy_path,

@@ -196,7 +196,8 @@ def _parse_profile_arg(raw: str, game: Game | MarketGame) -> State:
         raise ParseError("--profile must be a JSON object of player -> strategy")
     strategies = {}
     for key, val in doc.items():
-        if not (key.isascii() and key.isdigit()):
+        if not (key.isascii() and key.isdigit()) or key != str(int(key)):
+            # "01" would name player 1 a second time
             raise ParseError(f"--profile keys are player ids, got {key!r}")
         if isinstance(val, str):
             strategies[int(key)] = frozenset([val])
@@ -375,3 +376,7 @@ def _cmd_gen(args) -> int:
         else:
             print(f"wrote {args.output}")
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    main()

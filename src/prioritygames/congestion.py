@@ -76,9 +76,6 @@ class State:
         return f"State({inner})"
 
 
-Profile = State  # a profile is simply a state covering all players
-
-
 def profile(strategies: Mapping[int, Iterable[str] | str]) -> State:
     return State(strategies)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .costs import INFINITY, ExtCost
 from .errors import (
@@ -120,17 +120,15 @@ class TableDelay(DelaySpec):
             ) from None
 
     def completeness_violations(self) -> list[Violation]:
-        out = []
-        for x, y in domain_points(self.bound):
-            if (x, y) not in self.entries:
-                out.append(
-                    Violation("MISSING_ENTRY", f"(x={x}, y={y})", "no table entry within bound")
-                )
-        for (x, y) in self.entries:
-            if x < 0 or y < 1 or x + y > self.bound:
-                out.append(
-                    Violation("STRAY_ENTRY", f"(x={x}, y={y})", "entry outside declared bound")
-                )
+        stray = [(x, y) for x, y in self.entries if x < 0 or y < 1 or x + y > self.bound]
+        missing = domain_size(self.bound) - (len(self.entries) - len(stray))
+        out = missing_entries(
+            domain_points(self.bound), self.entries, missing, self.bound, "(x={}, y={})".format
+        )
+        out.extend(
+            Violation("STRAY_ENTRY", f"(x={x}, y={y})", "entry outside declared bound")
+            for x, y in stray
+        )
         return out
 
 
@@ -241,6 +239,38 @@ def domain_points(bound: int) -> Iterable[tuple[int, int]]:
             yield (x, y)
 
 
+def domain_size(bound: int) -> int:
+    """How many points :func:`domain_points` yields."""
+    return bound * (bound + 1) // 2
+
+
+MISSING_SHOWN = 10  # missing table points listed one by one before the rest are counted
+
+
+def missing_entries(
+    domain: Iterable[tuple[int, ...]], entries: Container, missing: int, bound: int, name
+) -> list[Violation]:
+    """MISSING_ENTRY violations for the ``missing`` points of ``domain`` not in ``entries``.
+
+    The first :data:`MISSING_SHOWN` are listed in domain order, each named
+    by ``name(*point)``; one more violation counts the others.  The walk
+    stops at the last point it lists, so it passes at most the entries
+    given plus that many points, however large the declared ``bound``.
+    """
+    shown = min(missing, MISSING_SHOWN)
+    out: list[Violation] = []
+    if shown:
+        for point in domain:
+            if point not in entries:
+                out.append(Violation("MISSING_ENTRY", name(*point), "no table entry within bound"))
+                if len(out) == shown:
+                    break
+    if missing > shown:
+        more = f"{missing - shown} more points have no table entry"
+        out.append(Violation("MISSING_ENTRY", f"bound {bound}", more))
+    return out
+
+
 def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     """Check the three delay axioms on the whole domain up to ``bound``.
 
@@ -337,6 +367,7 @@ class Game:
     priorities: PriorityFunction
     delays: Mapping[str, DelaySpec]
     player_specific: bool
+    singleton: bool  # every strategy space is singleton, fixed by build_game
     # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (state, level-count table, player -> entry weights, player -> tolerance
@@ -377,10 +408,10 @@ class Game:
         return self.spaces[player].ground()
 
     def is_singleton_game(self) -> bool:
-        return all(sp.is_singleton_space() for sp in self.spaces.values())
+        return self.singleton
 
     def required_bound(self) -> int:
-        return required_table_bound(self.n_players, singleton=self.is_singleton_game())
+        return required_table_bound(self.n_players, singleton=self.singleton)
 
 
 def required_table_bound(n_players: int, *, singleton: bool) -> int:
@@ -471,8 +502,7 @@ def build_game(
     classic_bound = max(2, min(bound, n_players + 1))
     player_specific = False
 
-    def check_plain_spec(spec: DelaySpec, where: str) -> list[Violation]:
-        local: list[Violation] = []
+    def shape_violations(spec: DelaySpec, where: str) -> list[Violation]:
         if isinstance(spec, PerPlayerDelay):
             # only reachable inside another PerPlayerDelay
             return [
@@ -489,7 +519,7 @@ def build_game(
                         "BOUND_TOO_SMALL", where, f"table bound {spec.bound} < required {bound}"
                     )
                 ]
-            local = [
+            return [
                 Violation(v.code, f"{where}: {v.where}", v.message)
                 for v in spec.completeness_violations()
             ]
@@ -501,7 +531,7 @@ def build_game(
                     f"classic delay has {len(spec.values)} values, need {n_players}",
                 )
             ]
-        return local
+        return []
 
     for rid in resources:
         spec = delays.get(rid)
@@ -511,8 +541,8 @@ def build_game(
         local: list[Violation] = []
         if isinstance(spec, PerPlayerDelay):
             player_specific = True
-            reachable = {i for i, sp in spaces.items() if rid in sp.ground()}
-            missing = reachable - set(spec.specs)
+            subspecs = [(f"resource {rid}, player {i}", s) for i, s in sorted(spec.specs.items())]
+            missing = {i for i, sp in spaces.items() if rid in sp.ground()} - set(spec.specs)
             if missing:
                 local.append(
                     Violation(
@@ -521,18 +551,13 @@ def build_game(
                         f"no delay for players {sorted(missing)}",
                     )
                 )
-            for sub_i, sub in sorted(spec.specs.items()):
-                local.extend(check_plain_spec(sub, f"resource {rid}, player {sub_i}"))
         else:
-            local.extend(check_plain_spec(spec, f"resource {rid}"))
+            subspecs = [(f"resource {rid}", spec)]
+        for where, sub in subspecs:
+            local.extend(shape_violations(sub, where))
         if local:
             violations.extend(local)
             continue
-        subspecs = (
-            [(f"resource {rid}, player {i}", s) for i, s in sorted(spec.specs.items())]
-            if isinstance(spec, PerPlayerDelay)
-            else [(f"resource {rid}", spec)]
-        )
         for where, sub in subspecs:
             sub_bound = classic_bound if isinstance(sub, ClassicDelay) else bound
             for v in validate_delay_properties(sub, sub_bound):
@@ -549,6 +574,7 @@ def build_game(
         priorities=priorities,
         delays=delays,
         player_specific=player_specific,
+        singleton=singleton,
     )
 
 

@@ -192,16 +192,12 @@ def _random_priorities(
     return {"per_resource": {rid: draw_map() for rid in rids}}
 
 
-def _random_row1(rng: random.Random, bound: int, max_delay: int) -> list[Fraction]:
-    row = [Fraction(rng.randint(0, max(1, max_delay // 3)))]
+def _monotone_table(rng: random.Random, bound: int, max_delay: int) -> dict:
+    """The monotone-completed bivariate table of the module docstring."""
+    row1 = [Fraction(rng.randint(0, max(1, max_delay // 3)))]
     for _ in range(1, bound):
         step = Fraction(rng.choice([0, 0, 1, 1, 2]))
-        row.append(min(Fraction(max_delay), row[-1] + step))
-    return row
-
-
-def _random_table(rng: random.Random, bound: int, max_delay: int) -> dict:
-    row1 = _random_row1(rng, bound, max_delay)
+        row1.append(min(Fraction(max_delay), row1[-1] + step))
     values: dict[tuple[int, int], Fraction] = {(x, 1): row1[x] for x in range(bound)}
     for y in range(2, bound + 1):
         for x in range(0, bound - y + 1):
@@ -210,6 +206,11 @@ def _random_table(rng: random.Random, bound: int, max_delay: int) -> dict:
                 lo = max(lo, values[(x - 1, y)])
             hi = row1[x + y - 1]
             values[(x, y)] = lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
+    return values
+
+
+def _random_table(rng: random.Random, bound: int, max_delay: int) -> dict:
+    values = _monotone_table(rng, bound, max_delay)
     entries = [[x, y, format_fraction(v)] for (x, y), v in sorted(values.items())]
     return {"kind": "table", "bound": bound, "entries": entries}
 
@@ -228,15 +229,7 @@ def _random_affine(rng: random.Random) -> dict:
 
 
 def _random_tritable(rng: random.Random, levels: int, bound: int, max_delay: int) -> dict:
-    row1 = _random_row1(rng, bound, max_delay)
-    base: dict[tuple[int, int], Fraction] = {(x, 1): row1[x] for x in range(bound)}
-    for y in range(2, bound + 1):
-        for x in range(0, bound - y + 1):
-            lo = base[(x, y - 1)]
-            if x > 0:
-                lo = max(lo, base[(x - 1, y)])
-            hi = row1[x + y - 1]
-            base[(x, y)] = lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
+    base = _monotone_table(rng, bound, max_delay)
     offsets = []
     cur = Fraction(0)
     for _ in range(levels):

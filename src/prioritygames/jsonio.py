@@ -18,6 +18,7 @@ are reduced to priority games by :func:`parse_instance`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Any, Union
@@ -25,6 +26,7 @@ from typing import Any, Union
 from .core import (
     AffineDelay,
     ClassicDelay,
+    MISSING_SHOWN,
     DelaySpec,
     Game,
     PerPlayerDelay,
@@ -57,7 +59,14 @@ from .matroids import (
 
 SCHEMA_VERSION = 1
 
-MODELS = ("priority", "classic", "affine", "market")
+# per model: the top-level fields it does not carry, then the fields it needs
+_MODEL_FIELDS = {
+    "priority": (("cost_matrix", "market_delays"), ("priorities",)),
+    "classic": (("cost_matrix", "market_delays", "player_specific"), ("priorities",)),
+    "affine": (("cost_matrix", "market_delays", "player_specific"), ("priorities",)),
+    "market": (("priorities", "delays", "player_specific"), ("cost_matrix", "market_delays")),
+}
+MODELS = tuple(_MODEL_FIELDS)
 
 SourceInstance = Union[Game, ClassicGame, AffineGame, MarketGame]
 
@@ -117,30 +126,24 @@ def document_to_source(doc: dict) -> SourceInstance:
     if len(set(resources)) != len(resources):
         raise ParseError("resource ids repeat")
     spaces = _parse_spaces(doc["strategies"], n)
+    forbidden, needed = _MODEL_FIELDS[model]
+    for key in forbidden:
+        if key in doc:
+            raise ParseError(f"{model} instances do not carry {key!r}")
+    for key in needed:
+        if key not in doc:
+            raise ParseError(f"{model} instances need {key!r}")
 
     if model == "market":
-        for key in ("priorities", "delays", "player_specific"):
-            if key in doc:
-                raise ParseError(f"market instances do not carry {key!r}")
-        for key in ("cost_matrix", "market_delays"):
-            if key not in doc:
-                raise ParseError(f"market instances need {key!r}")
         costs = _parse_cost_matrix(doc["cost_matrix"], n, resources)
         delays = _parse_market_delays(doc["market_delays"], resources)
         return build_market(
             n_players=n, resources=resources, spaces=spaces, costs=costs, delays=delays
         )
 
-    for key in ("cost_matrix", "market_delays"):
-        if key in doc:
-            raise ParseError(f"{model} instances do not carry {key!r}")
-    if "priorities" not in doc:
-        raise ParseError(f"{model} instances need 'priorities'")
     priorities = _parse_priorities(doc["priorities"], n, resources)
 
     if model == "classic":
-        if "player_specific" in doc:
-            raise ParseError("classic instances do not carry 'player_specific'")
         delays = _parse_delay_map(doc.get("delays"), resources, only_kind="classic")
         values = {rid: spec.values for rid, spec in delays.items()}
         return build_classic_game(
@@ -152,8 +155,6 @@ def document_to_source(doc: dict) -> SourceInstance:
         )
 
     if model == "affine":
-        if "player_specific" in doc:
-            raise ParseError("affine instances do not carry 'player_specific'")
         if not priorities.consistent:
             raise ParseError("affine instances need consistent priorities")
         delays = _parse_delay_map(doc.get("delays"), resources, only_kind="affine")
@@ -214,9 +215,29 @@ def _player_key(key: str, n: int, path: str) -> int:
     if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
         raise ParseError(f"{path}: player keys are decimal strings, got {key!r}")
     i = int(key)
+    if key != str(i):  # "01" would name player 1 a second time
+        raise ParseError(f"{path}: player key {key!r} has a leading zero")
     if not 1 <= i <= n:
         raise ParseError(f"{path}: player {i} out of range 1..{n}")
     return i
+
+
+def _player_keyed(obj: Any, path: str, n: int):
+    """(player id, key, value) for each entry of an object keyed by player ids."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object")
+    for key, value in obj.items():
+        yield _player_key(key, n, path), key, value
+
+
+def _resource_keyed(obj: Any, path: str, resources: list[str]) -> dict:
+    """An object keyed by listed resource ids, returned as it is."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object")
+    unknown = set(obj) - set(resources)
+    if unknown:
+        raise ParseError(f"{path}: unknown resources {sorted(unknown)}")
+    return obj
 
 
 def _rational(text: Any, path: str) -> Fraction:
@@ -254,12 +275,7 @@ def _parse_priorities(obj: Any, n: int, resources: list[str]) -> PriorityFunctio
     if "consistent" in obj:
         row = read_row(obj["consistent"], "priorities.consistent")
         return PriorityFunction.uniform(resources, row)
-    table = obj["per_resource"]
-    if not isinstance(table, dict):
-        raise ParseError("priorities.per_resource: expected an object")
-    unknown = set(table) - set(resources)
-    if unknown:
-        raise ParseError(f"priorities.per_resource: unknown resources {sorted(unknown)}")
+    table = _resource_keyed(obj["per_resource"], "priorities.per_resource", resources)
     maps = {
         rid: read_row(table.get(rid, [None] * n), f"priorities.per_resource.{rid}")
         for rid in resources
@@ -268,15 +284,16 @@ def _parse_priorities(obj: Any, n: int, resources: list[str]) -> PriorityFunctio
 
 
 def _parse_spaces(obj: Any, n: int) -> dict[int, StrategySpace]:
-    if not isinstance(obj, dict):
-        raise ParseError("strategies: expected an object")
-    out: dict[int, StrategySpace] = {}
-    for key, spec in obj.items():
-        i = _player_key(key, n, "strategies")
-        out[i] = _parse_space(spec, f"strategies.{key}")
-    missing = set(range(1, n + 1)) - set(out)
+    out = {
+        i: _parse_space(spec, f"strategies.{key}")
+        for i, key, spec in _player_keyed(obj, "strategies", n)
+    }
+    missing = n - len(out)  # keys are canonical, so each names its own player
     if missing:
-        raise ParseError(f"strategies: missing players {sorted(missing)}")
+        # list a few: a short document may claim any number of players
+        shown = list(itertools.islice((i for i in range(1, n + 1) if i not in out), MISSING_SHOWN))
+        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise ParseError(f"strategies: missing players {shown}{more}")
     return out
 
 
@@ -374,13 +391,8 @@ def _parse_delay_map(
         if allow_missing:
             return {}
         raise ParseError("missing 'delays'")
-    if not isinstance(obj, dict):
-        raise ParseError("delays: expected an object")
-    unknown = set(obj) - set(resources)
-    if unknown:
-        raise ParseError(f"delays: unknown resources {sorted(unknown)}")
     out = {}
-    for rid, spec in obj.items():
+    for rid, spec in _resource_keyed(obj, "delays", resources).items():
         parsed = _parse_delay(spec, f"delays.{rid}")
         if only_kind and parsed.kind != only_kind:
             raise ParseError(f"delays.{rid}: this model needs kind {only_kind!r}")
@@ -393,47 +405,26 @@ def _parse_delay_map(
 def _parse_player_specific(obj: Any, n: int, resources: list[str]) -> dict[int, dict[str, DelaySpec]]:
     if obj is None:
         return {}
-    if not isinstance(obj, dict):
-        raise ParseError("player_specific: expected an object")
-    out: dict[int, dict[str, DelaySpec]] = {}
-    for key, rmap in obj.items():
-        i = _player_key(key, n, "player_specific")
-        if not isinstance(rmap, dict):
-            raise ParseError(f"player_specific.{key}: expected an object")
-        unknown = set(rmap) - set(resources)
-        if unknown:
-            raise ParseError(f"player_specific.{key}: unknown resources {sorted(unknown)}")
-        out[i] = {
+    return {
+        i: {
             rid: _parse_delay(spec, f"player_specific.{key}.{rid}")
-            for rid, spec in rmap.items()
+            for rid, spec in _resource_keyed(rmap, f"player_specific.{key}", resources).items()
         }
-    return out
+        for i, key, rmap in _player_keyed(obj, "player_specific", n)
+    }
 
 
 def _parse_cost_matrix(obj: Any, n: int, resources: list[str]) -> dict[tuple[int, str], Fraction]:
-    if not isinstance(obj, dict):
-        raise ParseError("cost_matrix: expected an object")
-    out = {}
-    for key, rmap in obj.items():
-        i = _player_key(key, n, "cost_matrix")
-        if not isinstance(rmap, dict):
-            raise ParseError(f"cost_matrix.{key}: expected an object")
-        unknown = set(rmap) - set(resources)
-        if unknown:
-            raise ParseError(f"cost_matrix.{key}: unknown resources {sorted(unknown)}")
-        for rid, val in rmap.items():
-            out[(i, rid)] = _rational(val, f"cost_matrix.{key}.{rid}")
-    return out
+    return {
+        (i, rid): _rational(val, f"cost_matrix.{key}.{rid}")
+        for i, key, rmap in _player_keyed(obj, "cost_matrix", n)
+        for rid, val in _resource_keyed(rmap, f"cost_matrix.{key}", resources).items()
+    }
 
 
 def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
-    if not isinstance(obj, dict):
-        raise ParseError("market_delays: expected an object")
-    unknown = set(obj) - set(resources)
-    if unknown:
-        raise ParseError(f"market_delays: unknown resources {sorted(unknown)}")
     out = {}
-    for rid, spec in obj.items():
+    for rid, spec in _resource_keyed(obj, "market_delays", resources).items():
         path = f"market_delays.{rid}"
         _require_fields(spec, path, required=("kind", "levels", "bound", "entries"))
         if spec["kind"] != "tritable":

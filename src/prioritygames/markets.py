@@ -29,6 +29,8 @@ from .core import (
     TableDelay,
     build_game,
     domain_points,
+    domain_size,
+    missing_entries,
     required_table_bound,
     structural_violations,
     validate_delay_properties,
@@ -91,6 +93,7 @@ class MarketGame:
     spaces: Mapping[int, StrategySpace]
     costs: Mapping[tuple[int, str], Fraction]
     delays: Mapping[str, TriTable]
+    singleton: bool  # every strategy space is singleton, fixed by build_market
 
     def players(self) -> range:
         return range(1, self.n_players + 1)
@@ -117,7 +120,7 @@ class MarketGame:
         return self.cost_rank(resource, self.costs[(player, resource)])
 
     def is_singleton_market(self) -> bool:
-        return all(sp.is_singleton_space() for sp in self.spaces.values())
+        return self.singleton
 
 
 def build_market(
@@ -164,6 +167,7 @@ def build_market(
         spaces=dict(spaces),
         costs=dict(costs),
         delays=dict(delays),
+        singleton=singleton,
     )
 
     for rid in resources:
@@ -190,29 +194,28 @@ def build_market(
                 )
             )
             continue
-        complete = True
-        for l in range(1, tri.levels + 1):
-            for x, y in domain_points(tri.bound):
-                if (l, x, y) not in tri.entries:
-                    complete = False
-                    violations.append(
-                        Violation(
-                            "MISSING_ENTRY",
-                            f"resource {rid}: (level={l}, x={x}, y={y})",
-                            "no table entry within bound",
-                        )
-                    )
-        for l, x, y in sorted(tri.entries):
-            if not 1 <= l <= tri.levels or x < 0 or y < 1 or x + y > tri.bound:
-                complete = False
-                violations.append(
-                    Violation(
-                        "STRAY_ENTRY",
-                        f"resource {rid}: (level={l}, x={x}, y={y})",
-                        "entry outside declared levels or bound",
-                    )
-                )
-        if not complete:
+        stray = [
+            (l, x, y)
+            for l, x, y in sorted(tri.entries)
+            if not 1 <= l <= tri.levels or x < 0 or y < 1 or x + y > tri.bound
+        ]
+        domain = ((l, x, y) for l in range(1, tri.levels + 1) for x, y in domain_points(tri.bound))
+        missing = tri.levels * domain_size(tri.bound) - (len(tri.entries) - len(stray))
+        incomplete = [
+            Violation(v.code, f"resource {rid}: {v.where}", v.message)
+            for v in missing_entries(
+                domain, tri.entries, missing, tri.bound, "(level={}, x={}, y={})".format
+            )
+        ] + [
+            Violation(
+                "STRAY_ENTRY",
+                f"resource {rid}: (level={l}, x={x}, y={y})",
+                "entry outside declared levels or bound",
+            )
+            for l, x, y in stray
+        ]
+        if incomplete:
+            violations.extend(incomplete)
             continue
         for l in range(1, tri.levels + 1):
             for v in validate_delay_properties(tri.level_slice(l), tri.bound):

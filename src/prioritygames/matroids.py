@@ -1,8 +1,8 @@
 """Strategy spaces: singletons, explicit families, and matroids.
 
 Matroid spaces (uniform, partition, graphic, explicit-bases) expose an
-independence oracle, deterministic base exchange, an exact greedy minimum
-weight base, and decomposition of improving moves into single-element swaps.
+independence oracle, an exact greedy minimum weight base, and decomposition
+of improving moves into single-element swaps.
 Explicit set families are supported as general (non-matroid) strategy
 spaces; they fall back to enumeration everywhere.
 
@@ -424,24 +424,6 @@ def singleton_resources(space: StrategySpace) -> frozenset[str]:
     if space._singletons is None:
         space._singletons = frozenset(next(iter(b)) for b in space.all_bases() if len(b) == 1)
     return space._singletons
-
-
-def exchange_step(
-    space: StrategySpace,
-    s: Iterable[str],
-    target: Iterable[str],
-    e: str,
-) -> str:
-    """The smallest-id element e' of target - s with s - e + e' a base."""
-    s, target = _canon(s), _canon(target)
-    if not space.is_base(s) or not space.is_base(target):
-        raise ValueError("exchange_step requires two bases")
-    if e not in s or e in target:
-        raise ValueError(f"element {e!r} must lie in s minus target")
-    for e2 in sorted(target - s):
-        if space.is_base((s - {e}) | {e2}):
-            return e2
-    raise NoExchangeError(f"no exchange element for {e!r}; input is not a matroid")
 
 
 def base_weight(s: Iterable[str], weights: Mapping[str, ExtCost]) -> ExtCost:

@@ -82,8 +82,26 @@ class InsertionPotentialValue:
 
 
 def _require_singleton(game) -> None:
-    if not all(sp.is_singleton_space() for sp in game.spaces.values()):
+    if not game.singleton:
         raise NotSingletonError("every strategy space must be singleton")
+
+
+def _lex_vector(blocks: dict[str, list[tuple[ExtCost, int]]], axioms: str) -> LexVector:
+    """Check that each resource's block of pairs rises, then sort all pairs.
+
+    A falling block breaks the ``axioms`` the game's builder checked.
+    """
+    pairs: list[tuple[ExtCost, int]] = []
+    for rid, block in blocks.items():
+        for a, b in zip(block, block[1:]):
+            if not a <= b:
+                raise InvariantViolatedError(
+                    f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
+                    f" violate the {axioms} axioms"
+                )
+        pairs.extend(block)
+    pairs.sort()
+    return LexVector(pairs=tuple(pairs))
 
 
 def lex_potential_singleton(game: Game, prof: State) -> LexVector:
@@ -102,23 +120,15 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
         )
     validate_state(game, prof, full=True)
     counts = tally(game, prof)
-    pairs: list[tuple[ExtCost, int]] = []
+    blocks: dict[str, list[tuple[ExtCost, int]]] = {}
     for rid in game.resources:
-        block: list[tuple[ExtCost, int]] = []
+        block = blocks[rid] = []
         prefix = 0
         for q, cnt in sorted(counts.get(rid, {}).items()):
             for y in range(1, cnt + 1):
                 block.append((game.delay(None, rid, prefix, y), q))
             prefix += cnt
-        for a, b in zip(block, block[1:]):
-            if not a <= b:
-                raise InvariantViolatedError(
-                    f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
-                    " violate the delay axioms"
-                )
-        pairs.extend(block)
-    pairs.sort()
-    return LexVector(pairs=tuple(pairs))
+    return _lex_vector(blocks, "delay")
 
 
 def lex_compare(a: LexVector, b: LexVector) -> int:
@@ -190,25 +200,17 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
             row = tally.setdefault(rid, {})
             c = market.costs[(p, rid)]
             row[c] = row.get(c, 0) + 1
-    pairs: list[tuple[ExtCost, int]] = []
+    blocks: dict[str, list[tuple[ExtCost, int]]] = {}
     for rid in market.resources:
         tri = market.delays[rid]
-        block: list[tuple[ExtCost, int]] = []
+        block = blocks[rid] = []
         prefix = 0
         for c, cnt in sorted(tally.get(rid, {}).items()):
             rank = market.cost_rank(rid, c)
             for y in range(1, cnt + 1):
                 block.append((tri.value(rank, prefix, y), rank))
             prefix += cnt
-        for a, b in zip(block, block[1:]):
-            if not a <= b:
-                raise InvariantViolatedError(
-                    f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
-                    " violate the market axioms"
-                )
-        pairs.extend(block)
-    pairs.sort()
-    return LexVector(pairs=tuple(pairs))
+    return _lex_vector(blocks, "market")
 
 
 # ---------------------------------------------------------------------------

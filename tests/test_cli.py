@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,3 +312,51 @@ def test_integer_options_are_ascii_decimal(capsys, t1_file, option, raw):
         run(capsys, argv)
     assert exc.value.code == 2
     assert f"argument {option}: invalid int value: {raw!r}" in capsys.readouterr().err
+
+
+class TestMarketFiles:
+    @pytest.fixture
+    def market(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        gen = ["gen", "--seed", "1", "--players", "3", "--resources", "2", "--model", "market"]
+        run(capsys, gen + ["-o", path])
+        return path
+
+    def test_solve_and_verify_profile(self, capsys, market):
+        code, out, _ = run(capsys, ["solve", market, "--method", "br", "--json"])
+        assert code == 0
+        result = json.loads(out)
+        assert result["status"] == "Converged" and result["pne"] is True
+        raw = json.dumps(result["final"])
+        code, out, _ = run(capsys, ["verify", market, "--profile", raw])
+        assert code == 0 and out == "PNE: true\n"
+
+    def test_reduce_to_priority(self, capsys, market, tmp_path):
+        out_path = tmp_path / "p.json"
+        code, _, _ = run(capsys, ["reduce", market, "--to", "priority", "-o", out_path])
+        assert code == 0
+        expected = reduce_market_to_playerspecific(parse_instance(market.read_bytes()))
+        assert out_path.read_bytes() == emit_instance(expected)
+
+
+def test_profile_player_key_with_leading_zero(capsys, t1_file):
+    # "01" would name player 1 a second time, and the later key would win
+    code, out, err = run(capsys, ["verify", t1_file, "--profile", '{"1":"a","01":"b","2":"b"}'])
+    assert code == 1 and out == ""
+    assert "PARSE_ERROR" in err and "'01'" in err
+
+
+def test_module_entry_point(t1_file):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "prioritygames.cli", "validate", str(t1_file)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "OK: priority game with 2 players, 2 resources\n"

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import prioritygames as pg
-from conftest import gen_source
+from conftest import gen_source, make_t1
 from prioritygames.generator import GenParams, generate_random_instance
 from prioritygames.jsonio import (
     document_to_source,
@@ -178,3 +178,140 @@ class TestGenerator:
             generate_random_instance(GenParams(players=9, resources=3), 1)
         with pytest.raises(ValueError):
             generate_random_instance(GenParams(players=3, resources=7), 1)
+
+
+def _model_doc(model: str) -> dict:
+    if model == "priority":
+        return instance_to_document(make_t1())
+    return instance_to_document(gen_source(4, players=3, resources=3, model=model))
+
+
+@pytest.mark.parametrize(
+    "model, field, present, message",
+    [
+        ("market", "priorities", False, "market instances do not carry 'priorities'"),
+        ("market", "delays", False, "market instances do not carry 'delays'"),
+        ("market", "player_specific", False, "market instances do not carry 'player_specific'"),
+        ("market", "cost_matrix", True, "market instances need 'cost_matrix'"),
+        ("market", "market_delays", True, "market instances need 'market_delays'"),
+        ("priority", "cost_matrix", False, "priority instances do not carry 'cost_matrix'"),
+        ("priority", "market_delays", False, "priority instances do not carry 'market_delays'"),
+        ("priority", "priorities", True, "priority instances need 'priorities'"),
+        ("classic", "cost_matrix", False, "classic instances do not carry 'cost_matrix'"),
+        ("classic", "market_delays", False, "classic instances do not carry 'market_delays'"),
+        ("classic", "player_specific", False, "classic instances do not carry 'player_specific'"),
+        ("classic", "priorities", True, "classic instances need 'priorities'"),
+        ("affine", "cost_matrix", False, "affine instances do not carry 'cost_matrix'"),
+        ("affine", "market_delays", False, "affine instances do not carry 'market_delays'"),
+        ("affine", "player_specific", False, "affine instances do not carry 'player_specific'"),
+        ("affine", "priorities", True, "affine instances need 'priorities'"),
+    ],
+)
+def test_model_fields(model, field, present, message):
+    # `present` fields are required and get dropped; the others are forbidden and get added
+    doc = _model_doc(model)
+    if present:
+        del doc[field]
+    else:
+        doc[field] = {}
+    with pytest.raises(pg.ParseError) as err:
+        document_to_source(doc)
+    assert str(err.value) == message
+
+
+def test_explicit_bases_round_trip(t1):
+    doc = instance_to_document(t1)
+    doc["strategies"]["1"] = {"kind": "explicit_bases", "bases": [["b"], ["a"]]}
+    game = document_to_source(doc)
+    assert isinstance(game.spaces[1], pg.ExplicitBasesSpace)
+    blob = emit_instance(game)
+    assert json.loads(blob)["strategies"]["1"] == {
+        "kind": "explicit_bases",
+        "bases": [["a"], ["b"]],
+    }
+    assert emit_instance(parse_instance(blob)) == blob
+
+
+class TestPlayerKeys:
+    # "01" and "1" would name one player, the later key silently winning
+    def test_strategies(self, t1):
+        doc = instance_to_document(t1)
+        doc["strategies"]["01"] = {"kind": "singleton", "allowed": ["b"]}
+        with pytest.raises(pg.ParseError, match="strategies: player key '01'"):
+            document_to_source(doc)
+
+    def test_player_specific(self, t1):
+        doc = instance_to_document(t1)
+        table = doc["delays"].pop("a")
+        doc["player_specific"] = {"1": {"a": table}, "2": {"a": table}, "01": {"a": table}}
+        with pytest.raises(pg.ParseError, match="player_specific: player key '01'"):
+            document_to_source(doc)
+
+    def test_cost_matrix(self):
+        doc = instance_to_document(gen_source(4, players=3, resources=3, model="market"))
+        doc["cost_matrix"]["01"] = doc["cost_matrix"]["1"]
+        with pytest.raises(pg.ParseError, match="cost_matrix: player key '01'"):
+            document_to_source(doc)
+
+    def test_canonical_keys_still_parse(self, t1):
+        doc = instance_to_document(t1)
+        assert sorted(doc["strategies"]) == ["1", "2"]
+        assert document_to_source(doc) == t1
+
+
+class TestClaimedSizes:
+    """A few bytes must not claim work or messages that grow with a declared size."""
+
+    def test_few_missing_players_are_all_listed(self, t1):
+        doc = instance_to_document(t1)
+        doc["players"] = 4
+        with pytest.raises(pg.ParseError) as err:
+            document_to_source(doc)
+        assert str(err.value) == "strategies: missing players [3, 4]"
+
+    def test_many_missing_players_are_counted(self, t1):
+        doc = instance_to_document(t1)
+        doc["players"] = 10**6
+        with pytest.raises(pg.ParseError) as err:
+            document_to_source(doc)
+        message = str(err.value)
+        assert len(message) < 200
+        assert message == (
+            "strategies: missing players [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 999988 more"
+        )
+
+    def test_table_bound_lists_few_missing_points(self, t1):
+        doc = instance_to_document(t1)
+        doc["delays"]["a"] = {"kind": "table", "bound": 400, "entries": [[0, 1, "0"]]}
+        with pytest.raises(pg.ValidationFailed) as err:
+            document_to_source(doc)
+        listed = [(v.code, v.where, v.message) for v in err.value.violations]
+        assert listed[:10] == [
+            ("MISSING_ENTRY", f"resource a: (x=0, y={y})", "no table entry within bound")
+            for y in range(2, 12)
+        ]
+        # 400 * 401 / 2 domain points, one of them given
+        assert listed[10:] == [
+            ("MISSING_ENTRY", "resource a: bound 400", "80189 more points have no table entry")
+        ]
+
+    def test_tritable_bound_lists_few_missing_points(self):
+        doc = instance_to_document(gen_source(4, players=3, resources=3, model="market"))
+        table = doc["market_delays"]["a"]
+        assert table["levels"] == 1
+        table["bound"] = 400
+        table["entries"] = table["entries"][:1]
+        with pytest.raises(pg.ValidationFailed) as err:
+            document_to_source(doc)
+        listed = [(v.code, v.where, v.message) for v in err.value.violations]
+        assert listed[:10] == [
+            (
+                "MISSING_ENTRY",
+                f"resource a: (level=1, x=0, y={y})",
+                "no table entry within bound",
+            )
+            for y in range(2, 12)
+        ]
+        assert listed[10:] == [
+            ("MISSING_ENTRY", "resource a: bound 400", "80189 more points have no table entry")
+        ]

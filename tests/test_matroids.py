@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -41,31 +40,6 @@ class TestIsBase:
         edges = [("A", "B", f"r{k}") for k in range(13)]
         with pytest.raises(pg.ValidationFailed):
             pg.GraphicMatroid(edges)
-
-
-class TestExchangeStep:
-    def test_only_candidate(self):
-        space = pg.ExplicitBasesSpace([{"a", "b"}, {"b", "c"}])
-        assert pg.exchange_step(space, {"a", "b"}, {"b", "c"}, "a") == "c"
-
-    def test_smallest_id_rule(self):
-        space = pg.UniformMatroid(["a", "b", "c", "d"], 2)
-        assert pg.exchange_step(space, {"a", "b"}, {"c", "d"}, "a") == "c"
-
-    def test_graphic_triangle(self):
-        tri = pg.GraphicMatroid([("A", "B", "ab"), ("B", "C", "bc"), ("C", "A", "ca")])
-        assert pg.exchange_step(tri, {"ab", "bc"}, {"ab", "ca"}, "bc") == "ca"
-
-    def test_exhaustive_validity_on_explicit_bases(self):
-        space = pg.ExplicitBasesSpace(
-            [{"a", "b"}, {"b", "c"}, {"a", "c"}, {"c", "d"}, {"a", "d"}, {"b", "d"}]
-        )
-        for s in space.all_bases():
-            for t in space.all_bases():
-                for e in s - t:
-                    e2 = pg.exchange_step(space, s, t, e)
-                    assert space.is_base((s - {e}) | {e2})
-                    assert e2 in t - s
 
 
 class TestGreedy:
@@ -184,7 +158,4 @@ def test_singleton_equals_uniform_rank_one():
     assert singleton.rank() == uniform.rank()
     weights = w(a=2, b=9, c=2)
     assert pg.greedy_min_base(singleton, weights) == pg.greedy_min_base(uniform, weights)
-    for s, t in itertools.permutations(singleton.all_bases(), 2):
-        (e,) = s
-        assert pg.exchange_step(singleton, s, t, e) == pg.exchange_step(uniform, s, t, e)
     assert singleton.is_singleton_space() and uniform.is_singleton_space()
