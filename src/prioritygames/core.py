@@ -467,6 +467,22 @@ def structural_violations(
     return violations
 
 
+def priority_coverage_violations(
+    spaces: Mapping[int, StrategySpace], priorities: PriorityFunction
+) -> list[Violation]:
+    """MISSING_PRIORITY for each resource a player can reach but is unranked on.
+
+    Every player must be ranked wherever the player can appear.  Violations
+    come by ascending player, then by ascending resource id.
+    """
+    return [
+        Violation("MISSING_PRIORITY", f"resource {rid}", f"player {i} unranked")
+        for i, sp in sorted(spaces.items())
+        for rid in sorted(sp.ground())
+        if not priorities.defined(rid, i)
+    ]
+
+
 def build_game(
     *,
     n_players: int,
@@ -487,13 +503,7 @@ def build_game(
     if violations:
         raise ValidationFailed("invalid game description", violations)
 
-    # priority coverage: every player must be ranked wherever she can appear
-    for i, sp in sorted(spaces.items()):
-        for rid in sorted(sp.ground()):
-            if not priorities.defined(rid, i):
-                violations.append(
-                    Violation("MISSING_PRIORITY", f"resource {rid}", f"player {i} unranked")
-                )
+    violations = priority_coverage_violations(spaces, priorities)
 
     singleton = all(sp.is_singleton_space() for sp in spaces.values())
     bound = required_table_bound(n_players, singleton=singleton)

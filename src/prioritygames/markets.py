@@ -31,6 +31,7 @@ from .core import (
     domain_points,
     domain_size,
     missing_entries,
+    priority_coverage_violations,
     required_table_bound,
     structural_violations,
     validate_delay_properties,
@@ -328,12 +329,7 @@ def build_classic_game(
     violations = structural_violations(n_players, resources, spaces)
     if violations:
         raise ValidationFailed("invalid classical game description", violations)
-    for i, sp in sorted(spaces.items()):
-        for rid in sorted(sp.ground()):
-            if not priorities.defined(rid, i):
-                violations.append(
-                    Violation("MISSING_PRIORITY", f"resource {rid}", f"player {i} unranked")
-                )
+    violations = priority_coverage_violations(spaces, priorities)
     vals = {r: tuple(ExtCost.of(v) for v in vs) for r, vs in values.items()}
     for rid in resources:
         if rid not in vals:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .congestion import (
@@ -53,7 +55,12 @@ GREATER = 1
 
 @dataclass(frozen=True)
 class LexVector:
-    """A sorted tuple of (cost, level) pairs; the pair order is cost-first."""
+    """A sorted tuple of (cost, level) pairs; the pair order is cost-first.
+
+    The pairs are put in order on exact integer keys, one shared
+    denominator per vector (see :func:`_lex_vector`), which order them as
+    the (cost, level) tuples do; ``canonical`` formats the costs themselves.
+    """
 
     pairs: tuple[tuple[ExtCost, int], ...]
 
@@ -89,19 +96,37 @@ def _require_singleton(game) -> None:
 def _lex_vector(blocks: dict[str, list[tuple[ExtCost, int]]], axioms: str) -> LexVector:
     """Check that each resource's block of pairs rises, then sort all pairs.
 
+    Both steps compare exact integer keys, not ``ExtCost`` objects.  With L
+    the least common multiple of the denominators of the vector's finite
+    costs, the pair (a/b, q) has key (0, a * (L // b), q), and (+inf, q) has
+    key (1, 0, q).  The keys are exact: a/b < c/d exactly when
+    a * (L // b) < c * (L // d), since both sides are the costs times the
+    same positive L, and every finite key sorts before every infinite one.
+    So sorting on the keys puts the pairs in the order that sorting the
+    (cost, level) tuples gives.  The keys are plain ints: no floats, and
+    every comparison runs in C.
+
     A falling block breaks the ``axioms`` the game's builder checked.
     """
-    pairs: list[tuple[ExtCost, int]] = []
+    scale = lcm(
+        *{c.frac.denominator for block in blocks.values() for c, _ in block if c.frac is not None}
+    )
+    keyed: list[tuple[tuple[int, int, int], tuple[ExtCost, int]]] = []
     for rid, block in blocks.items():
-        for a, b in zip(block, block[1:]):
-            if not a <= b:
+        keys = [
+            (1, 0, q) if c.frac is None else (0, c.frac.numerator * (scale // c.frac.denominator), q)
+            for c, q in block
+        ]
+        for k in range(1, len(keys)):
+            if keys[k - 1] > keys[k]:
+                a, b = block[k - 1], block[k]
                 raise InvariantViolatedError(
                     f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
                     f" violate the {axioms} axioms"
                 )
-        pairs.extend(block)
-    pairs.sort()
-    return LexVector(pairs=tuple(pairs))
+        keyed.extend(zip(keys, block))
+    keyed.sort(key=itemgetter(0))
+    return LexVector(pairs=tuple(pair for _, pair in keyed))
 
 
 def lex_potential_singleton(game: Game, prof: State) -> LexVector:
@@ -111,7 +136,9 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
     q and per y = 1..count(q), the pair (d(below(q), y), q); the n pairs are
     then sorted nondecreasing.  Per-resource blocks are already nondecreasing
     by the delay axioms, which is checked during construction.  The counts
-    come from the profile's :func:`tally` table.
+    come from the profile's :func:`tally` table.  The check and the sort
+    compare exact integer keys over the vector's one shared denominator
+    (:func:`_lex_vector`), not the ``ExtCost`` values.
     """
     _require_singleton(game)
     if game.player_specific:
@@ -187,7 +214,9 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
     Pairs are (d(c, below(c), y), rank(c)) over each resource's present cost
     values, globally sorted.  The second slot is the per-resource dense rank
     of the raw cost, which preserves every same-resource comparison the
-    decrease argument relies on while keeping the slot an integer.
+    decrease argument relies on while keeping the slot an integer.  Like
+    the singleton potential, the pairs are checked and sorted on exact
+    integer keys over one shared denominator (:func:`_lex_vector`).
     """
     _require_singleton(market)
     missing = set(market.players()) - set(prof.players())

@@ -56,6 +56,38 @@ class TestBuildGame:
             )
         assert any(v.code == "MISSING_PRIORITY" for v in err.value.violations)
 
+    def test_both_builders_report_the_same_missing_priorities(self):
+        """Priority and classical builders share one coverage rule and its order."""
+        spaces = {
+            1: pg.SingletonSpace(["c", "a"]),
+            2: pg.UniformMatroid(["a", "b", "c"], 2),
+            3: pg.SingletonSpace(["b"]),
+        }
+        priorities = pg.PriorityFunction({"a": {1: 1}, "b": {3: 1}, "c": {2: 2}})
+        with pytest.raises(pg.ValidationFailed) as game_err:
+            pg.build_game(
+                n_players=3,
+                resources=["a", "b", "c"],
+                spaces=spaces,
+                priorities=priorities,
+                delays={r: linear_table(5) for r in "abc"},
+            )
+        with pytest.raises(pg.ValidationFailed) as classic_err:
+            pg.build_classic_game(
+                n_players=3,
+                resources=["a", "b", "c"],
+                spaces=spaces,
+                priorities=priorities,
+                values={r: [pg.cost(k) for k in (1, 2, 3)] for r in "abc"},
+            )
+        expected = [
+            pg.Violation("MISSING_PRIORITY", "resource c", "player 1 unranked"),
+            pg.Violation("MISSING_PRIORITY", "resource a", "player 2 unranked"),
+            pg.Violation("MISSING_PRIORITY", "resource b", "player 2 unranked"),
+        ]
+        assert game_err.value.violations == expected
+        assert classic_err.value.violations == expected
+
     def test_small_bound_rejected_for_singleton_game(self):
         # two singleton players need tables up to 2n - 1 = 3
         with pytest.raises(pg.ValidationFailed) as err:

@@ -12,7 +12,7 @@ import pytest
 
 import prioritygames as pg
 from conftest import gen_game
-from test_trace_digests import BR_GAMES, LAYERED_GAMES
+from test_trace_digests import BR_GAMES, LAYERED_GAMES, make_affine_n24
 from prioritygames import congestion, dynamics, oracle, potentials
 from prioritygames.cli import cli_main
 from prioritygames.jsonio import emit_instance
@@ -163,6 +163,27 @@ def test_lex_potential_once_per_row_in_certify(monkeypatch, singleton_game):
     certify_calls = count_calls(monkeypatch, oracle, "lex_potential_singleton")
     assert pg.certify_trace(singleton_game, trace).ok
     assert len(certify_calls) == len(trace.steps) + 1  # plus the full start
+
+
+def test_lex_potential_sorts_without_cost_comparisons(monkeypatch):
+    """The pair sort and the block checks compare integer keys, never ``ExtCost``s."""
+    game = make_affine_n24()
+    start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    final, _ = pg.run_dynamics(game, start, policy="roundrobin")
+    calls = []
+    for name in ("__lt__", "__le__", "__eq__"):
+        original = getattr(pg.ExtCost, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(pg.ExtCost, name, counted)
+    vec = pg.lex_potential_singleton(game, pg.State(dict(final.items())))
+    assert calls == []
+    monkeypatch.undo()
+    assert len(vec.pairs) == 24 and list(vec.pairs) == sorted(vec.pairs)
+    assert len({c for c, _ in vec.pairs}) < 24  # some costs repeat, so levels order ties
 
 
 def count_level_counts(monkeypatch) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import prioritygames as pg
 from conftest import all_profiles, alternatives, gen_game, gen_source
-from prioritygames.potentials import EQUAL, GREATER, LESS, _tolerance_count
+from prioritygames.potentials import EQUAL, GREATER, LESS, _lex_vector, _tolerance_count
 from test_kernel import naive_tol
 
 
@@ -121,6 +122,79 @@ def test_lex_potential_with_infinite_entries():
     split = pg.profile({1: "e", 2: "f"})
     assert pg.is_better_response(game, both, 2, "f")
     assert pg.lex_compare(pg.lex_potential_singleton(game, split), vec) == LESS
+
+
+# Denominators mix small values with large coprime ones (primes and powers
+# of 2 and 3), so the shared denominator of a vector is a big integer.
+DENOMINATORS = st.sampled_from([1, 2, 3, 7, 2**20, 3**13, 10007, 65537, 2**61 - 1])
+LEX_COSTS = st.one_of(
+    st.just(pg.INFINITY),
+    st.sampled_from([pg.cost(0), pg.cost(1), pg.cost("1/2")]),  # repeats across levels
+    st.builds(
+        lambda num, den: pg.cost(Fraction(num, den)), st.integers(0, 10**30), DENOMINATORS
+    ),
+)
+LEX_BLOCK = st.lists(st.tuples(LEX_COSTS, st.integers(1, 4)), max_size=8).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=st.dictionaries(st.sampled_from("abcdef"), LEX_BLOCK, max_size=5))
+@example(blocks={"a": [], "b": []})
+@example(blocks={"a": [(pg.cost(0), 2), (pg.cost(0), 3)], "b": [(pg.cost(0), 1)]})
+@example(blocks={"a": [(pg.cost(1), 4), (pg.INFINITY, 1)], "b": [(pg.INFINITY, 2)]})
+@example(  # equal numerators over coprime denominators, with the larger first
+    blocks={"a": [(pg.cost("1/65537"), 1)], "b": [(pg.cost("1/10007"), 1)]}
+)
+def test_lex_vector_sorts_like_cost_level_tuples(blocks):
+    """The integer keys give the order of sorting the (ExtCost, level) tuples."""
+    expected = tuple(sorted(pair for block in blocks.values() for pair in block))
+    for axioms in ("delay", "market"):
+        vec = _lex_vector(blocks, axioms)
+        assert vec.pairs == expected
+        assert vec.canonical() == pg.LexVector(expected).canonical()
+
+
+def falling_game(upper, lower):
+    """One resource whose delay falls from d(0, 1) = upper to d(0, 2) = lower."""
+    game = pg.build_game(
+        n_players=2,
+        resources=["e"],
+        spaces={1: pg.SingletonSpace(["e"]), 2: pg.SingletonSpace(["e"])},
+        priorities=pg.PriorityFunction({"e": {1: 1, 2: 1}}),
+        delays={"e": pg.table_from_function(lambda x, y: x + y, 3)},
+    )
+    entries = dict(game.delays["e"].entries)
+    entries[0, 1], entries[0, 2] = pg.cost(upper), pg.cost(lower)
+    return dataclasses.replace(game, delays={"e": pg.TableDelay(entries=entries, bound=3)})
+
+
+def falling_market(upper, lower):
+    """One resource whose level-1 market delay falls from upper to lower."""
+    tri = pg.tritable_from_function(lambda l, x, y: x + y, levels=1, bound=3)
+    market = pg.build_market(
+        n_players=2,
+        resources=["e"],
+        spaces={1: pg.SingletonSpace(["e"]), 2: pg.SingletonSpace(["e"])},
+        costs={(1, "e"): Fraction(1), (2, "e"): Fraction(1)},
+        delays={"e": tri},
+    )
+    entries = dict(tri.entries)
+    entries[1, 0, 1], entries[1, 0, 2] = pg.cost(upper), pg.cost(lower)
+    return dataclasses.replace(market, delays={"e": pg.TriTable(levels=1, bound=3, entries=entries)})
+
+
+@pytest.mark.parametrize(
+    "upper, lower, shown",
+    [("3", "2", "3/1@1 > 2/1@1"), ("inf", "5/2", "inf@1 > 5/2@1"), ("1/3", "0", "1/3@1 > 0/1@1")],
+)
+def test_falling_block_names_the_broken_axioms(upper, lower, shown):
+    both = pg.profile({1: "e", 2: "e"})
+    with pytest.raises(pg.InvariantViolatedError) as delay_err:
+        pg.lex_potential_singleton(falling_game(upper, lower), both)
+    assert str(delay_err.value) == f"resource e: pairs {shown} violate the delay axioms"
+    with pytest.raises(pg.InvariantViolatedError) as market_err:
+        pg.market_lex_potential(falling_market(upper, lower), both)
+    assert str(market_err.value) == f"resource e: pairs {shown} violate the market axioms"
 
 
 def test_decrease_holds_on_classic_wrapped_games():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import prioritygames as pg
-from conftest import gen_game
+from conftest import all_profiles, gen_game, gen_source
 from prioritygames.traceio import trace_to_csv_text
 
 BR_GAMES = {
@@ -164,3 +164,25 @@ def test_run_dynamics_trace_digest_affine_n24_first_and_best(policy):
     game = make_affine_n24()
     _, trace = pg.run_dynamics(game, _first_bases(game), policy=policy)
     assert _digest(trace) == AFFINE_N24_DIGESTS[f"br/{policy}"]
+
+
+MARKET_GAMES = {
+    "n4-m3": (37, dict(players=4, resources=3, model="market", levels=3)),
+    "n5-m2": (45, dict(players=5, resources=2, model="market", levels=4)),
+    "n3-m4": (34, dict(players=3, resources=4, model="market", levels=2, max_delay=20)),
+}
+
+MARKET_POTENTIAL_DIGESTS = {
+    "n4-m3": "3fae7072fa794d2ff0828ac1eea32bc427c8ca314c6906b061918f015c838ef2",
+    "n5-m2": "6bcef941eba15aadcac6f5b370c95c5f7f555a4bc30d5ccdcca2ad1eefc4ad76",
+    "n3-m4": "9511047a63bd016f7ef41578db7c762a2aeca1bdde7903459b5d11d2b646c735",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKET_GAMES))
+def test_market_lex_potential_digest(name):
+    """The market potential's canonical string at every profile of the market."""
+    seed, kw = MARKET_GAMES[name]
+    market = gen_source(seed, **kw)
+    text = "\n".join(pg.market_lex_potential(market, p).canonical() for p in all_profiles(market))
+    assert hashlib.sha256(text.encode()).hexdigest() == MARKET_POTENTIAL_DIGESTS[name]
