@@ -32,7 +32,7 @@ from .errors import (
     ValidationFailed,
 )
 from .generator import GenParams, generate_random_instance
-from .jsonio import emit_instance, parse_instance
+from .jsonio import emit_instance, is_canonical_player_key, parse_instance
 from .markets import (
     MarketGame,
     market_is_pure_nash,
@@ -196,8 +196,7 @@ def _parse_profile_arg(raw: str, game: Game | MarketGame) -> State:
         raise ParseError("--profile must be a JSON object of player -> strategy")
     strategies = {}
     for key, val in doc.items():
-        if not (key.isascii() and key.isdigit()) or key != str(int(key)):
-            # "01" would name player 1 a second time
+        if not is_canonical_player_key(key):
             raise ParseError(f"--profile keys are player ids, got {key!r}")
         if isinstance(val, str):
             strategies[int(key)] = frozenset([val])

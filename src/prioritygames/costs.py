@@ -57,13 +57,26 @@ class ExtCost:
 
     Instances are immutable and totally ordered.  Addition saturates:
     ``INFINITY + c == INFINITY``.
+
+    Besides ``frac`` each cost keeps its value as two plain ints, ``num``
+    and ``den``: the Fraction's reduced numerator and positive denominator,
+    and (1, 0) for +infinity.  Comparisons cross-multiply them, which is
+    exact: with b, d > 0, a/b < c/d exactly when a*d < c*b, and the (1, 0)
+    pair makes every finite a/b smaller (a*0 < 1*b) and infinity equal to
+    itself (1*0 == 1*0).  Equality compares the pairs themselves, since
+    equal rationals have the same reduced numerator and denominator.  So
+    no comparison goes through ``Fraction`` and none rounds.
     """
 
-    __slots__ = ("frac",)
+    __slots__ = ("frac", "num", "den", "_text")
 
     def __init__(self, frac: Fraction | None):
         # None encodes +infinity
+        num, den = (1, 0) if frac is None else (frac.numerator, frac.denominator)
         object.__setattr__(self, "frac", frac)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_text", None)  # the wire form, once asked for
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExtCost is immutable")
@@ -110,56 +123,45 @@ class ExtCost:
             return self
         return NotImplemented
 
-    # Games hand out one shared object per delay point, so comparing an
-    # object with itself is common and answered without touching the value.
-
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, ExtCost):
             return NotImplemented
-        return self.frac == other.frac
+        return self.num == other.num and self.den == other.den
 
     def __lt__(self, other: "ExtCost") -> bool:
-        if self is other:
-            return False
         if not isinstance(other, ExtCost):
             return NotImplemented
-        if self.frac is None:
-            return False
-        if other.frac is None:
-            return True
-        return self.frac < other.frac
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other: "ExtCost") -> bool:
-        if self is other:
-            return True
         if not isinstance(other, ExtCost):
             return NotImplemented
-        if other.frac is None:
-            return True
-        if self.frac is None:
-            return False
-        return self.frac <= other.frac
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other: "ExtCost") -> bool:
         if not isinstance(other, ExtCost):
             return NotImplemented
-        return other < self
+        return other.num * self.den < self.num * other.den
 
     def __ge__(self, other: "ExtCost") -> bool:
         if not isinstance(other, ExtCost):
             return NotImplemented
-        return other <= self
+        return other.num * self.den <= self.num * other.den
 
     def __hash__(self) -> int:
         return hash(self.frac)
 
     def to_string(self) -> str:
-        """Canonical wire form: ``p/q`` (gcd-reduced, q >= 1) or ``inf``."""
-        if self.frac is None:
-            return "inf"
-        return format_fraction(self.frac)
+        """Canonical wire form: ``p/q`` (gcd-reduced, q >= 1) or ``inf``.
+
+        Built from ``num`` and ``den`` on first use and kept, so a delay
+        point the game shares is formatted once however many rows show it.
+        """
+        text = self._text
+        if text is None:
+            text = "inf" if self.den == 0 else f"{self.num}/{self.den}"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def approx(self) -> float:
         """Float approximation, for display under an explicit flag only."""
@@ -184,16 +186,23 @@ def cost(value: CostLike) -> ExtCost:
 
 
 def sum_costs(values: Iterable[ExtCost]) -> ExtCost:
-    """Saturating sum; empty sums are zero, and a single part is returned as is."""
+    """Saturating sum; empty sums are zero, and a single part is returned as is.
+
+    The parts' ``num``/``den`` ints are added over a running denominator and
+    reduced once, by the Fraction built at the end.
+    """
     parts = list(values)
     if len(parts) == 1:
         return parts[0]
-    total_frac = Fraction(0)
+    num, den = 0, 1
     for v in parts:
-        if v.frac is None:
+        if v.den == 0:
             return INFINITY
-        total_frac += v.frac
-    return ExtCost(total_frac)
+        if v.den == den:
+            num += v.num
+        else:
+            num, den = num * v.den + v.num * den, den * v.den
+    return ExtCost(Fraction(num, den))
 
 
 def improvement(before: ExtCost, after: ExtCost) -> ExtCost:
@@ -204,6 +213,8 @@ def improvement(before: ExtCost, after: ExtCost) -> ExtCost:
     """
     if not after < before:
         raise ValueError("improvement requires after < before")
-    if before.frac is None:
+    if before.den == 0:
         return INFINITY
-    return ExtCost(before.frac - after.frac)
+    return ExtCost(
+        Fraction(before.num * after.den - after.num * before.den, before.den * after.den)
+    )

@@ -19,7 +19,8 @@ Three solvers, all emitting full replayable traces:
   to move.
 
 Who wants to move is asked of :func:`~prioritygames.congestion.best_response`,
-which prices each player once per state.  Moves of matroid players are
+which prices each player once per state; the descent asks only the players
+a move can have helped (see :func:`_descend`).  Moves of matroid players are
 realized as chains of single-element swaps whenever every link strictly
 decreases the mover's cost; otherwise the move is recorded whole (that only
 occurs across plateaus at infinite cost).
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .congestion import (
     State,
@@ -212,6 +213,15 @@ def _append_row(
 # Better-response descent
 
 
+def _reach(game: Game, players: Iterable[int]) -> dict[str, list[int]]:
+    """reach[r]: the given players whose ground holds r, ascending, for every r."""
+    reach: dict[str, list[int]] = {r: [] for r in game.resources}
+    for p in players:
+        for r in game.ground_of(p):
+            reach[r].append(p)
+    return reach
+
+
 def _descend(
     game: Game,
     state: State,
@@ -234,7 +244,30 @@ def _descend(
     slot, give the gain, the swaps and both costs of every row, exactly: a
     mover's weights do not depend on her own strategy.  A move is one round,
     and ``snapshot`` gives each row's potential.
+
+    A mover whose answer was her own strategy, at finite cost, is settled:
+    she is not asked again until a move can have changed her answer.  After
+    each link ``frm -> nxt`` of mover m, a settled player p is unsettled
+    when, on some r in ``frm ^ nxt`` that she reaches, her level is at least
+    m's and either m left r and p does not use it, or m joined r and p uses
+    it.  (m is never settled as she moves: she was just asked.)  Every
+    other settled player's answer is still her own strategy:
+
+    - p's entry weights do not depend on her own strategy;
+    - the link changes counts only on ``frm ^ nxt``, at m's level, so only
+      players at m's level or above see those weights move;
+    - delays are nondecreasing in x and y (``build_game`` checks it), so r
+      got cheaper where m left it and dearer where she joined it;
+    - so p's chosen elements only got cheaper and her others only dearer,
+      and a minimum-weight base of finite weight stays one, on any space.
+
+    So every policy picks the movers, in the order, that asking everyone
+    would.  Finite weight matters: a base of infinite weight can share an
+    infinite element with a cheaper-elsewhere base, which that element
+    turning finite exposes.
     """
+    settled: set[int] = set()
+    reach = _reach(game, movers)
     rr_idx = 0
     while True:
         mover: int | None = None
@@ -242,10 +275,14 @@ def _descend(
         begin = rr_idx if policy == "roundrobin" else 0
         for off in range(len(movers)):
             p = movers[(begin + off) % len(movers)]
-            br = best_response(game, state, p)
-            if br == state.strategy(p):
+            if p in settled:
                 continue
+            br = best_response(game, state, p)
             w = entry_weights(game, state, p)
+            if br == state.strategy(p):
+                if base_weight(br, w).is_finite:
+                    settled.add(p)
+                continue
             if policy != "best":
                 mover, target, weights = p, br, w
                 rr_idx = (begin + off + 1) % len(movers)
@@ -261,6 +298,15 @@ def _descend(
             if len(trace.steps) >= cap:
                 return state, round_no + 1, CAP_REACHED
             frm, state = state.strategy(mover), state.with_player(mover, nxt)
+            for r in frm ^ nxt:
+                q, joined = game.priority(r, mover), r in nxt
+                for p in reach[r]:
+                    if (
+                        p in settled
+                        and (r in state.strategy(p)) == joined
+                        and game.priority(r, p) >= q
+                    ):
+                        settled.discard(p)
             _append_move(trace, round_no, phase, mover, frm, nxt, weights, snapshot(state))
         round_no += 1
 
@@ -523,10 +569,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     prev_potential = insertion_potential(game, state)
     # reach[r]: the players whose ground holds r, the only ones whose
     # tolerance reads r's counts; tol: every placed player's tolerance
-    reach: dict[str, list[int]] = {r: [] for r in game.resources}
-    for p in game.players():
-        for r in game.ground_of(p):
-            reach[r].append(p)
+    reach = _reach(game, game.players())
     tol: dict[int, int] = {}
     safety = 1000 + game.n_players**4 * len(game.resources) * (
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1

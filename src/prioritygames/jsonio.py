@@ -211,12 +211,22 @@ def _require_fields(obj: Any, path: str, required=(), optional=()) -> None:
         raise ParseError(f"{path}: missing fields {sorted(missing)}")
 
 
+def is_canonical_player_key(key: Any) -> bool:
+    """An ASCII decimal string with no leading zero: the one way to name a player.
+
+    "01" would name player 1 a second time, and ``int`` would read
+    non-ASCII digits such as ARABIC-INDIC DIGIT ONE as player 1 too.
+    """
+    return isinstance(key, str) and key.isascii() and key.isdigit() and key == str(int(key))
+
+
 def _player_key(key: str, n: int, path: str) -> int:
-    if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
-        raise ParseError(f"{path}: player keys are decimal strings, got {key!r}")
+    if not is_canonical_player_key(key):
+        raise ParseError(
+            f"{path}: player key {key!r} is not canonical;"
+            " player keys are decimal strings with no leading zero"
+        )
     i = int(key)
-    if key != str(i):  # "01" would name player 1 a second time
-        raise ParseError(f"{path}: player key {key!r} has a leading zero")
     if not 1 <= i <= n:
         raise ParseError(f"{path}: player {i} out of range 1..{n}")
     return i

@@ -98,7 +98,8 @@ def _lex_vector(blocks: dict[str, list[tuple[ExtCost, int]]], axioms: str) -> Le
 
     Both steps compare exact integer keys, not ``ExtCost`` objects.  With L
     the least common multiple of the denominators of the vector's finite
-    costs, the pair (a/b, q) has key (0, a * (L // b), q), and (+inf, q) has
+    costs, the pair (a/b, q) has key (0, a * (L // b), q), read off the
+    cost's kept ``num`` and ``den`` ints, and (+inf, q) has
     key (1, 0, q).  The keys are exact: a/b < c/d exactly when
     a * (L // b) < c * (L // d), since both sides are the costs times the
     same positive L, and every finite key sorts before every infinite one.
@@ -108,15 +109,10 @@ def _lex_vector(blocks: dict[str, list[tuple[ExtCost, int]]], axioms: str) -> Le
 
     A falling block breaks the ``axioms`` the game's builder checked.
     """
-    scale = lcm(
-        *{c.frac.denominator for block in blocks.values() for c, _ in block if c.frac is not None}
-    )
+    scale = lcm(*{c.den for block in blocks.values() for c, _ in block if c.den})
     keyed: list[tuple[tuple[int, int, int], tuple[ExtCost, int]]] = []
     for rid, block in blocks.items():
-        keys = [
-            (1, 0, q) if c.frac is None else (0, c.frac.numerator * (scale // c.frac.denominator), q)
-            for c, q in block
-        ]
+        keys = [(0, c.num * (scale // c.den), q) if c.den else (1, 0, q) for c, q in block]
         for k in range(1, len(keys)):
             if keys[k - 1] > keys[k]:
                 a, b = block[k - 1], block[k]

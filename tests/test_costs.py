@@ -23,6 +23,17 @@ finite_costs = st.builds(
     st.integers(min_value=1, max_value=10**3),
 )
 any_costs = st.one_of(finite_costs, st.just(INFINITY))
+# Numerators to 2^64 and denominators to the prime 2^61 - 1, so the cross
+# products that compare costs run far past one machine word.
+wide_costs = st.one_of(
+    st.builds(
+        lambda n, d: ExtCost(Fraction(n, d)),
+        st.integers(min_value=0, max_value=2**64),
+        st.integers(min_value=1, max_value=2**61 - 1),
+    ),
+    st.just(ZERO),
+    st.just(INFINITY),
+)
 
 
 def test_infinity_is_maximal_and_reflexive():
@@ -140,6 +151,50 @@ def test_single_part_sum_is_the_part(a):
     for total in (sum_costs([a]), sum_costs(v for v in (a,))):
         assert total is a
         assert total == plain and total.to_string() == plain.to_string()
+
+
+@given(wide_costs, wide_costs)
+def test_integer_comparisons_agree_with_fraction(a, b):
+    ka, kb = _truth_key(a), _truth_key(b)
+    assert (a == b) == (ka == kb)
+    assert (a != b) == (ka != kb)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    assert (a.num, a.den) == ((1, 0) if a.frac is None else (a.frac.numerator, a.frac.denominator))
+    twin = ExtCost(a.frac)  # an equal value in another object
+    assert twin == a and not twin < a and hash(twin) == hash(a) == hash(a.frac)
+
+
+@given(st.lists(wide_costs, max_size=5))
+def test_sum_costs_agrees_with_fraction(parts):
+    total = sum_costs(parts)
+    if any(p.frac is None for p in parts):
+        assert total is INFINITY
+    else:
+        exact = sum((p.frac for p in parts), Fraction(0))
+        assert total.frac == exact
+        assert (total.num, total.den) == (exact.numerator, exact.denominator)
+
+
+@given(wide_costs, wide_costs)
+def test_improvement_agrees_with_fraction(before, after):
+    if not _truth_key(after) < _truth_key(before):
+        with pytest.raises(ValueError):
+            improvement(before, after)
+    elif before.frac is None:
+        assert improvement(before, after) is INFINITY
+    else:
+        assert improvement(before, after).frac == before.frac - after.frac
+
+
+@given(wide_costs)
+def test_to_string_agrees_with_fraction_and_is_kept(a):
+    text = a.to_string()
+    assert text == ("inf" if a.frac is None else f"{a.frac.numerator}/{a.frac.denominator}")
+    assert a.to_string() is text  # formatted once, then kept
+    assert ExtCost.of(text) == a
 
 
 def _pickled(value):

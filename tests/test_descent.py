@@ -1,0 +1,300 @@
+"""Better-response descent asks only the players a move can have helped.
+
+``dynamics._descend`` keeps the movers whose last answer was their own
+strategy, at finite cost, as settled, and unsettles them by the rule in its
+docstring.  The reference scan below asks every mover on every pass, as the
+descent did before it kept that set.  Both must write the same rows, field
+by field, on every generator class, under every policy and inside the
+layered construction; the hand-built games pin which players are asked.
+"""
+
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import prioritygames as pg
+from conftest import gen_source
+from prioritygames import dynamics
+from prioritygames.congestion import best_response, entry_weights
+from prioritygames.costs import improvement
+from prioritygames.matroids import base_weight
+from prioritygames.traceio import trace_to_csv_text
+from test_kernel import priority_game
+
+
+def reference_descend(game, state, movers, trace, round_no, phase, policy, cap, snapshot):
+    """``_descend`` with every mover asked on every pass."""
+    rr_idx = 0
+    while True:
+        mover = best_gain = None
+        begin = rr_idx if policy == "roundrobin" else 0
+        for off in range(len(movers)):
+            p = movers[(begin + off) % len(movers)]
+            br = dynamics.best_response(game, state, p)
+            if br == state.strategy(p):
+                continue
+            w = entry_weights(game, state, p)
+            if policy != "best":
+                mover, target, weights = p, br, w
+                rr_idx = (begin + off + 1) % len(movers)
+                break
+            gain = improvement(base_weight(state.strategy(p), w), base_weight(br, w))
+            if best_gain is None or best_gain < gain:
+                best_gain, mover, target, weights = gain, p, br, w
+        if mover is None:
+            return state, round_no, dynamics.CONVERGED
+        if len(trace.steps) >= cap:
+            return state, round_no, dynamics.CAP_REACHED
+        for nxt in dynamics._decompose_move(game, state, mover, target, weights):
+            if len(trace.steps) >= cap:
+                return state, round_no + 1, dynamics.CAP_REACHED
+            frm, state = state.strategy(mover), state.with_player(mover, nxt)
+            row = snapshot(state)
+            dynamics._append_move(trace, round_no, phase, mover, frm, nxt, weights, row)
+        round_no += 1
+
+
+def rows(trace) -> tuple:
+    fields = ("index", "round", "phase", "player", "frm", "to")
+    steps = [
+        tuple(getattr(s, f) for f in fields)
+        + (s.cost_before, s.cost_after, s.potential)
+        for s in trace.steps
+    ]
+    return trace.status, trace.final, steps
+
+
+def record_asks(monkeypatch) -> list[int]:
+    """The players ``_descend`` asks for a best response, in order."""
+    asked = []
+
+    def recorded(game, state, player):
+        asked.append(player)
+        return best_response(game, state, player)
+
+    monkeypatch.setattr(dynamics, "best_response", recorded)
+    return asked
+
+
+def solve_both(monkeypatch, solve):
+    """``solve()`` with the skipping descent, then with the reference scan."""
+    fast = solve()
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_descend", reference_descend)
+        slow = solve()
+    return fast, slow
+
+
+def first_bases(game):
+    return pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+
+
+# (model, space kind, consistent priorities, player-specific delays)
+DESK_CLASSES = {
+    "per-resource": ("priority", "singleton", False, False),
+    "consistent": ("priority", "singleton", True, False),
+    "player-specific": ("priority", "singleton", False, True),
+    "classic": ("classic", "singleton", False, False),
+    "market-reduced": ("market", "singleton", False, False),
+    "explicit": ("priority", "explicit", False, False),
+    "uniform": ("priority", "uniform", True, False),
+    "partition": ("priority", "partition", False, False),
+    "graphic": ("priority", "graphic", True, False),
+    "mixed": ("affine", "mixed", False, False),
+    "classic-mixed": ("classic", "mixed", False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESK_CLASSES))
+def test_descent_rows_equal_the_ask_everyone_scan(monkeypatch, name):
+    model, space, consistent, specific = DESK_CLASSES[name]
+    moved = 0
+    for seed in range(8):
+        game = priority_game(
+            gen_source(
+                seed,
+                players=3 + seed % 6,
+                resources=2 + seed % 4,
+                model=model,
+                space_kind=space,
+                levels=1 + seed % 3,
+                consistent=consistent,
+                player_specific=specific,
+            )
+        )
+        starts = [first_bases(game)]
+        starts.append(pg.State({p: game.spaces[p].all_bases()[-1] for p in game.players()}))
+        for start in starts:
+            for policy in dynamics.POLICIES:
+                fast, slow = solve_both(
+                    monkeypatch, lambda: pg.run_dynamics(game, start, policy=policy, cap=400)[1]
+                )
+                assert rows(fast) == rows(slow), (seed, policy)
+                moved += len(fast.steps)
+        if game.priorities.consistent:
+            fast, slow = solve_both(monkeypatch, lambda: pg.solve_consistent_layered(game)[1])
+            assert rows(fast) == rows(slow), (seed, "layered")
+    assert moved > 0
+
+
+def three_player_game(b, c, d) -> pg.Game:
+    """Players 1 on {a, b}, 2 on {a, d}, 3 on {a, c}; a is the shared resource.
+
+    On a, player 2 sits at level 1 and players 1 and 3 at level 2, with
+    d(x, y) = 2 + 3(x + y - 1).  The other resources each have one player
+    and the constant delays given.
+    """
+    bound = 5
+
+    def table(value):
+        return pg.table_from_function(lambda x, y: value, bound)
+
+    return pg.build_game(
+        n_players=3,
+        resources=["a", "b", "c", "d"],
+        spaces={
+            1: pg.SingletonSpace(["a", "b"]),
+            2: pg.SingletonSpace(["a", "d"]),
+            3: pg.SingletonSpace(["a", "c"]),
+        },
+        priorities=pg.PriorityFunction(
+            {"a": {1: 2, 2: 1, 3: 2}, "b": {1: 1}, "c": {3: 1}, "d": {2: 1}}
+        ),
+        delays={
+            "a": pg.table_from_function(lambda x, y: 2 + 3 * (x + y - 1), bound),
+            "b": table(b),
+            "c": table(c),
+            "d": table(d),
+        },
+    )
+
+
+# Player 3 leaves a for c.  Then a is cheaper for player 1 (her level there
+# equals 3's), who now leaves b for a; player 2 (level 1 on a, on d) is not
+# helped by it and is not asked again.
+LEFT = (three_player_game(3, 1, 1), {1: "b", 2: "d", 3: "a"})
+# Player 3 joins a from c.  Then a is dearer for player 1 (on a, at 3's
+# level), who now leaves a for b; player 2 (on a, level 1) is not asked again.
+JOINED = (three_player_game(6, 10, 3), {1: "a", 2: "a", 3: "c"})
+
+
+@pytest.mark.parametrize("case", ["left", "joined"])
+def test_each_half_of_the_rule_asks_only_who_was_helped(monkeypatch, case):
+    game, start = {"left": LEFT, "joined": JOINED}[case]
+    asked = record_asks(monkeypatch)
+    fast, slow = solve_both(monkeypatch, lambda: pg.run_dynamics(game, pg.State(start))[1])
+    assert rows(fast) == rows(slow)
+    assert [(s.player, s.frm, s.to) for s in fast.steps] == [
+        (3, frozenset(start[3]), frozenset("c" if case == "left" else "a")),
+        (1, frozenset(start[1]), frozenset("a" if case == "left" else "b")),
+    ]
+    assert pg.is_pure_nash(game, fast.final)
+    # skipping: 1 and 2 settle, 3 moves, 1 moves, 2 is skipped, 3 and 1 settle;
+    # then the reference, which asks 2 again
+    assert asked == [1, 2, 3, 1, 3, 1] + [1, 2, 3, 1, 2, 3, 1]
+
+
+def test_a_player_at_infinite_cost_is_asked_again(monkeypatch):
+    """Player 1 pays +inf on a while 2 is there, on both her bases; 2 leaving
+    a makes a cheaper for 1, who uses it, and exposes her cheaper base."""
+    game = pg.build_game(
+        n_players=2,
+        resources=["a", "b", "c", "e"],
+        spaces={1: pg.ExplicitSpace([["a", "b"], ["a", "c"]]), 2: pg.SingletonSpace(["a", "e"])},
+        priorities=pg.PriorityFunction(
+            {"a": {1: 2, 2: 1}, "b": {1: 1}, "c": {1: 1}, "e": {2: 1}}
+        ),
+        delays={
+            "a": pg.table_from_function(lambda x, y: "inf" if x else y, 3),
+            "b": pg.table_from_function(lambda x, y: 1, 3),
+            "c": pg.table_from_function(lambda x, y: 5, 3),
+            "e": pg.table_from_function(lambda x, y: 0, 3),
+        },
+    )
+    start = pg.State({1: ["a", "c"], 2: "a"})
+    assert pg.player_cost(game, start, 1) == pg.INFINITY
+    fast, slow = solve_both(monkeypatch, lambda: pg.run_dynamics(game, start)[1])
+    assert rows(fast) == rows(slow)
+    assert [s.player for s in fast.steps] == [2, 1]
+    assert fast.final.strategy(1) == frozenset("ab") and pg.is_pure_nash(game, fast.final)
+
+
+def affine_document_n32() -> dict:
+    """32 singleton players on 8 shared affine resources, per-resource levels 1..3."""
+    rng = random.Random("descent:affine:32")
+    rids = [f"r{k}" for k in range(8)]
+    return {
+        "version": 1,
+        "model": "priority",
+        "players": 32,
+        "resources": rids,
+        "strategies": {
+            str(i): {"kind": "singleton", "allowed": sorted(rng.sample(rids, rng.randint(2, 4)))}
+            for i in range(1, 33)
+        },
+        "priorities": {
+            "per_resource": {rid: [rng.randint(1, 3) for _ in range(32)] for rid in rids}
+        },
+        "delays": {
+            rid: {
+                "kind": "affine",
+                "alpha": f"{rng.randint(1, 6)}/2",
+                "beta": f"{rng.randint(0, 4)}/1",
+            }
+            for rid in rids
+        },
+    }
+
+
+def test_roundrobin_asks_fewer_players_than_the_reference(monkeypatch):
+    game = pg.parse_instance(json.dumps(affine_document_n32()))
+    asked = record_asks(monkeypatch)
+    fast = pg.run_dynamics(game, first_bases(game))[1]
+    skipping = len(asked)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_descend", reference_descend)
+        slow = pg.run_dynamics(game, first_bases(game))[1]
+    assert rows(fast) == rows(slow) and len(fast.steps) > 10
+    assert skipping < len(asked) - skipping
+
+
+def policy_digests(path: str) -> dict[str, str]:
+    """Trace CSV digests of the three policies from the all-first start."""
+    game = pg.parse_instance(Path(path).read_bytes())
+    return {
+        policy: hashlib.sha256(
+            trace_to_csv_text(pg.run_dynamics(game, first_bases(game), policy=policy)[1]).encode()
+        ).hexdigest()
+        for policy in dynamics.POLICIES
+    }
+
+
+def test_descent_under_optimize_writes_the_same_traces(tmp_path):
+    """The settled-set bookkeeping holds without ``assert``: a child started
+    with -O writes the in-process traces byte for byte."""
+    path = tmp_path / "affine32.json"
+    path.write_text(json.dumps(affine_document_n32()))
+    paths = [str(Path(pg.__file__).parent.parent), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = (
+        "import json, sys\n"
+        "from test_descent import policy_digests\n"
+        "print(json.dumps({'debug': __debug__, **policy_digests(sys.argv[1])}))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result.pop("debug") is False
+    assert result == policy_digests(str(path))

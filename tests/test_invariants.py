@@ -186,6 +186,27 @@ def test_lex_potential_sorts_without_cost_comparisons(monkeypatch):
     assert len({c for c, _ in vec.pairs}) < 24  # some costs repeat, so levels order ties
 
 
+def test_best_response_compares_no_fractions(monkeypatch):
+    """Costs compare on the ints they keep: one best response on a fresh
+    game (pricing, the greedy sort and the final test) calls no ``Fraction``
+    comparison."""
+    game = make_affine_n24()
+    start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    calls = []
+    for name in ("__lt__", "__le__", "__eq__"):
+        original = getattr(Fraction, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    br = dynamics.best_response(game, start, 1)
+    monkeypatch.undo()
+    assert calls == []
+    assert br != start.strategy(1)  # she improves: real costs were compared
+
+
 def count_level_counts(monkeypatch) -> list:
     """Count ``level_counts`` calls from every package module importing it."""
     calls = []
