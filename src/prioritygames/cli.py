@@ -9,6 +9,7 @@ overrides the brute-force enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,7 +82,17 @@ def _fail(args, exc: GameError) -> None:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``pcg`` argument parser, built once per process on first use.
+
+    Building the five-verb tree costs about ten times what parsing one
+    argv does, so in-process callers of :func:`cli_main` reuse it; it is
+    not built at import.  ``parse_args`` returns a fresh namespace on each
+    call, so nothing of one call reaches the next.  Each verb's handler is
+    bound at that first build: replacing a ``_cmd_*`` function afterwards
+    does not change what the parser dispatches to.
+    """
     parser = argparse.ArgumentParser(
         prog="pcg",
         description="Priority-based congestion games: equilibria, potentials, certification.",

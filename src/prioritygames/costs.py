@@ -19,31 +19,27 @@ CostLike = Union["ExtCost", Fraction, int, str]
 def parse_fraction(text: str) -> Fraction:
     """Parse a nonnegative rational written as ``p`` or ``p/q``.
 
-    Raises ValueError for malformed input, zero denominators, or negative
-    values.  This is the only accepted wire format for rationals.
+    ``p`` and ``q`` are unsigned ASCII decimal integers (whitespace around
+    either is ignored) and ``q >= 1``; a sign is malformed, ``-0`` and
+    ``-3/-2`` included.  ``4/2`` is accepted and reads as 2, while
+    :func:`format_fraction` emits the reduced form.  Raises ValueError for
+    malformed input or a zero denominator.  This is the only accepted wire
+    format for rationals.
     """
-    s = text.strip()
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-        if not (_is_int(num_s) and _is_int(den_s)):
-            raise ValueError(f"malformed rational {text!r}")
-        num, den = int(num_s), int(den_s)
-        if den == 0:
-            raise ValueError(f"zero denominator in rational {text!r}")
-    else:
-        if not _is_int(s):
-            raise ValueError(f"malformed rational {text!r}")
-        num, den = int(s), 1
-    value = Fraction(num, den)
-    if value < 0:
-        raise ValueError(f"negative rational {text!r}")
-    return value
+    num_s, slash, den_s = text.strip().partition("/")
+    if not (_is_int(num_s) and (not slash or _is_int(den_s))):
+        raise ValueError(f"malformed rational {text!r}")
+    if not slash:
+        return Fraction(int(num_s))
+    den = int(den_s)
+    if den == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return Fraction(int(num_s), den)
 
 
 def _is_int(s: str) -> bool:
+    """An unsigned ASCII decimal integer, possibly padded with whitespace."""
     s = s.strip()
-    if s.startswith("-"):
-        s = s[1:]
     return s.isascii() and s.isdigit()
 
 

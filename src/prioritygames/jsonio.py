@@ -1,7 +1,9 @@
 """Instance files: a strict, canonical JSON format for all four models.
 
-Rationals travel as gcd-reduced ``"p/q"`` strings (``"inf"`` reserved for
-the infinite delay); floats never appear.  Unknown fields are rejected.
+Rationals are read as ``"p"`` or ``"p/q"`` strings of unsigned decimal
+digits with ``q >= 1`` (see :func:`costs.parse_fraction`) and written as
+gcd-reduced ``"p/q"``; ``"inf"`` is reserved for the infinite delay and
+floats never appear.  Unknown fields are rejected.
 Integer fields test ``type(v) is int``: JSON ``true``/``false`` load as
 Python bools, which ``isinstance(v, int)`` would accept and emission would
 write back as ``true``/``false``.
@@ -34,7 +36,7 @@ from .core import (
     TableDelay,
     build_game,
 )
-from .costs import ExtCost, format_fraction, parse_fraction
+from .costs import INFINITY, ExtCost, format_fraction, parse_fraction
 from .errors import ParseError
 from .markets import (
     AffineGame,
@@ -101,7 +103,16 @@ def parse_instance(data: bytes | str) -> Game | MarketGame:
 
 
 def document_to_source(doc: dict) -> SourceInstance:
-    """Build the model's natural object from a parsed document."""
+    """Build the model's natural object from a parsed document.
+
+    Cost strings repeat within a table and across tables (player-specific
+    tables repeat one set of values per player), so one ``memo`` dict from
+    cost string to :class:`ExtCost` lives for this call and reaches every
+    :func:`_cost_value`: table and tritable entries and classic values.
+    Reusing a kept value is exact, because ``ExtCost`` is immutable and a
+    string always parses to the same value; a string that fails to parse
+    is never kept, so the first bad cell raises with its own path.
+    """
     _require_fields(
         doc,
         "instance",
@@ -134,9 +145,10 @@ def document_to_source(doc: dict) -> SourceInstance:
         if key not in doc:
             raise ParseError(f"{model} instances need {key!r}")
 
+    memo: dict[str, ExtCost] = {}
     if model == "market":
         costs = _parse_cost_matrix(doc["cost_matrix"], n, resources)
-        delays = _parse_market_delays(doc["market_delays"], resources)
+        delays = _parse_market_delays(doc["market_delays"], resources, memo)
         return build_market(
             n_players=n, resources=resources, spaces=spaces, costs=costs, delays=delays
         )
@@ -144,7 +156,7 @@ def document_to_source(doc: dict) -> SourceInstance:
     priorities = _parse_priorities(doc["priorities"], n, resources)
 
     if model == "classic":
-        delays = _parse_delay_map(doc.get("delays"), resources, only_kind="classic")
+        delays = _parse_delay_map(doc.get("delays"), resources, memo, only_kind="classic")
         values = {rid: spec.values for rid, spec in delays.items()}
         return build_classic_game(
             n_players=n,
@@ -157,7 +169,7 @@ def document_to_source(doc: dict) -> SourceInstance:
     if model == "affine":
         if not priorities.consistent:
             raise ParseError("affine instances need consistent priorities")
-        delays = _parse_delay_map(doc.get("delays"), resources, only_kind="affine")
+        delays = _parse_delay_map(doc.get("delays"), resources, memo, only_kind="affine")
         level_map = {}
         for i in range(1, n + 1):
             levels = {
@@ -176,8 +188,8 @@ def document_to_source(doc: dict) -> SourceInstance:
         )
 
     # model == "priority"
-    shared = _parse_delay_map(doc.get("delays"), resources, allow_missing=True)
-    per_player = _parse_player_specific(doc.get("player_specific"), n, resources)
+    shared = _parse_delay_map(doc.get("delays"), resources, memo, allow_missing=True)
+    per_player = _parse_player_specific(doc.get("player_specific"), n, resources, memo)
     delay_specs: dict[str, DelaySpec] = {}
     for rid in resources:
         per = {i: specs[rid] for i, specs in per_player.items() if rid in specs}
@@ -259,10 +271,21 @@ def _rational(text: Any, path: str) -> Fraction:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _cost_value(text: Any, path: str) -> ExtCost:
-    if text == "inf":
-        return ExtCost.of("inf")
-    return ExtCost(_rational(text, path))
+def _cost_value(text: Any, memo: dict[str, ExtCost], where: str, k: int) -> ExtCost:
+    """The cost at ``where[k]``, reusing ``memo``'s value for a string seen before.
+
+    Only strings are looked up (a list or dict would not hash) and only
+    parsed values are kept, so anything else, and every bad string, reaches
+    the parse below and fails with its own path.  The path is formatted on
+    a miss only.
+    """
+    if isinstance(text, str):
+        known = memo.get(text)
+        if known is not None:
+            return known
+    value = INFINITY if text == "inf" else ExtCost(_rational(text, f"{where}[{k}]"))
+    memo[text] = value
+    return value
 
 
 def _parse_priorities(obj: Any, n: int, resources: list[str]) -> PriorityFunction:
@@ -355,7 +378,7 @@ def _parse_space(spec: Any, path: str) -> StrategySpace:
     raise ParseError(f"{path}: unknown strategy kind {kind!r}")
 
 
-def _parse_delay(spec: Any, path: str) -> DelaySpec:
+def _parse_delay(spec: Any, path: str, memo: dict[str, ExtCost]) -> DelaySpec:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"{path}: expected an object with a 'kind'")
     kind = spec["kind"]
@@ -367,6 +390,7 @@ def _parse_delay(spec: Any, path: str) -> DelaySpec:
         entries = {}
         if not isinstance(spec["entries"], list):
             raise ParseError(f"{path}.entries: expected a list")
+        where = f"{path}.entries"
         for k, row in enumerate(spec["entries"]):
             if not (isinstance(row, list) and len(row) == 3):
                 raise ParseError(f"{path}.entries[{k}]: expected [x, y, value]")
@@ -375,7 +399,7 @@ def _parse_delay(spec: Any, path: str) -> DelaySpec:
                 raise ParseError(f"{path}.entries[{k}]: x >= 0 and y >= 1 required")
             if (x, y) in entries:
                 raise ParseError(f"{path}.entries[{k}]: duplicate point ({x}, {y})")
-            entries[(x, y)] = _cost_value(val, f"{path}.entries[{k}]")
+            entries[(x, y)] = _cost_value(val, memo, where, k)
         return TableDelay(entries=entries, bound=bound)
     if kind == "affine":
         _require_fields(spec, path, required=("kind", "alpha", "beta"))
@@ -387,15 +411,19 @@ def _parse_delay(spec: Any, path: str) -> DelaySpec:
         _require_fields(spec, path, required=("kind", "values"))
         if not isinstance(spec["values"], list) or not spec["values"]:
             raise ParseError(f"{path}.values: expected a nonempty list")
-        values = tuple(
-            _cost_value(v, f"{path}.values[{k}]") for k, v in enumerate(spec["values"])
-        )
+        where = f"{path}.values"
+        values = tuple(_cost_value(v, memo, where, k) for k, v in enumerate(spec["values"]))
         return ClassicDelay(values=values)
     raise ParseError(f"{path}: unknown delay kind {kind!r}")
 
 
 def _parse_delay_map(
-    obj: Any, resources: list[str], *, only_kind: str | None = None, allow_missing: bool = False
+    obj: Any,
+    resources: list[str],
+    memo: dict[str, ExtCost],
+    *,
+    only_kind: str | None = None,
+    allow_missing: bool = False,
 ):
     if obj is None:
         if allow_missing:
@@ -403,7 +431,7 @@ def _parse_delay_map(
         raise ParseError("missing 'delays'")
     out = {}
     for rid, spec in _resource_keyed(obj, "delays", resources).items():
-        parsed = _parse_delay(spec, f"delays.{rid}")
+        parsed = _parse_delay(spec, f"delays.{rid}", memo)
         if only_kind and parsed.kind != only_kind:
             raise ParseError(f"delays.{rid}: this model needs kind {only_kind!r}")
         out[rid] = parsed
@@ -412,12 +440,14 @@ def _parse_delay_map(
     return out
 
 
-def _parse_player_specific(obj: Any, n: int, resources: list[str]) -> dict[int, dict[str, DelaySpec]]:
+def _parse_player_specific(
+    obj: Any, n: int, resources: list[str], memo: dict[str, ExtCost]
+) -> dict[int, dict[str, DelaySpec]]:
     if obj is None:
         return {}
     return {
         i: {
-            rid: _parse_delay(spec, f"player_specific.{key}.{rid}")
+            rid: _parse_delay(spec, f"player_specific.{key}.{rid}", memo)
             for rid, spec in _resource_keyed(rmap, f"player_specific.{key}", resources).items()
         }
         for i, key, rmap in _player_keyed(obj, "player_specific", n)
@@ -432,7 +462,9 @@ def _parse_cost_matrix(obj: Any, n: int, resources: list[str]) -> dict[tuple[int
     }
 
 
-def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
+def _parse_market_delays(
+    obj: Any, resources: list[str], memo: dict[str, ExtCost]
+) -> dict[str, TriTable]:
     out = {}
     for rid, spec in _resource_keyed(obj, "market_delays", resources).items():
         path = f"market_delays.{rid}"
@@ -447,6 +479,7 @@ def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
         if not isinstance(spec["entries"], list):
             raise ParseError(f"{path}.entries: expected a list")
         entries = {}
+        where = f"{path}.entries"
         for k, row in enumerate(spec["entries"]):
             if not (isinstance(row, list) and len(row) == 4):
                 raise ParseError(f"{path}.entries[{k}]: expected [level, x, y, value]")
@@ -455,7 +488,7 @@ def _parse_market_delays(obj: Any, resources: list[str]) -> dict[str, TriTable]:
                 raise ParseError(f"{path}.entries[{k}]: bad coordinates")
             if (l, x, y) in entries:
                 raise ParseError(f"{path}.entries[{k}]: duplicate point")
-            entries[(l, x, y)] = _cost_value(val, f"{path}.entries[{k}]")
+            entries[(l, x, y)] = _cost_value(val, memo, where, k)
         out[rid] = TriTable(levels=levels, bound=bound, entries=entries)
     return out
 

@@ -20,6 +20,7 @@ from .congestion import State
 from .costs import ExtCost
 from .dynamics import CAP_REACHED, CONVERGED, PHASES, MoveTrace, TraceStep, layer_level
 from .errors import ParseError
+from .jsonio import is_canonical_player_key
 
 HEADER = ["step", "phase", "player", "from", "to", "cost_before", "cost_after", "potential"]
 
@@ -79,8 +80,11 @@ def _parse_strategy(cell: str) -> frozenset[str] | None:
 
 
 def _player(cell: str) -> int:
-    if not (cell.isascii() and cell.isdigit()):
-        raise ValueError(f"player ids are ASCII decimal strings, got {cell!r}")
+    # the instance-file key rule: "01" would name player 1 a second way
+    if not is_canonical_player_key(cell):
+        raise ValueError(
+            f"player ids are ASCII decimal strings with no leading zero, got {cell!r}"
+        )
     return int(cell)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -346,17 +347,93 @@ def test_profile_player_key_with_leading_zero(capsys, t1_file):
     assert "PARSE_ERROR" in err and "'01'" in err
 
 
-def test_module_entry_point(t1_file):
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_module_entry_point(t1_file):
     done = subprocess.run(
         [sys.executable, "-m", "prioritygames.cli", "validate", str(t1_file)],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "OK: priority game with 2 players, 2 resources\n"
+
+
+class TestParserReuse:
+    """One parser serves every in-process call; no call leaks into the next."""
+
+    def test_usage_error_then_json_validate(self, capsys, t1_file):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", str(t1_file)])  # --method is required
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, ["validate", t1_file, "--json"])
+        assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_json_flag_does_not_stick(self, capsys, t1_file):
+        run(capsys, ["validate", t1_file, "--json"])
+        code, out, _ = run(capsys, ["validate", t1_file])
+        assert code == 0 and out == "OK: priority game with 2 players, 2 resources\n"
+
+    def test_trace_path_does_not_stick(self, capsys, t1_file, tmp_path):
+        trace_path = tmp_path / "a.csv"
+        run(capsys, ["solve", t1_file, "--method", "insertion", "--trace", trace_path])
+        assert trace_path.exists()
+        trace_path.unlink()
+        before = sorted(tmp_path.iterdir())
+        code, _, _ = run(capsys, ["solve", t1_file, "--method", "insertion"])
+        assert code == 0 and sorted(tmp_path.iterdir()) == before
+
+    def test_second_call_builds_no_parser(self, capsys, t1_file, monkeypatch):
+        run(capsys, ["validate", t1_file])
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, _, _ = run(capsys, ["solve", t1_file, "--method", "br", "--json"])
+        assert code == 0 and built == []
+
+
+# the form `bench/run.py` times a cold call in: one fresh interpreter per call
+FRESH_CALL = "import sys; from prioritygames.cli import main; sys.argv[0] = 'pcg'; main()"
+
+
+def test_fresh_process_matches_in_process(capsys, t1_file, tmp_path):
+    trace_path = tmp_path / "t.csv"
+    calls = [
+        ["validate", str(t1_file)],
+        ["solve", str(t1_file), "--method", "br", "--json", "--trace", str(trace_path)],
+        ["verify", str(t1_file), "--trace", str(trace_path)],
+    ]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_CALL, *argv],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout))
+    fresh_trace = trace_path.read_bytes()
+    # other calls first, so the in-process runs reuse a parser that has served
+    run(capsys, ["validate", t1_file, "--json"])
+    run(capsys, ["solve", t1_file, "--method", "insertion", "--trace", tmp_path / "other.csv"])
+    trace_path.unlink()
+    warm = [run(capsys, argv)[:2] for argv in calls]
+    assert warm == fresh
+    assert fresh[0][0] == fresh[1][0] == fresh[2][0] == 0
+    assert trace_path.read_bytes() == fresh_trace

@@ -1,12 +1,15 @@
 import copy
+import io
 import operator
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_t1
 from prioritygames.costs import (
     INFINITY,
     ZERO,
@@ -16,6 +19,9 @@ from prioritygames.costs import (
     parse_fraction,
     sum_costs,
 )
+from prioritygames.errors import ParseError
+from prioritygames.jsonio import document_to_source, instance_to_document
+from prioritygames.traceio import read_trace_csv
 
 finite_costs = st.builds(
     lambda n, d: ExtCost(Fraction(n, d)),
@@ -65,6 +71,26 @@ def test_parse_and_format():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_fraction(bad)
+
+
+@pytest.mark.parametrize("signed", ["-0", "-0/3", "-3/-2"])
+@pytest.mark.parametrize("where", ["parse_fraction", "table cell", "trace cost cell"])
+def test_rationals_on_the_wire_are_unsigned(where, signed):
+    # each reads as a nonnegative value (0, 0, 3/2) but is written with a sign
+    malformed = f"malformed rational {signed!r}"
+    if where == "parse_fraction":
+        with pytest.raises(ValueError, match=re.escape(malformed)):
+            parse_fraction(signed)
+    elif where == "table cell":
+        doc = instance_to_document(make_t1())
+        doc["delays"]["b"]["entries"][2][2] = signed
+        with pytest.raises(ParseError, match=re.escape(f"delays.b.entries[2]: {malformed}")):
+            document_to_source(doc)
+    else:
+        text = "step,phase,player,from,to,cost_before,cost_after,potential\n"
+        text += f"0,start,2,,a,,,\n1,br,2,a,b,5/1,{signed},\n"
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {malformed}")):
+            read_trace_csv(io.StringIO(text))
 
 
 def test_negative_rejected():

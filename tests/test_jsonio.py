@@ -1,8 +1,14 @@
+import importlib.util
 import json
+import re
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import prioritygames as pg
+import prioritygames.jsonio as jsonio
 from conftest import gen_source, make_t1
 from prioritygames.generator import GenParams, generate_random_instance
 from prioritygames.jsonio import (
@@ -315,3 +321,102 @@ class TestClaimedSizes:
         assert listed[10:] == [
             ("MISSING_ENTRY", "resource a: bound 400", "80189 more points have no table entry")
         ]
+
+
+def _load_desk_families():
+    """The benchmark's corpus builder, loaded from its file (bench/ is no package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("desk_families", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+desk_families = _load_desk_families()
+
+
+@pytest.fixture(scope="module")
+def desk_corpus_seed0():
+    return desk_families.desk_corpus(0).instances
+
+
+@pytest.fixture
+def parsed_strings(monkeypatch):
+    """Every string ``jsonio`` hands to ``parse_fraction``, in call order."""
+    seen = []
+    original = jsonio.parse_fraction
+
+    def counting(text):
+        seen.append(text)
+        return original(text)
+
+    monkeypatch.setattr(jsonio, "parse_fraction", counting)
+    return seen
+
+
+def _table_doc_costs(doc: dict) -> list[str]:
+    tables = list(doc.get("delays", {}).values())
+    tables += [t for rmap in doc.get("player_specific", {}).values() for t in rmap.values()]
+    return [row[-1] for t in tables for row in t["entries"]]
+
+
+class TestCostMemo:
+    """One ``ExtCost`` per distinct cost string in a document."""
+
+    def test_each_distinct_string_is_parsed_once(self, parsed_strings):
+        doc = instance_to_document(
+            gen_source(5, players=3, resources=3, space_kind="singleton", player_specific=True)
+        )
+        assert "player_specific" in doc and "delays" not in doc
+        costs = _table_doc_costs(doc)
+        finite = [c for c in costs if c != "inf"]
+        assert len(set(finite)) < len(finite)  # the guard needs repeats to mean anything
+        parsed_strings.clear()  # building the document parsed too
+        document_to_source(doc)
+        assert Counter(parsed_strings) == Counter(set(finite))
+
+    def test_first_bad_cell_is_reported(self, t1):
+        doc = instance_to_document(t1)
+        entries = doc["delays"]["a"]["entries"]
+        entries[3][2] = entries[9][2] = "4/x"
+        with pytest.raises(pg.ParseError) as err:
+            document_to_source(doc)
+        assert str(err.value) == "delays.a.entries[3]: malformed rational '4/x'"
+
+    def test_repeated_good_string_is_parsed_once(self, t1, parsed_strings):
+        doc = instance_to_document(t1)
+        entries = doc["delays"]["a"]["entries"]
+        assert entries[3][:2] == [0, 4] and entries[5][:2] == [1, 2]  # both d = 4
+        entries[3][2] = entries[5][2] = "8/2"
+        game = document_to_source(doc)
+        assert parsed_strings.count("8/2") == 1
+        table = game.delays["a"].entries
+        assert table[(0, 4)] == table[(1, 2)] == pg.cost(4)
+
+    @pytest.mark.parametrize("value", [None, 3, [1], {}], ids=["null", "int", "list", "dict"])
+    @pytest.mark.parametrize("kind", ["table", "classic", "tritable"])
+    def test_non_string_values_keep_their_message(self, t1, kind, value):
+        if kind == "table":
+            doc = instance_to_document(t1)
+            doc["delays"]["a"]["entries"][4][2] = value
+            path = "delays.a.entries[4]"
+        elif kind == "classic":
+            source = gen_source(2, players=3, resources=3, model="classic", levels=2)
+            doc = instance_to_document(source)
+            doc["delays"]["b"]["values"][1] = value
+            path = "delays.b.values[1]"
+        else:
+            doc = instance_to_document(gen_source(4, players=3, resources=3, model="market"))
+            doc["market_delays"]["a"]["entries"][2][3] = value
+            path = "market_delays.a.entries[2]"
+        message = f"{path}: rationals are 'p/q' strings, got {value!r}"
+        with pytest.raises(pg.ParseError, match=re.escape(message) + "$"):
+            document_to_source(doc)
+
+    @pytest.mark.parametrize("c", range(len(desk_families.DESK_CLASSES)))
+    def test_desk_classes_round_trip(self, desk_corpus_seed0, c):
+        per = desk_families.DESK_PER_CLASS
+        for inst in desk_corpus_seed0[c * per : (c + 1) * per]:
+            blob = inst.data
+            assert emit_instance(document_to_source(parse_document(blob))) == blob

@@ -5,6 +5,8 @@ import pytest
 
 import prioritygames as pg
 from conftest import gen_game
+from prioritygames.cli import cli_main
+from prioritygames.jsonio import emit_instance
 from prioritygames.traceio import read_trace_csv, trace_to_csv_text, write_trace_csv
 
 
@@ -126,3 +128,38 @@ def test_second_start_row_for_a_player_is_parse_error():
     text = TRACE_HEADER + "0,start,1,,a,,,\n1,start,1,,b,,,\n"
     with pytest.raises(pg.ParseError, match="line 3: a second start row for player 1"):
         read_trace_csv(io.StringIO(text))
+
+
+def _t1_trace_with_padded_player(t1, row: str) -> tuple[str, str, int]:
+    """A T1 better-response trace whose first ``row`` row (``start`` or a
+    ``br`` step) names its player with a leading zero: the CSV text, the
+    padded cell, and the row's line number."""
+    _, trace = pg.run_dynamics(t1, pg.profile({1: "a", 2: "a"}))
+    assert pg.certify_trace(t1, trace).ok
+    lines = trace_to_csv_text(trace).splitlines(keepends=True)
+    k = [line.split(",")[1] for line in lines].index("start" if row == "start" else "br")
+    cells = lines[k].split(",")
+    cells[2] = "0" + cells[2]
+    lines[k] = ",".join(cells)
+    return "".join(lines), cells[2], k + 1
+
+
+@pytest.mark.parametrize("row", ["start", "step"])
+def test_player_cell_with_leading_zero_is_parse_error(t1, row):
+    # "01" would name player 1 a second way, as an instance key would
+    text, cell, line = _t1_trace_with_padded_player(t1, row)
+    message = f"line {line}: player ids are ASCII decimal strings with no leading zero, got {cell!r}"
+    with pytest.raises(pg.ParseError, match=re.escape(message)):
+        read_trace_csv(io.StringIO(text))
+
+
+def test_verify_rejects_a_trace_naming_player_01(t1, tmp_path, capsys):
+    text, cell, line = _t1_trace_with_padded_player(t1, "start")
+    assert cell == "01"
+    instance, trace = tmp_path / "t1.json", tmp_path / "t.csv"
+    instance.write_bytes(emit_instance(t1))
+    trace.write_text(text)
+    code = cli_main(["verify", str(instance), "--trace", str(trace)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "PARSE_ERROR" in err and f"line {line}: player ids" in err and "'01'" in err
