@@ -17,10 +17,10 @@ from pathlib import Path
 
 from .congestion import State, is_pure_nash, player_cost, validate_state
 from .core import Game
+from .costs import ZERO
 from .dynamics import (
     CAP_REACHED,
     MoveTrace,
-    count_steps,
     run_dynamics,
     solve_consistent_layered,
     solve_insertion,
@@ -41,6 +41,7 @@ from .markets import (
     reduce_market_to_playerspecific,
     reduce_priority_to_market,
 )
+from .matroids import greedy_min_base
 from .oracle import EnumerationBudget, brute_force_pne, certify_trace
 from .traceio import read_trace_csv, write_trace_csv
 
@@ -266,7 +267,11 @@ def _cmd_solve(args) -> int:
         final = pnes[0] if pnes else None
         status = "Converged" if final is not None else "NoEquilibrium"
     elif args.method == "br":
-        start = State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+        # the least base in sorted-id order: greedy on all-zero weights
+        start = State({
+            p: greedy_min_base(game.spaces[p], dict.fromkeys(game.ground_of(p), ZERO))
+            for p in game.players()
+        })
         final, trace = run_dynamics(game, start, policy=args.policy, cap=args.max_steps)
         status = trace.status
     elif args.method == "layered":
@@ -283,7 +288,7 @@ def _cmd_solve(args) -> int:
         "method": args.method,
         "status": status,
         "final": _profile_json(final) if final is not None else None,
-        "steps": count_steps(trace).total if trace is not None else None,
+        "steps": len(trace.steps) if trace is not None else None,
     }
     if final is not None:
         result["pne"] = (

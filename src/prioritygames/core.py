@@ -431,8 +431,10 @@ def structural_violations(
     """The structural checks every game and market builder runs first.
 
     Player ids are exactly 1..n; resource ids are distinct, nonempty,
-    '+'-free and not 'DISCARDED'; every space is nonempty and uses listed
-    resources only.  ``resources`` is the builder's sorted id tuple.
+    '+'-free and not 'DISCARDED'; every space uses listed resources only.
+    Spaces are nonempty by construction (every space constructor refuses
+    an empty one), so no base is listed here.  ``resources`` is the
+    builder's sorted id tuple.
     """
     violations: list[Violation] = []
 
@@ -457,8 +459,6 @@ def structural_violations(
         )
     rset = set(resources)
     for i, sp in sorted(spaces.items()):
-        if not sp.all_bases():
-            violations.append(Violation("EMPTY_SPACE", f"player {i}", "no strategies"))
         extra = sp.ground() - rset
         if extra:
             violations.append(
@@ -494,9 +494,9 @@ def build_game(
     """Validate and freeze a game; raises ValidationFailed with diagnostics.
 
     Checks: player ids are exactly 1..n; every strategy uses listed
-    resources; spaces are nonempty; priorities exist wherever a player can
-    reach a resource; every reachable delay spec passes the three axioms up
-    to the computed required bound.
+    resources; priorities exist wherever a player can reach a resource;
+    every reachable delay spec passes the three axioms up to the computed
+    required bound.  Spaces are nonempty by construction.
     """
     resources = tuple(sorted(resources))
     violations = structural_violations(n_players, resources, spaces)

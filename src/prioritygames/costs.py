@@ -19,14 +19,14 @@ CostLike = Union["ExtCost", Fraction, int, str]
 def parse_fraction(text: str) -> Fraction:
     """Parse a nonnegative rational written as ``p`` or ``p/q``.
 
-    ``p`` and ``q`` are unsigned ASCII decimal integers (whitespace around
-    either is ignored) and ``q >= 1``; a sign is malformed, ``-0`` and
-    ``-3/-2`` included.  ``4/2`` is accepted and reads as 2, while
+    ``p`` and ``q`` are unsigned ASCII decimal integers and ``q >= 1``; a
+    sign or whitespace anywhere is malformed, ``-0``, ``-3/-2`` and
+    ``" 3/1"`` included.  ``4/2`` is accepted and reads as 2, while
     :func:`format_fraction` emits the reduced form.  Raises ValueError for
     malformed input or a zero denominator.  This is the only accepted wire
     format for rationals.
     """
-    num_s, slash, den_s = text.strip().partition("/")
+    num_s, slash, den_s = text.partition("/")
     if not (_is_int(num_s) and (not slash or _is_int(den_s))):
         raise ValueError(f"malformed rational {text!r}")
     if not slash:
@@ -38,8 +38,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def _is_int(s: str) -> bool:
-    """An unsigned ASCII decimal integer, possibly padded with whitespace."""
-    s = s.strip()
+    """An unsigned ASCII decimal integer."""
     return s.isascii() and s.isdigit()
 
 
@@ -88,7 +87,7 @@ class ExtCost:
         if isinstance(value, ExtCost):
             return value
         if isinstance(value, str):
-            if value.strip() == "inf":
+            if value == "inf":
                 return INFINITY
             return cls(parse_fraction(value))
         frac = Fraction(value)

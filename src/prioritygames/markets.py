@@ -120,9 +120,6 @@ class MarketGame:
     def player_level(self, resource: str, player: int) -> int:
         return self.cost_rank(resource, self.costs[(player, resource)])
 
-    def is_singleton_market(self) -> bool:
-        return self.singleton
-
 
 def build_market(
     *,
@@ -529,9 +526,7 @@ def reduce_market_to_playerspecific(market: MarketGame) -> Game:
     level's slice of the trivariate table; a resource nobody can reach gets
     an all-zero table.  Cost-identical on every profile.
     """
-    bound = required_table_bound(
-        market.n_players, singleton=market.is_singleton_market()
-    )
+    bound = required_table_bound(market.n_players, singleton=market.singleton)
     maps: dict[str, dict[int, int]] = {}
     delays: dict[str, TableDelay | PerPlayerDelay] = {}
     for rid in market.resources:

@@ -8,8 +8,12 @@ spaces; they fall back to enumeration everywhere.
 
 All spaces are immutable after construction and validated eagerly:
 ``ExplicitBasesSpace`` checks the exchange axiom exhaustively, graphic
-spaces require a connected graph, partition blocks must be disjoint.
-Desk scale throughout (grounds of at most a dozen elements).
+spaces require a connected graph, partition blocks must be disjoint, and
+no space is empty.  Every space stores its ground set and rank once.
+Listing every base (``all_bases``) is desk scale; on matroid kinds,
+parsing, solving and certifying use only the ground set, the rank and the
+independence oracle, so a uniform or partition space with far too many
+bases to list still parses and solves.
 """
 
 from __future__ import annotations
@@ -26,13 +30,6 @@ from .errors import (
     Violation,
 )
 
-ResourceSet = frozenset
-
-
-def _canon(s: Iterable[str]) -> frozenset[str]:
-    return frozenset(s)
-
-
 def _set_key(s: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(s))
 
@@ -43,12 +40,14 @@ class StrategySpace:
     kind = "abstract"
     matroid = False  # True when the greedy/exchange machinery applies
     _singletons: frozenset[str] | None = None  # kept by singleton_resources
+    _ground: frozenset[str]  # set by every constructor
+    _rank: int  # set by every constructor: the size of the longest strategy
 
     def ground(self) -> frozenset[str]:
-        raise NotImplementedError
+        return self._ground
 
     def rank(self) -> int:
-        raise NotImplementedError
+        return self._rank
 
     def is_base(self, s: frozenset[str]) -> bool:
         raise NotImplementedError
@@ -57,14 +56,23 @@ class StrategySpace:
         raise NotImplementedError
 
     def all_bases(self) -> tuple[frozenset[str], ...]:
-        """Every strategy, sorted by element ids.  Desk scale only."""
+        """Every strategy, sorted by element ids.  Desk scale only.
+
+        Uniform, partition and graphic spaces enumerate on the first call.
+        The callers that need the whole list are the brute-force oracle,
+        explicit families (:func:`greedy_min_base` and the JSON emitter read
+        their stored tuple), restarts of capped layers, and space equality
+        and hashing.
+        """
         raise NotImplementedError
 
     def is_singleton_space(self) -> bool:
-        """True when every strategy has exactly one resource."""
-        return self.rank() == 1 if self.matroid else all(
-            len(s) == 1 for s in self.all_bases()
-        )
+        """True when every strategy has exactly one resource.
+
+        Matroid bases share one size, and explicit families hold nonempty
+        sets only, so a rank of 1 means every strategy has one element.
+        """
+        return self._rank == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -84,27 +92,22 @@ class SingletonSpace(StrategySpace):
     matroid = True
 
     def __init__(self, allowed: Iterable[str]):
-        self._allowed = _canon(allowed)
-        if not self._allowed:
+        self._ground = frozenset(allowed)
+        if not self._ground:
             raise ValidationFailed(
                 "empty strategy space",
                 [Violation("EMPTY_SPACE", "singleton", "no allowed resources")],
             )
+        self._rank = 1
         self._bases = tuple(
-            sorted((frozenset([r]) for r in self._allowed), key=_set_key)
+            sorted((frozenset([r]) for r in self._ground), key=_set_key)
         )
 
-    def ground(self) -> frozenset[str]:
-        return self._allowed
-
-    def rank(self) -> int:
-        return 1
-
     def is_base(self, s: frozenset[str]) -> bool:
-        return len(s) == 1 and next(iter(s)) in self._allowed
+        return len(s) == 1 and next(iter(s)) in self._ground
 
     def is_independent(self, s: frozenset[str]) -> bool:
-        return len(s) <= 1 and s <= self._allowed
+        return len(s) <= 1 and s <= self._ground
 
     def all_bases(self) -> tuple[frozenset[str], ...]:
         return self._bases
@@ -117,7 +120,7 @@ class ExplicitSpace(StrategySpace):
     matroid = False
 
     def __init__(self, sets: Iterable[Iterable[str]]):
-        family = sorted({_canon(s) for s in sets}, key=_set_key)
+        family = sorted({frozenset(s) for s in sets}, key=_set_key)
         if not family:
             raise ValidationFailed(
                 "empty strategy space",
@@ -130,13 +133,8 @@ class ExplicitSpace(StrategySpace):
             )
         self._sets = tuple(family)
         self._ground = frozenset().union(*family)
-
-    def ground(self) -> frozenset[str]:
-        return self._ground
-
-    def rank(self) -> int:
         # informational only: families need not be equicardinal
-        return max(len(s) for s in self._sets)
+        self._rank = max(len(s) for s in family)
 
     def is_base(self, s: frozenset[str]) -> bool:
         return s in self._sets
@@ -153,7 +151,7 @@ class UniformMatroid(StrategySpace):
     matroid = True
 
     def __init__(self, ground: Iterable[str], rank: int):
-        self._ground = _canon(ground)
+        self._ground = frozenset(ground)
         if rank < 1 or rank > len(self._ground):
             raise ValidationFailed(
                 "bad uniform rank",
@@ -161,12 +159,6 @@ class UniformMatroid(StrategySpace):
             )
         self._rank = rank
         self._bases: tuple[frozenset[str], ...] | None = None
-
-    def ground(self) -> frozenset[str]:
-        return self._ground
-
-    def rank(self) -> int:
-        return self._rank
 
     def is_base(self, s: frozenset[str]) -> bool:
         return len(s) == self._rank and s <= self._ground
@@ -188,9 +180,7 @@ class PartitionMatroid(StrategySpace):
     matroid = True
 
     def __init__(self, blocks: Sequence[Iterable[str]], caps: Sequence[int]):
-        blocks = [
-            _canon(b) for b in blocks
-        ]
+        blocks = [frozenset(b) for b in blocks]
         if len(blocks) != len(caps):
             raise ValidationFailed(
                 "blocks/caps length mismatch",
@@ -218,13 +208,8 @@ class PartitionMatroid(StrategySpace):
         self._blocks = tuple(blocks)
         self._caps = tuple(int(c) for c in caps)
         self._ground = frozenset(seen)
+        self._rank = sum(self._caps)
         self._bases: tuple[frozenset[str], ...] | None = None
-
-    def ground(self) -> frozenset[str]:
-        return self._ground
-
-    def rank(self) -> int:
-        return sum(self._caps)
 
     def is_base(self, s: frozenset[str]) -> bool:
         if not s <= self._ground:
@@ -280,6 +265,7 @@ class GraphicMatroid(StrategySpace):
             )
         self._edges = tuple(edges)
         self._by_rid = {rid: (u, v) for u, v, rid in edges}
+        self._ground = frozenset(self._by_rid)
         self._vertices = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
         if not self._connected(self._by_rid.keys()):
             raise ValidationFailed(
@@ -320,30 +306,24 @@ class GraphicMatroid(StrategySpace):
         comps, _ = self._union_find(rids)
         return comps == 1
 
-    def ground(self) -> frozenset[str]:
-        return frozenset(self._by_rid)
-
-    def rank(self) -> int:
-        return self._rank
-
     def edges(self) -> tuple[tuple[str, str, str], ...]:
         return self._edges
 
     def is_base(self, s: frozenset[str]) -> bool:
-        if len(s) != self._rank or not s <= self.ground():
+        if len(s) != self._rank or not s <= self._ground:
             return False
         comps, acyclic = self._union_find(s)
         return acyclic and comps == 1
 
     def is_independent(self, s: frozenset[str]) -> bool:
-        if not s <= self.ground():
+        if not s <= self._ground:
             return False
         _, acyclic = self._union_find(s)
         return acyclic
 
     def all_bases(self) -> tuple[frozenset[str], ...]:
         if self._bases is None:
-            combos = itertools.combinations(sorted(self.ground()), self._rank)
+            combos = itertools.combinations(sorted(self._ground), self._rank)
             self._bases = tuple(
                 frozenset(c) for c in combos if self.is_base(frozenset(c))
             )
@@ -357,7 +337,7 @@ class ExplicitBasesSpace(StrategySpace):
     matroid = True
 
     def __init__(self, bases: Iterable[Iterable[str]]):
-        family = sorted({_canon(b) for b in bases}, key=_set_key)
+        family = sorted({frozenset(b) for b in bases}, key=_set_key)
         if not family:
             raise ValidationFailed(
                 "empty strategy space",
@@ -393,12 +373,6 @@ class ExplicitBasesSpace(StrategySpace):
                         )
         return out
 
-    def ground(self) -> frozenset[str]:
-        return self._ground
-
-    def rank(self) -> int:
-        return self._rank
-
     def is_base(self, s: frozenset[str]) -> bool:
         return s in self._bases
 
@@ -410,7 +384,7 @@ class ExplicitBasesSpace(StrategySpace):
 
 
 def is_base(space: StrategySpace, s: Iterable[str]) -> bool:
-    return space.is_base(_canon(s))
+    return space.is_base(frozenset(s))
 
 
 def singleton_resources(space: StrategySpace) -> frozenset[str]:
@@ -418,11 +392,12 @@ def singleton_resources(space: StrategySpace) -> frozenset[str]:
 
     For singleton-equivalent spaces this can be a strict subset of the
     ground set (a rank-1 partition matroid with a zero cap carries dead
-    ground elements).  Computed once per space: spaces are immutable, so
+    ground elements).  Asks the space's ``is_base`` once per ground element
+    and lists no bases.  Computed once per space: spaces are immutable, so
     the set is kept on the space and every later call returns it.
     """
     if space._singletons is None:
-        space._singletons = frozenset(next(iter(b)) for b in space.all_bases() if len(b) == 1)
+        space._singletons = frozenset(r for r in space.ground() if space.is_base(frozenset({r})))
     return space._singletons
 
 
@@ -478,7 +453,7 @@ def lazy_path(
     first valid swap in (element id, replacement id) order is taken, making
     paths reproducible.
     """
-    start, goal = _canon(start), _canon(goal)
+    start, goal = frozenset(start), frozenset(goal)
     if not space.matroid:
         raise TypeError("lazy paths require a matroid space")
     if not (space.is_base(start) and space.is_base(goal)):

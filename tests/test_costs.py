@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_t1
+from prioritygames.cli import cli_main
 from prioritygames.costs import (
     INFINITY,
     ZERO,
@@ -20,7 +21,7 @@ from prioritygames.costs import (
     sum_costs,
 )
 from prioritygames.errors import ParseError
-from prioritygames.jsonio import document_to_source, instance_to_document
+from prioritygames.jsonio import document_to_source, emit_instance, instance_to_document
 from prioritygames.traceio import read_trace_csv
 
 finite_costs = st.builds(
@@ -91,6 +92,44 @@ def test_rationals_on_the_wire_are_unsigned(where, signed):
         text += f"0,start,2,,a,,,\n1,br,2,a,b,5/1,{signed},\n"
         with pytest.raises(ParseError, match=re.escape(f"line 3: {malformed}")):
             read_trace_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "cell, ok",
+    [(" 3/1", False), ("3 /1", False), ("3/ 1", False), ("3/1 ", False),
+     (" inf", False), ("inf ", False), ("3/1", True), ("inf", True)],
+)
+@pytest.mark.parametrize("where", ["ExtCost.of", "table cell", "trace cost cell"])
+def test_costs_on_the_wire_have_no_whitespace(where, cell, ok, tmp_path, capsys):
+    malformed = f"malformed rational {cell!r}"
+    if where == "ExtCost.of":
+        if ok:
+            assert ExtCost.of(cell).to_string() == ("inf" if cell == "inf" else "3/1")
+        else:
+            with pytest.raises(ValueError, match=re.escape(malformed)):
+                ExtCost.of(cell)
+    elif where == "table cell":
+        doc = instance_to_document(make_t1())
+        for entry in doc["delays"]["b"]["entries"]:  # a constant table meets the axioms
+            entry[2] = cell
+        if ok:
+            assert document_to_source(doc).delays["b"].entries[(0, 3)] == cost(cell)
+        else:
+            with pytest.raises(ParseError, match=re.escape(f"delays.b.entries[0]: {malformed}")):
+                document_to_source(doc)
+    else:
+        text = "step,phase,player,from,to,cost_before,cost_after,potential\n"
+        text += f"0,start,2,,a,,,\n1,br,2,a,b,5/1,{cell},\n"
+        if ok:
+            assert read_trace_csv(io.StringIO(text)).steps[0].cost_after == cost(cell)
+            return
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {malformed}")):
+            read_trace_csv(io.StringIO(text))
+        instance, trace = tmp_path / "t1.json", tmp_path / "t.csv"
+        instance.write_bytes(emit_instance(make_t1()))
+        trace.write_text(text)
+        assert cli_main(["verify", str(instance), "--trace", str(trace)]) == 1
+        assert f"line 3: {malformed}" in capsys.readouterr().err
 
 
 def test_negative_rejected():

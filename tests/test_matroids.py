@@ -1,9 +1,15 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import prioritygames as pg
-from prioritygames.matroids import base_weight
+from conftest import gen_game
+from prioritygames.cli import cli_main
+from prioritygames.costs import ZERO, format_fraction
+from prioritygames.generator import SPACE_KINDS
+from prioritygames.matroids import base_weight, singleton_resources
 
 
 def w(**kw):
@@ -159,3 +165,105 @@ def test_singleton_equals_uniform_rank_one():
     weights = w(a=2, b=9, c=2)
     assert pg.greedy_min_base(singleton, weights) == pg.greedy_min_base(uniform, weights)
     assert singleton.is_singleton_space() and uniform.is_singleton_space()
+
+
+# ---------------------------------------------------------------------------
+# Spaces answer through ground, rank and oracle: the rules that let them
+# skip listing bases, and a guard that parse, solve and certify list none.
+
+
+@pytest.mark.parametrize(
+    "build, code",
+    [
+        (lambda: pg.SingletonSpace([]), "EMPTY_SPACE"),
+        (lambda: pg.ExplicitSpace([]), "EMPTY_SPACE"),
+        (lambda: pg.ExplicitBasesSpace([]), "EMPTY_SPACE"),
+        (lambda: pg.UniformMatroid(["a", "b"], 0), "BAD_RANK"),
+        (lambda: pg.UniformMatroid([], 1), "BAD_RANK"),
+        (lambda: pg.PartitionMatroid([["a", "b"], ["c"]], [0, 0]), "EMPTY_SPACE"),
+        (lambda: pg.GraphicMatroid([]), "BAD_GRAPH"),
+        (lambda: pg.GraphicMatroid([("u", "v", "x"), ("w", "z", "y")]), "BAD_GRAPH"),
+        (lambda: pg.GraphicMatroid([("u", "u", "x")]), "BAD_GRAPH"),
+    ],
+    ids=["singleton", "explicit", "explicit_bases", "uniform-rank-0", "uniform-no-ground",
+         "partition-caps-0", "graphic-no-edges", "graphic-disconnected", "graphic-one-vertex"],
+)
+def test_constructors_refuse_empty_spaces(build, code):
+    with pytest.raises(pg.ValidationFailed) as info:
+        build()
+    assert [v.code for v in info.value.violations] == [code]
+
+
+def _sweep_spaces():
+    for kind in SPACE_KINDS:
+        for seed in range(4):
+            game = gen_game(seed, players=4, resources=5, space_kind=kind)
+            yield from game.spaces.values()
+    rng = random.Random(19)
+    yield from (random_space(rng) for _ in range(40))
+    yield pg.PartitionMatroid([["a", "b"], ["c"]], [1, 0])  # rank 1, a dead element
+    yield pg.GraphicMatroid([("u", "v", "x"), ("u", "v", "y"), ("v", "u", "z")])
+    yield pg.ExplicitSpace([["a"], ["b", "c"]])
+
+
+def test_oracle_answers_match_enumeration():
+    kinds = set()
+    for sp in _sweep_spaces():
+        kinds.add(sp.kind)
+        bases = sp.all_bases()
+        assert singleton_resources(sp) == {r for r in sp.ground() if frozenset({r}) in bases}
+        assert sp.is_singleton_space() == all(len(b) == 1 for b in bases)
+        assert pg.greedy_min_base(sp, dict.fromkeys(sp.ground(), ZERO)) == bases[0]
+    assert kinds == {"singleton", "explicit", "uniform", "partition", "graphic", "explicit_bases"}
+
+
+def _matroid_document(kind: str, n: int, seed: int) -> dict:
+    """A consistent affine game whose players hold wide uniform or partition spaces."""
+    rng = random.Random(seed)
+    rids = [f"r{k:02d}" for k in range(24)]
+
+    def space() -> dict:
+        ground = sorted(rng.sample(rids, 16))
+        if kind == "uniform":
+            return {"kind": "uniform", "ground": ground, "rank": 8}
+        blocks = [ground[k : k + 4] for k in range(0, 16, 4)]
+        return {"kind": "partition", "blocks": blocks, "caps": [rng.randint(1, 3) for _ in blocks]}
+
+    strategies = {str(i): space() for i in range(1, n + 1)}
+    delays = {
+        rid: {
+            "kind": "affine",
+            "alpha": format_fraction(Fraction(rng.randint(1, 5), rng.randint(1, 3))),
+            "beta": f"{rng.randint(0, 4)}",
+        }
+        for rid in rids
+    }
+    return {
+        "version": 1,
+        "model": "affine",
+        "players": n,
+        "resources": rids,
+        "strategies": strategies,
+        "priorities": {"consistent": [rng.randint(1, 3) for _ in range(n)]},
+        "delays": delays,
+    }
+
+
+@pytest.mark.parametrize("kind", ["uniform", "partition"])
+def test_parse_solve_and_certify_list_no_bases(kind, tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self.kind} space listed its bases")
+
+    monkeypatch.setattr(pg.UniformMatroid, "all_bases", refuse)
+    monkeypatch.setattr(pg.PartitionMatroid, "all_bases", refuse)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_matroid_document(kind, 12, seed=3)))
+    game = pg.parse_instance(path.read_text())
+    assert {sp.kind for sp in game.spaces.values()} == {kind}
+    for method in ("layered", "br"):
+        trace = tmp_path / f"{method}.csv"
+        argv = ["solve", str(path), "--method", method, "--json", "--trace", str(trace)]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pne"] is True
+        assert cli_main(["verify", str(path), "--trace", str(trace)]) == 0
+        assert "no violations" in capsys.readouterr().out
