@@ -3,7 +3,8 @@
 A :class:`State` maps a subset of players to strategies; a profile is a
 state covering everyone.  Every function here returns what a pure function
 of its arguments would; :func:`tally` only remembers the last state it
-counted, with its count table, entry weights and tolerances.  Costs of
+counted, with its count table, entry weights and tolerances, and
+:func:`step_state` hands that slot on to the state it steps to.  Costs of
 players outside a state are an error, never zero (the insertion machinery
 relies on that distinction).
 """
@@ -33,9 +34,7 @@ class State:
         for p, s in strategies.items():
             strats[int(p)] = frozenset([s]) if isinstance(s, str) else frozenset(s)
         object.__setattr__(self, "_strats", strats)
-        object.__setattr__(
-            self, "_key", tuple(sorted((p, tuple(sorted(s))) for p, s in strats.items()))
-        )
+        object.__setattr__(self, "_key", None)
 
     def players(self) -> list[int]:
         return sorted(self._strats)
@@ -65,11 +64,22 @@ class State:
     def is_full(self, game: Game) -> bool:
         return set(self._strats) == set(game.players())
 
+    def _sorted_key(self) -> tuple:
+        """The sorted (player, sorted strategy) pairs, built on first use.
+
+        Only equality and hashing read it, so a state the solvers step
+        through and never compare is never sorted.
+        """
+        if self._key is None:
+            pairs = sorted((p, tuple(sorted(s))) for p, s in self._strats.items())
+            object.__setattr__(self, "_key", tuple(pairs))
+        return self._key
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self._key == other._key
+        return isinstance(other, State) and self._sorted_key() == other._sorted_key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._sorted_key())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}->{'+'.join(sorted(s))}" for p, s in self.items())
@@ -168,8 +178,10 @@ def tally(game: Game, state: State) -> LevelCounts:
     :func:`~prioritygames.potentials.tolerance` records of its singleton
     players with the (below, at) level counts they read.  A query on that
     same state object reads the slot; any other state, even an equal one,
-    is counted afresh and replaces it, after the count succeeds.  States
-    are immutable, so a kept table is what a fresh count would give.  Every
+    is counted afresh and replaces it, after the count succeeds.  A state
+    reached by :func:`step_state` from the state in the slot takes the slot
+    with a table derived from its predecessor's, not counted.  States are
+    immutable, so a kept table is what a fresh count would give.  Every
     cost, weight, potential and tolerance query reads its counts here, so a
     solver that moves from state to state counts each state once.  The slot
     is shared: read it, never change it.
@@ -180,6 +192,44 @@ def tally(game: Game, state: State) -> LevelCounts:
     table = level_counts(game, state)
     object.__setattr__(game, "_tally", (state, table, {}, {}, {}))
     return table
+
+
+def step_state(
+    game: Game, state: State, player: int, strategy: frozenset[str] | None
+) -> State:
+    """``state`` with ``player`` placed on or moved to ``strategy``, or
+    unplaced when it is None.
+
+    When the :func:`tally` slot holds ``state`` itself, the new state's
+    table is derived from the kept one instead of counted afresh: the step
+    changes counts only on the resources in exactly one of her old and new
+    strategies, and only at her level there, by one.  The derived table is
+    the one :func:`level_counts` would build, row for row; its rows hold no
+    zero counts and it has no empty rows.  The kept table is copied, never
+    changed, and the slot takes the new state only once the table is
+    built.  When the slot holds any other state, the new state is counted
+    on its first query, as any state is.
+    """
+    new = state.without_player(player) if strategy is None else state.with_player(player, strategy)
+    kept = game._tally
+    if kept is not None and kept[0] is state:
+        frm = state._strats.get(player, frozenset())
+        to = new._strats.get(player, frozenset())
+        table = dict(kept[1])
+        for r in frm ^ to:
+            q = game.priority(r, player)
+            row = dict(table.get(r, {}))
+            count = row.get(q, 0) + (1 if r in to else -1)
+            if count:
+                row[q] = count
+            else:
+                del row[q]
+            if row:
+                table[r] = row
+            else:
+                del table[r]
+        object.__setattr__(game, "_tally", (new, table, {}, {}, {}))
+    return new
 
 
 def count_below(row: Mapping[int, int], level: int) -> int:

@@ -19,8 +19,12 @@ Three solvers, all emitting full replayable traces:
   to move.
 
 Who wants to move is asked of :func:`~prioritygames.congestion.best_response`,
-which prices each player once per state; the descent asks only the players
-a move can have helped (see :func:`_descend`).  Moves of matroid players are
+which prices each player once per state.  The descent keeps every answer a
+move cannot have changed, an improver's included, and re-asks a player only
+when a move at her level or above touched her ground (see :func:`_descend`).
+Every solver steps from state to state by
+:func:`~prioritygames.congestion.step_state`, which derives the new state's
+count table from the old one.  Moves of matroid players are
 realized as chains of single-element swaps whenever every link strictly
 decreases the mover's cost; otherwise the move is recorded whole (that only
 occurs across plateaus at infinite cost).
@@ -39,6 +43,7 @@ from .congestion import (
     entry_weights,
     has_better_response,
     player_cost,
+    step_state,
     tally,
     validate_state,
 )
@@ -56,11 +61,11 @@ from .potentials import (
     InsertionPotentialValue,
     ScalarPotential,
     _consistent_level,
+    _lex_potential,
     insertion_potential,
     insertion_potential_compare,
     insertion_rows,
     level_potential,
-    lex_potential_singleton,
     tol_value,
 )
 
@@ -240,33 +245,47 @@ def _descend(
     improves when it is not her strategy.  Roundrobin moves the first
     improver after the last mover, first the first in ``movers``, best the
     steepest gain (ties to the earliest).  The entry weights her answer was
-    priced from, kept in the state's :func:`~prioritygames.congestion.tally`
-    slot, give the gain, the swaps and both costs of every row, exactly: a
-    mover's weights do not depend on her own strategy.  A move is one round,
-    and ``snapshot`` gives each row's potential.
+    priced from give the gain, the swaps and both costs of every row,
+    exactly: a mover's weights do not depend on her own strategy.  A move
+    is one round, and ``snapshot`` gives each row's potential.  Each link
+    steps the state by :func:`~prioritygames.congestion.step_state`, so the
+    new state's count table is derived from the old one.
 
-    A mover whose answer was her own strategy, at finite cost, is settled:
-    she is not asked again until a move can have changed her answer.  After
-    each link ``frm -> nxt`` of mover m, a settled player p is unsettled
-    when, on some r in ``frm ^ nxt`` that she reaches, her level is at least
-    m's and either m left r and p does not use it, or m joined r and p uses
-    it.  (m is never settled as she moves: she was just asked.)  Every
-    other settled player's answer is still her own strategy:
+    Every asked mover's answer is kept in ``answers``: her best response,
+    the entry weights it was priced from, and her gain, None when the
+    answer is her own strategy.  A kept answer is read instead of asking
+    again, until a move can have changed it.  After each link ``frm -> nxt``
+    of mover m, on each r in ``frm ^ nxt`` and for each p whose ground holds
+    r, with her level at r at least m's:
 
-    - p's entry weights do not depend on her own strategy;
-    - the link changes counts only on ``frm ^ nxt``, at m's level, so only
-      players at m's level or above see those weights move;
-    - delays are nondecreasing in x and y (``build_game`` checks it), so r
-      got cheaper where m left it and dearer where she joined it;
-    - so p's chosen elements only got cheaper and her others only dearer,
-      and a minimum-weight base of finite weight stays one, on any space.
+    - an improver's answer is dropped;
+    - a settled answer (her own strategy, at finite cost) is dropped when
+      either m left r and p does not use it, or m joined r and p uses it.
+
+    Infinite-cost answers that are her own strategy are not kept.  Every
+    kept answer is still the one asking would give:
+
+    - p's entry weight at r reads only the counts on r at levels up to
+      hers, and not her own strategy;
+    - the link changes counts only on ``frm ^ nxt``, and only at m's level
+      there, so p's weights all stay as they were unless some r in
+      ``frm ^ nxt`` in her ground has her level at least m's.  Such an r
+      drops an improver, so a kept improver's weights, best response and
+      gain are exactly those of the new state; m herself, at her own level
+      on every r of the link, is always dropped;
+    - a settled p keeps her answer on a narrower rule, whose weights may
+      have moved and are never read: delays are nondecreasing in x and y
+      (``build_game`` checks it), so r got cheaper where m left it and
+      dearer where she joined it.  Unless one of the two drop cases holds,
+      p's chosen elements only got cheaper and her others only dearer, and
+      a minimum-weight base of finite weight stays one, on any space.
 
     So every policy picks the movers, in the order, that asking everyone
     would.  Finite weight matters: a base of infinite weight can share an
     infinite element with a cheaper-elsewhere base, which that element
     turning finite exposes.
     """
-    settled: set[int] = set()
+    answers: dict[int, tuple[frozenset[str], dict[str, ExtCost], ExtCost | None]] = {}
     reach = _reach(game, movers)
     rr_idx = 0
     while True:
@@ -275,19 +294,23 @@ def _descend(
         begin = rr_idx if policy == "roundrobin" else 0
         for off in range(len(movers)):
             p = movers[(begin + off) % len(movers)]
-            if p in settled:
-                continue
-            br = best_response(game, state, p)
-            w = entry_weights(game, state, p)
-            if br == state.strategy(p):
-                if base_weight(br, w).is_finite:
-                    settled.add(p)
+            if (answer := answers.get(p)) is None:
+                br, mine = best_response(game, state, p), state.strategy(p)
+                w = entry_weights(game, state, p)
+                own = base_weight(mine, w)
+                if br != mine:
+                    answer = answers[p] = (br, w, improvement(own, base_weight(br, w)))
+                elif own.is_finite:
+                    answer = answers[p] = (br, w, None)
+                else:
+                    continue
+            br, w, gain = answer
+            if gain is None:
                 continue
             if policy != "best":
                 mover, target, weights = p, br, w
                 rr_idx = (begin + off + 1) % len(movers)
                 break
-            gain = improvement(base_weight(state.strategy(p), w), base_weight(br, w))
             if best_gain is None or best_gain < gain:
                 best_gain, mover, target, weights = gain, p, br, w
         if mover is None:
@@ -297,16 +320,17 @@ def _descend(
         for nxt in _decompose_move(game, state, mover, target, weights):
             if len(trace.steps) >= cap:
                 return state, round_no + 1, CAP_REACHED
-            frm, state = state.strategy(mover), state.with_player(mover, nxt)
+            frm, state = state.strategy(mover), step_state(game, state, mover, nxt)
             for r in frm ^ nxt:
                 q, joined = game.priority(r, mover), r in nxt
                 for p in reach[r]:
+                    answer = answers.get(p)
                     if (
-                        p in settled
-                        and (r in state.strategy(p)) == joined
+                        answer is not None
                         and game.priority(r, p) >= q
+                        and (answer[2] is not None or (r in state.strategy(p)) == joined)
                     ):
-                        settled.discard(p)
+                        del answers[p]
             _append_move(trace, round_no, phase, mover, frm, nxt, weights, snapshot(state))
         round_no += 1
 
@@ -326,7 +350,9 @@ def run_dynamics(
 
     All players run the :func:`_descend` scan, which the shared-delay
     layers of :func:`solve_consistent_layered` run too.  Rows of
-    shared-delay singleton games carry the lexicographic potential.
+    shared-delay singleton games carry the lexicographic potential; the
+    start is validated once, and every later state, reached by legal
+    moves, is not validated again.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
@@ -336,7 +362,7 @@ def run_dynamics(
     lexable = game.is_singleton_game() and not game.player_specific
 
     def snapshot(s: State) -> str:
-        return lex_potential_singleton(game, s).canonical() if lexable else ""
+        return _lex_potential(game, s).canonical() if lexable else ""
 
     trace = MoveTrace(kind="br", start=start)
     state, _, trace.status = _descend(
@@ -397,7 +423,7 @@ def _place(
     for j, i in enumerate(layer):
         weights = entry_weights(game, state, i)
         s = pick(j, i, weights)
-        state = state.with_player(i, s)
+        state = step_state(game, state, i, s)
         _append_move(trace, round_no, phase, i, None, s, weights, snapshot(state))
         round_no += 1
     return state, round_no
@@ -469,7 +495,7 @@ def _solve_layer_capped(
                 others_before = {j: player_cost(game, working, j) for j in layer if j != i}
                 weights = entry_weights(game, working, i)
                 for nxt in _decompose_move(game, working, i, br, weights):
-                    frm, working = working.strategy(i), working.with_player(i, nxt)
+                    frm, working = working.strategy(i), step_state(game, working, i, nxt)
                     _append_move(trace, round_no, phase, i, frm, nxt, weights, "")
                     steps_used += 1
                 round_no += 1
@@ -581,7 +607,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         frm = state.strategy(j)
         (held,) = frm
         cost = player_cost(game, state, j)  # priced on the state she leaves
-        state = state.without_player(j)
+        state = step_state(game, state, j, None)
         queue.append(j)
         potential = _retally(game, state, held, reach, tol)
         _append_row(trace, round_no, phase, j, frm, None, cost, None, potential.canonical())
@@ -598,7 +624,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         (rid,) = placed
         # the residents of rid, with their tolerances before she joins them
         residents = {p: tol[p] for p, s in state.items() if rid in s}
-        state = state.with_player(i, placed)
+        state = step_state(game, state, i, placed)
         potential = _retally(game, state, rid, reach, tol)
         # her entry weight at rid is exactly her cost once placed there
         _append_row(

@@ -343,6 +343,11 @@ class ExplicitBasesSpace(StrategySpace):
                 "empty strategy space",
                 [Violation("EMPTY_SPACE", "explicit_bases", "no bases")],
             )
+        if any(not b for b in family):
+            raise ValidationFailed(
+                "empty strategy",
+                [Violation("EMPTY_STRATEGY", "explicit_bases", "a base is empty")],
+            )
         sizes = {len(b) for b in family}
         violations = []
         if len(sizes) != 1:

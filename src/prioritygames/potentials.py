@@ -142,6 +142,17 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
             "the lexicographic potential needs one shared delay per resource"
         )
     validate_state(game, prof, full=True)
+    return _lex_potential(game, prof)
+
+
+def _lex_potential(game: Game, prof: State) -> LexVector:
+    """:func:`lex_potential_singleton` of a profile known to be legal.
+
+    The caller vouches for what the public function checks: a singleton
+    game with shared delays, and a full profile of legal strategies.
+    ``run_dynamics`` validates its start once and reaches every later
+    state by legal moves, so its snapshots come here directly.
+    """
     counts = tally(game, prof)
     blocks: dict[str, list[tuple[ExtCost, int]]] = {}
     for rid in game.resources:

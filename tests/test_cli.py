@@ -46,6 +46,21 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["players"] == 2
 
+    def test_empty_base_is_refused(self, capsys, tmp_path):
+        doc = {
+            "version": 1,
+            "model": "priority",
+            "players": 1,
+            "resources": ["a"],
+            "strategies": {"1": {"kind": "explicit_bases", "bases": [[]]}},
+            "priorities": {"per_resource": {"a": [1]}},
+            "delays": {"a": {"kind": "affine", "alpha": "1/1", "beta": "0/1"}},
+        }
+        path = tmp_path / "empty_base.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["validate", path, "--json"])
+        assert code == 1 and "EMPTY_STRATEGY" in json.loads(out)["message"]
+
     def test_missing_file_is_clean_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["validate", tmp_path / "nope.json"])
         assert code == 1 and "IO_ERROR" in err

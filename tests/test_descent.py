@@ -1,11 +1,12 @@
 """Better-response descent asks only the players a move can have helped.
 
-``dynamics._descend`` keeps the movers whose last answer was their own
-strategy, at finite cost, as settled, and unsettles them by the rule in its
-docstring.  The reference scan below asks every mover on every pass, as the
-descent did before it kept that set.  Both must write the same rows, field
-by field, on every generator class, under every policy and inside the
+``dynamics._descend`` keeps every mover's answer, and drops it by the rule
+in its docstring.  The reference scan below asks every mover on every pass,
+as the descent did before it kept answers.  Both must write the same rows,
+field by field, on every generator class, under every policy and inside the
 layered construction; the hand-built games pin which players are asked.
+The descent steps its states by ``congestion.step_state``, whose derived
+count tables must equal a fresh count.
 """
 
 import hashlib
@@ -20,8 +21,8 @@ import pytest
 
 import prioritygames as pg
 from conftest import gen_source
-from prioritygames import dynamics
-from prioritygames.congestion import best_response, entry_weights
+from prioritygames import congestion, dynamics, potentials
+from prioritygames.congestion import best_response, entry_weights, level_counts, validate_state
 from prioritygames.costs import improvement
 from prioritygames.matroids import base_weight
 from prioritygames.traceio import trace_to_csv_text
@@ -298,3 +299,138 @@ def test_descent_under_optimize_writes_the_same_traces(tmp_path):
     result = json.loads(child.stdout)
     assert result.pop("debug") is False
     assert result == policy_digests(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Kept answers, derived count tables, one validation and lazy state keys
+
+
+def desk_game(name, seed):
+    model, space, consistent, specific = DESK_CLASSES[name]
+    return priority_game(
+        gen_source(
+            seed,
+            players=3 + seed % 6,
+            resources=2 + seed % 4,
+            model=model,
+            space_kind=space,
+            levels=1 + seed % 3,
+            consistent=consistent,
+            player_specific=specific,
+        )
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DESK_CLASSES))
+def test_stepped_tables_equal_a_fresh_count(monkeypatch, name):
+    """Placements, moves and unplacements derive their successor's table."""
+    counted = []
+    monkeypatch.setattr(
+        congestion, "level_counts", lambda *a: counted.append(a) or level_counts(*a)
+    )
+    for seed in range(4):
+        game = desk_game(name, seed)
+        last = {p: game.spaces[p].all_bases()[-1] for p in game.players()}
+        steps = [(p, game.spaces[p].all_bases()[0]) for p in game.players()]
+        steps += list(last.items()) + [(p, None) for p in game.players()]
+        state = pg.State({})
+        congestion.tally(game, state)
+        for player, strategy in steps:
+            counted.clear()
+            state = congestion.step_state(game, state, player, strategy)
+            assert game._tally[0] is state
+            assert congestion.tally(game, state) == level_counts(game, state)
+            assert not counted, (seed, player, strategy)
+        assert congestion.tally(game, state) == {}
+
+
+def test_a_step_off_the_slot_is_counted_afresh(monkeypatch):
+    game = desk_game("per-resource", 3)
+    bases = {p: game.spaces[p].all_bases()[0] for p in game.players()}
+    state, twin = pg.State(bases), pg.State(bases)
+    table = congestion.tally(game, twin)
+    new = congestion.step_state(game, state, 1, game.spaces[1].all_bases()[-1])
+    assert game._tally[0] is twin and game._tally[1] is table
+    counted = []
+    monkeypatch.setattr(
+        congestion, "level_counts", lambda *a: counted.append(a) or level_counts(*a)
+    )
+    assert congestion.tally(game, new) == level_counts(game, new) and len(counted) == 1
+
+
+def test_best_asks_fewer_players_than_the_reference(monkeypatch):
+    """Kept improvers' answers: well under half the reference's asks, where
+    re-asking every improver on every pass takes more than half."""
+    game = pg.parse_instance(json.dumps(affine_document_n32()))
+    asked = record_asks(monkeypatch)
+    fast = pg.run_dynamics(game, first_bases(game), policy="best")[1]
+    keeping = len(asked)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_descend", reference_descend)
+        slow = pg.run_dynamics(game, first_bases(game), policy="best")[1]
+    assert rows(fast) == rows(slow) and len(fast.steps) > 10
+    assert 5 * keeping < 2 * (len(asked) - keeping)
+
+
+def test_an_improver_not_chosen_is_asked_again_only_at_her_level(monkeypatch):
+    """Players 1 on {a, b}, 2 on {b, c}, 3 on {b, e}, all improving toward b.
+
+    On b, players 1 and 3 sit at level 1 and player 2 at level 2, with
+    d(x, y) = x + y; a, c and e cost 10, 100 and 50.  Under ``best`` player
+    2 moves first, below player 1's level on b, so 1's kept answer stands;
+    then player 3 moves at 1's level, and 1 is asked again.
+    """
+    const = lambda value: pg.table_from_function(lambda x, y: value, 5)  # noqa: E731
+    game = pg.build_game(
+        n_players=3,
+        resources=["a", "b", "c", "e"],
+        spaces={
+            1: pg.SingletonSpace(["a", "b"]),
+            2: pg.SingletonSpace(["b", "c"]),
+            3: pg.SingletonSpace(["b", "e"]),
+        },
+        priorities=pg.PriorityFunction(
+            {"a": {1: 1}, "b": {1: 1, 2: 2, 3: 1}, "c": {2: 1}, "e": {3: 1}}
+        ),
+        delays={
+            "a": const(10),
+            "b": pg.table_from_function(lambda x, y: x + y, 5),
+            "c": const(100),
+            "e": const(50),
+        },
+    )
+    start = pg.State({1: "a", 2: "c", 3: "e"})
+    asked = record_asks(monkeypatch)
+    fast, slow = solve_both(monkeypatch, lambda: pg.run_dynamics(game, start, policy="best")[1])
+    assert rows(fast) == rows(slow)
+    assert [s.player for s in fast.steps] == [2, 3, 1]
+    # all three, then only the mover 2; then 1 again after 3 joined b at her level
+    assert asked[:10] == [1, 2, 3] + [2] + [1, 2, 3] + [1, 2, 3]
+    assert pg.is_pure_nash(game, fast.final)
+
+
+def test_run_dynamics_validates_its_start_once(monkeypatch):
+    game = pg.parse_instance(json.dumps(affine_document_n32()))
+    calls = []
+
+    def counted(game, state, *, full=False):
+        calls.append(state)
+        return validate_state(game, state, full=full)
+
+    for module in (dynamics, potentials):
+        monkeypatch.setattr(module, "validate_state", counted)
+    start = first_bases(game)
+    _, trace = pg.run_dynamics(game, start)
+    assert len(trace.steps) > 10 and all(s.potential for s in trace.steps)
+    assert calls == [start]
+
+
+def test_equal_states_built_differently_are_equal_and_hash_equal():
+    bare = pg.State({1: "a", 2: ["b", "c"], 3: "d"})
+    sets = pg.State({3: {"d"}, 2: frozenset("cb"), 1: ["a"]})
+    stepped = pg.State({2: "b"}).with_player(3, "d").with_player(1, "a").with_player(2, ["c", "b"])
+    assert hash(bare) == hash(sets) and bare == sets
+    assert stepped == bare and hash(stepped) == hash(sets)
+    assert len({bare, sets, stepped}) == 1
+    for other in (bare.with_player(3, "e"), bare.without_player(1), pg.State({})):
+        assert other != bare and other not in {bare}

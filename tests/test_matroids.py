@@ -194,6 +194,14 @@ def test_constructors_refuse_empty_spaces(build, code):
     assert [v.code for v in info.value.violations] == [code]
 
 
+@pytest.mark.parametrize("bases", [[[]], [[], []]])
+def test_explicit_bases_refuse_an_empty_base(bases):
+    """A rank-0 family is refused as ExplicitSpace refuses an empty strategy."""
+    with pytest.raises(pg.ValidationFailed) as info:
+        pg.ExplicitBasesSpace(bases)
+    assert [v.code for v in info.value.violations] == ["EMPTY_STRATEGY"]
+
+
 def _sweep_spaces():
     for kind in SPACE_KINDS:
         for seed in range(4):
