@@ -51,15 +51,28 @@ class State:
     def items(self) -> list[tuple[int, frozenset[str]]]:
         return sorted(self._strats.items())
 
+    @classmethod
+    def _of(cls, strats: dict[int, frozenset[str]]) -> "State":
+        """A state over an already normalized dict, which it takes over."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "_strats", strats)
+        object.__setattr__(new, "_key", None)
+        return new
+
     def with_player(self, player: int, strategy: Iterable[str] | str) -> "State":
+        """This state with ``player`` on ``strategy``; only her entry is normalized."""
         d = dict(self._strats)
-        d[player] = frozenset([strategy]) if isinstance(strategy, str) else frozenset(strategy)
-        return State(d)
+        d[int(player)] = frozenset([strategy]) if isinstance(strategy, str) else frozenset(strategy)
+        return State._of(d)
 
     def without_player(self, player: int) -> "State":
         d = dict(self._strats)
         d.pop(player, None)
-        return State(d)
+        return State._of(d)
+
+    def copy(self) -> "State":
+        """An equal state that is a new object, so no :func:`tally` slot holds it."""
+        return State._of(dict(self._strats))
 
     def is_full(self, game: Game) -> bool:
         return set(self._strats) == set(game.players())
@@ -183,8 +196,8 @@ def tally(game: Game, state: State) -> LevelCounts:
     with a table derived from its predecessor's, not counted.  States are
     immutable, so a kept table is what a fresh count would give.  Every
     cost, weight, potential and tolerance query reads its counts here, so a
-    solver that moves from state to state counts each state once.  The slot
-    is shared: read it, never change it.
+    solver, or ``certify_trace``'s replay, that moves from state to state
+    counts each state once.  The slot is shared: read it, never change it.
     """
     kept = game._tally
     if kept is not None and kept[0] is state:
@@ -208,7 +221,9 @@ def step_state(
     zero counts and it has no empty rows.  The kept table is copied, never
     changed, and the slot takes the new state only once the table is
     built.  When the slot holds any other state, the new state is counted
-    on its first query, as any state is.
+    on its first query, as any state is.  The solvers step their states
+    here, and so does ``certify_trace``, from its own copy of the trace's
+    start.
     """
     new = state.without_player(player) if strategy is None else state.with_player(player, strategy)
     kept = game._tally

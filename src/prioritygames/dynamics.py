@@ -583,8 +583,10 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     kept up to date instead of rebuilt: after each row only the placed
     players reaching the touched resource get their tolerance recomputed,
     and the rows are read off one level-count table.  ``certify_trace``
-    still rebuilds every row's potential from the replayed state, so a
-    slip in this bookkeeping shows as a potential mismatch.
+    keeps records of its own, priced on its own replayed states and found
+    from a reach index of its own, and checks its running potential against
+    a fresh evaluation of the final state, so a slip in this bookkeeping
+    shows as a potential mismatch.
     """
     if not game.is_singleton_game():
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")

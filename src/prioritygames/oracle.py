@@ -16,12 +16,15 @@ from typing import Iterator, Union
 from .congestion import (
     State,
     is_pure_nash,
+    level_counts,
     player_cost,
+    step_state,
+    tally,
     validate_state,
 )
 from .core import Game
 from .costs import ExtCost
-from .errors import BudgetExceededError, ValidationFailed
+from .errors import BudgetExceededError, InvariantViolatedError, ValidationFailed
 from .dynamics import CONVERGED, MoveTrace, layer_level
 from .markets import (
     AffineGame,
@@ -33,10 +36,13 @@ from .markets import (
 )
 from .potentials import (
     LESS,
+    InsertionPotentialValue,
     LexVector,
     ScalarPotential,
+    Tolerance,
     insertion_potential,
     insertion_potential_compare,
+    insertion_rows,
     level_potential,
     lex_compare,
     lex_potential_singleton,
@@ -178,23 +184,33 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     (``FINAL_MISMATCH``), and a converged run ends with every player placed
     (``PARTIAL_FINAL``) in a pure Nash equilibrium (``NOT_EQUILIBRIUM``).
 
-    Replay makes a new ``State`` for every row, and every query on it reads
-    the one level-count table :func:`~prioritygames.congestion.tally`
-    counts from it, and the weights and tolerance records kept beside it.
-    ``tally`` keys its slot by state identity, so no replayed row reads a
-    table, weight or record the solver priced, or one of another row.
+    Replay starts from its own copy of the start, counted afresh, and steps
+    each row with :func:`~prioritygames.congestion.step_state` from the
+    strategy the replay holds, so each row's level-count table is derived
+    from the row before it in certify, never from a table, weight or record
+    the solver priced.  The insertion rule keeps every placed player's
+    :func:`~prioritygames.potentials.tolerance` record, their summed
+    tolerance and the set of improvable players across rows, and re-prices
+    only the records a row can change (see :func:`_repriced`).  After the
+    last row the stepped table and, for insertion, the running potential
+    must equal a fresh count and a fresh
+    :func:`~prioritygames.potentials.insertion_potential` of a new copy of
+    the final state; a difference is a fault in certify itself, raised as
+    ``InvariantViolatedError``.
     """
     report = CertifyReport()
 
     def flag(step: int, code: str, message: str) -> None:
         report.violations.append(TraceViolation(step, code, message))
 
-    state = trace.start
+    # a copy, so the tally slot cannot hold a table the solver counted
+    state = trace.start.copy()
     try:
         validate_state(game, state)
     except ValidationFailed as exc:
         flag(-1, "BAD_START", str(exc))
         return report
+    tally(game, state)  # the replay's own table, stepped row by row from here
 
     shared = not game.player_specific
     if trace.kind == "insertion" and game.is_singleton_game():
@@ -209,8 +225,10 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     descent = None  # descending runs: (phase, potential) of the last row tracked
     if rule == "lex" and state.is_full(game):
         descent = ("", lex_potential_singleton(game, state))
-    # insertion runs: the potential at the last round boundary
-    round_potential = insertion_potential(game, state) if rule == "insertion" else None
+    # insertion runs: the running records, and the potential at the last
+    # round boundary
+    ledger = _InsertionLedger(game, state) if rule == "insertion" else None
+    round_potential = None if ledger is None else ledger.value
     rebalanced = False
 
     for pos, step in enumerate(trace.steps):
@@ -228,7 +246,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             flag(idx, "COST_BEFORE_MISMATCH", "unplaced player has no cost")
 
         if step.to is None:
-            state = state.without_player(step.player)
+            state = step_state(game, state, step.player, None)
             if step.cost_after is not None:
                 flag(idx, "COST_AFTER_MISMATCH", "discarded player has no cost")
         elif not game.spaces[step.player].is_base(step.to):
@@ -236,7 +254,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             flag(idx, "BAD_STRATEGY", f"{_fmt(step.to)} outside the space")
             return report
         else:
-            state = state.with_player(step.player, step.to)
+            state = step_state(game, state, step.player, step.to)
             cost_a = player_cost(game, state, step.player)
             if step.cost_after != cost_a:
                 flag(idx, "COST_AFTER_MISMATCH", f"recorded {step.cost_after}, recomputed {cost_a}")
@@ -253,8 +271,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             if rule == "layer":
                 descent = None  # the next row starts its layer's checks afresh
 
-        if rule == "insertion":
-            potential = insertion_potential(game, state)
+        if ledger is not None:
+            changed = (actual_frm or frozenset()) ^ (step.to or frozenset())
+            potential = ledger.step(state, step.player, changed)
         elif rule == "lex" and state.is_full(game):
             potential = lex_potential_singleton(game, state)
         elif rule == "layer" and level is not None:
@@ -279,7 +298,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         rebalanced = rebalanced or step.phase == "rebalance"
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
-        if rule == "insertion" and (nxt is None or nxt.round != step.round):
+        if ledger is not None and (nxt is None or nxt.round != step.round):
             # rebalance rounds repair the invariant and owe no strict rise
             if not rebalanced and insertion_potential_compare(round_potential, potential) != LESS:
                 flag(
@@ -287,13 +306,12 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     "POTENTIAL_NOT_INCREASING",
                     f"insertion potential did not rise across round {step.round}",
                 )
-            for p in state.players():
-                if tolerance(game, state, p).improvable:
-                    flag(
-                        idx,
-                        "INCENTIVE_BROKEN",
-                        f"player {p} has a better response after round {step.round}",
-                    )
+            for p in sorted(ledger.improvable):
+                flag(
+                    idx,
+                    "INCENTIVE_BROKEN",
+                    f"player {p} has a better response after round {step.round}",
+                )
             round_potential, rebalanced = potential, False
 
     if trace.final is not None and trace.final != state:
@@ -303,7 +321,80 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             flag(-1, "PARTIAL_FINAL", "converged run left players unplaced")
         elif not is_pure_nash(game, state):
             flag(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")
+    _check_replay(game, state, ledger)
     return report
+
+
+class _InsertionLedger:
+    """The insertion potential of certify's replayed state, kept across rows.
+
+    ``records`` holds every placed player's
+    :func:`~prioritygames.potentials.tolerance` record, ``tol_sum`` their
+    summed tolerance and ``improvable`` the players whose record has a
+    strictly better alternative.  ``reach[r]`` lists the players whose
+    ground holds r, built here from the game, not taken from the solver.
+    """
+
+    def __init__(self, game: Game, state: State):
+        self.game = game
+        self.reach: dict[str, list[int]] = {r: [] for r in game.resources}
+        for p in game.players():
+            for r in game.ground_of(p):
+                self.reach[r].append(p)
+        self.value = insertion_potential(game, state)
+        # kept in the tally slot by insertion_potential: lookups, not pricing
+        self.records: dict[int, Tolerance] = {p: tolerance(game, state, p) for p in state.players()}
+        self.tol_sum = self.value.tol_sum
+        self.improvable = {p for p, rec in self.records.items() if rec.improvable}
+
+    def step(self, state: State, mover: int, changed: frozenset[str]) -> InsertionPotentialValue:
+        """The potential of ``state``, reached by ``mover`` changing ``changed``."""
+        for p in _repriced(self.game, self.reach, mover, changed):
+            old = self.records.pop(p, None)
+            if old is not None:
+                self.tol_sum -= old.tol
+                self.improvable.discard(p)
+            if state.covers(p):
+                record = self.records[p] = tolerance(self.game, state, p)
+                self.tol_sum += record.tol
+                if record.improvable:
+                    self.improvable.add(p)
+        rows = insertion_rows(self.game, tally(self.game, state))
+        self.value = InsertionPotentialValue(rows, self.tol_sum)
+        return self.value
+
+
+def _repriced(
+    game: Game, reach: dict[str, list[int]], mover: int, changed: frozenset[str]
+) -> set[int]:
+    """The players whose tolerance record a row can change: the mover, and
+    every p with some r in ``changed`` in her ground and
+    ``priority(r, p) >= priority(r, mover)``.
+
+    That is exact.  A record reads only (count below, count at) her own
+    level on resources in her ground, and the row changes counts only on
+    ``changed``, the resources in exactly one of the mover's old and new
+    strategies, and only at the mover's level there; a p more prioritized
+    there than the mover reads neither count.
+    """
+    out = {mover}
+    for r in changed:
+        q = game.priority(r, mover)
+        out.update(p for p in reach[r] if game.priority(r, p) >= q)
+    return out
+
+
+def _check_replay(game: Game, state: State, ledger: _InsertionLedger | None) -> None:
+    """The stepped table against a fresh count of the replay's final state,
+    and an insertion run's running potential against a fresh evaluation of
+    a new copy of it (the copy keeps the records kept for ``state`` unread;
+    ``level_counts`` reads no slot)."""
+    if tally(game, state) != level_counts(game, state):
+        raise InvariantViolatedError("certify's stepped count table differs from a fresh count")
+    if ledger is not None and ledger.value != insertion_potential(game, state.copy()):
+        raise InvariantViolatedError(
+            "certify's running insertion potential differs from a fresh evaluation"
+        )
 
 
 def _fmt(s: frozenset[str] | None) -> str:

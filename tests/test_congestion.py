@@ -246,3 +246,32 @@ def test_state_identity_helpers():
     assert full.without_player(2) == s
     assert pg.State({1: ["a"]}) == s
     assert len({s, pg.State({1: "a"})}) == 1
+
+
+def test_state_steps_normalize_only_the_changed_player(monkeypatch):
+    base = pg.State({1: "a", 2: ["b", "c"], 3: frozenset({"d"})})
+    built = []
+    init = pg.State.__init__
+
+    def counted(self, strategies):
+        built.append(strategies)
+        init(self, strategies)
+
+    monkeypatch.setattr(pg.State, "__init__", counted)
+    moved = base.with_player(2, "e")
+    added = moved.with_player(4, ["f", "g"])
+    dropped = added.without_player(1)
+    untouched = dropped.without_player(9)
+    copied = untouched.copy()
+    assert built == []  # no state re-normalizes every player
+    monkeypatch.undo()
+
+    fresh = pg.State({2: "e", 3: "d", 4: ["g", "f"]})
+    assert copied is not untouched
+    for state in (dropped, untouched, copied):
+        assert state == fresh and hash(state) == hash(fresh)
+        assert state.items() == fresh.items()
+    assert moved.strategy(2) == frozenset({"e"}) and moved.strategy(1) == frozenset({"a"})
+    assert added == pg.State({1: "a", 2: "e", 3: "d", 4: ["f", "g"]})
+    assert base == pg.State({1: "a", 2: ["b", "c"], 3: "d"})  # unchanged
+    assert isinstance(moved.strategy(2), frozenset) and moved.players() == [1, 2, 3]

@@ -137,10 +137,34 @@ def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
     assert len(solver_calls) == 1
 
     certify_calls = count_calls(monkeypatch, oracle, "insertion_potential")
-    certify_tols = count_calls(monkeypatch, potentials, "tol_value")
+    priced: list[list[int]] = []  # per replayed row, the players certify prices
+
+    def stepping(*args, original=oracle.step_state):
+        priced.append([])
+        return original(*args)
+
+    def pricing(game, state, p, original=oracle.tolerance):
+        if priced:  # before the first row: the start's kept records
+            priced[-1].append(p)
+        return original(game, state, p)
+
+    monkeypatch.setattr(oracle, "step_state", stepping)
+    monkeypatch.setattr(oracle, "tolerance", pricing)
     assert pg.certify_trace(singleton_game, trace).ok
-    assert len(certify_calls) == len(trace.steps) + 1  # plus the empty start
-    assert len(solver_tols) < len(certify_tols)
+    # the start, and the fresh check of the final state: no row rebuilds it
+    assert len(certify_calls) == 2
+    assert len(priced) == len(trace.steps)
+    game = singleton_game
+    for step, players in zip(trace.steps, priced):
+        changed = (step.frm or frozenset()) ^ (step.to or frozenset())
+        affected = {step.player} | {
+            p
+            for r in changed
+            for p in game.players()
+            if r in game.ground_of(p) and game.priority(r, p) >= game.priority(r, step.player)
+        }
+        assert len(players) == len(set(players)) and set(players) <= affected
+    assert sum(map(len, priced)) <= len(solver_tols)
 
 
 def test_level_potential_once_per_row(monkeypatch, layered_game):
