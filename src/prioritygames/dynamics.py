@@ -19,10 +19,11 @@ Three solvers, all emitting full replayable traces:
   to move.
 
 Who wants to move is asked of :func:`~prioritygames.congestion.best_response`,
-which prices each player once per state.  The descent keeps every answer a
-move cannot have changed, an improver's included, and re-asks a player only
-when a move at her level or above touched her ground (see :func:`_descend`).
-Every solver steps from state to state by
+which prices each player once per state.  The descent and the insertion
+solver keep every answer a row cannot have changed, an improver's included,
+and re-ask a player only when a row at her level or above touched her ground
+(the level rule of :func:`_drop_answers`); the insertion solver re-prices
+only those players' tolerances too.  Every solver steps from state to state by
 :func:`~prioritygames.congestion.step_state`, which derives the new state's
 count table from the old one.  Moves of matroid players are
 realized as chains of single-element swaps whenever every link strictly
@@ -32,10 +33,11 @@ occurs across plateaus at infinite cost).
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .congestion import (
     State,
@@ -70,6 +72,8 @@ from .potentials import (
 )
 
 POLICIES = ("roundrobin", "first", "best")
+
+A = TypeVar("A")  # a kept answer: a descent's (best response, weights, gain), or a bool
 
 # row phases besides the layered solver's "layer:<level>"
 PHASES = ("br", "insert", "discard", "rebalance")
@@ -227,6 +231,64 @@ def _reach(game: Game, players: Iterable[int]) -> dict[str, list[int]]:
     return reach
 
 
+def _drop_answers(
+    game: Game,
+    state: State,
+    answers: dict[int, A],
+    settled: Callable[[A], bool],
+    reach: dict[str, list[int]],
+    mover: int,
+    frm: frozenset[str],
+    to: frozenset[str],
+) -> set[int]:
+    """Drop the kept answers that the row ``frm -> to`` of ``mover``, which
+    led to ``state``, can have changed; return the players it can affect.
+
+    The row changes counts only on ``frm ^ to``, and only at m's level
+    there (m: the mover; an empty ``frm`` or ``to`` places or unplaces
+    her).  So it can affect only m and the players p of ``reach[r]`` with
+    ``priority(r, p) >= priority(r, m)`` for some r in ``frm ^ to``: the
+    level rule.  m's own answer is always dropped.  For each other such p
+    and r:
+
+    - an improver's answer is dropped;
+    - a settled answer (``settled``: her own strategy, which callers keep
+      only at finite cost) is dropped when either m left r and p does not
+      use it, or m joined r and p uses it.
+
+    Every answer kept is the one asking again would give:
+
+    - p's entry weight at r reads only the counts on r at levels up to
+      hers, and not her own strategy, so p's weights all stay as they were
+      unless the level rule names her; a kept improver's weights, best
+      response and gain are those of ``state``;
+    - a settled p keeps her answer on a narrower rule, whose weights may
+      have moved and are never read: delays are nondecreasing in x and y
+      (``build_game`` checks it), so r got cheaper where m left it and
+      dearer where she joined it.  Unless one of the two drop cases holds,
+      p's chosen elements only got cheaper and her others only dearer, and
+      a minimum-weight base of finite weight stays one, on any space.
+
+    Finite weight matters: a base of infinite weight can share an infinite
+    element with a cheaper-elsewhere base, which that element turning
+    finite exposes.  A record read off the same counts, such as a
+    tolerance, changes only for the players returned.
+    """
+    answers.pop(mover, None)
+    affected = {mover}
+    for r in frm ^ to:
+        q, joined = game.priority(r, mover), r in to
+        for p in reach[r]:
+            if game.priority(r, p) >= q:
+                affected.add(p)
+                answer = answers.get(p)
+                if answer is not None and (
+                    not settled(answer) or (r in state.strategy(p)) == joined
+                ):
+                    del answers[p]
+    return affected
+
+
 def _descend(
     game: Game,
     state: State,
@@ -253,39 +315,15 @@ def _descend(
 
     Every asked mover's answer is kept in ``answers``: her best response,
     the entry weights it was priced from, and her gain, None when the
-    answer is her own strategy.  A kept answer is read instead of asking
-    again, until a move can have changed it.  After each link ``frm -> nxt``
-    of mover m, on each r in ``frm ^ nxt`` and for each p whose ground holds
-    r, with her level at r at least m's:
-
-    - an improver's answer is dropped;
-    - a settled answer (her own strategy, at finite cost) is dropped when
-      either m left r and p does not use it, or m joined r and p uses it.
-
-    Infinite-cost answers that are her own strategy are not kept.  Every
-    kept answer is still the one asking would give:
-
-    - p's entry weight at r reads only the counts on r at levels up to
-      hers, and not her own strategy;
-    - the link changes counts only on ``frm ^ nxt``, and only at m's level
-      there, so p's weights all stay as they were unless some r in
-      ``frm ^ nxt`` in her ground has her level at least m's.  Such an r
-      drops an improver, so a kept improver's weights, best response and
-      gain are exactly those of the new state; m herself, at her own level
-      on every r of the link, is always dropped;
-    - a settled p keeps her answer on a narrower rule, whose weights may
-      have moved and are never read: delays are nondecreasing in x and y
-      (``build_game`` checks it), so r got cheaper where m left it and
-      dearer where she joined it.  Unless one of the two drop cases holds,
-      p's chosen elements only got cheaper and her others only dearer, and
-      a minimum-weight base of finite weight stays one, on any space.
-
-    So every policy picks the movers, in the order, that asking everyone
-    would.  Finite weight matters: a base of infinite weight can share an
-    infinite element with a cheaper-elsewhere base, which that element
-    turning finite exposes.
+    answer is her own strategy (settled).  A kept answer is read instead of
+    asking again until a move can have changed it: after each link,
+    :func:`_drop_answers` drops exactly those.  Infinite-cost answers that
+    are her own strategy are not kept.  Every kept answer is the one asking
+    would give, weights and gain included for an improver, so every policy
+    picks the movers, in the order, that asking everyone would.
     """
     answers: dict[int, tuple[frozenset[str], dict[str, ExtCost], ExtCost | None]] = {}
+    settled = lambda answer: answer[2] is None  # noqa: E731
     reach = _reach(game, movers)
     rr_idx = 0
     while True:
@@ -321,16 +359,7 @@ def _descend(
             if len(trace.steps) >= cap:
                 return state, round_no + 1, CAP_REACHED
             frm, state = state.strategy(mover), step_state(game, state, mover, nxt)
-            for r in frm ^ nxt:
-                q, joined = game.priority(r, mover), r in nxt
-                for p in reach[r]:
-                    answer = answers.get(p)
-                    if (
-                        answer is not None
-                        and game.priority(r, p) >= q
-                        and (answer[2] is not None or (r in state.strategy(p)) == joined)
-                    ):
-                        del answers[p]
+            _drop_answers(game, state, answers, settled, reach, mover, frm, nxt)
             _append_move(trace, round_no, phase, mover, frm, nxt, weights, snapshot(state))
         round_no += 1
 
@@ -526,26 +555,25 @@ def _solve_layer_capped(
 # Insertion algorithm for singleton games
 
 
-def _retally(
-    game: Game, state: State, touched: str, reach: dict[str, list[int]], tol: dict[int, int]
-) -> InsertionPotentialValue:
-    """The insertion potential after a move on ``touched``.
+def _retally(game: Game, state: State, affected: set[int], tol: dict[int, int]) -> int:
+    """Re-price in ``tol`` the tolerance of every player in ``affected``
+    still placed in ``state``, and drop the others; the change in their sum.
 
-    A move changes only ``touched``'s counts, and a tolerance reads only the
-    counts in its owner's ground, so just the players reaching ``touched``
-    are refreshed in ``tol`` (and dropped when no longer placed).  The
-    state's one :func:`~prioritygames.congestion.tally` table serves every
-    refreshed tolerance and the rows, and then the round's incentive checks
-    on the same state.
+    ``affected`` is what :func:`_drop_answers` returned for the row that led
+    to ``state``: a tolerance reads only (count below, count at) her own
+    level on the resources of her ground, so the level rule names exactly
+    the players whose tolerance the row can change.  The state's one
+    :func:`~prioritygames.congestion.tally` table serves every re-priced
+    tolerance and the rows, and then the round's incentive checks on the
+    same state.
     """
-    for p in reach[touched]:
+    delta = 0
+    for p in affected:
+        delta -= tol.pop(p, 0)
         if state.covers(p):
-            tol[p] = tol_value(game, state, p)
-        else:
-            tol.pop(p, None)
-    return InsertionPotentialValue(
-        rows=insertion_rows(game, tally(game, state)), tol_sum=sum(tol.values())
-    )
+            tol[p] = value = tol_value(game, state, p)
+            delta += value
+    return delta
 
 
 def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
@@ -575,18 +603,29 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     are rare, sit outside the potential's strict-increase guarantee, and
     are covered by the safety cap.
 
-    The stray scan asks only players whose ground holds a resource touched
-    this round (the newcomer's, or one a stray left).  That is exact: when
-    the round began nobody had a better response, and a player's options
-    read only the counts of resources in her ground, which for everybody
-    else are unchanged.  For the same reason the recorded potentials are
-    kept up to date instead of rebuilt: after each row only the placed
-    players reaching the touched resource get their tolerance recomputed,
-    and the rows are read off one level-count table.  ``certify_trace``
-    keeps records of its own, priced on its own replayed states and found
-    from a reach index of its own, and checks its running potential against
-    a fresh evaluation of the final state, so a slip in this bookkeeping
-    shows as a potential mismatch.
+    The stray scan looks only at players whose ground holds a resource
+    touched this round (the newcomer's, or one a stray left): when the
+    round began nobody had a better response, and a player's options read
+    only the counts of resources in her ground, which for everybody else
+    are unchanged.  Whether a player has a better response is kept across
+    rows and rounds, in ``answers``, and asked again only when a row can
+    have changed it.  A row of mover m on resource r changes counts only on
+    r, at m's level q there, so after each row :func:`_drop_answers` drops
+    m's answer and, for the players p of ``reach[r]`` with
+    ``priority(r, p) >= q`` (the level rule), every improver's answer and
+    every settled answer with ``(r in p's strategy) == (m joined r)``;
+    settled answers at infinite cost are never kept.  Every kept answer is
+    the one asking again would give, so the resident check and the stray
+    scan see exactly what asking everyone would.
+
+    For the same reason the recorded potentials are kept up to date instead
+    of rebuilt: after each row only the placed players the level rule names
+    get their tolerance re-priced (see :func:`_retally`), the tolerance sum
+    runs along, and the rows are read off one level-count table.
+    ``certify_trace`` keeps records of its own, priced on its own replayed
+    states and found from a reach index of its own, and checks its running
+    potential against a fresh evaluation of the final state, so a slip in
+    this bookkeeping shows as a potential mismatch.
     """
     if not game.is_singleton_game():
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
@@ -595,23 +634,42 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     queue: deque[int] = deque(sorted(game.players()))
     round_no = 0
     prev_potential = insertion_potential(game, state)
-    # reach[r]: the players whose ground holds r, the only ones whose
-    # tolerance reads r's counts; tol: every placed player's tolerance
+    # reach[r]: the players whose ground holds r, ascending; tol: every
+    # placed player's tolerance (its keys are exactly the placed players);
+    # answers: the kept "has a better response" of placed players
     reach = _reach(game, game.players())
     tol: dict[int, int] = {}
+    tol_sum = 0
+    answers: dict[int, bool] = {}
     safety = 1000 + game.n_players**4 * len(game.resources) * (
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1
     )
 
+    def improves(p: int) -> bool:
+        """p's kept answer, else a fresh ask, kept unless settled at infinite cost."""
+        if (answer := answers.get(p)) is None:
+            answer = has_better_response(game, state, p)
+            if answer or base_weight(state.strategy(p), entry_weights(game, state, p)).is_finite:
+                answers[p] = answer
+        return answer
+
+    def step(j: int, frm: frozenset[str], to: frozenset[str] | None) -> InsertionPotentialValue:
+        """Move ``j`` from ``frm`` (empty: unplaced) to ``to`` (None: unplace
+        her); the new potential."""
+        nonlocal state, tol_sum
+        state = step_state(game, state, j, to)
+        affected = _drop_answers(
+            game, state, answers, operator.not_, reach, j, frm, to or frozenset()
+        )
+        tol_sum += _retally(game, state, affected, tol)
+        return InsertionPotentialValue(insertion_rows(game, tally(game, state)), tol_sum)
+
     def discard(phase: str, j: int) -> InsertionPotentialValue:
         """Unplace ``j``, requeue her and record the row; the new potential."""
-        nonlocal state
         frm = state.strategy(j)
-        (held,) = frm
         cost = player_cost(game, state, j)  # priced on the state she leaves
-        state = step_state(game, state, j, None)
+        potential = step(j, frm, None)
         queue.append(j)
-        potential = _retally(game, state, held, reach, tol)
         _append_row(trace, round_no, phase, j, frm, None, cost, None, potential.canonical())
         return potential
 
@@ -624,16 +682,15 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         weights = entry_weights(game, state, i)
         placed = greedy_min_base(game.spaces[i], weights)
         (rid,) = placed
-        # the residents of rid, with their tolerances before she joins them
-        residents = {p: tol[p] for p, s in state.items() if rid in s}
-        state = step_state(game, state, i, placed)
-        potential = _retally(game, state, rid, reach, tol)
+        # the residents of rid, ascending, with their tolerances before she joins them
+        residents = {p: tol[p] for p in reach[rid] if p in tol and rid in state.strategy(p)}
+        potential = step(i, frozenset(), placed)
         # her entry weight at rid is exactly her cost once placed there
         _append_row(
             trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()
         )
 
-        improvers = [p for p in residents if has_better_response(game, state, p)]
+        improvers = [p for p in residents if improves(p)]
         mine = game.priority(rid, i)
         outranking = [p for p in improvers if game.priority(rid, p) < mine]
         if outranking:
@@ -672,7 +729,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         touched = {rid}
         while True:
             suspects = sorted({p for r in touched for p in reach[r] if state.covers(p)})
-            stray = next((p for p in suspects if has_better_response(game, state, p)), None)
+            stray = next((p for p in suspects if improves(p)), None)
             if stray is None:
                 break
             rebalanced = True
