@@ -61,9 +61,9 @@ from .matroids import base_weight, greedy_min_base, lazy_path
 from .potentials import (
     LESS,
     InsertionPotentialValue,
+    LexRun,
     ScalarPotential,
     _consistent_level,
-    _lex_potential,
     insertion_potential,
     insertion_potential_compare,
     insertion_rows,
@@ -379,19 +379,21 @@ def run_dynamics(
 
     All players run the :func:`_descend` scan, which the shared-delay
     layers of :func:`solve_consistent_layered` run too.  Rows of
-    shared-delay singleton games carry the lexicographic potential; the
-    start is validated once, and every later state, reached by legal
-    moves, is not validated again.
+    shared-delay singleton games carry the lexicographic potential, read
+    from one :class:`~prioritygames.potentials.LexRun` per run, which
+    re-derives only the blocks of the resources a row changed.  The start
+    is validated once, and every later state, reached by legal moves, is
+    not validated again.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     validate_state(game, start, full=True)
-    lexable = game.is_singleton_game() and not game.player_specific
+    lex = LexRun(game) if game.is_singleton_game() and not game.player_specific else None
 
     def snapshot(s: State) -> str:
-        return _lex_potential(game, s).canonical() if lexable else ""
+        return "" if lex is None else lex.at(s).canonical()
 
     trace = MoveTrace(kind="br", start=start)
     state, _, trace.status = _descend(

@@ -37,6 +37,7 @@ from .markets import (
 from .potentials import (
     LESS,
     InsertionPotentialValue,
+    LexRun,
     LexVector,
     ScalarPotential,
     Tolerance,
@@ -164,7 +165,14 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     potential column (``POTENTIAL_MISMATCH``) and checked for monotonicity:
 
     * ``br`` on a shared-delay singleton game: the lexicographic potential
-      of every full state falls strictly (``POTENTIAL_NOT_DECREASING``);
+      of every full state falls strictly (``POTENTIAL_NOT_DECREASING``).
+      Every value comes from the replay's own
+      :class:`~prioritygames.potentials.LexRun`: it derives every block of
+      the start, which was validated once, and then, per row, only the
+      blocks of the resources the row changed, validating nothing; two
+      vectors on one scale compare on their integer keys.  A running
+      vector without one pair per player is a fault in certify, raised as
+      ``InvariantViolatedError``;
     * ``layered`` on a consistent shared-delay game: every move row lowers
       its ``layer:<q>`` level potential strictly unless it stays +inf
       (``POTENTIAL_NOT_DECREASING``); the comparison restarts when the
@@ -191,11 +199,15 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     the solver priced.  The insertion rule keeps every placed player's
     :func:`~prioritygames.potentials.tolerance` record, their summed
     tolerance and the set of improvable players across rows, and re-prices
-    only the records a row can change (see :func:`_repriced`).  After the
-    last row the stepped table and, for insertion, the running potential
-    must equal a fresh count and a fresh
-    :func:`~prioritygames.potentials.insertion_potential` of a new copy of
-    the final state; a difference is a fault in certify itself, raised as
+    only the records a row can change (see :func:`_repriced`).  The lex
+    rule keeps its vector's per-resource blocks, each beside the row it
+    was derived from.  After the last row the stepped table must equal a
+    fresh count of a new copy of the final state; for insertion the
+    running potential must equal a fresh
+    :func:`~prioritygames.potentials.insertion_potential` of it, and for
+    lex, when the final state is full, the running vector a fresh
+    :func:`~prioritygames.potentials.lex_potential_singleton`.  A
+    difference is a fault in certify itself, raised as
     ``InvariantViolatedError``.
     """
     report = CertifyReport()
@@ -223,8 +235,11 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         rule = None
 
     descent = None  # descending runs: (phase, potential) of the last row tracked
-    if rule == "lex" and state.is_full(game):
-        descent = ("", lex_potential_singleton(game, state))
+    # lex runs: the replay's running vector, re-deriving only changed blocks
+    lex = LexRun(game) if rule == "lex" else None
+    if lex is not None and state.is_full(game):
+        # every block of the validated start, so each row re-derives only its own
+        descent = ("", lex.at(state))
     # insertion runs: the running records, and the potential at the last
     # round boundary
     ledger = _InsertionLedger(game, state) if rule == "insertion" else None
@@ -274,8 +289,13 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         if ledger is not None:
             changed = (actual_frm or frozenset()) ^ (step.to or frozenset())
             potential = ledger.step(state, step.player, changed)
-        elif rule == "lex" and state.is_full(game):
-            potential = lex_potential_singleton(game, state)
+        elif lex is not None and state.is_full(game):
+            potential = lex.at(state)
+            if len(potential.pairs) != game.n_players:  # a block the vector failed to re-derive
+                raise InvariantViolatedError(
+                    f"certify's running lexicographic potential has {len(potential.pairs)}"
+                    f" pairs for {game.n_players} players"
+                )
         elif rule == "layer" and level is not None:
             potential = level_potential(game, state, level)
         else:
@@ -321,7 +341,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             flag(-1, "PARTIAL_FINAL", "converged run left players unplaced")
         elif not is_pure_nash(game, state):
             flag(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")
-    _check_replay(game, state, ledger)
+    _check_replay(game, state, ledger, lex)
     return report
 
 
@@ -384,16 +404,27 @@ def _repriced(
     return out
 
 
-def _check_replay(game: Game, state: State, ledger: _InsertionLedger | None) -> None:
+def _check_replay(
+    game: Game, state: State, ledger: _InsertionLedger | None, lex: LexRun | None
+) -> None:
     """The stepped table against a fresh count of the replay's final state,
-    and an insertion run's running potential against a fresh evaluation of
-    a new copy of it (the copy keeps the records kept for ``state`` unread;
-    ``level_counts`` reads no slot)."""
+    and an insertion run's running potential, or a full lex run's running
+    vector, against a fresh evaluation of a new copy of it (the copy keeps
+    the records kept for ``state`` unread; ``level_counts`` reads no
+    slot)."""
     if tally(game, state) != level_counts(game, state):
         raise InvariantViolatedError("certify's stepped count table differs from a fresh count")
     if ledger is not None and ledger.value != insertion_potential(game, state.copy()):
         raise InvariantViolatedError(
             "certify's running insertion potential differs from a fresh evaluation"
+        )
+    if (
+        lex is not None
+        and state.is_full(game)
+        and lex.at(state) != lex_potential_singleton(game, state.copy())
+    ):
+        raise InvariantViolatedError(
+            "certify's running lexicographic potential differs from a fresh evaluation"
         )
 
 

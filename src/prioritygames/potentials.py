@@ -12,19 +12,23 @@ Four constructions certify convergence and equilibrium existence:
 * the two-part insertion potential (sorted per-resource level-count rows,
   then a summed tolerance) that proves the insertion algorithm terminates.
 
-Each potential is a function of one state.  The priority-game potentials
-read its counts from the state's :func:`~prioritygames.congestion.tally`
-table; the market potential tallies each resource's users by raw cost in
-one pass over the profile.  Everything compares exactly; no tolerances
-anywhere.
+Each potential's public function is a function of one state.  The
+priority-game potentials read its counts from the state's
+:func:`~prioritygames.congestion.tally` table; the market potential tallies
+each resource's users by raw cost in one pass over the profile.  Along a
+run, :class:`LexRun` keeps the lexicographic vector's per-resource blocks
+and re-derives only those whose level-count row a state changed, with the
+same block builder and key check as :func:`lex_potential_singleton`.
+Everything compares exactly; no tolerances anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import NamedTuple
 
 from .congestion import (
@@ -53,18 +57,30 @@ EQUAL = 0
 GREATER = 1
 
 
+Pair = tuple[ExtCost, int]
+
+
 @dataclass(frozen=True)
 class LexVector:
     """A sorted tuple of (cost, level) pairs; the pair order is cost-first.
 
-    The pairs are put in order on exact integer keys, one shared
-    denominator per vector (see :func:`_lex_vector`), which order them as
-    the (cost, level) tuples do; ``canonical`` formats the costs themselves.
+    The pairs are put in order on exact integer keys (see
+    :func:`_lex_vector`), which order them as the (cost, level) tuples do.
+    A vector from :class:`LexRun` keeps the ``scale`` and ``width`` of its
+    keys, the ``keys`` themselves when no pair is infinite, and its
+    canonical ``text``, so :func:`lex_compare` of two such vectors on one
+    scale and width compares ints.  Only the pairs take part in equality.
     """
 
-    pairs: tuple[tuple[ExtCost, int], ...]
+    pairs: tuple[Pair, ...]
+    keys: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    scale: int = field(default=0, compare=False, repr=False)
+    width: int = field(default=0, compare=False, repr=False)
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def canonical(self) -> str:
+        if self.text is not None:
+            return self.text
         return ";".join(f"{c.to_string()}@{q}" for c, q in self.pairs)
 
 
@@ -93,36 +109,84 @@ def _require_singleton(game) -> None:
         raise NotSingletonError("every strategy space must be singleton")
 
 
-def _lex_vector(blocks: dict[str, list[tuple[ExtCost, int]]], axioms: str) -> LexVector:
+def _lex_vector(blocks: dict[str, list[Pair]], axioms: str) -> LexVector:
     """Check that each resource's block of pairs rises, then sort all pairs.
 
     Both steps compare exact integer keys, not ``ExtCost`` objects.  With L
     the least common multiple of the denominators of the vector's finite
-    costs, the pair (a/b, q) has key (0, a * (L // b), q), read off the
-    cost's kept ``num`` and ``den`` ints, and (+inf, q) has
-    key (1, 0, q).  The keys are exact: a/b < c/d exactly when
-    a * (L // b) < c * (L // d), since both sides are the costs times the
-    same positive L, and every finite key sorts before every infinite one.
-    So sorting on the keys puts the pairs in the order that sorting the
-    (cost, level) tuples gives.  The keys are plain ints: no floats, and
-    every comparison runs in C.
+    costs (the scale) and W one more than the largest level (the width), the
+    finite pair (a/b, q) has key a * (L // b) * W + q, read off the cost's
+    kept ``num`` and ``den`` ints.  The keys are exact: a/b * L is an
+    integer for every finite cost, so two distinct costs scale to integers
+    at least 1 apart, and W times that gap exceeds any difference of levels;
+    equal costs order by level.  Infinite pairs sort after every finite one,
+    by level alone.  So sorting the finite pairs on their keys, then the
+    infinite ones on their levels, puts the pairs in the order that sorting
+    the (cost, level) tuples gives.  The keys are plain ints: no floats, and
+    every comparison runs in C.  Any common multiple of the denominators and
+    any width above every level order the pairs the same way, which lets
+    :class:`LexRun` keep one scale and one width across a run.
 
     A falling block breaks the ``axioms`` the game's builder checked.
     """
     scale = lcm(*{c.den for block in blocks.values() for c, _ in block if c.den})
-    keyed: list[tuple[tuple[int, int, int], tuple[ExtCost, int]]] = []
+    width = 1 + max((q for block in blocks.values() for _, q in block), default=0)
+    finite: list[tuple[int, Pair]] = []
+    infinite: list[Pair] = []
     for rid, block in blocks.items():
-        keys = [(0, c.num * (scale // c.den), q) if c.den else (1, 0, q) for c, q in block]
-        for k in range(1, len(keys)):
-            if keys[k - 1] > keys[k]:
-                a, b = block[k - 1], block[k]
-                raise InvariantViolatedError(
-                    f"resource {rid}: pairs {a[0]}@{a[1]} > {b[0]}@{b[1]}"
-                    f" violate the {axioms} axioms"
-                )
-        keyed.extend(zip(keys, block))
-    keyed.sort(key=itemgetter(0))
-    return LexVector(pairs=tuple(pair for _, pair in keyed))
+        keys = _block_keys(rid, block, scale, width, axioms)
+        finite.extend(zip(keys, block))
+        infinite.extend(block[len(keys) :])
+    finite.sort(key=itemgetter(0))
+    infinite.sort(key=itemgetter(1))
+    return LexVector(pairs=(*map(itemgetter(1), finite), *infinite))
+
+
+def _block_keys(rid: str, block: list[Pair], scale: int, width: int, axioms: str) -> list[int]:
+    """The integer keys (:func:`_lex_vector`) of the finite pairs that open
+    one resource's block, checked with the infinite pairs after them to rise.
+
+    ``scale`` is a multiple of every finite cost's denominator, and
+    ``width`` exceeds every level.
+    """
+    keys = [c.num * (scale // c.den) * width + q for c, q in block if c.den]
+    cut = len(keys)
+    if all(map(le, keys, keys[1:])):
+        if cut == len(block):
+            return keys
+        levels = [q for c, q in block[cut:] if not c.den]
+        if len(levels) == len(block) - cut and all(map(le, levels, levels[1:])):
+            return keys
+    ranks = [(0, c.num * (scale // c.den), q) if c.den else (1, 0, q) for c, q in block]
+    k = next(k for k in range(1, len(block)) if ranks[k - 1] > ranks[k])
+    (c1, q1), (c2, q2) = block[k - 1], block[k]
+    raise InvariantViolatedError(
+        f"resource {rid}: pairs {c1}@{q1} > {c2}@{q2} violate the {axioms} axioms"
+    )
+
+
+def _delay_block(game: Game, rid: str, row: dict[int, int]) -> list[Pair]:
+    """The pairs one resource contributes, from its level-count row.
+
+    Per present level q, ascending, and per y = 1..count(q), the pair
+    (d(below(q), y), q), with the game's shared delay on ``rid``.
+    """
+    block: list[Pair] = []
+    prefix = 0
+    for q, cnt in sorted(row.items()):
+        for y in range(1, cnt + 1):
+            block.append((game.delay(None, rid, prefix, y), q))
+        prefix += cnt
+    return block
+
+
+def _require_shared_singleton(game: Game) -> None:
+    _require_singleton(game)
+    if game.player_specific:
+        raise PlayerSpecificInputError(
+            "the lexicographic potential needs one shared delay per resource"
+        )
+
 
 
 def lex_potential_singleton(game: Game, prof: State) -> LexVector:
@@ -136,41 +200,110 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
     compare exact integer keys over the vector's one shared denominator
     (:func:`_lex_vector`), not the ``ExtCost`` values.
     """
-    _require_singleton(game)
-    if game.player_specific:
-        raise PlayerSpecificInputError(
-            "the lexicographic potential needs one shared delay per resource"
-        )
+    _require_shared_singleton(game)
     validate_state(game, prof, full=True)
-    return _lex_potential(game, prof)
-
-
-def _lex_potential(game: Game, prof: State) -> LexVector:
-    """:func:`lex_potential_singleton` of a profile known to be legal.
-
-    The caller vouches for what the public function checks: a singleton
-    game with shared delays, and a full profile of legal strategies.
-    ``run_dynamics`` validates its start once and reaches every later
-    state by legal moves, so its snapshots come here directly.
-    """
     counts = tally(game, prof)
-    blocks: dict[str, list[tuple[ExtCost, int]]] = {}
-    for rid in game.resources:
-        block = blocks[rid] = []
-        prefix = 0
-        for q, cnt in sorted(counts.get(rid, {}).items()):
-            for y in range(1, cnt + 1):
-                block.append((game.delay(None, rid, prefix, y), q))
-            prefix += cnt
+    blocks = {rid: _delay_block(game, rid, counts.get(rid, {})) for rid in game.resources}
     return _lex_vector(blocks, "delay")
 
 
+class LexRun:
+    """The lexicographic potential of the states of one run, kept by blocks.
+
+    Per resource it keeps the level-count row it last read and the entries
+    of the block of pairs :func:`_delay_block` derived from that row: per
+    pair, its integer key (its level, for an infinite pair), its canonical
+    ``"{cost}@{level}"`` token and the pair.  :meth:`at` reads a state's
+    :func:`tally` table and re-derives only the blocks whose row differs
+    from the kept one, by identity first, then by equality.  Keeping rows
+    by reference is sound: a table is never changed once counted, and
+    :func:`~prioritygames.congestion.step_state` copies a row before it
+    changes it and shares every other row.  A step moves one player, so it
+    changes at most two rows and re-derives at most two blocks; a state
+    counted afresh compares every row by equality and gets the same vector.
+    A state whose rows all match the kept ones gets the last vector back.
+
+    All keys share one running ``scale`` and the game's level width.  The
+    scale only grows: when a re-derived block brings a denominator that
+    does not divide it, the scale becomes their least common multiple and
+    every block is re-keyed.  Re-derived blocks pass :func:`_block_keys`'s
+    rise check.  The vector is one sort of the kept finite entries on their
+    keys (the infinite ones, rare, sort apart on their levels) and one join
+    of their tokens: no ``ExtCost`` is compared.
+
+    The caller vouches for every state being legal (a run validates its
+    start once and then steps by legal moves); only fullness is the
+    caller's to check, since the vector of a partial state is not the
+    potential.
+    """
+
+    def __init__(self, game: Game):
+        _require_shared_singleton(game)
+        self.game = game
+        self.scale = 1
+        self.width = 1 + max(map(game.priorities.max_level, game.resources), default=0)
+        self._rows: dict[str, dict[int, int] | None] = dict.fromkeys(game.resources)
+        self._finite: dict[str, list[tuple[int, str, Pair]]] = {r: [] for r in game.resources}
+        self._infinite: dict[str, tuple[tuple[int, str, Pair], ...]] = dict.fromkeys(
+            game.resources, ()
+        )
+        self._last: LexVector | None = None  # the vector of the rows kept
+
+    def at(self, state: State) -> LexVector:
+        """The vector of ``state``, with its keys and its text."""
+        counts = tally(self.game, state)
+        for rid, kept in self._rows.items():
+            row = counts.get(rid)
+            if row is not kept and row != kept:
+                self._rederive(rid, row)
+        if self._last is None:
+            self._last = self._merge()
+        return self._last
+
+    def _merge(self) -> LexVector:
+        merged = sorted(chain.from_iterable(self._finite.values()), key=itemgetter(0))
+        keys: tuple[int, ...] | None = tuple(map(itemgetter(0), merged))
+        if any(self._infinite.values()):  # +inf pairs, rare, close the vector
+            merged += sorted(chain.from_iterable(self._infinite.values()), key=itemgetter(0))
+            keys = None
+        return LexVector(
+            pairs=tuple(map(itemgetter(2), merged)),
+            keys=keys,
+            scale=self.scale,
+            width=self.width,
+            text=";".join(map(itemgetter(1), merged)),
+        )
+
+    def _rederive(self, rid: str, row: dict[int, int] | None) -> None:
+        block = _delay_block(self.game, rid, row or {})
+        if any(c.den and self.scale % c.den for c, _ in block):
+            self.scale = lcm(self.scale, *(c.den for c, _ in block if c.den))
+            for r, entries in self._finite.items():  # re-key every block
+                pairs = list(map(itemgetter(2), entries))
+                keys = _block_keys(r, pairs, self.scale, self.width, "delay")
+                self._finite[r] = list(zip(keys, map(itemgetter(1), entries), pairs))
+        keys = _block_keys(rid, block, self.scale, self.width, "delay")
+        tokens = [f"{c.to_string()}@{q}" for c, q in block]
+        self._rows[rid], self._last = row, None
+        self._finite[rid] = list(zip(keys, tokens, block))
+        if (cut := len(keys)) < len(block) or self._infinite[rid]:
+            tail = block[cut:]
+            self._infinite[rid] = tuple(zip(map(itemgetter(1), tail), tokens[cut:], tail))
+
+
 def lex_compare(a: LexVector, b: LexVector) -> int:
-    """LESS/EQUAL/GREATER by the first differing pair (cost, then level)."""
+    """LESS/EQUAL/GREATER by the first differing pair (cost, then level).
+
+    Two vectors that keep their keys over one scale and width compare on
+    the keys, which order the pairs exactly as the pairs do
+    (:func:`_lex_vector`).
+    """
     if len(a.pairs) != len(b.pairs):
         raise LengthMismatchError(
             f"cannot compare potentials of lengths {len(a.pairs)} and {len(b.pairs)}"
         )
+    if a.keys is not None and b.keys is not None and (a.scale, a.width) == (b.scale, b.width):
+        return LESS if a.keys < b.keys else GREATER if b.keys < a.keys else EQUAL
     for pa, pb in zip(a.pairs, b.pairs):
         if pa < pb:
             return LESS
@@ -223,9 +356,12 @@ def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
     of the raw cost, which preserves every same-resource comparison the
     decrease argument relies on while keeping the slot an integer.  Like
     the singleton potential, the pairs are checked and sorted on exact
-    integer keys over one shared denominator (:func:`_lex_vector`).
+    integer keys over one shared denominator (:func:`_lex_vector`).  The
+    covered strategies are validated first (``ValidationFailed``); a
+    profile missing players raises ``LengthMismatchError``.
     """
     _require_singleton(market)
+    validate_state(market, prof)
     missing = set(market.players()) - set(prof.players())
     if missing:
         raise LengthMismatchError(f"profile must cover all players, missing {sorted(missing)}")

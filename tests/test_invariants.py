@@ -185,8 +185,32 @@ def test_lex_potential_once_per_row_in_certify(monkeypatch, singleton_game):
     assert trace.steps and trace.status == "Converged"
 
     certify_calls = count_calls(monkeypatch, oracle, "lex_potential_singleton")
+    derived: list[list[str]] = [[]]  # per stretch of the replay, the blocks derived
+
+    def stepping(*args, original=oracle.step_state):
+        derived.append([])
+        return original(*args)
+
+    def checking(*args, original=oracle._check_replay):
+        derived.append([])
+        return original(*args)
+
+    def deriving(game, rid, row, original=potentials._delay_block):
+        derived[-1].append(rid)
+        return original(game, rid, row)
+
+    monkeypatch.setattr(oracle, "step_state", stepping)
+    monkeypatch.setattr(oracle, "_check_replay", checking)
+    monkeypatch.setattr(potentials, "_delay_block", deriving)
     assert pg.certify_trace(singleton_game, trace).ok
-    assert len(certify_calls) == len(trace.steps) + 1  # plus the full start
+    # the fresh check of the final state: neither the start nor a row rebuilds it
+    assert len(certify_calls) == 1
+    assert len(derived) == len(trace.steps) + 2
+    start, *rows, final = derived
+    assert sorted(start) == sorted(congestion.level_counts(singleton_game, trace.start))
+    assert sorted(final) == sorted(singleton_game.resources)
+    for step, rids in zip(trace.steps, rows):
+        assert len(rids) == len(set(rids)) and set(rids) <= step.frm ^ step.to
 
 
 def test_lex_potential_sorts_without_cost_comparisons(monkeypatch):

@@ -336,6 +336,32 @@ class TestMarketLexPotential:
         assert checked > 30
 
 
+def seed0_market():
+    """The generator's seed-0 market: players 1-3 on singleton spaces over a and b."""
+    market = gen_source(0, players=3, resources=2, model="market")
+    assert list(market.players()) == [1, 2, 3] and market.resources == ("a", "b")
+    return market
+
+
+def test_market_potential_refuses_a_two_resource_strategy():
+    prof = pg.State({1: ["a", "b"], 2: "a", 3: "b"})
+    with pytest.raises(pg.ValidationFailed) as err:
+        pg.market_lex_potential(seed0_market(), prof)
+    assert [v.code for v in err.value.violations] == ["BAD_STRATEGY"]
+
+
+def test_market_potential_refuses_an_unknown_player():
+    prof = pg.State({1: "a", 2: "a", 3: "b", 99: "a"})
+    with pytest.raises(pg.ValidationFailed) as err:
+        pg.market_lex_potential(seed0_market(), prof)
+    assert [v.code for v in err.value.violations] == ["UNKNOWN_PLAYER"]
+
+
+def test_market_potential_still_names_missing_players():
+    with pytest.raises(pg.LengthMismatchError, match=r"missing \[3\]"):
+        pg.market_lex_potential(seed0_market(), pg.State({1: "a", 2: "b"}))
+
+
 class TestInsertionPotential:
     def test_t1_tolerance(self, t1):
         assert pg.tol_value(t1, pg.State({1: "a"}), 1) == 1
