@@ -75,7 +75,8 @@ class State:
         return State._of(dict(self._strats))
 
     def is_full(self, game: Game) -> bool:
-        return set(self._strats) == set(game.players())
+        # exact: ``build_game`` keys the spaces by exactly the players 1..n
+        return self._strats.keys() == game.spaces.keys()
 
     def _sorted_key(self) -> tuple:
         """The sorted (player, sorted strategy) pairs, built on first use.
@@ -245,6 +246,16 @@ def step_state(
                 del table[r]
         object.__setattr__(game, "_tally", (new, table, {}, {}, {}))
     return new
+
+
+def reach_index(game: Game, players: Iterable[int]) -> dict[str, list[tuple[int, int]]]:
+    """reach[r]: ``(p, priority(r, p))`` for each of the given players whose
+    ground holds r, ascending by p, for every resource r of the game."""
+    reach: dict[str, list[tuple[int, int]]] = {r: [] for r in game.resources}
+    for p in sorted(players):
+        for r in game.ground_of(p):
+            reach[r].append((p, game.priority(r, p)))
+    return reach
 
 
 def count_below(row: Mapping[int, int], level: int) -> int:

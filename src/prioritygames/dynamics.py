@@ -22,13 +22,14 @@ Who wants to move is asked of :func:`~prioritygames.congestion.best_response`,
 which prices each player once per state.  The descent and the insertion
 solver keep every answer a row cannot have changed, an improver's included,
 and re-ask a player only when a row at her level or above touched her ground
-(the level rule of :func:`_drop_answers`); the insertion solver re-prices
-only those players' tolerances too.  Every solver steps from state to state by
+(the level rule of :func:`_drop_answers`); the insertion solver's
+:class:`~prioritygames.potentials.InsertionRun` re-prices tolerances by the
+same rule.  Every solver steps from state to state by
 :func:`~prioritygames.congestion.step_state`, which derives the new state's
-count table from the old one.  Moves of matroid players are
-realized as chains of single-element swaps whenever every link strictly
-decreases the mover's cost; otherwise the move is recorded whole (that only
-occurs across plateaus at infinite cost).
+count table from the old one.  Moves of matroid players are realized as
+chains of single-element swaps whenever every link strictly decreases the
+mover's cost; otherwise the move is recorded whole (that only occurs across
+plateaus at infinite cost).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 from .congestion import (
     State,
@@ -45,8 +46,8 @@ from .congestion import (
     entry_weights,
     has_better_response,
     player_cost,
+    reach_index,
     step_state,
-    tally,
     validate_state,
 )
 from .core import Game
@@ -61,14 +62,12 @@ from .matroids import base_weight, greedy_min_base, lazy_path
 from .potentials import (
     LESS,
     InsertionPotentialValue,
+    InsertionRun,
     LexRun,
     ScalarPotential,
     _consistent_level,
-    insertion_potential,
     insertion_potential_compare,
-    insertion_rows,
     level_potential,
-    tol_value,
 )
 
 POLICIES = ("roundrobin", "first", "best")
@@ -222,31 +221,23 @@ def _append_row(
 # Better-response descent
 
 
-def _reach(game: Game, players: Iterable[int]) -> dict[str, list[int]]:
-    """reach[r]: the given players whose ground holds r, ascending, for every r."""
-    reach: dict[str, list[int]] = {r: [] for r in game.resources}
-    for p in players:
-        for r in game.ground_of(p):
-            reach[r].append(p)
-    return reach
-
-
 def _drop_answers(
     game: Game,
     state: State,
     answers: dict[int, A],
     settled: Callable[[A], bool],
-    reach: dict[str, list[int]],
+    reach: dict[str, list[tuple[int, int]]],
     mover: int,
     frm: frozenset[str],
     to: frozenset[str],
-) -> set[int]:
+) -> None:
     """Drop the kept answers that the row ``frm -> to`` of ``mover``, which
-    led to ``state``, can have changed; return the players it can affect.
+    led to ``state``, can have changed.
 
     The row changes counts only on ``frm ^ to``, and only at m's level
     there (m: the mover; an empty ``frm`` or ``to`` places or unplaces
-    her).  So it can affect only m and the players p of ``reach[r]`` with
+    her).  So it can affect only m and the players p of ``reach[r]`` (a
+    :func:`~prioritygames.congestion.reach_index`) with
     ``priority(r, p) >= priority(r, m)`` for some r in ``frm ^ to``: the
     level rule.  m's own answer is always dropped.  For each other such p
     and r:
@@ -271,22 +262,16 @@ def _drop_answers(
 
     Finite weight matters: a base of infinite weight can share an infinite
     element with a cheaper-elsewhere base, which that element turning
-    finite exposes.  A record read off the same counts, such as a
-    tolerance, changes only for the players returned.
+    finite exposes.
     """
     answers.pop(mover, None)
-    affected = {mover}
     for r in frm ^ to:
         q, joined = game.priority(r, mover), r in to
-        for p in reach[r]:
-            if game.priority(r, p) >= q:
-                affected.add(p)
-                answer = answers.get(p)
-                if answer is not None and (
-                    not settled(answer) or (r in state.strategy(p)) == joined
-                ):
-                    del answers[p]
-    return affected
+        for p, level in reach[r]:
+            if level >= q and (answer := answers.get(p)) is not None and (
+                not settled(answer) or (r in state.strategy(p)) == joined
+            ):
+                del answers[p]
 
 
 def _descend(
@@ -324,7 +309,7 @@ def _descend(
     """
     answers: dict[int, tuple[frozenset[str], dict[str, ExtCost], ExtCost | None]] = {}
     settled = lambda answer: answer[2] is None  # noqa: E731
-    reach = _reach(game, movers)
+    reach = reach_index(game, movers)
     rr_idx = 0
     while True:
         mover: int | None = None
@@ -557,27 +542,6 @@ def _solve_layer_capped(
 # Insertion algorithm for singleton games
 
 
-def _retally(game: Game, state: State, affected: set[int], tol: dict[int, int]) -> int:
-    """Re-price in ``tol`` the tolerance of every player in ``affected``
-    still placed in ``state``, and drop the others; the change in their sum.
-
-    ``affected`` is what :func:`_drop_answers` returned for the row that led
-    to ``state``: a tolerance reads only (count below, count at) her own
-    level on the resources of her ground, so the level rule names exactly
-    the players whose tolerance the row can change.  The state's one
-    :func:`~prioritygames.congestion.tally` table serves every re-priced
-    tolerance and the rows, and then the round's incentive checks on the
-    same state.
-    """
-    delta = 0
-    for p in affected:
-        delta -= tol.pop(p, 0)
-        if state.covers(p):
-            tol[p] = value = tol_value(game, state, p)
-            delta += value
-    return delta
-
-
 def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     """Place players one at a time on their cheapest resource, evicting
     residents that start wanting to leave.
@@ -620,14 +584,9 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     the one asking again would give, so the resident check and the stray
     scan see exactly what asking everyone would.
 
-    For the same reason the recorded potentials are kept up to date instead
-    of rebuilt: after each row only the placed players the level rule names
-    get their tolerance re-priced (see :func:`_retally`), the tolerance sum
-    runs along, and the rows are read off one level-count table.
-    ``certify_trace`` keeps records of its own, priced on its own replayed
-    states and found from a reach index of its own, and checks its running
-    potential against a fresh evaluation of the final state, so a slip in
-    this bookkeeping shows as a potential mismatch.
+    The recorded potentials come from a
+    :class:`~prioritygames.potentials.InsertionRun`, which re-prices after
+    each row only the tolerances the same level rule names.
     """
     if not game.is_singleton_game():
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
@@ -635,13 +594,9 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     state = State({})
     queue: deque[int] = deque(sorted(game.players()))
     round_no = 0
-    prev_potential = insertion_potential(game, state)
-    # reach[r]: the players whose ground holds r, ascending; tol: every
-    # placed player's tolerance (its keys are exactly the placed players);
-    # answers: the kept "has a better response" of placed players
-    reach = _reach(game, game.players())
-    tol: dict[int, int] = {}
-    tol_sum = 0
+    run = InsertionRun(game, state)
+    prev_potential, reach = run.value, run.reach
+    # the kept "has a better response" of placed players
     answers: dict[int, bool] = {}
     safety = 1000 + game.n_players**4 * len(game.resources) * (
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1
@@ -658,13 +613,11 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     def step(j: int, frm: frozenset[str], to: frozenset[str] | None) -> InsertionPotentialValue:
         """Move ``j`` from ``frm`` (empty: unplaced) to ``to`` (None: unplace
         her); the new potential."""
-        nonlocal state, tol_sum
+        nonlocal state
         state = step_state(game, state, j, to)
-        affected = _drop_answers(
-            game, state, answers, operator.not_, reach, j, frm, to or frozenset()
-        )
-        tol_sum += _retally(game, state, affected, tol)
-        return InsertionPotentialValue(insertion_rows(game, tally(game, state)), tol_sum)
+        to = to or frozenset()
+        _drop_answers(game, state, answers, operator.not_, reach, j, frm, to)
+        return run.step(state, j, frm ^ to)
 
     def discard(phase: str, j: int) -> InsertionPotentialValue:
         """Unplace ``j``, requeue her and record the row; the new potential."""
@@ -685,7 +638,11 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         placed = greedy_min_base(game.spaces[i], weights)
         (rid,) = placed
         # the residents of rid, ascending, with their tolerances before she joins them
-        residents = {p: tol[p] for p in reach[rid] if p in tol and rid in state.strategy(p)}
+        residents = {
+            p: run.records[p].tol
+            for p, _ in reach[rid]
+            if p in run.records and rid in state.strategy(p)
+        }
         potential = step(i, frozenset(), placed)
         # her entry weight at rid is exactly her cost once placed there
         _append_row(
@@ -711,7 +668,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
                     f" expected {same_before}"
                 )
             potential = discard("discard", j_star)
-            tol_in = tol[i]
+            tol_in = run.records[i].tol
             if tol_in < same_before + 1:
                 raise InvariantViolatedError(
                     f"newcomer {i} on resource {rid} has tolerance {tol_in},"
@@ -730,7 +687,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         rebalanced = False
         touched = {rid}
         while True:
-            suspects = sorted({p for r in touched for p in reach[r] if state.covers(p)})
+            suspects = sorted({p for r in touched for p, _ in reach[r] if state.covers(p)})
             stray = next((p for p in suspects if improves(p)), None)
             if stray is None:
                 break

@@ -1,10 +1,22 @@
 """Brute-force ground truth and trace certification at desk scale.
 
-The oracle deliberately shares nothing with the solver code paths beyond
-raw cost evaluation: equilibria are found by enumerating every profile and
-scanning every deviation of every player, with no greedy shortcuts.  Trace
-certification replays a recorded run step by step, recomputing costs and
-potentials, and reports violations as data.
+Equilibria are found by enumerating every profile and scanning every
+deviation of every player, priced directly, with no greedy shortcuts or
+best-response machinery.  Trace certification replays a recorded run step
+by step, recomputing costs and potentials, and reports violations as data.
+
+The replay shares with the solvers the state stepping
+(:func:`~prioritygames.congestion.step_state` and its
+:func:`~prioritygames.congestion.tally` table), the tolerance records
+(:func:`~prioritygames.potentials.tolerance`) and the running potentials
+(:class:`~prioritygames.potentials.LexRun`,
+:class:`~prioritygames.potentials.InsertionRun`), each run on certify's own
+states.  Three things stay apart from the solvers' running bookkeeping:
+the naive enumeration above; the incentive verdicts, which certify reads
+from tolerance records where the solvers ask ``has_better_response``; and
+the final checks, which hold the stepped table and the running potentials
+against a fresh count and a fresh evaluation of a new copy of the final
+state.
 """
 
 from __future__ import annotations
@@ -36,18 +48,15 @@ from .markets import (
 )
 from .potentials import (
     LESS,
-    InsertionPotentialValue,
+    InsertionRun,
     LexRun,
     LexVector,
     ScalarPotential,
-    Tolerance,
     insertion_potential,
     insertion_potential_compare,
-    insertion_rows,
     level_potential,
     lex_compare,
     lex_potential_singleton,
-    tolerance,
 )
 
 AnyGame = Union[Game, MarketGame, ClassicGame, AffineGame]
@@ -196,14 +205,10 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     each row with :func:`~prioritygames.congestion.step_state` from the
     strategy the replay holds, so each row's level-count table is derived
     from the row before it in certify, never from a table, weight or record
-    the solver priced.  The insertion rule keeps every placed player's
-    :func:`~prioritygames.potentials.tolerance` record, their summed
-    tolerance and the set of improvable players across rows, and re-prices
-    only the records a row can change (see :func:`_repriced`).  The lex
-    rule keeps its vector's per-resource blocks, each beside the row it
-    was derived from.  After the last row the stepped table must equal a
-    fresh count of a new copy of the final state; for insertion the
-    running potential must equal a fresh
+    the solver priced.  The insertion rule steps its own
+    :class:`~prioritygames.potentials.InsertionRun`.  After the last row
+    the stepped table must equal a fresh count of a new copy of the final
+    state; for insertion the running potential must equal a fresh
     :func:`~prioritygames.potentials.insertion_potential` of it, and for
     lex, when the final state is full, the running vector a fresh
     :func:`~prioritygames.potentials.lex_potential_singleton`.  A
@@ -242,8 +247,8 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         descent = ("", lex.at(state))
     # insertion runs: the running records, and the potential at the last
     # round boundary
-    ledger = _InsertionLedger(game, state) if rule == "insertion" else None
-    round_potential = None if ledger is None else ledger.value
+    run = InsertionRun(game, state) if rule == "insertion" else None
+    round_potential = None if run is None else run.value
     rebalanced = False
 
     for pos, step in enumerate(trace.steps):
@@ -286,9 +291,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             if rule == "layer":
                 descent = None  # the next row starts its layer's checks afresh
 
-        if ledger is not None:
+        if run is not None:
             changed = (actual_frm or frozenset()) ^ (step.to or frozenset())
-            potential = ledger.step(state, step.player, changed)
+            potential = run.step(state, step.player, changed)
         elif lex is not None and state.is_full(game):
             potential = lex.at(state)
             if len(potential.pairs) != game.n_players:  # a block the vector failed to re-derive
@@ -318,7 +323,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         rebalanced = rebalanced or step.phase == "rebalance"
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
-        if ledger is not None and (nxt is None or nxt.round != step.round):
+        if run is not None and (nxt is None or nxt.round != step.round):
             # rebalance rounds repair the invariant and owe no strict rise
             if not rebalanced and insertion_potential_compare(round_potential, potential) != LESS:
                 flag(
@@ -326,7 +331,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     "POTENTIAL_NOT_INCREASING",
                     f"insertion potential did not rise across round {step.round}",
                 )
-            for p in sorted(ledger.improvable):
+            for p in sorted(run.improvable):
                 flag(
                     idx,
                     "INCENTIVE_BROKEN",
@@ -341,71 +346,12 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             flag(-1, "PARTIAL_FINAL", "converged run left players unplaced")
         elif not is_pure_nash(game, state):
             flag(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")
-    _check_replay(game, state, ledger, lex)
+    _check_replay(game, state, run, lex)
     return report
 
 
-class _InsertionLedger:
-    """The insertion potential of certify's replayed state, kept across rows.
-
-    ``records`` holds every placed player's
-    :func:`~prioritygames.potentials.tolerance` record, ``tol_sum`` their
-    summed tolerance and ``improvable`` the players whose record has a
-    strictly better alternative.  ``reach[r]`` lists the players whose
-    ground holds r, built here from the game, not taken from the solver.
-    """
-
-    def __init__(self, game: Game, state: State):
-        self.game = game
-        self.reach: dict[str, list[int]] = {r: [] for r in game.resources}
-        for p in game.players():
-            for r in game.ground_of(p):
-                self.reach[r].append(p)
-        self.value = insertion_potential(game, state)
-        # kept in the tally slot by insertion_potential: lookups, not pricing
-        self.records: dict[int, Tolerance] = {p: tolerance(game, state, p) for p in state.players()}
-        self.tol_sum = self.value.tol_sum
-        self.improvable = {p for p, rec in self.records.items() if rec.improvable}
-
-    def step(self, state: State, mover: int, changed: frozenset[str]) -> InsertionPotentialValue:
-        """The potential of ``state``, reached by ``mover`` changing ``changed``."""
-        for p in _repriced(self.game, self.reach, mover, changed):
-            old = self.records.pop(p, None)
-            if old is not None:
-                self.tol_sum -= old.tol
-                self.improvable.discard(p)
-            if state.covers(p):
-                record = self.records[p] = tolerance(self.game, state, p)
-                self.tol_sum += record.tol
-                if record.improvable:
-                    self.improvable.add(p)
-        rows = insertion_rows(self.game, tally(self.game, state))
-        self.value = InsertionPotentialValue(rows, self.tol_sum)
-        return self.value
-
-
-def _repriced(
-    game: Game, reach: dict[str, list[int]], mover: int, changed: frozenset[str]
-) -> set[int]:
-    """The players whose tolerance record a row can change: the mover, and
-    every p with some r in ``changed`` in her ground and
-    ``priority(r, p) >= priority(r, mover)``.
-
-    That is exact.  A record reads only (count below, count at) her own
-    level on resources in her ground, and the row changes counts only on
-    ``changed``, the resources in exactly one of the mover's old and new
-    strategies, and only at the mover's level there; a p more prioritized
-    there than the mover reads neither count.
-    """
-    out = {mover}
-    for r in changed:
-        q = game.priority(r, mover)
-        out.update(p for p in reach[r] if game.priority(r, p) >= q)
-    return out
-
-
 def _check_replay(
-    game: Game, state: State, ledger: _InsertionLedger | None, lex: LexRun | None
+    game: Game, state: State, run: InsertionRun | None, lex: LexRun | None
 ) -> None:
     """The stepped table against a fresh count of the replay's final state,
     and an insertion run's running potential, or a full lex run's running
@@ -414,7 +360,7 @@ def _check_replay(
     slot)."""
     if tally(game, state) != level_counts(game, state):
         raise InvariantViolatedError("certify's stepped count table differs from a fresh count")
-    if ledger is not None and ledger.value != insertion_potential(game, state.copy()):
+    if run is not None and run.value != insertion_potential(game, state.copy()):
         raise InvariantViolatedError(
             "certify's running insertion potential differs from a fresh evaluation"
         )

@@ -18,8 +18,10 @@ priority-game potentials read its counts from the state's
 each resource's users by raw cost in one pass over the profile.  Along a
 run, :class:`LexRun` keeps the lexicographic vector's per-resource blocks
 and re-derives only those whose level-count row a state changed, with the
-same block builder and key check as :func:`lex_potential_singleton`.
-Everything compares exactly; no tolerances anywhere.
+same block builder and key check as :func:`lex_potential_singleton`, and
+:class:`InsertionRun` keeps the insertion potential's tolerance records and
+re-prices only those a row can change.  Everything compares exactly; no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .congestion import (
     State,
     congestion_view,  # noqa: F401  (bench/test_bench.py reads it from this module)
     count_below,
+    reach_index,
     tally,
     validate_state,
 )
@@ -540,6 +543,71 @@ def insertion_rows(game: Game, counts: LevelCounts) -> tuple[tuple[int, ...], ..
         row = counts.get(rid, {})
         rows.append(tuple(row.get(q, 0) for q in range(1, game.priorities.max_level(rid) + 1)))
     return tuple(sorted(rows))
+
+
+class InsertionRun:
+    """The insertion potential of the states of one run, kept across rows.
+
+    ``records`` holds every placed player's :func:`tolerance` record,
+    ``improvable`` the players whose record has a strictly better
+    alternative, ``value`` the potential of the last state, and
+    ``reach`` the game's :func:`~prioritygames.congestion.reach_index` over
+    all its players.  The start is evaluated once, by
+    :func:`insertion_potential`; :meth:`step` then re-prices only the
+    records in :meth:`repriced`, runs the tolerance sum along and reads the
+    rows off the new state's :func:`tally` table, which the same re-priced
+    records read too.  The insertion solver and ``certify_trace`` each step
+    their own run, on their own states; certify checks its last ``value``
+    against a fresh :func:`insertion_potential` of a new copy of the final
+    state, so a slip in this bookkeeping shows there.
+
+    The caller vouches for every state being legal: the solver places only
+    legal strategies, and certify validates the start and each row's
+    strategy.
+    """
+
+    def __init__(self, game: Game, state: State):
+        self.game = game
+        self.reach = reach_index(game, game.players())
+        self.value = insertion_potential(game, state)
+        # kept in the tally slot by insertion_potential: lookups, not pricing
+        self.records: dict[int, Tolerance] = {p: tolerance(game, state, p) for p in state.players()}
+        self.improvable = {p for p, rec in self.records.items() if rec.improvable}
+
+    def repriced(self, mover: int, changed: frozenset[str]) -> set[int]:
+        """The players whose tolerance record a row can change: the mover,
+        and every p with some r in ``changed`` in her ground and
+        ``priority(r, p) >= priority(r, mover)`` (the level rule).
+
+        That is exact.  A record reads only (count below, count at) her own
+        level on resources in her ground, and the row changes counts only on
+        ``changed``, the resources in exactly one of the mover's old and new
+        strategies, and only at the mover's level there; a p more
+        prioritized there than the mover reads neither count.
+        """
+        out = {mover}
+        for r in changed:
+            q = self.game.priority(r, mover)
+            out.update(p for p, level in self.reach[r] if level >= q)
+        return out
+
+    def step(self, state: State, mover: int, changed: frozenset[str]) -> InsertionPotentialValue:
+        """The potential of ``state``, reached by ``mover`` changing
+        ``changed`` (placed, moved or unplaced) from the last state."""
+        game, records, improvable = self.game, self.records, self.improvable
+        tol_sum = self.value.tol_sum
+        for p in self.repriced(mover, changed):
+            old = records.pop(p, None)
+            if old is not None:
+                tol_sum -= old.tol
+                improvable.discard(p)
+            if state.covers(p):
+                record = records[p] = tolerance(game, state, p)
+                tol_sum += record.tol
+                if record.improvable:
+                    improvable.add(p)
+        self.value = InsertionPotentialValue(insertion_rows(game, tally(game, state)), tol_sum)
+        return self.value
 
 
 def insertion_potential_compare(a: InsertionPotentialValue, b: InsertionPotentialValue) -> int:

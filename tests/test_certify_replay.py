@@ -1,7 +1,8 @@
 """Certify replays insertion runs by deltas, and the deltas are checked.
 
-``certify_trace`` steps its own count table from row to row and re-prices
-only the tolerance records a row can change (``oracle._repriced``).  These
+``certify_trace`` steps its own count table from row to row, and its own
+``potentials.InsertionRun`` re-prices only the tolerance records a row can
+change (``InsertionRun.repriced``).  These
 tests hold that replay against a potential column built with no deltas at
 all, show that a narrower re-pricing rule is caught, and show that the
 replay never starts from a table kept in the game's tally slot.
@@ -18,7 +19,7 @@ import prioritygames as pg
 from conftest import gen_game
 from test_certify_corpus import GAMES
 from test_trace_digests import make_affine_n24
-from prioritygames import congestion, oracle
+from prioritygames import congestion, oracle, potentials
 
 REBALANCE_FIXTURE = Path(__file__).parent / "data" / "rebalance_n6.json"
 
@@ -104,25 +105,40 @@ def test_stepped_replay_matches_fresh_potentials(name):
     assert report.ok, report.summary()
 
 
-def only_the_mover(game, reach, mover, changed):
+def only_the_mover(run, mover, changed):
     return {mover}
 
 
-def strictly_below(game, reach, mover, changed):
+def strictly_below(run, mover, changed):
     """Leaves out the players who share the mover's level on a changed resource."""
     out = {mover}
     for r in changed:
-        q = game.priority(r, mover)
-        out.update(p for p in reach[r] if game.priority(r, p) > q)
+        q = run.game.priority(r, mover)
+        out.update(p for p, level in run.reach[r] if level > q)
     return out
 
 
 @pytest.mark.parametrize("narrow", [only_the_mover, strictly_below])
 def test_a_narrower_repricing_rule_is_caught(monkeypatch, narrow):
     runs = {name: solved(name) for name in ("affine-n24", "affine-n40", "rebalance-n6")}
-    monkeypatch.setattr(oracle, "_repriced", narrow)
+    monkeypatch.setattr(potentials.InsertionRun, "repriced", narrow)
     for name, (game, trace) in runs.items():
         assert caught(game, trace), name
+
+
+@pytest.mark.parametrize("narrow", [only_the_mover, strictly_below])
+def test_a_slip_shared_by_solver_and_certify_is_caught(monkeypatch, narrow):
+    """One narrowed re-pricing rule, in force for the solver's run and
+    certify's alike, leaves the row-by-row comparison nothing to see; the
+    solver's case-B1 tolerance check or certify's final fresh check raises."""
+    monkeypatch.setattr(potentials.InsertionRun, "repriced", narrow)
+    with pytest.raises(pg.InvariantViolatedError, match="has tolerance"):
+        pg.solve_insertion(GAMES_BY_NAME["affine-n24"])
+    for name in ("affine-n40", "rebalance-n6"):
+        game = GAMES_BY_NAME[name]
+        _, trace = pg.solve_insertion(game)
+        with pytest.raises(pg.InvariantViolatedError, match="running insertion potential"):
+            pg.certify_trace(game, trace)
 
 
 def test_final_check_catches_a_drifting_ledger(monkeypatch):
@@ -130,7 +146,7 @@ def test_final_check_catches_a_drifting_ledger(monkeypatch):
     game, trace = solved("affine-n40")
     blank = replace(trace, steps=[replace(s, potential="") for s in trace.steps])
     assert pg.certify_trace(game, blank).ok
-    monkeypatch.setattr(oracle, "_repriced", strictly_below)
+    monkeypatch.setattr(potentials.InsertionRun, "repriced", strictly_below)
     with pytest.raises(pg.InvariantViolatedError):
         pg.certify_trace(game, blank)
 

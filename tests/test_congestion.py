@@ -4,6 +4,7 @@ import pytest
 
 import prioritygames as pg
 from conftest import all_profiles, gen_game, make_t1
+from prioritygames import congestion
 from prioritygames.costs import sum_costs
 from prioritygames.matroids import base_weight
 from prioritygames.oracle import _profile_is_pne_naive
@@ -243,9 +244,23 @@ def test_state_identity_helpers():
     assert s.covers(1) and not s.covers(2)
     full = s.with_player(2, "b")
     assert full.is_full(t1)
+    assert not pg.State({0: "a", 2: "a"}).is_full(t1)  # as many players, not the game's
     assert full.without_player(2) == s
     assert pg.State({1: ["a"]}) == s
     assert len({s, pg.State({1: "a"})}) == 1
+
+
+@SWEEP_KINDS
+def test_reach_index_lists_each_grounds_players_with_their_levels(kw):
+    for seed in range(3):
+        game = gen_game(700 + seed, players=5, resources=4, **kw)
+        players = [4, 1, 3]
+        reach = congestion.reach_index(game, players)
+        assert set(reach) == set(game.resources)
+        for r, entries in reach.items():
+            listed = [p for p, _ in entries]
+            assert listed == sorted(p for p in players if r in game.ground_of(p))
+            assert all(level == game.priority(r, p) for p, level in entries)
 
 
 def test_state_steps_normalize_only_the_changed_player(monkeypatch):

@@ -1,13 +1,14 @@
 """The insertion solver keeps what a row leaves unchanged, and nothing else.
 
 ``solve_insertion`` keeps every placed player's "has a better response"
-answer and tolerance across rows and rounds, and after each row re-asks
-and re-prices only the players the level rule names
-(``dynamics._drop_answers``).  These tests audit every row as it is
+answer across rows and rounds (``dynamics._drop_answers``), and its
+``potentials.InsertionRun`` keeps every placed player's tolerance record
+(``InsertionRun.repriced``); after each row both re-ask or re-price only
+the players the level rule names.  These tests audit every row as it is
 made: the re-priced set against the level rule, and the kept values
-against fresh evaluations on a copy of the state.  They show that four
-narrower drop rules are caught, and run the solver and certify once at
-n=320.
+against fresh evaluations on a copy of the state.  They show that narrower
+drop rules and narrower re-pricing rules are caught, and run the solver
+and certify once at n=320.
 """
 
 import json
@@ -15,7 +16,7 @@ import json
 import pytest
 
 import prioritygames as pg
-from test_certify_replay import GAMES_BY_NAME, fresh_column
+from test_certify_replay import GAMES_BY_NAME, fresh_column, only_the_mover, strictly_below
 from test_jsonio import desk_families
 from prioritygames import congestion, dynamics, potentials
 
@@ -35,48 +36,54 @@ def level_rule(game: pg.Game, state: pg.State, mover: int, r: str) -> set[int]:
     return {p for p in named if state.covers(p)}
 
 
-def audit(monkeypatch, drop=None) -> list[int]:
+def audit(monkeypatch, drop=None, repriced=None) -> list[int]:
     """Check each row of the next solves as it is made, raising
     ``StaleRecord`` at the first fault: the row must re-price, each once,
     exactly the placed players of :func:`level_rule`, and every kept answer
-    and tolerance must equal a fresh evaluation on a copy of the row's
-    state.  ``drop`` replaces the drop rule.  Returns the list the audited
-    rows' sizes go to."""
+    and tolerance record must equal a fresh evaluation on a copy of the
+    row's state.  ``drop`` replaces the drop rule and ``repriced`` the
+    re-pricing rule.  Returns the list the audited rows' sizes go to."""
     drop = drop or dynamics._drop_answers
-    row: dict = {}
+    tolerance = potentials.tolerance
+    row: dict = {"priced": []}
     audited: list[int] = []
 
     def dropping(game, state, answers, settled, reach, mover, frm, to):
-        row.update(answers=answers, mover=mover, changed=frm ^ to, priced=[])
+        row.update(answers=answers)
         return drop(game, state, answers, settled, reach, mover, frm, to)
 
-    def pricing(game, state, p, original=dynamics.tol_value):
+    def pricing(game, state, p):
         row["priced"].append(p)
-        return original(game, state, p)
+        return tolerance(game, state, p)
 
-    def retallying(game, state, affected, tol, original=dynamics._retally):
-        delta = original(game, state, affected, tol)
-        (r,) = row["changed"]
-        priced, answers = row["priced"], row["answers"]
+    def stepping(run, state, mover, changed, original=potentials.InsertionRun.step):
+        row["priced"] = []
+        value = original(run, state, mover, changed)
+        (r,) = changed
+        priced, answers, records = row["priced"], row["answers"], run.records
         if len(priced) != len(set(priced)) or set(priced) != level_rule(
-            game, state, row["mover"], r
+            run.game, state, mover, r
         ):
-            raise StaleRecord(f"row of player {row['mover']} on {r} priced {priced}")
+            raise StaleRecord(f"row of player {mover} on {r} priced {priced}")
         fresh = state.copy()  # a new object: no kept table or weights are read
         for p, answer in answers.items():
-            if answer != congestion.has_better_response(game, fresh, p):
+            if answer != congestion.has_better_response(run.game, fresh, p):
                 raise StaleRecord(f"kept answer of player {p} is {answer}")
-        if sorted(tol) != fresh.players():
-            raise StaleRecord(f"tolerances of {sorted(tol)}, placed {fresh.players()}")
-        for p, value in tol.items():
-            if value != potentials.tol_value(game, fresh, p):
-                raise StaleRecord(f"kept tolerance of player {p} is {value}")
-        audited.append(len(answers) + len(tol))
-        return delta
+        if sorted(records) != fresh.players():
+            raise StaleRecord(f"records of {sorted(records)}, placed {fresh.players()}")
+        for p, record in records.items():
+            if record != tolerance(run.game, fresh, p):
+                raise StaleRecord(f"kept record of player {p} is {record}")
+        if run.improvable != {p for p, record in records.items() if record.improvable}:
+            raise StaleRecord(f"improvable players {sorted(run.improvable)}")
+        audited.append(len(answers) + len(records))
+        return value
 
     monkeypatch.setattr(dynamics, "_drop_answers", dropping)
-    monkeypatch.setattr(dynamics, "tol_value", pricing)
-    monkeypatch.setattr(dynamics, "_retally", retallying)
+    monkeypatch.setattr(potentials, "tolerance", pricing)
+    monkeypatch.setattr(potentials.InsertionRun, "step", stepping)
+    if repriced is not None:
+        monkeypatch.setattr(potentials.InsertionRun, "repriced", repriced)
     return audited
 
 
@@ -98,15 +105,12 @@ def drop_rule(*, mover_only=False, strict=False, keep_improvers=False, keep_sett
 
     def drop(game, state, answers, settled, reach, mover, frm, to):
         answers.pop(mover, None)
-        affected = {mover}
         if mover_only:
-            return affected
+            return
         for r in frm ^ to:
             q, joined = game.priority(r, mover), r in to
-            for p in reach[r]:
-                level = game.priority(r, p)
+            for p, level in reach[r]:
                 if level > q or (level == q and not strict):
-                    affected.add(p)
                     answer = answers.get(p)
                     if answer is None:
                         continue
@@ -115,10 +119,11 @@ def drop_rule(*, mover_only=False, strict=False, keep_improvers=False, keep_sett
                             del answers[p]
                     elif not keep_improvers:
                         del answers[p]
-        return affected
 
     return drop
 
+
+AUDITED = ("affine-n24", "affine-n40", "rebalance-n6")
 
 MUTANTS = {
     "mover-only": drop_rule(mover_only=True),
@@ -130,19 +135,34 @@ MUTANTS = {
 
 def test_the_reference_rule_is_the_solvers(monkeypatch):
     """The unnarrowed copy the mutants start from audits clean."""
-    names = ("affine-n24", "affine-n40", "rebalance-n6")
     audit(monkeypatch)
-    traces = {name: pg.solve_insertion(GAMES_BY_NAME[name])[1] for name in names}
+    traces = {name: pg.solve_insertion(GAMES_BY_NAME[name])[1] for name in AUDITED}
     monkeypatch.undo()
     audit(monkeypatch, drop_rule())
-    for name in names:
+    for name in AUDITED:
         assert pg.solve_insertion(GAMES_BY_NAME[name])[1].steps == traces[name].steps
 
 
-@pytest.mark.parametrize("name", ["affine-n24", "affine-n40", "rebalance-n6"])
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize(
+    "mutant, name",
+    [
+        (mutant, name)
+        for mutant in sorted(MUTANTS)
+        for name in AUDITED
+        # its kept answers all stay fresh on this game
+        if (mutant, name) != ("strictly-below", "rebalance-n6")
+    ],
+)
 def test_a_narrower_drop_rule_is_caught(monkeypatch, mutant, name):
     audit(monkeypatch, MUTANTS[mutant])
+    with pytest.raises(StaleRecord):
+        pg.solve_insertion(GAMES_BY_NAME[name])
+
+
+@pytest.mark.parametrize("name", AUDITED)
+@pytest.mark.parametrize("narrow", [only_the_mover, strictly_below])
+def test_a_narrower_repricing_rule_is_caught_in_the_solver(monkeypatch, narrow, name):
+    audit(monkeypatch, repriced=narrow)
     with pytest.raises(StaleRecord):
         pg.solve_insertion(GAMES_BY_NAME[name])
 

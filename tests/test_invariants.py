@@ -128,31 +128,35 @@ def layered_game():
 
 
 def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
-    solver_calls = count_calls(monkeypatch, dynamics, "insertion_potential")
-    solver_tols = count_calls(monkeypatch, dynamics, "tol_value")
+    run_calls = count_calls(monkeypatch, potentials, "insertion_potential")
+    tolerances = count_calls(monkeypatch, potentials, "tolerance")
     _, trace = pg.solve_insertion(singleton_game)
     stats = pg.count_steps(trace)
     assert stats.by_phase.get("discard", 0) > 0 and stats.rounds < stats.total
     # the empty start only: later rows refresh just the touched tolerances
-    assert len(solver_calls) == 1
+    assert len(run_calls) == 1
+    solver_tols = len(tolerances)
 
     certify_calls = count_calls(monkeypatch, oracle, "insertion_potential")
     priced: list[list[int]] = []  # per replayed row, the players certify prices
+    row: list[list[int]] = []  # the row being stepped, while it is
 
-    def stepping(*args, original=oracle.step_state):
-        priced.append([])
-        return original(*args)
+    def stepping(run, *args, original=potentials.InsertionRun.step):
+        row.append([])
+        value = original(run, *args)
+        priced.append(row.pop())
+        return value
 
-    def pricing(game, state, p, original=oracle.tolerance):
-        if priced:  # before the first row: the start's kept records
-            priced[-1].append(p)
+    def pricing(game, state, p, original=potentials.tolerance):
+        if row:  # not the start's records, nor the final fresh check
+            row[-1].append(p)
         return original(game, state, p)
 
-    monkeypatch.setattr(oracle, "step_state", stepping)
-    monkeypatch.setattr(oracle, "tolerance", pricing)
+    monkeypatch.setattr(potentials.InsertionRun, "step", stepping)
+    monkeypatch.setattr(potentials, "tolerance", pricing)
     assert pg.certify_trace(singleton_game, trace).ok
     # the start, and the fresh check of the final state: no row rebuilds it
-    assert len(certify_calls) == 2
+    assert len(run_calls) == 2 and len(certify_calls) == 1
     assert len(priced) == len(trace.steps)
     game = singleton_game
     for step, players in zip(trace.steps, priced):
@@ -164,7 +168,7 @@ def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
             if r in game.ground_of(p) and game.priority(r, p) >= game.priority(r, step.player)
         }
         assert len(players) == len(set(players)) and set(players) <= affected
-    assert sum(map(len, priced)) <= len(solver_tols)
+    assert sum(map(len, priced)) <= solver_tols
 
 
 def test_level_potential_once_per_row(monkeypatch, layered_game):
