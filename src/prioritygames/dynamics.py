@@ -18,12 +18,13 @@ Three solvers, all emitting full replayable traces:
   re-queueing her too, so every round provably ends with nobody wanting
   to move.
 
-Who wants to move is asked of :func:`~prioritygames.congestion.best_response`,
-which prices each player once per state.  The descent and the insertion
-solver keep every answer a row cannot have changed, an improver's included,
-and re-ask a player only when a row at her level or above touched her ground
-(the level rule of :func:`_drop_answers`); the insertion solver's
-:class:`~prioritygames.potentials.InsertionRun` re-prices tolerances by the
+The descent asks who wants to move of
+:func:`~prioritygames.congestion.best_response`, which prices each player
+once per state, and keeps every answer a row cannot have changed, an
+improver's included: it re-asks a player only when a row at her level or
+above touched her ground (the level rule of :func:`_drop_answers`).  The
+insertion solver reads the same verdict from the tolerance records of its
+:class:`~prioritygames.potentials.InsertionRun`, which re-prices them by the
 same rule.  Every solver steps from state to state by
 :func:`~prioritygames.congestion.step_state`, which derives the new state's
 count table from the old one.  Moves of matroid players are realized as
@@ -34,17 +35,15 @@ plateaus at infinite cost).
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable
 
 from .congestion import (
     State,
     best_response,
     entry_weights,
-    has_better_response,
     player_cost,
     reach_index,
     step_state,
@@ -72,7 +71,9 @@ from .potentials import (
 
 POLICIES = ("roundrobin", "first", "best")
 
-A = TypeVar("A")  # a kept answer: a descent's (best response, weights, gain), or a bool
+# a mover's kept answer: her best response, its entry weights and her gain,
+# None when the best response is her own strategy (settled)
+Answer = tuple[frozenset[str], dict[str, ExtCost], ExtCost | None]
 
 # row phases besides the layered solver's "layer:<level>"
 PHASES = ("br", "insert", "discard", "rebalance")
@@ -119,8 +120,9 @@ class StepStats:
 
 
 def layer_level(phase: str) -> int | None:
-    """The priority level of a ``layer:<level>`` phase; None for any other phase."""
-    m = re.fullmatch(r"layer:([0-9]+)", phase)
+    """The priority level of a ``layer:<level>`` phase, the level written
+    as a canonical decimal >= 1; None for any other phase."""
+    m = re.fullmatch(r"layer:([1-9][0-9]*)", phase)
     return None if m is None else int(m.group(1))
 
 
@@ -224,8 +226,7 @@ def _append_row(
 def _drop_answers(
     game: Game,
     state: State,
-    answers: dict[int, A],
-    settled: Callable[[A], bool],
+    answers: dict[int, Answer],
     reach: dict[str, list[tuple[int, int]]],
     mover: int,
     frm: frozenset[str],
@@ -243,9 +244,9 @@ def _drop_answers(
     and r:
 
     - an improver's answer is dropped;
-    - a settled answer (``settled``: her own strategy, which callers keep
-      only at finite cost) is dropped when either m left r and p does not
-      use it, or m joined r and p uses it.
+    - a settled answer (her own strategy, which :func:`_descend` keeps only
+      at finite cost) is dropped when either m left r and p does not use
+      it, or m joined r and p uses it.
 
     Every answer kept is the one asking again would give:
 
@@ -269,7 +270,7 @@ def _drop_answers(
         q, joined = game.priority(r, mover), r in to
         for p, level in reach[r]:
             if level >= q and (answer := answers.get(p)) is not None and (
-                not settled(answer) or (r in state.strategy(p)) == joined
+                answer[2] is not None or (r in state.strategy(p)) == joined
             ):
                 del answers[p]
 
@@ -307,8 +308,7 @@ def _descend(
     would give, weights and gain included for an improver, so every policy
     picks the movers, in the order, that asking everyone would.
     """
-    answers: dict[int, tuple[frozenset[str], dict[str, ExtCost], ExtCost | None]] = {}
-    settled = lambda answer: answer[2] is None  # noqa: E731
+    answers: dict[int, Answer] = {}
     reach = reach_index(game, movers)
     rr_idx = 0
     while True:
@@ -344,7 +344,7 @@ def _descend(
             if len(trace.steps) >= cap:
                 return state, round_no + 1, CAP_REACHED
             frm, state = state.strategy(mover), step_state(game, state, mover, nxt)
-            _drop_answers(game, state, answers, settled, reach, mover, frm, nxt)
+            _drop_answers(game, state, answers, reach, mover, frm, nxt)
             _append_move(trace, round_no, phase, mover, frm, nxt, weights, snapshot(state))
         round_no += 1
 
@@ -569,24 +569,21 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     are rare, sit outside the potential's strict-increase guarantee, and
     are covered by the safety cap.
 
-    The stray scan looks only at players whose ground holds a resource
-    touched this round (the newcomer's, or one a stray left): when the
-    round began nobody had a better response, and a player's options read
-    only the counts of resources in her ground, which for everybody else
-    are unchanged.  Whether a player has a better response is kept across
-    rows and rounds, in ``answers``, and asked again only when a row can
-    have changed it.  A row of mover m on resource r changes counts only on
-    r, at m's level q there, so after each row :func:`_drop_answers` drops
-    m's answer and, for the players p of ``reach[r]`` with
-    ``priority(r, p) >= q`` (the level rule), every improver's answer and
-    every settled answer with ``(r in p's strategy) == (m joined r)``;
-    settled answers at infinite cost are never kept.  Every kept answer is
-    the one asking again would give, so the resident check and the stray
-    scan see exactly what asking everyone would.
-
-    The recorded potentials come from a
-    :class:`~prioritygames.potentials.InsertionRun`, which re-prices after
-    each row only the tolerances the same level rule names.
+    Who has a better response, and every recorded potential, is read from
+    one :class:`~prioritygames.potentials.InsertionRun`.  It keeps each
+    placed player's tolerance record, whose ``improvable`` flag is exactly
+    ``has_better_response`` for a singleton player, and after each row
+    re-prices only the records the level rule names: a row of mover m on
+    resource r changes counts only on r, at m's level q there, so only m
+    and the players p of ``reach[r]`` with ``priority(r, p) >= q``.  A
+    resident improves when she is in ``run.improvable``, and the stray scan
+    discards its least member until it is empty.  That is the least
+    improver among the players whose ground holds a resource touched this
+    round: the set is empty when a round begins (the round invariant), and
+    a row changes only the records of players reaching a resource it
+    touched.  ``certify_trace`` steps its own run, and at the end holds the
+    final state to the greedy ``is_pure_nash`` and its running potential to
+    a fresh ``insertion_potential``.
     """
     if not game.is_singleton_game():
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
@@ -596,28 +593,16 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     round_no = 0
     run = InsertionRun(game, state)
     prev_potential, reach = run.value, run.reach
-    # the kept "has a better response" of placed players
-    answers: dict[int, bool] = {}
     safety = 1000 + game.n_players**4 * len(game.resources) * (
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1
     )
-
-    def improves(p: int) -> bool:
-        """p's kept answer, else a fresh ask, kept unless settled at infinite cost."""
-        if (answer := answers.get(p)) is None:
-            answer = has_better_response(game, state, p)
-            if answer or base_weight(state.strategy(p), entry_weights(game, state, p)).is_finite:
-                answers[p] = answer
-        return answer
 
     def step(j: int, frm: frozenset[str], to: frozenset[str] | None) -> InsertionPotentialValue:
         """Move ``j`` from ``frm`` (empty: unplaced) to ``to`` (None: unplace
         her); the new potential."""
         nonlocal state
         state = step_state(game, state, j, to)
-        to = to or frozenset()
-        _drop_answers(game, state, answers, operator.not_, reach, j, frm, to)
-        return run.step(state, j, frm ^ to)
+        return run.step(state, j, frm ^ (to or frozenset()))
 
     def discard(phase: str, j: int) -> InsertionPotentialValue:
         """Unplace ``j``, requeue her and record the row; the new potential."""
@@ -649,7 +634,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()
         )
 
-        improvers = [p for p in residents if improves(p)]
+        improvers = [p for p in residents if p in run.improvable]
         mine = game.priority(rid, i)
         outranking = [p for p in improvers if game.priority(rid, p) < mine]
         if outranking:
@@ -681,19 +666,11 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
 
         # restore the round invariant: multi-evictions can leave a player on
         # another resource strictly better off moving; discard those too,
-        # one at a time (evicting one stray can already pacify the next).
-        # Only players reaching a resource touched this round can have gained
-        # an option: nobody could improve when the round began.
-        rebalanced = False
-        touched = {rid}
-        while True:
-            suspects = sorted({p for r in touched for p, _ in reach[r] if state.covers(p)})
-            stray = next((p for p in suspects if improves(p)), None)
-            if stray is None:
-                break
-            rebalanced = True
-            touched |= state.strategy(stray)
-            potential = discard("rebalance", stray)
+        # least first, one at a time (evicting one stray can already pacify
+        # the next)
+        rebalanced = bool(run.improvable)
+        while run.improvable:
+            potential = discard("rebalance", min(run.improvable))
 
         if not rebalanced and insertion_potential_compare(prev_potential, potential) != LESS:
             raise InvariantViolatedError(

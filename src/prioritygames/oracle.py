@@ -11,12 +11,12 @@ The replay shares with the solvers the state stepping
 (:func:`~prioritygames.potentials.tolerance`) and the running potentials
 (:class:`~prioritygames.potentials.LexRun`,
 :class:`~prioritygames.potentials.InsertionRun`), each run on certify's own
-states.  Three things stay apart from the solvers' running bookkeeping:
-the naive enumeration above; the incentive verdicts, which certify reads
-from tolerance records where the solvers ask ``has_better_response``; and
-the final checks, which hold the stepped table and the running potentials
-against a fresh count and a fresh evaluation of a new copy of the final
-state.
+states; the insertion solver and certify both read their per-round
+incentive verdicts from the run's tolerance records.  Two things stay
+apart from that running bookkeeping: the naive enumeration above, and the
+final checks, which hold the final state to the greedy ``is_pure_nash``,
+and the stepped table and the running potentials to a fresh count and a
+fresh evaluation of a new copy of the final state.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
       better response (``INCENTIVE_BROKEN``).  That is read from each
       placed player's :func:`~prioritygames.potentials.tolerance` record,
       the one the row's potential summed: her ceiling, the least entry
-      cost over her alternatives, below her stay cost.  The solver asks
-      the greedy ``has_better_response`` instead, so the two reach their
-      incentive verdicts by separate computations;
+      cost over her alternatives, below her stay cost.  The solver reads
+      its verdicts from the same records on its own run, so a slip in
+      them shared by both shows only in the final checks below;
     * any other run records no potential, and none is checked.
 
     Per run: the recorded final state matches the replay

@@ -96,10 +96,11 @@ def read_trace_csv(source) -> MoveTrace:
     """Rebuild a trace from CSV; the kind is inferred from the phases.
 
     Besides ``start`` and ``cap``, a row's phase is one of ``br``,
-    ``insert``, ``discard``, ``rebalance`` or ``layer:<level>``; any other
-    phase is a ParseError naming its line.  So is a ``step`` cell other
-    than the row's 0-based position in ASCII decimal, as the writer numbers
-    rows, and a second ``start`` row for one player.
+    ``insert``, ``discard``, ``rebalance`` or ``layer:<level>``, the level
+    a decimal >= 1 with no leading zero; any other phase is a ParseError
+    naming its line.  So is a ``step`` cell other than the row's 0-based
+    position in ASCII decimal, as the writer numbers rows, and a second
+    ``start`` row for one player.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:

@@ -400,7 +400,10 @@ def test_insertion_safety_cap_is_a_typed_error(monkeypatch, tmp_path, capsys):
     path = tmp_path / "stuck.json"
     path.write_bytes(emit_instance(game))
     # every placed player is then a stray: each round ends with the board empty
-    monkeypatch.setattr(dynamics, "has_better_response", lambda *args: True)
+    tolerance = potentials.tolerance
+    monkeypatch.setattr(
+        potentials, "tolerance", lambda *args: tolerance(*args)._replace(improvable=True)
+    )
     with pytest.raises(pg.InvariantViolatedError, match="safety cap of 1048 rounds"):
         pg.solve_insertion(game)
 

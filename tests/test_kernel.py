@@ -267,7 +267,9 @@ def test_tolerance_skips_dead_ground_elements():
     """Rank-1 partition spaces with a zero-cap block: their ground is larger
     than the resources a strategy can use.  Every player's dead block holds
     ``z``, whose delay is zero everywhere, so pricing a dead element would
-    lower the ceiling and the tolerance with it."""
+    lower the ceiling and the tolerance with it, and the kept flag would
+    part from ``has_better_response``."""
+    flags = set()
     for seed in range(12):
         rng = random.Random(f"tol-dead:{seed}")
         n = rng.randint(4, 8)
@@ -294,6 +296,8 @@ def test_tolerance_skips_dead_ground_elements():
             assert "z" in game.ground_of(p) - singleton_resources(game.spaces[p])
         for state in sample_states(game, rng):
             check_tolerances(game, state)
+            flags |= check_records(game, state)
+    assert flags == {False, True}
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,11 @@ CERTIFY_CASES = {
         corrupt_row(phase="layer:"),
         [(0, "BAD_PHASE", "malformed layer phase 'layer:'")],
     ),
+    "bad-phase-leading-zero": (
+        make_t1,
+        corrupt_row(phase="layer:01"),
+        [(0, "BAD_PHASE", "malformed layer phase 'layer:01'")],
+    ),
     "potential-mismatch": (
         make_t1,
         corrupt_row(potential="0/1@1;1/1@1"),

@@ -77,7 +77,9 @@ def test_non_integer_player_is_parse_error(row):
         read_trace_csv(io.StringIO(text))
 
 
-@pytest.mark.parametrize("phase", ["layer:x", "layer:", "layer:-1", "move", "Br", ""])
+@pytest.mark.parametrize(
+    "phase", ["layer:x", "layer:", "layer:-1", "layer:01", "layer:0", "move", "Br", ""]
+)
 def test_unknown_phase_is_parse_error(phase):
     text = "step,phase,player,from,to,cost_before,cost_after,potential\n"
     text += "0,start,1,,a,,,\n" + f"1,{phase},1,a,b,1/1,0/1,\n"
