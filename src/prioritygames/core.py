@@ -31,6 +31,7 @@ from typing import Container, Iterable, Mapping
 
 from .costs import INFINITY, ExtCost
 from .errors import (
+    InconsistentPrioritiesError,
     OutOfBoundError,
     ValidationFailed,
     Violation,
@@ -74,6 +75,12 @@ class PriorityFunction:
             return self._maps[resource][player]
         except KeyError:
             raise KeyError(f"no priority for player {player} at resource {resource!r}") from None
+
+    def level(self, player: int) -> int:
+        """The player's one level, the same at every resource of a consistent map."""
+        if not self.consistent:
+            raise InconsistentPrioritiesError("a player's one level needs consistent priorities")
+        return self.of(next(iter(self._maps)), player)
 
     def defined(self, resource: str, player: int) -> bool:
         return player in self._maps.get(resource, {})

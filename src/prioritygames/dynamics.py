@@ -7,7 +7,8 @@ Three solvers, all emitting full replayable traces:
 * ``solve_consistent_layered``: ascending-priority layer construction for
   consistent-priority games over arbitrary strategy spaces; each
   shared-delay layer runs ``run_dynamics``' round-robin descent over its
-  own players, which strictly lowers a scalar exact potential, and
+  own players, which strictly lowers a scalar exact potential read from
+  the layer's :class:`~prioritygames.potentials.LevelRun`, and
   player-specific layers run capped displaced-player-first dynamics with
   deterministic restarts;
 * ``solve_insertion``: one-at-a-time placement for singleton games with
@@ -62,11 +63,10 @@ from .potentials import (
     LESS,
     InsertionPotentialValue,
     InsertionRun,
+    LevelRun,
     LexRun,
-    ScalarPotential,
-    _consistent_level,
+    falls,
     insertion_potential_compare,
-    level_potential,
 )
 
 POLICIES = ("roundrobin", "first", "best")
@@ -403,14 +403,15 @@ def solve_consistent_layered(game: Game) -> tuple[State, MoveTrace]:
     A layer first places its players one by one on their cheapest strategy.
     A shared-delay layer then runs :func:`run_dynamics`' roundrobin scan
     over its players; its rows record the level's exact scalar potential,
-    which must strictly drop with each move.  Player-specific layers run
+    read from one :class:`~prioritygames.potentials.LevelRun`, which must
+    drop with each move (:func:`~prioritygames.potentials.falls`).  Player-specific layers run
     displaced-player-first dynamics under a cap of n^2 * m * (#levels)
     steps with ``LAYER_RESTARTS`` deterministic restarts from rotated bases;
     exhausting them raises LAYER_CAP_EXHAUSTED rather than returning.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("layered construction needs consistent priorities")
-    level_of = {i: _consistent_level(game, i) for i in game.players()}
+    level_of = {i: game.priorities.level(i) for i in game.players()}
     levels = sorted(set(level_of.values()))
     cap = max(16, game.n_players**2 * len(game.resources) * len(levels))
     trace = MoveTrace(kind="layered", start=State({}))
@@ -448,27 +449,22 @@ def _place(
 def _solve_layer_potential(
     game: Game, outer: State, q: int, layer: list[int], trace: MoveTrace, round_no: int, cap: int
 ) -> tuple[State, int]:
-    """Cheapest placement, then roundrobin descent of the level potential."""
+    """Cheapest placement, then roundrobin descent of the level potential,
+    read from one :class:`~prioritygames.potentials.LevelRun` of the layer."""
     phase = f"layer:{q}"
-    last: ScalarPotential | None = None
-
-    def placed(state: State) -> str:
-        nonlocal last
-        last = level_potential(game, state, q)
-        return last.canonical()
+    run = LevelRun(game, outer, q)
 
     def moved(state: State) -> str:
-        nonlocal last
-        before, last = last, level_potential(game, state, q)
-        finite = before.value.is_finite or last.value.is_finite
-        if finite and not last.value < before.value:
+        before, after = run.value, run.at(state)
+        if not falls(after, before):
             raise InvariantViolatedError(
                 f"level {q} potential did not drop at trace row {len(trace.steps)}:"
-                f" {before.canonical()} -> {last.canonical()}"
+                f" {before.canonical()} -> {after.canonical()}"
             )
-        return last.canonical()
+        return after.canonical()
 
     cheapest = lambda j, i, weights: greedy_min_base(game.spaces[i], weights)  # noqa: E731
+    placed = lambda state: run.at(state).canonical()  # noqa: E731
     working, round_no = _place(game, outer, layer, trace, round_no, phase, cheapest, placed)
     # the potential strictly drops, so the row limit is unreachable for finite delays
     limit = len(trace.steps) + 8 * cap

@@ -10,13 +10,14 @@ The replay shares with the solvers the state stepping
 :func:`~prioritygames.congestion.tally` table), the tolerance records
 (:func:`~prioritygames.potentials.tolerance`) and the running potentials
 (:class:`~prioritygames.potentials.LexRun`,
+:class:`~prioritygames.potentials.LevelRun`,
 :class:`~prioritygames.potentials.InsertionRun`), each run on certify's own
-states; the insertion solver and certify both read their per-round
-incentive verdicts from the run's tolerance records.  Two things stay
-apart from that running bookkeeping: the naive enumeration above, and the
-final checks, which hold the final state to the greedy ``is_pure_nash``,
-and the stepped table and the running potentials to a fresh count and a
-fresh evaluation of a new copy of the final state.
+states, one held at a time; the insertion solver and certify both read
+their per-round incentive verdicts from the run's tolerance records.  Two
+things stay apart from that running bookkeeping: the naive enumeration
+above, and the final checks, which hold the final state to the greedy
+``is_pure_nash``, and the stepped table and the held run to a fresh count
+and a fresh evaluation of a new copy of the final state.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from .markets import (
 from .potentials import (
     LESS,
     InsertionRun,
+    LevelRun,
     LexRun,
-    LexVector,
-    ScalarPotential,
+    falls,
     insertion_potential,
     insertion_potential_compare,
     level_potential,
-    lex_compare,
     lex_potential_singleton,
 )
 
@@ -169,25 +169,25 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     move between strategies lowers the recorded and the recomputed cost
     (``NOT_IMPROVING``); a ``layer:`` phase names a level (``BAD_PHASE``).
 
-    One potential rule, chosen from the trace kind and the game, is
-    evaluated once per replayed row, compared with the row's nonblank
-    potential column (``POTENTIAL_MISMATCH``) and checked for monotonicity:
+    One potential rule, chosen from the trace kind and the game, reads each
+    replayed row's value from the one running potential certify holds at a
+    time, compares it with the row's nonblank potential column
+    (``POTENTIAL_MISMATCH``) and checks its direction; a fall is strict, or
+    a scalar plateau at +inf (:func:`~prioritygames.potentials.falls`):
 
-    * ``br`` on a shared-delay singleton game: the lexicographic potential
-      of every full state falls strictly (``POTENTIAL_NOT_DECREASING``).
-      Every value comes from the replay's own
-      :class:`~prioritygames.potentials.LexRun`: it derives every block of
-      the start, which was validated once, and then, per row, only the
-      blocks of the resources the row changed, validating nothing; two
-      vectors on one scale compare on their integer keys.  A running
-      vector without one pair per player is a fault in certify, raised as
-      ``InvariantViolatedError``;
-    * ``layered`` on a consistent shared-delay game: every move row lowers
-      its ``layer:<q>`` level potential strictly unless it stays +inf
-      (``POTENTIAL_NOT_DECREASING``); the comparison restarts when the
-      phase changes and after a ``BAD_PHASE`` row;
-    * ``insertion`` on a singleton game: the insertion potential rises
-      strictly across every round without a ``rebalance`` row
+    * ``br`` on a shared-delay singleton game: one
+      :class:`~prioritygames.potentials.LexRun` for the replay, read on
+      every full state, falls from full state to full state
+      (``POTENTIAL_NOT_DECREASING``).  A running vector without one pair
+      per player is a fault in certify, raised as ``InvariantViolatedError``;
+    * ``layered`` on a consistent shared-delay game: a new
+      :class:`~prioritygames.potentials.LevelRun` of level q starts on the
+      first row of each ``layer:<q>`` phase and on the first after a
+      ``BAD_PHASE`` row; every later move row of the phase lowers it
+      (``POTENTIAL_NOT_DECREASING``);
+    * ``insertion`` on a singleton game: one
+      :class:`~prioritygames.potentials.InsertionRun`, stepped on every
+      row, rises strictly across every round without a ``rebalance`` row
       (``POTENTIAL_NOT_INCREASING``), and after every round nobody has a
       better response (``INCENTIVE_BROKEN``).  That is read from each
       placed player's :func:`~prioritygames.potentials.tolerance` record,
@@ -203,14 +203,15 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
     Replay starts from its own copy of the start, counted afresh, and steps
     each row with :func:`~prioritygames.congestion.step_state` from the
-    strategy the replay holds, so each row's level-count table is derived
-    from the row before it in certify, never from a table, weight or record
-    the solver priced.  The insertion rule steps its own
-    :class:`~prioritygames.potentials.InsertionRun`.  After the last row
+    strategy the replay holds, so each row's level-count table, and the
+    held run's value, is derived from the row before it in certify, never
+    from a table, weight or record the solver priced.  After the last row
     the stepped table must equal a fresh count of a new copy of the final
-    state; for insertion the running potential must equal a fresh
-    :func:`~prioritygames.potentials.insertion_potential` of it, and for
-    lex, when the final state is full, the running vector a fresh
+    state, and the held run's value of the final state the run's fresh
+    function of that copy:
+    :func:`~prioritygames.potentials.insertion_potential`,
+    :func:`~prioritygames.potentials.level_potential` at the run's level,
+    or, for a full final state,
     :func:`~prioritygames.potentials.lex_potential_singleton`.  A
     difference is a fault in certify itself, raised as
     ``InvariantViolatedError``.
@@ -230,25 +231,21 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     tally(game, state)  # the replay's own table, stepped row by row from here
 
     shared = not game.player_specific
+    # the rule's running potential: one LexRun or InsertionRun for the whole
+    # replay, or a new LevelRun on each layer phase
+    held: LexRun | InsertionRun | LevelRun | None = None
     if trace.kind == "insertion" and game.is_singleton_game():
-        rule = "insertion"
+        rule, held = "insertion", InsertionRun(game, state)
     elif trace.kind == "br" and shared and game.is_singleton_game():
-        rule = "lex"
+        rule, held = "lex", LexRun(game)
+        if state.is_full(game):  # every block of the validated start, so each row
+            held.at(state)  # re-derives only its own
     elif trace.kind == "layered" and shared and game.priorities.consistent:
         rule = "layer"
     else:
         rule = None
-
-    descent = None  # descending runs: (phase, potential) of the last row tracked
-    # lex runs: the replay's running vector, re-deriving only changed blocks
-    lex = LexRun(game) if rule == "lex" else None
-    if lex is not None and state.is_full(game):
-        # every block of the validated start, so each row re-derives only its own
-        descent = ("", lex.at(state))
-    # insertion runs: the running records, and the potential at the last
-    # round boundary
-    run = InsertionRun(game, state) if rule == "insertion" else None
-    round_potential = None if run is None else run.value
+    # insertion runs: the potential at the last round boundary
+    round_potential = held.value if rule == "insertion" else None
     rebalanced = False
 
     for pos, step in enumerate(trace.steps):
@@ -289,20 +286,25 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         if level is None and step.phase.startswith("layer:"):
             flag(idx, "BAD_PHASE", f"malformed layer phase {step.phase!r}")
             if rule == "layer":
-                descent = None  # the next row starts its layer's checks afresh
+                held = None  # the next layer row starts its run afresh
 
-        if run is not None:
+        above = None  # the held value this row's potential must fall below
+        if rule == "insertion":
             changed = (actual_frm or frozenset()) ^ (step.to or frozenset())
-            potential = run.step(state, step.player, changed)
-        elif lex is not None and state.is_full(game):
-            potential = lex.at(state)
+            potential = held.step(state, step.player, changed)
+        elif rule == "lex" and state.is_full(game):
+            above, potential = held.value, held.at(state)
             if len(potential.pairs) != game.n_players:  # a block the vector failed to re-derive
                 raise InvariantViolatedError(
                     f"certify's running lexicographic potential has {len(potential.pairs)}"
                     f" pairs for {game.n_players} players"
                 )
         elif rule == "layer" and level is not None:
-            potential = level_potential(game, state, level)
+            if held is None or held.q != level:
+                held = LevelRun(game, state, level)
+            elif step.frm is not None and step.to is not None:
+                above = held.value
+            potential = held.at(state)
         else:
             potential = None
         if step.potential and potential is not None and step.potential != potential.canonical():
@@ -311,19 +313,13 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                 "POTENTIAL_MISMATCH",
                 f"recorded {step.potential!r}, recomputed {potential.canonical()!r}",
             )
-
-        if potential is not None and rule in ("lex", "layer"):
-            phase = step.phase if rule == "layer" else ""
-            checked = rule == "lex" or (step.frm is not None and step.to is not None)
-            if descent is not None and descent[0] == phase and checked:
-                if not _falls(potential, descent[1]):
-                    what = "lexicographic" if rule == "lex" else f"level {level} scalar"
-                    flag(idx, "POTENTIAL_NOT_DECREASING", f"{what} potential")
-            descent = (phase, potential)
+        if above is not None and not falls(potential, above):
+            what = "lexicographic" if rule == "lex" else f"level {level} scalar"
+            flag(idx, "POTENTIAL_NOT_DECREASING", f"{what} potential")
 
         rebalanced = rebalanced or step.phase == "rebalance"
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
-        if run is not None and (nxt is None or nxt.round != step.round):
+        if rule == "insertion" and (nxt is None or nxt.round != step.round):
             # rebalance rounds repair the invariant and owe no strict rise
             if not rebalanced and insertion_potential_compare(round_potential, potential) != LESS:
                 flag(
@@ -331,7 +327,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     "POTENTIAL_NOT_INCREASING",
                     f"insertion potential did not rise across round {step.round}",
                 )
-            for p in sorted(run.improvable):
+            for p in sorted(held.improvable):
                 flag(
                     idx,
                     "INCENTIVE_BROKEN",
@@ -346,40 +342,32 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             flag(-1, "PARTIAL_FINAL", "converged run left players unplaced")
         elif not is_pure_nash(game, state):
             flag(-1, "NOT_EQUILIBRIUM", "final profile is not a pure Nash equilibrium")
-    _check_replay(game, state, run, lex)
+    _check_replay(game, state, held)
     return report
 
 
-def _check_replay(
-    game: Game, state: State, run: InsertionRun | None, lex: LexRun | None
-) -> None:
+def _check_replay(game: Game, state: State, held: LexRun | InsertionRun | LevelRun | None) -> None:
     """The stepped table against a fresh count of the replay's final state,
-    and an insertion run's running potential, or a full lex run's running
-    vector, against a fresh evaluation of a new copy of it (the copy keeps
-    the records kept for ``state`` unread; ``level_counts`` reads no
-    slot)."""
+    and the held run's potential of it against its fresh function of a new
+    copy (the copy keeps the records kept for ``state`` unread;
+    ``level_counts`` reads no slot).  A lex run is held to full states
+    only."""
     if tally(game, state) != level_counts(game, state):
         raise InvariantViolatedError("certify's stepped count table differs from a fresh count")
-    if run is not None and run.value != insertion_potential(game, state.copy()):
+    copy = state.copy()
+    if isinstance(held, InsertionRun):
+        what, kept, fresh = "insertion", held.value, insertion_potential(game, copy)
+    elif isinstance(held, LevelRun):
+        what, kept, fresh = "level", held.at(state), level_potential(game, copy, held.q)
+    elif isinstance(held, LexRun) and state.is_full(game):
+        what, kept, fresh = "lexicographic", held.at(state), lex_potential_singleton(game, copy)
+    else:
+        return
+    if kept != fresh:
         raise InvariantViolatedError(
-            "certify's running insertion potential differs from a fresh evaluation"
-        )
-    if (
-        lex is not None
-        and state.is_full(game)
-        and lex.at(state) != lex_potential_singleton(game, state.copy())
-    ):
-        raise InvariantViolatedError(
-            "certify's running lexicographic potential differs from a fresh evaluation"
+            f"certify's running {what} potential differs from a fresh evaluation"
         )
 
 
 def _fmt(s: frozenset[str] | None) -> str:
     return "-" if s is None else "+".join(sorted(s)) or "{}"
-
-
-def _falls(new: LexVector | ScalarPotential, old: LexVector | ScalarPotential) -> bool:
-    """Whether a descending run's potential dropped; a scalar +inf plateau counts."""
-    if isinstance(new, LexVector):
-        return lex_compare(new, old) == LESS
-    return new.value < old.value or not (new.value.is_finite or old.value.is_finite)

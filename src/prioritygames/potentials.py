@@ -16,12 +16,14 @@ Each potential's public function is a function of one state.  The
 priority-game potentials read its counts from the state's
 :func:`~prioritygames.congestion.tally` table; the market potential tallies
 each resource's users by raw cost in one pass over the profile.  Along a
-run, :class:`LexRun` keeps the lexicographic vector's per-resource blocks
-and re-derives only those whose level-count row a state changed, with the
-same block builder and key check as :func:`lex_potential_singleton`, and
-:class:`InsertionRun` keeps the insertion potential's tolerance records and
-re-prices only those a row can change.  Everything compares exactly; no
-tolerances anywhere.
+run, :class:`LexRun` and :class:`LevelRun` keep one part per resource, a
+block of pairs or a level-q term, beside the level-count row it was read
+from, and re-derive only the parts whose row a state changed, with the
+same builders as :func:`lex_potential_singleton` and
+:func:`level_potential`; :class:`InsertionRun` keeps the insertion
+potential's tolerance records and re-prices only those a row can change.
+:func:`falls` is the one strict-drop rule of the descending runs.
+Everything compares exactly; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -210,21 +212,44 @@ def lex_potential_singleton(game: Game, prof: State) -> LexVector:
     return _lex_vector(blocks, "delay")
 
 
-class LexRun:
+class _RowRun:
+    """A potential of the states of one run, kept as one part per resource
+    beside the level-count row the part was read from.
+
+    :meth:`at` reads a state's :func:`tally` table and re-derives only the
+    parts whose row differs from the kept one, by identity first, then by
+    equality.  Keeping rows by reference is sound: a table is never changed
+    once counted, and :func:`~prioritygames.congestion.step_state` copies a
+    row before it changes it and shares every other row.  So a step, which
+    moves one player, re-derives at most two parts, and a state counted
+    afresh gets the same value.  The caller vouches for every state being
+    legal (a run validates its start once and then steps by legal moves).
+    """
+
+    def __init__(self, game: Game):
+        self.game = game
+        self._rows: dict[str, dict[int, int] | None] = dict.fromkeys(game.resources)
+        self.value = None
+
+    def at(self, state: State):
+        """The value of ``state``."""
+        counts = tally(self.game, state)
+        for rid, kept in self._rows.items():
+            row = counts.get(rid)
+            if row is not kept and row != kept:
+                self._rederive(rid, row)
+        if self.value is None:
+            self.value = self._merge()
+        return self.value
+
+
+class LexRun(_RowRun):
     """The lexicographic potential of the states of one run, kept by blocks.
 
-    Per resource it keeps the level-count row it last read and the entries
-    of the block of pairs :func:`_delay_block` derived from that row: per
-    pair, its integer key (its level, for an infinite pair), its canonical
-    ``"{cost}@{level}"`` token and the pair.  :meth:`at` reads a state's
-    :func:`tally` table and re-derives only the blocks whose row differs
-    from the kept one, by identity first, then by equality.  Keeping rows
-    by reference is sound: a table is never changed once counted, and
-    :func:`~prioritygames.congestion.step_state` copies a row before it
-    changes it and shares every other row.  A step moves one player, so it
-    changes at most two rows and re-derives at most two blocks; a state
-    counted afresh compares every row by equality and gets the same vector.
-    A state whose rows all match the kept ones gets the last vector back.
+    Per resource it keeps (see :class:`_RowRun`) the entries of the block
+    of pairs :func:`_delay_block` derived from its row: per pair, its
+    integer key (its level, for an infinite pair), its canonical
+    ``"{cost}@{level}"`` token and the pair.
 
     All keys share one running ``scale`` and the game's level width.  The
     scale only grows: when a re-derived block brings a denominator that
@@ -234,34 +259,21 @@ class LexRun:
     keys (the infinite ones, rare, sort apart on their levels) and one join
     of their tokens: no ``ExtCost`` is compared.
 
-    The caller vouches for every state being legal (a run validates its
-    start once and then steps by legal moves); only fullness is the
-    caller's to check, since the vector of a partial state is not the
-    potential.
+    Only fullness is the caller's to check, since the vector of a partial
+    state is not the potential.
     """
+
+    value: LexVector | None
 
     def __init__(self, game: Game):
         _require_shared_singleton(game)
-        self.game = game
+        super().__init__(game)
         self.scale = 1
         self.width = 1 + max(map(game.priorities.max_level, game.resources), default=0)
-        self._rows: dict[str, dict[int, int] | None] = dict.fromkeys(game.resources)
         self._finite: dict[str, list[tuple[int, str, Pair]]] = {r: [] for r in game.resources}
         self._infinite: dict[str, tuple[tuple[int, str, Pair], ...]] = dict.fromkeys(
             game.resources, ()
         )
-        self._last: LexVector | None = None  # the vector of the rows kept
-
-    def at(self, state: State) -> LexVector:
-        """The vector of ``state``, with its keys and its text."""
-        counts = tally(self.game, state)
-        for rid, kept in self._rows.items():
-            row = counts.get(rid)
-            if row is not kept and row != kept:
-                self._rederive(rid, row)
-        if self._last is None:
-            self._last = self._merge()
-        return self._last
 
     def _merge(self) -> LexVector:
         merged = sorted(chain.from_iterable(self._finite.values()), key=itemgetter(0))
@@ -287,7 +299,7 @@ class LexRun:
                 self._finite[r] = list(zip(keys, map(itemgetter(1), entries), pairs))
         keys = _block_keys(rid, block, self.scale, self.width, "delay")
         tokens = [f"{c.to_string()}@{q}" for c, q in block]
-        self._rows[rid], self._last = row, None
+        self._rows[rid], self.value = row, None
         self._finite[rid] = list(zip(keys, tokens, block))
         if (cut := len(keys)) < len(block) or self._infinite[rid]:
             tail = block[cut:]
@@ -315,6 +327,14 @@ def lex_compare(a: LexVector, b: LexVector) -> int:
     return EQUAL
 
 
+def falls(new: LexVector | ScalarPotential, old: LexVector | ScalarPotential) -> bool:
+    """Whether a descending run's potential dropped strictly: a vector by
+    :func:`lex_compare`, a scalar by value or on a plateau at +inf."""
+    if isinstance(new, LexVector):
+        return lex_compare(new, old) == LESS
+    return new.value < old.value or not (new.value.is_finite or old.value.is_finite)
+
+
 def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
     """Exact potential of the level-q subgame, read from one state.
 
@@ -326,10 +346,7 @@ def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
     :func:`tally` table; changes under a unilateral level-q deviation
     equal the deviator's cost change exactly.
     """
-    if not game.priorities.consistent:
-        raise InconsistentPrioritiesError("the level potential needs consistent priorities")
-    if game.player_specific:
-        raise PlayerSpecificInputError("the level potential needs one shared delay per resource")
+    _require_level_game(game)
     counts = tally(game, state)
     parts: list[ExtCost] = []
     for rid, row in counts.items():
@@ -338,17 +355,40 @@ def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
     return ScalarPotential(value=sum_costs(parts))
 
 
-def _consistent_level(game: Game, player: int) -> int:
-    levels = {
-        game.priorities.of(rid, player)
-        for rid in game.resources
-        if game.priorities.defined(rid, player)
-    }
-    if len(levels) != 1:
-        raise InconsistentPrioritiesError(
-            f"player {player} has priorities {sorted(levels)} across resources"
-        )
-    return levels.pop()
+def _require_level_game(game: Game) -> None:
+    if not game.priorities.consistent:
+        raise InconsistentPrioritiesError("the level potential needs consistent priorities")
+    if game.player_specific:
+        raise PlayerSpecificInputError("the level potential needs one shared delay per resource")
+
+
+class LevelRun(_RowRun):
+    """The level-q potential of the states of one layer, kept by terms.
+
+    Per resource it keeps (see :class:`_RowRun`) its term of
+    :func:`level_potential`, sum_{k=1..count at q} d(count below q, k),
+    read from its row; the value is the sum of the kept terms.  The
+    layered solver steps one run per shared-delay layer, and
+    ``certify_trace`` starts one on each ``layer:<q>`` phase.
+    """
+
+    value: ScalarPotential | None
+
+    def __init__(self, game: Game, state: State, q: int):
+        _require_level_game(game)
+        super().__init__(game)
+        self.q = q
+        self._terms: dict[str, ExtCost] = {}
+        self.at(state)
+
+    def _merge(self) -> ScalarPotential:
+        return ScalarPotential(sum_costs(self._terms.values()))
+
+    def _rederive(self, rid: str, row: dict[int, int] | None) -> None:
+        self._rows[rid], self.value = row, None
+        below, at_q = count_below(row or {}, self.q), (row or {}).get(self.q, 0)
+        delays = (self.game.delay(None, rid, below, k) for k in range(1, at_q + 1))
+        self._terms[rid] = sum_costs(delays)
 
 
 def market_lex_potential(market: MarketGame, prof: State) -> LexVector:

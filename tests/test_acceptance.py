@@ -17,7 +17,7 @@ import prioritygames as pg
 from conftest import all_profiles, gen_source
 from prioritygames.matroids import base_weight
 from prioritygames.oracle import _profile_is_pne_naive
-from prioritygames.potentials import LESS, _consistent_level
+from prioritygames.potentials import LESS
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -123,7 +123,7 @@ def test_criterion_4_level_potential_is_exact():
             consistent=True,
             levels=2 + subgames % 2,
         )
-        levels = {i: _consistent_level(game, i) for i in game.players()}
+        levels = {i: game.priorities.level(i) for i in game.players()}
         q = rng.choice(sorted(set(levels.values())))
         lower = [i for i in game.players() if levels[i] < q]
         mine = [i for i in game.players() if levels[i] == q]
@@ -345,7 +345,7 @@ def test_criterion_9_step_growth():
             )
             final, trace = pg.solve_consistent_layered(game)
             assert pg.is_pure_nash(game, final)
-            levels = len({_consistent_level(game, i) for i in game.players()})
+            levels = len({game.priorities.level(i) for i in game.players()})
             steps = pg.count_steps(trace).total
             bound = n * n * 4 * levels
             assert steps <= bound, f"n={n} seed={seed}: {steps} steps > bound {bound}"

@@ -213,13 +213,13 @@ class TestLayeredSolver:
             assert final in pg.brute_force_pne(game)
 
     def test_shared_layer_potential_must_drop(self, monkeypatch):
-        # seed 41: greedy placement leaves one layer move, which a constant
-        # level potential would record without a drop
+        # seed 41: greedy placement leaves one layer move, which a layer's
+        # LevelRun summing to a constant would record without a drop
         game = gen_game(41, players=4, resources=3, space_kind="singleton", consistent=True, levels=2)
         _, trace = pg.solve_consistent_layered(game)
         assert any(s.frm is not None for s in trace.steps)
         flat = pg.potentials.ScalarPotential(value=pg.cost(0))
-        monkeypatch.setattr(dynamics, "level_potential", lambda game, state, q: flat)
+        monkeypatch.setattr(pg.potentials.LevelRun, "_merge", lambda run: flat)
         with pytest.raises(pg.InvariantViolatedError, match="potential did not drop"):
             pg.solve_consistent_layered(game)
 

@@ -172,15 +172,41 @@ def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
 
 
 def test_level_potential_once_per_row(monkeypatch, layered_game):
-    solver_calls = count_calls(monkeypatch, dynamics, "level_potential")
+    """No row evaluates the level potential afresh: each layer's
+    ``LevelRun`` re-derives at most two terms per move row, and certify's
+    one fresh ``level_potential`` is its final check."""
+    fresh_calls = count_calls(monkeypatch, potentials, "level_potential")
     _, trace = pg.solve_consistent_layered(layered_game)
     assert pg.count_steps(trace).moves > 0
     assert len({s.phase for s in trace.steps}) == 2
-    assert len(solver_calls) == len(trace.steps)
+    assert fresh_calls == []
 
     certify_calls = count_calls(monkeypatch, oracle, "level_potential")
+    derived: list[list[str]] = [[]]  # per stretch of the replay, the terms derived
+
+    def stepping(*args, original=oracle.step_state):
+        derived.append([])
+        return original(*args)
+
+    def checking(*args, original=oracle._check_replay):
+        derived.append([])
+        return original(*args)
+
+    def deriving(run, rid, row, original=potentials.LevelRun._rederive):
+        derived[-1].append(rid)
+        return original(run, rid, row)
+
+    monkeypatch.setattr(oracle, "step_state", stepping)
+    monkeypatch.setattr(oracle, "_check_replay", checking)
+    monkeypatch.setattr(potentials.LevelRun, "_rederive", deriving)
     assert pg.certify_trace(layered_game, trace).ok
-    assert len(certify_calls) == len(trace.steps)  # no start evaluation
+    assert len(certify_calls) == 1 and fresh_calls == []
+    assert len(derived) == len(trace.steps) + 2
+    _, *rows, _ = derived
+    moves = [(step, rids) for step, rids in zip(trace.steps, rows) if step.frm is not None]
+    assert moves
+    for step, rids in moves:
+        assert len(rids) <= 2 and set(rids) <= step.frm ^ step.to
 
 
 def test_lex_potential_once_per_row_in_certify(monkeypatch, singleton_game):

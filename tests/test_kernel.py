@@ -3,19 +3,24 @@
 The reference functions below rescan every covered player for every
 resource they ask about, as the congestion queries and potentials did before
 they read one shared table.  A seeded sweep over the generator's instance
-classes compares both on full and partial states.
+classes compares both on full and partial states.  The running level
+potential (``LevelRun``) is held to a fresh ``level_potential`` on every
+state of layered traces, and certify's final check is shown to catch a
+kept term no row can see.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import prioritygames as pg
 from conftest import gen_source
-from prioritygames.congestion import level_counts
+from prioritygames import oracle
+from prioritygames.congestion import level_counts, step_state
 from prioritygames.costs import sum_costs
 from prioritygames.matroids import singleton_resources
-from prioritygames.potentials import tolerance
+from prioritygames.potentials import LevelRun, tolerance
 
 # (model, space kind, consistent priorities, player-specific delays)
 CLASSES = (
@@ -372,3 +377,69 @@ def test_kept_flag_matches_has_better_response_on_ties(delay_of):
         for state in partial_states(game, rng):
             flags |= check_records(game, state)
     assert flags == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# The running level potential: kept terms against a fresh evaluation
+
+
+@pytest.mark.parametrize(
+    "model,space", [(m, sp) for m, sp, consistent, specific in CLASSES if consistent and not specific]
+)
+def test_level_run_matches_level_potential_on_layered_traces(model, space):
+    """Every state of each seed's layered trace, for every level of the
+    trace: a ``LevelRun`` stepped along the states the trace's rows derive
+    (rows kept by identity), and one fed fresh copies (rows compared by
+    equality), each equal to a fresh ``level_potential``."""
+    finite = set()
+    for seed in range(12):
+        game = priority_game(
+            gen_source(
+                seed,
+                players=3 + seed % 4,
+                resources=2 + seed % 3,
+                model=model,
+                space_kind=space,
+                levels=2 + seed % 2,
+                consistent=True,
+            )
+        )
+        _, trace = pg.solve_consistent_layered(game)
+        levels = sorted({pg.dynamics.layer_level(s.phase) for s in trace.steps})
+        stepped = {q: LevelRun(game, trace.start, q) for q in levels}
+        states, values = [trace.start], [{q: run.value for q, run in stepped.items()}]
+        for step in trace.steps:
+            states.append(step_state(game, states[-1], step.player, step.to))
+            values.append({q: run.at(states[-1]) for q, run in stepped.items()})
+        copied = {q: LevelRun(game, states[0].copy(), q) for q in levels}
+        for state, got in zip(states, values):
+            for q in levels:
+                expected = pg.level_potential(game, state.copy(), q)
+                assert got[q] == copied[q].at(state.copy()) == expected
+                finite.add(expected.value.is_finite)
+    # classic wraps price a lower level's entry at +inf: plateaus are swept
+    assert finite == ({True, False} if model == "classic" else {True})
+
+
+def test_final_check_catches_a_term_from_a_wrong_row_split(monkeypatch):
+    """A kept term derived from another split of its row's players over the
+    levels leaves every row's recorded potential blank to compare, so only
+    the final fresh check sees it."""
+    game = priority_game(
+        gen_source(10, players=8, resources=4, space_kind="uniform", levels=2, consistent=True)
+    )
+    _, trace = pg.solve_consistent_layered(game)
+    blank = replace(trace, steps=[replace(s, potential="") for s in trace.steps])
+    assert pg.certify_trace(game, blank).ok
+
+    def drifting(game, state, run, original=oracle._check_replay):
+        q = run.q
+        rid, row = next((r, row) for r, row in run._rows.items() if row and row.get(q, 0))
+        split = {**row, q - 1: row.get(q - 1, 0) + 1, q: row[q] - 1}
+        run._rederive(rid, split)
+        run._rows[rid] = row
+        return original(game, state, run)
+
+    monkeypatch.setattr(oracle, "_check_replay", drifting)
+    with pytest.raises(pg.InvariantViolatedError, match="running level potential differs"):
+        pg.certify_trace(game, blank)

@@ -288,13 +288,13 @@ def test_final_check_catches_a_vector_of_the_right_length(monkeypatch):
     the pair count, so only the final fresh check sees it."""
     game, blank = blanked("affine-n40")
 
-    def drifting(game, state, ledger, lex, original=oracle._check_replay):
+    def drifting(game, state, lex, original=oracle._check_replay):
         rid, row = next((r, row) for r, row in lex._rows.items() if row and sum(row.values()) > 1)
         q = max(row)
         split = {1: sum(row.values())} if q > 1 else {1: row[1] - 1, 2: 1}
         lex._rederive(rid, split)
         lex._rows[rid] = row
-        return original(game, state, ledger, lex)
+        return original(game, state, lex)
 
     monkeypatch.setattr(oracle, "_check_replay", drifting)
     with pytest.raises(pg.InvariantViolatedError, match="differs from a fresh evaluation"):

@@ -254,9 +254,7 @@ class TestLevelPotential:
             game = gen_game(
                 2000 + seed, players=4, resources=3, space_kind="mixed", levels=2, consistent=True
             )
-            from prioritygames.potentials import _consistent_level
-
-            levels = {i: _consistent_level(game, i) for i in game.players()}
+            levels = {i: game.priorities.level(i) for i in game.players()}
             for q in sorted(set(levels.values())):
                 lower = [i for i in game.players() if levels[i] < q]
                 mine = [i for i in game.players() if levels[i] == q]
