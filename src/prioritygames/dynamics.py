@@ -126,6 +126,12 @@ def layer_level(phase: str) -> int | None:
     return None if m is None else int(m.group(1))
 
 
+def opens_round(phase: str) -> bool:
+    """Whether a row of this phase opens a round: every row but a discard or
+    a rebalance, which belong to the round of the insertion before them."""
+    return phase not in ("discard", "rebalance")
+
+
 def count_steps(trace: MoveTrace) -> StepStats:
     by_phase: dict[str, int] = {}
     placements = moves = discards = 0

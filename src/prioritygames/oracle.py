@@ -38,7 +38,7 @@ from .congestion import (
 from .core import Game
 from .costs import ExtCost
 from .errors import BudgetExceededError, InvariantViolatedError, ValidationFailed
-from .dynamics import CONVERGED, MoveTrace, layer_level
+from .dynamics import CONVERGED, MoveTrace, layer_level, opens_round
 from .markets import (
     AffineGame,
     ClassicGame,
@@ -167,7 +167,8 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     costs match exact recomputation and are blank for an unplaced or a
     discarded player (``COST_BEFORE_MISMATCH``, ``COST_AFTER_MISMATCH``); a
     move between strategies lowers the recorded and the recomputed cost
-    (``NOT_IMPROVING``); a ``layer:`` phase names a level (``BAD_PHASE``).
+    (``NOT_IMPROVING``); a ``layer:`` phase names a level, on a consistent
+    game the mover's own (``BAD_PHASE``).
 
     One potential rule, chosen from the trace kind and the game, reads each
     replayed row's value from the one running potential certify holds at a
@@ -189,7 +190,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
       :class:`~prioritygames.potentials.InsertionRun`, stepped on every
       row, rises strictly across every round without a ``rebalance`` row
       (``POTENTIAL_NOT_INCREASING``), and after every round nobody has a
-      better response (``INCENTIVE_BROKEN``).  That is read from each
+      better response (``INCENTIVE_BROKEN``); each row but a discard or a
+      rebalance opens a round (:func:`~prioritygames.dynamics.opens_round`),
+      whatever its ``round`` field reads.  The incentives are read from each
       placed player's :func:`~prioritygames.potentials.tolerance` record,
       the one the row's potential summed: her ceiling, the least entry
       cost over her alternatives, below her stay cost.  The solver reads
@@ -230,7 +233,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         return report
     tally(game, state)  # the replay's own table, stepped row by row from here
 
-    shared = not game.player_specific
+    shared, priorities = not game.player_specific, game.priorities
     # the rule's running potential: one LexRun or InsertionRun for the whole
     # replay, or a new LevelRun on each layer phase
     held: LexRun | InsertionRun | LevelRun | None = None
@@ -240,7 +243,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         rule, held = "lex", LexRun(game)
         if state.is_full(game):  # every block of the validated start, so each row
             held.at(state)  # re-derives only its own
-    elif trace.kind == "layered" and shared and game.priorities.consistent:
+    elif trace.kind == "layered" and shared and priorities.consistent:
         rule = "layer"
     else:
         rule = None
@@ -283,8 +286,15 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     flag(idx, "NOT_IMPROVING", "recomputed costs do not drop")
 
         level = layer_level(step.phase)
+        own = priorities.level(step.player) if priorities.consistent else level
         if level is None and step.phase.startswith("layer:"):
-            flag(idx, "BAD_PHASE", f"malformed layer phase {step.phase!r}")
+            bad = f"malformed layer phase {step.phase!r}"
+        elif level is not None and level != own:
+            bad, level = f"player {step.player} of level {own} moves in layer {level}", None
+        else:
+            bad = None
+        if bad is not None:
+            flag(idx, "BAD_PHASE", bad)
             if rule == "layer":
                 held = None  # the next layer row starts its run afresh
 
@@ -319,7 +329,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         rebalanced = rebalanced or step.phase == "rebalance"
         nxt = trace.steps[pos + 1] if pos + 1 < len(trace.steps) else None
-        if rule == "insertion" and (nxt is None or nxt.round != step.round):
+        if rule == "insertion" and (nxt is None or opens_round(nxt.phase)):
             # rebalance rounds repair the invariant and owe no strict rise
             if not rebalanced and insertion_potential_compare(round_potential, potential) != LESS:
                 flag(

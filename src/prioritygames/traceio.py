@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .congestion import State
 from .costs import ExtCost
-from .dynamics import CAP_REACHED, CONVERGED, PHASES, MoveTrace, TraceStep, layer_level
+from .dynamics import CAP_REACHED, CONVERGED, PHASES, MoveTrace, TraceStep, layer_level, opens_round
 from .errors import ParseError
 from .jsonio import is_canonical_player_key
 
@@ -142,10 +142,9 @@ def read_trace_csv(source) -> MoveTrace:
         if phase not in PHASES and layer_level(phase) is None:
             raise ParseError(f"line {lineno}: unknown phase {phase!r}")
         seen_phases.add(phase)
-        # discards and rebalances belong to the round of the insertion that
-        # caused them; lazy-swap grouping is not recoverable from CSV, which
-        # only affects round numbering cosmetically
-        if phase not in ("discard", "rebalance") or not steps:
+        # lazy-swap grouping is not recoverable from CSV, which only affects
+        # round numbering cosmetically
+        if opens_round(phase) or not steps:
             round_no += 1
         try:
             steps.append(

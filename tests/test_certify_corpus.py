@@ -63,7 +63,7 @@ CODES = {
     "NOT_EQUILIBRIUM",
 }
 
-CORPUS_DIGEST = "39f890de70cc2d9436c7977b5edb93fb85b4c3abb6875dc161990c92218a2960"
+CORPUS_DIGEST = "ee0441e52483d8f4293d1afa49c5cc67327b0fd6c7156231917209f3ebdd9fdd"
 
 
 def base_traces():

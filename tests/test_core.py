@@ -45,6 +45,11 @@ class TestBuildGame:
             v.code == "MISSING_ENTRY" and "x=0, y=2" in v.where for v in err.value.violations
         )
 
+    def test_one_level_per_player_needs_consistent_priorities(self, t1, t1_consistent):
+        assert [t1_consistent.priorities.level(p) for p in (1, 2)] == [1, 2]
+        with pytest.raises(pg.InconsistentPrioritiesError):
+            t1.priorities.level(1)
+
     def test_missing_priority_rejected(self):
         with pytest.raises(pg.ValidationFailed) as err:
             pg.build_game(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import prioritygames as pg
@@ -186,12 +188,13 @@ def lex_tie(phase):
 
 
 def layer_moves(phase):
-    """Player 2 (level 2) moves inside level 1's phase: her cost drops
-    (a -> b), the level-1 potential does not; with ``phase`` ``layer:x``
-    she then moves back (b -> a) in level 1's phase."""
-    rows = [("layer:1", 1, "a"), ("layer:1", 2, "a"), (phase, 2, "b")]
+    """Player 1 (level 1) moves between two empty resources (a -> b) in
+    ``phase``: neither her cost nor the level-1 potential drops; with
+    ``phase`` ``layer:x`` she then moves back (b -> a) in level 1's phase,
+    which starts the layer's run afresh."""
+    rows = [("layer:1", 1, "a"), (phase, 1, "b")]
     if phase != "layer:1":
-        rows.append(("layer:1", 2, "a"))
+        rows.append(("layer:1", 1, "a"))
     return lambda g: replayed(g, "layered", {}, rows, CAP)
 
 
@@ -288,12 +291,27 @@ CERTIFY_CASES = {
     "layer-not-decreasing": (
         make_t1_consistent,
         layer_moves("layer:1"),
-        [(2, "POTENTIAL_NOT_DECREASING", "level 1 scalar potential")],
+        [
+            (1, "NOT_IMPROVING"),
+            (1, "NOT_IMPROVING"),
+            (1, "POTENTIAL_NOT_DECREASING", "level 1 scalar potential"),
+        ],
     ),
     "layer-restarts-after-bad-phase": (
         make_t1_consistent,
         layer_moves("layer:x"),
-        [(2, "BAD_PHASE"), (3, "NOT_IMPROVING"), (3, "NOT_IMPROVING")],
+        [
+            (1, "NOT_IMPROVING"),
+            (1, "NOT_IMPROVING"),
+            (1, "BAD_PHASE"),
+            (2, "NOT_IMPROVING"),
+            (2, "NOT_IMPROVING"),
+        ],
+    ),
+    "layer-of-another-level": (
+        make_t1_consistent,
+        lambda g: replayed(g, "layered", {}, [("layer:1", 1, "a"), ("layer:1", 2, "b")], CAP),
+        [(1, "BAD_PHASE", "player 2 of level 2 moves in layer 1")],
     ),
     "insertion-not-increasing": (
         make_t1,
@@ -331,6 +349,50 @@ def test_each_violation_code_is_found(case):
     found = [(v.step, v.code, v.message) for v in pg.certify_trace(game, build(game)).violations]
     assert [f[: len(e)] for f, e in zip(found, expected)] == expected
     assert len(found) == len(expected)
+
+
+def test_insertion_rounds_come_from_the_phases():
+    """Every row but a discard or a rebalance opens a round, whatever its
+    ``round`` field reads: T1's rows "place 1 on a, place 2 on a, move 2 to
+    b" numbered 0, 0, 0 report the INCENTIVE_BROKEN they do numbered 0, 1, 2."""
+    game = make_t1()
+    rows = [("insert", 1, "a"), ("insert", 2, "a"), ("insert", 2, "b")]
+    numbered = replayed(game, "insertion", {}, rows)
+    assert [s.round for s in numbered.steps] == [0, 1, 2]
+    for trace in (numbered, replace(numbered, steps=[replace(s, round=0) for s in numbered.steps])):
+        found = [(v.step, v.code) for v in pg.certify_trace(game, trace).violations]
+        assert found == [(1, "INCENTIVE_BROKEN")]
+
+
+# a player-specific consistent game: certify applies no potential rule to
+# its layered trace, so only the check of each row's layer against the
+# mover's level sees a relabelled one
+RELABELS = {"all-layer-1": lambda q: 1, "layer-99": lambda q: 99, "reversed": lambda q: 4 - q}
+
+
+@pytest.mark.parametrize("edit,count", [("all-layer-1", 4), ("layer-99", 7), ("reversed", 4)])
+def test_relabelled_layers_are_bad_phases(edit, count):
+    game = gen_game(
+        10,
+        players=6,
+        resources=4,
+        space_kind="uniform",
+        levels=3,
+        consistent=True,
+        player_specific=True,
+    )
+    _, trace = pg.solve_consistent_layered(game)
+    assert [s.phase for s in trace.steps] == ["layer:1"] * 3 + ["layer:2"] * 3 + ["layer:3"]
+    assert pg.certify_trace(game, trace).ok
+    label = {s.index: RELABELS[edit](pg.dynamics.layer_level(s.phase)) for s in trace.steps}
+    relabelled = replace(
+        trace, steps=[replace(s, phase=f"layer:{label[s.index]}") for s in trace.steps]
+    )
+    found = pg.certify_trace(game, relabelled).violations
+    assert [v.code for v in found] == ["BAD_PHASE"] * count
+    assert [v.step for v in found] == [
+        s.index for s in trace.steps if game.priorities.level(s.player) != label[s.index]
+    ]
 
 
 def test_every_violation_code_has_a_case():
