@@ -410,10 +410,11 @@ def solve_consistent_layered(game: Game) -> tuple[State, MoveTrace]:
     A shared-delay layer then runs :func:`run_dynamics`' roundrobin scan
     over its players; its rows record the level's exact scalar potential,
     read from one :class:`~prioritygames.potentials.LevelRun`, which must
-    drop with each move (:func:`~prioritygames.potentials.falls`).  Player-specific layers run
-    displaced-player-first dynamics under a cap of n^2 * m * (#levels)
-    steps with ``LAYER_RESTARTS`` deterministic restarts from rotated bases;
-    exhausting them raises LAYER_CAP_EXHAUSTED rather than returning.
+    drop with each move (:func:`~prioritygames.potentials.falls`).
+    Player-specific layers run displaced-player-first dynamics under a cap
+    of n^2 * m * (#levels) steps with ``LAYER_RESTARTS`` deterministic
+    restarts from rotated bases; exhausting them raises
+    LAYER_CAP_EXHAUSTED rather than returning.
     """
     if not game.priorities.consistent:
         raise InconsistentPrioritiesError("layered construction needs consistent priorities")

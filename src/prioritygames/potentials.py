@@ -222,8 +222,10 @@ class _RowRun:
     once counted, and :func:`~prioritygames.congestion.step_state` copies a
     row before it changes it and shares every other row.  So a step, which
     moves one player, re-derives at most two parts, and a state counted
-    afresh gets the same value.  The caller vouches for every state being
-    legal (a run validates its start once and then steps by legal moves).
+    afresh gets the same value.  A subclass's ``_rederive`` keeps the new
+    row and part and clears ``value``; ``_merge`` sums up the kept parts.
+    The caller vouches for every state being legal (a run validates its
+    start once and then steps by legal moves).
     """
 
     def __init__(self, game: Game):

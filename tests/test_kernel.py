@@ -383,16 +383,14 @@ def test_kept_flag_matches_has_better_response_on_ties(delay_of):
 # The running level potential: kept terms against a fresh evaluation
 
 
-@pytest.mark.parametrize(
-    "model,space", [(m, sp) for m, sp, consistent, specific in CLASSES if consistent and not specific]
-)
+@pytest.mark.parametrize("model,space", [(m, sp) for m, sp, c, s in CLASSES if c and not s])
 def test_level_run_matches_level_potential_on_layered_traces(model, space):
     """Every state of each seed's layered trace, for every level of the
     trace: a ``LevelRun`` stepped along the states the trace's rows derive
     (rows kept by identity), and one fed fresh copies (rows compared by
     equality), each equal to a fresh ``level_potential``."""
     finite = set()
-    for seed in range(12):
+    for seed in SEEDS:
         game = priority_game(
             gen_source(
                 seed,
@@ -422,9 +420,9 @@ def test_level_run_matches_level_potential_on_layered_traces(model, space):
 
 
 def test_final_check_catches_a_term_from_a_wrong_row_split(monkeypatch):
-    """A kept term derived from another split of its row's players over the
-    levels leaves every row's recorded potential blank to compare, so only
-    the final fresh check sees it."""
+    """With the recorded potentials blanked, no row compares a value: a kept
+    term derived from another split of its row's players over the levels
+    is seen only by certify's final fresh check."""
     game = priority_game(
         gen_source(10, players=8, resources=4, space_kind="uniform", levels=2, consistent=True)
     )
