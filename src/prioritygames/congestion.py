@@ -3,10 +3,9 @@
 A :class:`State` maps a subset of players to strategies; a profile is a
 state covering everyone.  Every function here returns what a pure function
 of its arguments would; :func:`tally` only remembers the last state it
-counted, with its count table, entry weights and tolerances, and
-:func:`step_state` hands that slot on to the state it steps to.  Costs of
-players outside a state are an error, never zero (the insertion machinery
-relies on that distinction).
+counted, with its count table, and :func:`step_state` hands that slot on to
+the state it steps to.  Costs of players outside a state are an error,
+never zero (the insertion machinery relies on that distinction).
 """
 
 from __future__ import annotations
@@ -187,24 +186,22 @@ def level_counts(game: Game, state: State) -> LevelCounts:
 def tally(game: Game, state: State) -> LevelCounts:
     """The state's :func:`level_counts` table, counted once per state object.
 
-    The game keeps the last state counted here in one slot, with its table,
-    the :func:`entry_weights` priced on it, and the
-    :func:`~prioritygames.potentials.tolerance` records of its singleton
-    players with the (below, at) level counts they read.  A query on that
-    same state object reads the slot; any other state, even an equal one,
-    is counted afresh and replaces it, after the count succeeds.  A state
+    The game keeps the last state counted here in one slot, with its table
+    and nothing else; only this module reads the slot.  A query on that same
+    state object reads the slot; any other state, even an equal one, is
+    counted afresh and replaces it, after the count succeeds.  A state
     reached by :func:`step_state` from the state in the slot takes the slot
     with a table derived from its predecessor's, not counted.  States are
     immutable, so a kept table is what a fresh count would give.  Every
     cost, weight, potential and tolerance query reads its counts here, so a
     solver, or ``certify_trace``'s replay, that moves from state to state
-    counts each state once.  The slot is shared: read it, never change it.
+    counts each state once.  The table is shared: read it, never change it.
     """
     kept = game._tally
     if kept is not None and kept[0] is state:
         return kept[1]
     table = level_counts(game, state)
-    object.__setattr__(game, "_tally", (state, table, {}, {}, {}))
+    object.__setattr__(game, "_tally", (state, table))
     return table
 
 
@@ -244,7 +241,7 @@ def step_state(
                 table[r] = row
             else:
                 del table[r]
-        object.__setattr__(game, "_tally", (new, table, {}, {}, {}))
+        object.__setattr__(game, "_tally", (new, table))
     return new
 
 
@@ -286,21 +283,17 @@ def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
     uses r her own membership is counted once, elsewhere she joins r's
     count at her level.  Summing weights over any candidate strategy
     reproduces its exact cost, which is what makes greedy best responses
-    exact for matroid spaces.  Weights are priced once per state object:
-    once every probe succeeds they are kept in its :func:`tally` slot, and
-    a second query returns the same dict.  Read it, never change it.
+    exact for matroid spaces.  Every call prices her whole ground afresh;
+    a caller that needs the weights twice keeps them.
     """
     counts = tally(game, state)
-    priced = game._tally[2]  # the slot tally just kept for this state
-    if (weights := priced.get(player)) is None:
-        own = state._strats.get(player, frozenset())
-        weights = {}
-        for r in sorted(game.ground_of(player)):
-            q = game.priority(r, player)
-            row = counts.get(r, {})
-            same = row.get(q, 0) + (0 if r in own else 1)
-            weights[r] = game.delay(player, r, count_below(row, q), same)
-        priced[player] = weights
+    own = state._strats.get(player, frozenset())
+    weights = {}
+    for r in sorted(game.ground_of(player)):
+        q = game.priority(r, player)
+        row = counts.get(r, {})
+        same = row.get(q, 0) + (0 if r in own else 1)
+        weights[r] = game.delay(player, r, count_below(row, q), same)
     return weights
 
 

@@ -377,9 +377,8 @@ class Game:
     singleton: bool  # every strategy space is singleton, fixed by build_game
     # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (state, level-count table, player -> entry weights, player -> tolerance
-    # record, (resource, level) -> (count below, count at)) of the last state
-    # congestion.tally counted
+    # the last state congestion.tally counted, with its level-count table;
+    # only congestion.py reads it
     _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def players(self) -> range:

@@ -19,14 +19,14 @@ Three solvers, all emitting full replayable traces:
   re-queueing her too, so every round provably ends with nobody wanting
   to move.
 
-The descent asks who wants to move of
-:func:`~prioritygames.congestion.best_response`, which prices each player
-once per state, and keeps every answer a row cannot have changed, an
-improver's included: it re-asks a player only when a row at her level or
-above touched her ground (the level rule of :func:`_drop_answers`).  The
-insertion solver reads the same verdict from the tolerance records of its
+The descent asks who wants to move by pricing her entry weights once and
+applying :func:`~prioritygames.congestion.best_response`'s rule to them,
+and keeps every answer a row cannot have changed, an improver's included:
+it re-asks a player only when a row at her level or above touched her
+ground (the level rule of :func:`_drop_answers`).  The insertion solver
+reads the same verdict from the tolerance records of its
 :class:`~prioritygames.potentials.InsertionRun`, which re-prices them by the
-same rule.  Every solver steps from state to state by
+same rule, read off the changed count rows.  Every solver steps from state to state by
 :func:`~prioritygames.congestion.step_state`, which derives the new state's
 count table from the old one.  Moves of matroid players are realized as
 chains of single-element swaps whenever every link strictly decreases the
@@ -295,8 +295,10 @@ def _descend(
     """Better-response moves of ``movers`` until none improves or the trace
     holds ``cap`` rows; returns the state, the next round and the status.
 
-    A scan asks each mover in turn for her :func:`best_response`; she
-    improves when it is not her strategy.  Roundrobin moves the first
+    A scan asks each mover in turn: her entry weights, priced once, and
+    ``greedy_min_base`` over them; she improves when the greedy base is
+    strictly cheaper than her strategy, :func:`best_response`'s rule.
+    Roundrobin moves the first
     improver after the last mover, first the first in ``movers``, best the
     steepest gain (ties to the earliest).  The entry weights her answer was
     priced from give the gain, the swaps and both costs of every row,
@@ -324,13 +326,13 @@ def _descend(
         for off in range(len(movers)):
             p = movers[(begin + off) % len(movers)]
             if (answer := answers.get(p)) is None:
-                br, mine = best_response(game, state, p), state.strategy(p)
                 w = entry_weights(game, state, p)
-                own = base_weight(mine, w)
-                if br != mine:
-                    answer = answers[p] = (br, w, improvement(own, base_weight(br, w)))
+                br, mine = greedy_min_base(game.spaces[p], w), state.strategy(p)
+                own, new = base_weight(mine, w), base_weight(br, w)
+                if new < own:
+                    answer = answers[p] = (br, w, improvement(own, new))
                 elif own.is_finite:
-                    answer = answers[p] = (br, w, None)
+                    answer = answers[p] = (mine, w, None)
                 else:
                     continue
             br, w, gain = answer
@@ -507,12 +509,12 @@ def _solve_layer_capped(
         while pending:
             i = pending.popleft()
             queued.discard(i)
-            br = best_response(game, working, i)
-            if br != working.strategy(i):
+            weights = entry_weights(game, working, i)
+            br = greedy_min_base(game.spaces[i], weights)
+            if base_weight(br, weights) < base_weight(working.strategy(i), weights):
                 if steps_used >= cap:
                     break
                 others_before = {j: player_cost(game, working, j) for j in layer if j != i}
-                weights = entry_weights(game, working, i)
                 for nxt in _decompose_move(game, working, i, br, weights):
                     frm, working = working.strategy(i), step_state(game, working, i, nxt)
                     _append_move(trace, round_no, phase, i, frm, nxt, weights, "")
@@ -573,13 +575,13 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     are covered by the safety cap.
 
     Who has a better response, and every recorded potential, is read from
-    one :class:`~prioritygames.potentials.InsertionRun`.  It keeps each
-    placed player's tolerance record, whose ``improvable`` flag is exactly
-    ``has_better_response`` for a singleton player, and after each row
-    re-prices only the records the level rule names: a row of mover m on
-    resource r changes counts only on r, at m's level q there, so only m
-    and the players p of ``reach[r]`` with ``priority(r, p) >= q``.  A
-    resident improves when she is in ``run.improvable``, and the stray scan
+    one :class:`~prioritygames.potentials.InsertionRun`, read by ``at``
+    after each row.  It keeps each placed player's tolerance record, whose
+    ``improvable`` flag is exactly ``has_better_response`` for a singleton
+    player, and re-prices only the records the level rule names: a row of
+    mover m on resource r changes r's count row only at m's level q there,
+    so only the players p of ``reach[r]`` with ``priority(r, p) >= q``, m
+    among them.  A resident improves when she is in ``run.improvable``, and the stray scan
     discards its least member until it is empty.  That is the least
     improver among the players whose ground holds a resource touched this
     round: the set is empty when a round begins (the round invariant), and
@@ -600,18 +602,13 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         max((game.priorities.max_level(r) for r in game.resources), default=1) + 1
     )
 
-    def step(j: int, frm: frozenset[str], to: frozenset[str] | None) -> InsertionPotentialValue:
-        """Move ``j`` from ``frm`` (empty: unplaced) to ``to`` (None: unplace
-        her); the new potential."""
-        nonlocal state
-        state = step_state(game, state, j, to)
-        return run.step(state, j, frm ^ (to or frozenset()))
-
     def discard(phase: str, j: int) -> InsertionPotentialValue:
         """Unplace ``j``, requeue her and record the row; the new potential."""
+        nonlocal state
         frm = state.strategy(j)
         cost = player_cost(game, state, j)  # priced on the state she leaves
-        potential = step(j, frm, None)
+        state = step_state(game, state, j, None)
+        potential = run.at(state)
         queue.append(j)
         _append_row(trace, round_no, phase, j, frm, None, cost, None, potential.canonical())
         return potential
@@ -631,7 +628,8 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             for p, _ in reach[rid]
             if p in run.records and rid in state.strategy(p)
         }
-        potential = step(i, frozenset(), placed)
+        state = step_state(game, state, i, placed)
+        potential = run.at(state)
         # her entry weight at rid is exactly her cost once placed there
         _append_row(
             trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()

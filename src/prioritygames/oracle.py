@@ -12,8 +12,9 @@ The replay shares with the solvers the state stepping
 (:class:`~prioritygames.potentials.LexRun`,
 :class:`~prioritygames.potentials.LevelRun`,
 :class:`~prioritygames.potentials.InsertionRun`), each run on certify's own
-states, one held at a time; the insertion solver and certify both read
-their per-round incentive verdicts from the run's tolerance records.  Two
+states, one held at a time and read by ``at(state)``; the insertion solver
+and certify both read their per-round incentive verdicts from the run's
+tolerance records.  Two
 things stay apart from that running bookkeeping: the naive enumeration
 above, and the final checks, which hold the final state to the greedy
 ``is_pure_nash``, and the stepped table and the held run to a fresh count
@@ -187,7 +188,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
       ``BAD_PHASE`` row; every later move row of the phase lowers it
       (``POTENTIAL_NOT_DECREASING``);
     * ``insertion`` on a singleton game: one
-      :class:`~prioritygames.potentials.InsertionRun`, stepped on every
+      :class:`~prioritygames.potentials.InsertionRun`, read on every
       row, rises strictly across every round without a ``rebalance`` row
       (``POTENTIAL_NOT_INCREASING``), and after every round nobody has a
       better response (``INCENTIVE_BROKEN``); each row but a discard or a
@@ -300,8 +301,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         above = None  # the held value this row's potential must fall below
         if rule == "insertion":
-            changed = (actual_frm or frozenset()) ^ (step.to or frozenset())
-            potential = held.step(state, step.player, changed)
+            potential = held.at(state)
         elif rule == "lex" and state.is_full(game):
             above, potential = held.value, held.at(state)
             if len(potential.pairs) != game.n_players:  # a block the vector failed to re-derive
@@ -358,21 +358,21 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
 def _check_replay(game: Game, state: State, held: LexRun | InsertionRun | LevelRun | None) -> None:
     """The stepped table against a fresh count of the replay's final state,
-    and the held run's potential of it against its fresh function of a new
-    copy (the copy keeps the records kept for ``state`` unread;
-    ``level_counts`` reads no slot).  A lex run is held to full states
+    and the held run's potential of it, read by ``at`` as on every row,
+    against its fresh function of a new copy (``level_counts`` and the copy
+    read no table certify stepped).  A lex run is held to full states
     only."""
     if tally(game, state) != level_counts(game, state):
         raise InvariantViolatedError("certify's stepped count table differs from a fresh count")
-    copy = state.copy()
-    if isinstance(held, InsertionRun):
-        what, kept, fresh = "insertion", held.value, insertion_potential(game, copy)
-    elif isinstance(held, LevelRun):
-        what, kept, fresh = "level", held.at(state), level_potential(game, copy, held.q)
-    elif isinstance(held, LexRun) and state.is_full(game):
-        what, kept, fresh = "lexicographic", held.at(state), lex_potential_singleton(game, copy)
-    else:
+    if held is None or isinstance(held, LexRun) and not state.is_full(game):
         return
+    kept, copy = held.at(state), state.copy()
+    if isinstance(held, InsertionRun):
+        what, fresh = "insertion", insertion_potential(game, copy)
+    elif isinstance(held, LevelRun):
+        what, fresh = "level", level_potential(game, copy, held.q)
+    else:
+        what, fresh = "lexicographic", lex_potential_singleton(game, copy)
     if kept != fresh:
         raise InvariantViolatedError(
             f"certify's running {what} potential differs from a fresh evaluation"

@@ -20,8 +20,9 @@ run, :class:`LexRun` and :class:`LevelRun` keep one part per resource, a
 block of pairs or a level-q term, beside the level-count row it was read
 from, and re-derive only the parts whose row a state changed, with the
 same builders as :func:`lex_potential_singleton` and
-:func:`level_potential`; :class:`InsertionRun` keeps the insertion
-potential's tolerance records and re-prices only those a row can change.
+:func:`level_potential`; :class:`InsertionRun` keeps the rows and the
+insertion potential's tolerance records, and re-prices only the records a
+changed row can change.  All three read a state by ``at(state)``.
 :func:`falls` is the one strict-drop rule of the descending runs.
 Everything compares exactly; no tolerances anywhere.
 """
@@ -33,10 +34,9 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import itemgetter, le
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .congestion import (
-    LevelCounts,
     State,
     congestion_view,  # noqa: F401  (bench/test_bench.py reads it from this module)
     count_below,
@@ -223,9 +223,10 @@ class _RowRun:
     row before it changes it and shares every other row.  So a step, which
     moves one player, re-derives at most two parts, and a state counted
     afresh gets the same value.  A subclass's ``_rederive`` keeps the new
-    row and part and clears ``value``; ``_merge`` sums up the kept parts.
-    The caller vouches for every state being legal (a run validates its
-    start once and then steps by legal moves).
+    row and its part, or queues what the row changes, and clears ``value``;
+    ``_merge`` builds the value from the kept parts.  The caller vouches
+    for every state being legal (a run validates its start once and then
+    steps by legal moves).
     """
 
     def __init__(self, game: Game):
@@ -449,7 +450,7 @@ class Tolerance(NamedTuple):
 
 
 def tolerance(game: Game, state: State, player: int) -> Tolerance:
-    """The player's :class:`Tolerance` record, priced once per state object.
+    """The player's :class:`Tolerance` record, priced afresh on every call.
 
     Only her alternatives are priced: the ceiling is the least post-move
     delay over ``singleton_resources`` of her space other than her own
@@ -465,39 +466,26 @@ def tolerance(game: Game, state: State, player: int) -> Tolerance:
     For a singleton player, ``improvable`` is exactly
     :func:`~prioritygames.congestion.has_better_response`: her entry weight
     on her own resource is her stay cost, and a better strategy is an
-    alternative strictly below it.  The record is kept in the state's
-    :func:`tally` slot beside her entry weights, so a second query on the
-    same state object is a lookup.
+    alternative strictly below it.  Nothing is kept: the runs that reuse
+    records, :class:`InsertionRun`'s, keep their own.
     """
     counts = tally(game, state)
-    _, _, _, kept, points = game._tally  # the slot tally just kept for this state
-    if (record := kept.get(player)) is None:
-        strategy = state.strategy(player)
-        if len(strategy) != 1:
-            raise NotSingletonError("tolerance is defined for singleton strategies")
-        (rid,) = strategy
-        ceiling = INFINITY
-        for alt in singleton_resources(game.spaces[player]):
-            if alt != rid:
-                below, same = _point(counts, points, alt, game.priority(alt, player))
-                rival = game.delay(player, alt, below, same + 1)
-                if rival < ceiling:
-                    ceiling = rival
-        below, same = _point(counts, points, rid, game.priority(rid, player))
-        stay = game.delay(player, rid, below, same)
-        tol = _tolerance_count(game, player, rid, below, ceiling)
-        record = kept[player] = Tolerance(ceiling, stay, tol, ceiling < stay)
-    return record
-
-
-def _point(
-    counts: LevelCounts, points: dict[tuple[str, int], tuple[int, int]], rid: str, level: int
-) -> tuple[int, int]:
-    """(count strictly below ``level``, count at it) on ``rid``, summed once per state."""
-    if (found := points.get((rid, level))) is None:
-        row = counts.get(rid, {})
-        found = points[rid, level] = (count_below(row, level), row.get(level, 0))
-    return found
+    strategy = state.strategy(player)
+    if len(strategy) != 1:
+        raise NotSingletonError("tolerance is defined for singleton strategies")
+    (rid,) = strategy
+    ceiling = INFINITY
+    for alt in singleton_resources(game.spaces[player]):
+        if alt != rid:
+            q, row = game.priority(alt, player), counts.get(alt, {})
+            rival = game.delay(player, alt, count_below(row, q), row.get(q, 0) + 1)
+            if rival < ceiling:
+                ceiling = rival
+    q, row = game.priority(rid, player), counts[rid]
+    below = count_below(row, q)
+    stay = game.delay(player, rid, below, row[q])
+    tol = _tolerance_count(game, player, rid, below, ceiling)
+    return Tolerance(ceiling, stay, tol, ceiling < stay)
 
 
 def tol_value(game: Game, state: State, player: int) -> int:
@@ -564,9 +552,7 @@ def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
     lexicographically nondecreasing.  Second part: the summed tolerance of
     all covered players.  The algorithm strictly increases this value, rows
     compared first.  Both parts read the state's :func:`tally` table, so
-    the state is counted at most once for the rows and every tolerance, and
-    every placed player's :func:`tolerance` record stays kept there for
-    later queries on the same state object.
+    the state is counted at most once for the rows and every tolerance.
     """
     _require_singleton(game)
     validate_state(game, state)
@@ -574,82 +560,87 @@ def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
     return InsertionPotentialValue(rows=insertion_rows(game, tally(game, state)), tol_sum=tol_sum)
 
 
-def insertion_rows(game: Game, counts: LevelCounts) -> tuple[tuple[int, ...], ...]:
-    """The insertion potential's first part, read from a level-count table.
+def insertion_rows(game: Game, counts: Mapping[str, dict | None]) -> tuple[tuple[int, ...], ...]:
+    """The insertion potential's first part, read from a level-count table
+    or from a run's kept rows (None: an empty row).
 
     Per resource e, the counts at levels 1..q*_e (q*_e its largest level in
     the game), rows sorted lexicographically nondecreasing.
     """
     rows = []
     for rid in game.resources:
-        row = counts.get(rid, {})
+        row = counts.get(rid) or {}
         rows.append(tuple(row.get(q, 0) for q in range(1, game.priorities.max_level(rid) + 1)))
     return tuple(sorted(rows))
 
 
-class InsertionRun:
+class InsertionRun(_RowRun):
     """The insertion potential of the states of one run, kept across rows.
 
     ``records`` holds every placed player's :func:`tolerance` record,
     ``improvable`` the players whose record has a strictly better
-    alternative, ``value`` the potential of the last state, and
-    ``reach`` the game's :func:`~prioritygames.congestion.reach_index` over
-    all its players.  The start is evaluated once, by
-    :func:`insertion_potential`; :meth:`step` then re-prices only the
-    records in :meth:`repriced`, runs the tolerance sum along and reads the
-    rows off the new state's :func:`tally` table, which the same re-priced
-    records read too.  The insertion solver and ``certify_trace`` each step
-    their own run, on their own states; certify checks its last ``value``
-    against a fresh :func:`insertion_potential` of a new copy of the final
-    state, so a slip in this bookkeeping shows there.
+    alternative, ``value`` the potential of the last state, and ``reach``
+    the game's :func:`~prioritygames.congestion.reach_index` over all its
+    players.  Per resource it keeps the level-count row (see
+    :class:`_RowRun`) and no part: ``_rederive`` queues the players whose
+    record a changed row can change, those of ``reach[r]`` at or above its
+    lowest changed level, and ``_merge`` re-prices the queued placed
+    players, runs the tolerance sum along and reads the first part off the
+    kept rows.  That is exact.  A record reads only (count below, count at)
+    her own level on resources in her ground, so a p whose level on r is
+    below every changed level of r's row reads no changed count there.  A
+    player whose own strategy changed is queued too (:meth:`at`): a jump
+    that moves several players at once can leave her rows as they were.
 
-    The caller vouches for every state being legal: the solver places only
-    legal strategies, and certify validates the start and each row's
-    strategy.
+    The insertion solver and ``certify_trace`` each read their own run by
+    :meth:`at`, on their own states; certify checks its last ``value``
+    against a fresh :func:`insertion_potential` of a new copy of the final
+    state, so a slip in this bookkeeping shows there.  The caller vouches
+    for every state being legal: the solver places only legal strategies,
+    and certify validates the start and each row's strategy.
     """
 
+    value: InsertionPotentialValue | None
+
     def __init__(self, game: Game, state: State):
-        self.game = game
+        super().__init__(game)
         self.reach = reach_index(game, game.players())
-        self.value = insertion_potential(game, state)
-        # kept in the tally slot by insertion_potential: lookups, not pricing
-        self.records: dict[int, Tolerance] = {p: tolerance(game, state, p) for p in state.players()}
-        self.improvable = {p for p, rec in self.records.items() if rec.improvable}
+        self.records: dict[int, Tolerance] = {}
+        self.improvable: set[int] = set()
+        self._tol_sum = 0
+        self._queued: set[int] = set()
+        self._state = State({})
+        self.at(state)
 
-    def repriced(self, mover: int, changed: frozenset[str]) -> set[int]:
-        """The players whose tolerance record a row can change: the mover,
-        and every p with some r in ``changed`` in her ground and
-        ``priority(r, p) >= priority(r, mover)`` (the level rule).
+    def at(self, state: State) -> InsertionPotentialValue:
+        """The value of ``state``."""
+        moved = self._state._strats.items() ^ state._strats.items()
+        if moved:
+            self._queued.update(p for p, _ in moved)
+            self.value = None
+        self._state = state
+        return super().at(state)
 
-        That is exact.  A record reads only (count below, count at) her own
-        level on resources in her ground, and the row changes counts only on
-        ``changed``, the resources in exactly one of the mover's old and new
-        strategies, and only at the mover's level there; a p more
-        prioritized there than the mover reads neither count.
-        """
-        out = {mover}
-        for r in changed:
-            q = self.game.priority(r, mover)
-            out.update(p for p, level in self.reach[r] if level >= q)
-        return out
+    def _rederive(self, rid: str, row: dict[int, int] | None) -> None:
+        kept, new = self._rows[rid] or {}, row or {}
+        q = min(k for k in kept.keys() | new.keys() if kept.get(k) != new.get(k))
+        self._queued.update(p for p, level in self.reach[rid] if level >= q)
+        self._rows[rid], self.value = row, None
 
-    def step(self, state: State, mover: int, changed: frozenset[str]) -> InsertionPotentialValue:
-        """The potential of ``state``, reached by ``mover`` changing
-        ``changed`` (placed, moved or unplaced) from the last state."""
-        game, records, improvable = self.game, self.records, self.improvable
-        tol_sum = self.value.tol_sum
-        for p in self.repriced(mover, changed):
+    def _merge(self) -> InsertionPotentialValue:
+        game, state, records, improvable = self.game, self._state, self.records, self.improvable
+        for p in self._queued:
             old = records.pop(p, None)
             if old is not None:
-                tol_sum -= old.tol
+                self._tol_sum -= old.tol
                 improvable.discard(p)
             if state.covers(p):
                 record = records[p] = tolerance(game, state, p)
-                tol_sum += record.tol
+                self._tol_sum += record.tol
                 if record.improvable:
                     improvable.add(p)
-        self.value = InsertionPotentialValue(insertion_rows(game, tally(game, state)), tol_sum)
-        return self.value
+        self._queued.clear()
+        return InsertionPotentialValue(insertion_rows(game, self._rows), self._tol_sum)
 
 
 def insertion_potential_compare(a: InsertionPotentialValue, b: InsertionPotentialValue) -> int:

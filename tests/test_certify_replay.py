@@ -1,11 +1,11 @@
 """Certify replays insertion runs by deltas, and the deltas are checked.
 
 ``certify_trace`` steps its own count table from row to row, and its own
-``potentials.InsertionRun`` re-prices only the tolerance records a row can
-change (``InsertionRun.repriced``).  These
-tests hold that replay against a potential column built with no deltas at
-all, show that a narrower re-pricing rule is caught, and show that the
-replay never starts from a table kept in the game's tally slot.
+``potentials.InsertionRun`` re-prices only the tolerance records a changed
+row can change (``InsertionRun._rederive``).  These tests hold that replay
+against a potential column built with no deltas at all, show that a
+narrower re-pricing rule is caught, and show that the replay never starts
+from a table kept in the game's tally slot.
 """
 
 import json
@@ -105,33 +105,36 @@ def test_stepped_replay_matches_fresh_potentials(name):
     assert report.ok, report.summary()
 
 
-def only_the_mover(run, mover, changed):
-    return {mover}
+def only_the_placed(run, rid, row):
+    """Re-prices only the players placed on the changed resource (a row's
+    mover is re-priced anyway, as a player whose strategy changed)."""
+    state = run._state
+    run._queued.update(p for p, _ in run.reach[rid] if state.covers(p) and rid in state.strategy(p))
+    run._rows[rid], run.value = row, None
 
 
-def strictly_below(run, mover, changed):
-    """Leaves out the players who share the mover's level on a changed resource."""
-    out = {mover}
-    for r in changed:
-        q = run.game.priority(r, mover)
-        out.update(p for p, level in run.reach[r] if level > q)
-    return out
+def strictly_below(run, rid, row):
+    """Leaves out the players at the lowest changed level of the changed row."""
+    kept, new = run._rows[rid] or {}, row or {}
+    q = min(k for k in kept.keys() | new.keys() if kept.get(k) != new.get(k))
+    run._queued.update(p for p, level in run.reach[rid] if level > q)
+    run._rows[rid], run.value = row, None
 
 
-@pytest.mark.parametrize("narrow", [only_the_mover, strictly_below])
+@pytest.mark.parametrize("narrow", [only_the_placed, strictly_below])
 def test_a_narrower_repricing_rule_is_caught(monkeypatch, narrow):
     runs = {name: solved(name) for name in ("affine-n24", "affine-n40", "rebalance-n6")}
-    monkeypatch.setattr(potentials.InsertionRun, "repriced", narrow)
+    monkeypatch.setattr(potentials.InsertionRun, "_rederive", narrow)
     for name, (game, trace) in runs.items():
         assert caught(game, trace), name
 
 
-@pytest.mark.parametrize("narrow", [only_the_mover, strictly_below])
+@pytest.mark.parametrize("narrow", [only_the_placed, strictly_below])
 def test_a_slip_shared_by_solver_and_certify_is_caught(monkeypatch, narrow):
     """One narrowed re-pricing rule, in force for the solver's run and
     certify's alike, leaves the row-by-row comparison nothing to see;
     certify's final fresh check raises."""
-    monkeypatch.setattr(potentials.InsertionRun, "repriced", narrow)
+    monkeypatch.setattr(potentials.InsertionRun, "_rederive", narrow)
     for name in ("affine-n24", "affine-n40", "rebalance-n6"):
         game = GAMES_BY_NAME[name]
         _, trace = pg.solve_insertion(game)
@@ -144,7 +147,7 @@ def test_final_check_catches_a_drifting_ledger(monkeypatch):
     game, trace = solved("affine-n40")
     blank = replace(trace, steps=[replace(s, potential="") for s in trace.steps])
     assert pg.certify_trace(game, blank).ok
-    monkeypatch.setattr(potentials.InsertionRun, "repriced", strictly_below)
+    monkeypatch.setattr(potentials.InsertionRun, "_rederive", strictly_below)
     with pytest.raises(pg.InvariantViolatedError):
         pg.certify_trace(game, blank)
 
@@ -155,8 +158,8 @@ def test_replay_ignores_a_table_kept_in_the_tally_slot():
         game = GAMES_BY_NAME[name]
         _, trace = pg.solve_insertion(game)
         clean = pg.certify_trace(game, trace).violations
-        wrong = {r: {1: 99} for r in game.resources}
-        object.__setattr__(game, "_tally", (trace.start, wrong, {}, {}, {}))
+        wrong = congestion.tally(game, trace.start)  # the slot's own table, made wrong
+        wrong.update({r: {1: 99} for r in game.resources})
         assert congestion.tally(game, trace.start) is wrong
         assert pg.certify_trace(game, trace).violations == clean == []
 
@@ -167,7 +170,7 @@ def test_replay_ignores_a_wrong_start_table_on_a_corrupted_trace():
     broken = replace(trace, steps=trace.steps[:5] + trace.steps[6:])
     clean = pg.certify_trace(game, broken).violations
     assert clean
-    object.__setattr__(game, "_tally", (broken.start, {"a": {1: 7}}, {}, {}, {}))
+    congestion.tally(game, broken.start).update({"a": {1: 7}})
     assert pg.certify_trace(game, broken).violations == clean
 
 
@@ -182,8 +185,7 @@ def test_final_check_catches_a_wrong_stepped_table(monkeypatch):
         """Steps the table, plus a count on a resource outside the game,
         which no cost or potential reads."""
         new = original(game, state, player, strategy)
-        _, table, *kept = game._tally
-        object.__setattr__(game, "_tally", (new, {**table, "zz": {1: 1}}, *kept))
+        congestion.tally(game, new)["zz"] = {1: 1}  # the derived table, in place
         return new
 
     monkeypatch.setattr(oracle, "step_state", phantom)

@@ -37,10 +37,10 @@ def reference_descend(game, state, movers, trace, round_no, phase, policy, cap, 
         begin = rr_idx if policy == "roundrobin" else 0
         for off in range(len(movers)):
             p = movers[(begin + off) % len(movers)]
-            br = dynamics.best_response(game, state, p)
+            w = dynamics.entry_weights(game, state, p)
+            br = best_response(game, state, p)
             if br == state.strategy(p):
                 continue
-            w = entry_weights(game, state, p)
             if policy != "best":
                 mover, target, weights = p, br, w
                 rr_idx = (begin + off + 1) % len(movers)
@@ -72,14 +72,15 @@ def rows(trace) -> tuple:
 
 
 def record_asks(monkeypatch) -> list[int]:
-    """The players ``_descend`` asks for a best response, in order."""
+    """The players ``_descend`` asks for a best response, in order: each ask
+    prices her entry weights once."""
     asked = []
 
     def recorded(game, state, player):
         asked.append(player)
-        return best_response(game, state, player)
+        return entry_weights(game, state, player)
 
-    monkeypatch.setattr(dynamics, "best_response", recorded)
+    monkeypatch.setattr(dynamics, "entry_weights", recorded)
     return asked
 
 
@@ -338,7 +339,6 @@ def test_stepped_tables_equal_a_fresh_count(monkeypatch, name):
         for player, strategy in steps:
             counted.clear()
             state = congestion.step_state(game, state, player, strategy)
-            assert game._tally[0] is state
             assert congestion.tally(game, state) == level_counts(game, state)
             assert not counted, (seed, player, strategy)
         assert congestion.tally(game, state) == {}
@@ -350,7 +350,7 @@ def test_a_step_off_the_slot_is_counted_afresh(monkeypatch):
     state, twin = pg.State(bases), pg.State(bases)
     table = congestion.tally(game, twin)
     new = congestion.step_state(game, state, 1, game.spaces[1].all_bases()[-1])
-    assert game._tally[0] is twin and game._tally[1] is table
+    assert congestion.tally(game, twin) is table  # the slot still holds twin
     counted = []
     monkeypatch.setattr(
         congestion, "level_counts", lambda *a: counted.append(a) or level_counts(*a)

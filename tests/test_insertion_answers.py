@@ -3,7 +3,7 @@
 ``solve_insertion`` reads every incentive verdict from its
 ``potentials.InsertionRun``, which keeps every placed player's tolerance
 record across rows and rounds and, after each row, re-prices only the
-players the level rule names (``InsertionRun.repriced``).  These tests
+players the level rule names (``InsertionRun._rederive``).  These tests
 audit every row as it is made: the re-priced set against the level rule,
 and the kept records against fresh evaluations on a copy of the state,
 their ``improvable`` flags against the greedy ``has_better_response``.
@@ -18,7 +18,7 @@ import json
 import pytest
 
 import prioritygames as pg
-from test_certify_replay import GAMES_BY_NAME, fresh_column, only_the_mover, strictly_below
+from test_certify_replay import GAMES_BY_NAME, fresh_column, only_the_placed, strictly_below
 from test_jsonio import desk_families
 from prioritygames import congestion, potentials
 from prioritygames.traceio import trace_to_csv_text
@@ -39,32 +39,37 @@ def level_rule(game: pg.Game, state: pg.State, mover: int, r: str) -> set[int]:
     return {p for p in named if state.covers(p)}
 
 
-def audit(monkeypatch, repriced=None) -> list[int]:
+def audit(monkeypatch, rederive=None) -> list[int]:
     """Check each row of the next solves as it is made, raising
     ``StaleRecord`` at the first fault: the row must re-price, each once,
     exactly the placed players of :func:`level_rule`, every kept tolerance
     record must equal a fresh evaluation on a copy of the row's state, and
     its ``improvable`` flag the greedy ``has_better_response`` there.
-    ``repriced`` replaces the re-pricing rule.  Returns the list the
+    ``rederive`` replaces the re-pricing rule.  Returns the list the
     audited rows' sizes go to."""
     tolerance = potentials.tolerance
     row: dict = {"priced": []}
     audited: list[int] = []
+    last: dict = {}  # per run, the state it read last
 
     def pricing(game, state, p):
         row["priced"].append(p)
         return tolerance(game, state, p)
 
-    def stepping(run, state, mover, changed, original=potentials.InsertionRun.step):
+    def reading(run, state, original=potentials.InsertionRun.at):
         row["priced"] = []
-        value = original(run, state, mover, changed)
-        (r,) = changed
+        value = original(run, state)
+        before, last[run] = last.get(run), state
+        if before is None:  # the run's start
+            return value
+        (mover,) = {p for p in {*before.players(), *state.players()} if on(before, p) != on(state, p)}
+        (r,) = on(before, mover) ^ on(state, mover)
         priced, records = row["priced"], run.records
         if len(priced) != len(set(priced)) or set(priced) != level_rule(
             run.game, state, mover, r
         ):
             raise StaleRecord(f"row of player {mover} on {r} priced {priced}")
-        fresh = state.copy()  # a new object: no kept table or weights are read
+        fresh = state.copy()  # a new object: no kept table is read
         if sorted(records) != fresh.players():
             raise StaleRecord(f"records of {sorted(records)}, placed {fresh.players()}")
         for p, record in records.items():
@@ -78,10 +83,15 @@ def audit(monkeypatch, repriced=None) -> list[int]:
         return value
 
     monkeypatch.setattr(potentials, "tolerance", pricing)
-    monkeypatch.setattr(potentials.InsertionRun, "step", stepping)
-    if repriced is not None:
-        monkeypatch.setattr(potentials.InsertionRun, "repriced", repriced)
+    monkeypatch.setattr(potentials.InsertionRun, "at", reading)
+    if rederive is not None:
+        monkeypatch.setattr(potentials.InsertionRun, "_rederive", rederive)
     return audited
+
+
+def on(state: pg.State, p: int) -> frozenset[str]:
+    """The player's strategy, empty when she is unplaced."""
+    return state.strategy(p) if state.covers(p) else frozenset()
 
 
 @pytest.mark.parametrize("name", sorted(GAMES_BY_NAME))
@@ -101,9 +111,9 @@ AUDITED = ("affine-n24", "affine-n40", "rebalance-n6")
 
 
 @pytest.mark.parametrize("name", AUDITED)
-@pytest.mark.parametrize("narrow", [only_the_mover, strictly_below])
+@pytest.mark.parametrize("narrow", [only_the_placed, strictly_below])
 def test_a_narrower_repricing_rule_is_caught_in_the_solver(monkeypatch, narrow, name):
-    audit(monkeypatch, repriced=narrow)
+    audit(monkeypatch, rederive=narrow)
     with pytest.raises(StaleRecord):
         pg.solve_insertion(GAMES_BY_NAME[name])
 

@@ -133,33 +133,34 @@ def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
     _, trace = pg.solve_insertion(singleton_game)
     stats = pg.count_steps(trace)
     assert stats.by_phase.get("discard", 0) > 0 and stats.rounds < stats.total
-    # the empty start only: later rows refresh just the touched tolerances
-    assert len(run_calls) == 1
+    # the run prices its records itself, the empty start's included
+    assert run_calls == []
     solver_tols = len(tolerances)
 
     certify_calls = count_calls(monkeypatch, oracle, "insertion_potential")
-    priced: list[list[int]] = []  # per replayed row, the players certify prices
-    row: list[list[int]] = []  # the row being stepped, while it is
+    priced: list[list[int]] = []  # per read of certify's run, the players it prices
+    row: list[list[int]] = []  # the read under way, while it is
 
-    def stepping(run, *args, original=potentials.InsertionRun.step):
+    def reading(run, state, original=potentials.InsertionRun.at):
         row.append([])
-        value = original(run, *args)
+        value = original(run, state)
         priced.append(row.pop())
         return value
 
     def pricing(game, state, p, original=potentials.tolerance):
-        if row:  # not the start's records, nor the final fresh check
+        if row:  # not the final fresh check
             row[-1].append(p)
         return original(game, state, p)
 
-    monkeypatch.setattr(potentials.InsertionRun, "step", stepping)
+    monkeypatch.setattr(potentials.InsertionRun, "at", reading)
     monkeypatch.setattr(potentials, "tolerance", pricing)
     assert pg.certify_trace(singleton_game, trace).ok
-    # the start, and the fresh check of the final state: no row rebuilds it
-    assert len(run_calls) == 2 and len(certify_calls) == 1
-    assert len(priced) == len(trace.steps)
+    # only the fresh check of the final state: no row rebuilds it
+    assert run_calls == [] and len(certify_calls) == 1
+    # the empty start and the final state, read again by the final check, price nobody
+    assert len(priced) == len(trace.steps) + 2 and priced[0] == priced[-1] == []
     game = singleton_game
-    for step, players in zip(trace.steps, priced):
+    for step, players in zip(trace.steps, priced[1:]):
         changed = (step.frm or frozenset()) ^ (step.to or frozenset())
         affected = {step.player} | {
             p
@@ -373,26 +374,23 @@ def test_failed_count_leaves_the_tally_slot_unchanged(monkeypatch, singleton_gam
     game = singleton_game
     state = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
     table = congestion.tally(game, state)
-    kept = game._tally
     with pytest.raises(KeyError):  # player 99 has no priority anywhere
         congestion.tally(game, pg.State({99: game.resources[0]}))
-    assert game._tally is kept
     calls = count_level_counts(monkeypatch)
     assert congestion.tally(game, state) is table and not calls
 
 
-def test_entry_weights_are_priced_once_per_state_object(singleton_game):
+def test_entry_weights_are_a_function_of_the_state(singleton_game):
     game = singleton_game
     strategies = {p: game.spaces[p].all_bases()[0] for p in game.players()}
     first, twin = pg.State(strategies), pg.State(strategies)
     weights = congestion.entry_weights(game, first, 1)
-    assert congestion.entry_weights(game, first, 1) is weights
-    # an equal but distinct state is priced afresh, to the same weights
-    again = congestion.entry_weights(game, twin, 1)
-    assert again is not weights and again == weights
+    # priced afresh on every call, the same object's and an equal state's alike
+    assert congestion.entry_weights(game, first, 1) == weights
+    assert congestion.entry_weights(game, twin, 1) == weights
 
 
-def test_failed_probe_stores_no_weights(monkeypatch, singleton_game):
+def test_failed_probe_raises_on_every_call(monkeypatch, singleton_game):
     game = singleton_game
     state = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
     *probed, failing = sorted(game.ground_of(1))
@@ -405,9 +403,9 @@ def test_failed_probe_stores_no_weights(monkeypatch, singleton_game):
         return delay(self, player, resource, x, y)
 
     monkeypatch.setattr(pg.Game, "delay", probe)
-    with pytest.raises(pg.OutOfBoundError):
-        congestion.entry_weights(game, state, 1)
-    assert game._tally[0] is state and 1 not in game._tally[2]
+    for _ in range(2):
+        with pytest.raises(pg.OutOfBoundError):
+            congestion.entry_weights(game, state, 1)
     monkeypatch.setattr(pg.Game, "delay", delay)
     weights = congestion.entry_weights(game, state, 1)
     assert weights == congestion.entry_weights(game, pg.State(dict(state.items())), 1)

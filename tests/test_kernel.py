@@ -20,7 +20,7 @@ from prioritygames import oracle
 from prioritygames.congestion import level_counts, step_state
 from prioritygames.costs import sum_costs
 from prioritygames.matroids import singleton_resources
-from prioritygames.potentials import LevelRun, tolerance
+from prioritygames.potentials import InsertionRun, LevelRun, tolerance
 
 # (model, space kind, consistent priorities, player-specific delays)
 CLASSES = (
@@ -317,14 +317,12 @@ def naive_ceiling(game, state, player):
 
 
 def check_records(game, state) -> set[bool]:
-    """Records kept by ``insertion_potential`` against the greedy query and
-    the naive references; returns the flags seen."""
+    """Tolerance records against the greedy query and the naive references;
+    returns the flags seen."""
     pg.insertion_potential(game, state)
-    kept = game._tally[3]
     flags = set()
     for p in state.players():
         record = tolerance(game, state, p)
-        assert kept[p] is record  # a lookup, not a second pricing
         assert record.improvable == pg.has_better_response(game, state, p)
         assert record.tol == pg.tol_value(game, state, p) == naive_tol(game, state, p)
         assert record.stay == naive_cost(game, state, p)
@@ -377,6 +375,36 @@ def test_kept_flag_matches_has_better_response_on_ties(delay_of):
         for state in partial_states(game, rng):
             flags |= check_records(game, state)
     assert flags == {False, True}
+
+
+@pytest.mark.parametrize(
+    "model,consistent,specific", [(m, c, s) for m, sp, c, s in CLASSES if sp == "singleton"]
+)
+def test_insertion_run_reads_a_jump_of_several_players(model, consistent, specific):
+    """``InsertionRun(game, s1).at(s2)`` for random partial states s1, s2: one
+    jump places, moves and unplaces several players at once, and may leave
+    a mover's rows as they were.  Value and records are held to a fresh
+    ``insertion_potential`` and fresh tolerances of a copy of s2."""
+    for seed in SEEDS:
+        source = gen_source(
+            seed,
+            players=3 + seed % 4,
+            resources=2 + seed % 3,
+            model=model,
+            space_kind="singleton",
+            levels=2 + seed % 2,
+            consistent=consistent,
+            player_specific=specific,
+        )
+        game = priority_game(source)
+        rng = random.Random(f"jump:{model}:{specific}:{seed}")
+        states = list(partial_states(game, rng, count=8))
+        for s1, s2 in zip(states, states[1:]):
+            run = InsertionRun(game, s1)
+            value, fresh = run.at(s2), s2.copy()
+            assert value == pg.insertion_potential(game, fresh)
+            assert run.records == {p: tolerance(game, fresh, p) for p in fresh.players()}
+            assert run.improvable == {p for p, rec in run.records.items() if rec.improvable}
 
 
 # ---------------------------------------------------------------------------
