@@ -126,6 +126,15 @@ def layer_level(phase: str) -> int | None:
     return None if m is None else int(m.group(1))
 
 
+def fits_kind(phase: str, kind: str) -> bool:
+    """Whether a row of this phase belongs in a trace of this kind: ``br``
+    rows in a br trace, ``insert``, ``discard`` and ``rebalance`` rows in
+    an insertion trace, ``layer:<level>`` rows in a layered trace."""
+    if kind == "layered":
+        return layer_level(phase) is not None
+    return phase in {"br": ("br",), "insertion": ("insert", "discard", "rebalance")}.get(kind, ())
+
+
 def opens_round(phase: str) -> bool:
     """Whether a row of this phase opens a round: every row but a discard or
     a rebalance, which belong to the round of the insertion before them."""

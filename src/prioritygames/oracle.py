@@ -39,7 +39,7 @@ from .congestion import (
 from .core import Game
 from .costs import ExtCost
 from .errors import BudgetExceededError, InvariantViolatedError, ValidationFailed
-from .dynamics import CONVERGED, MoveTrace, layer_level, opens_round
+from .dynamics import CONVERGED, MoveTrace, fits_kind, layer_level, opens_round
 from .markets import (
     AffineGame,
     ClassicGame,
@@ -168,8 +168,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     costs match exact recomputation and are blank for an unplaced or a
     discarded player (``COST_BEFORE_MISMATCH``, ``COST_AFTER_MISMATCH``); a
     move between strategies lowers the recorded and the recomputed cost
-    (``NOT_IMPROVING``); a ``layer:`` phase names a level, on a consistent
-    game the mover's own (``BAD_PHASE``).
+    (``NOT_IMPROVING``); the phase is one of the trace kind's
+    (:func:`~prioritygames.dynamics.fits_kind`), and a ``layer:`` phase
+    names a level, on a consistent game the mover's own (``BAD_PHASE``).
 
     One potential rule, chosen from the trace kind and the game, reads each
     replayed row's value from the one running potential certify holds at a
@@ -290,12 +291,15 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
         own = priorities.level(step.player) if priorities.consistent else level
         if level is None and step.phase.startswith("layer:"):
             bad = f"malformed layer phase {step.phase!r}"
+        elif not fits_kind(step.phase, trace.kind):
+            bad = f"phase {step.phase!r} is foreign to {trace.kind} traces"
         elif level is not None and level != own:
-            bad, level = f"player {step.player} of level {own} moves in layer {level}", None
+            bad = f"player {step.player} of level {own} moves in layer {level}"
         else:
             bad = None
         if bad is not None:
             flag(idx, "BAD_PHASE", bad)
+            level = None
             if rule == "layer":
                 held = None  # the next layer row starts its run afresh
 

@@ -63,7 +63,7 @@ CODES = {
     "NOT_EQUILIBRIUM",
 }
 
-CORPUS_DIGEST = "ee0441e52483d8f4293d1afa49c5cc67327b0fd6c7156231917209f3ebdd9fdd"
+CORPUS_DIGEST = "c4804fef0e2805657ff36e0ff9240637cdaa1abd1c9a8ab962d75eee8bdffdba"
 
 
 def base_traces():

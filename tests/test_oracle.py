@@ -261,6 +261,7 @@ CERTIFY_CASES = {
         [
             (0, "NOT_IMPROVING", "recorded costs do not drop"),
             (0, "NOT_IMPROVING", "recomputed costs do not drop"),
+            (0, "BAD_PHASE", "phase 'br' is foreign to layered traces"),
         ],
     ),
     "bad-phase": (
@@ -272,6 +273,16 @@ CERTIFY_CASES = {
         make_t1,
         corrupt_row(phase="layer:01"),
         [(0, "BAD_PHASE", "malformed layer phase 'layer:01'")],
+    ),
+    "phase-foreign-to-br": (
+        make_t1,
+        corrupt_row(phase="insert"),
+        [(0, "BAD_PHASE", "phase 'insert' is foreign to br traces")],
+    ),
+    "phase-foreign-to-insertion": (
+        make_t1,
+        lambda g: replayed(g, "insertion", {}, [("insert", 1, "a"), ("br", 2, "b")], CAP),
+        [(1, "BAD_PHASE", "phase 'br' is foreign to insertion traces")],
     ),
     "potential-mismatch": (
         make_t1,
@@ -393,6 +404,19 @@ def test_relabelled_layers_are_bad_phases(edit, count):
     assert [v.step for v in found] == [
         s.index for s in trace.steps if game.priorities.level(s.player) != label[s.index]
     ]
+
+
+@pytest.mark.parametrize("phase", ["br", "insert", "rebalance"])
+def test_foreign_phases_in_a_layered_trace_are_bad_phases(phase):
+    """The first move row of a clean layered trace, relabelled with another
+    kind's phase, on a shared-delay consistent game."""
+    game = gen_game(10, players=8, resources=4, space_kind="uniform", levels=2, consistent=True)
+    _, trace = pg.solve_consistent_layered(game)
+    assert pg.certify_trace(game, trace).ok
+    row = next(s for s in trace.steps if s.frm is not None)
+    edited = replace(trace, steps=[replace(s, phase=phase) if s is row else s for s in trace.steps])
+    found = [(v.step, v.code, v.message) for v in pg.certify_trace(game, edited).violations]
+    assert found == [(row.index, "BAD_PHASE", f"phase {phase!r} is foreign to layered traces")]
 
 
 def test_every_violation_code_has_a_case():
