@@ -170,7 +170,8 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     move between strategies lowers the recorded and the recomputed cost
     (``NOT_IMPROVING``); the phase is one of the trace kind's
     (:func:`~prioritygames.dynamics.fits_kind`), and a ``layer:`` phase
-    names a level, on a consistent game the mover's own (``BAD_PHASE``).
+    names a level, the mover's own, on a game with consistent priorities
+    (``BAD_PHASE``).
 
     One potential rule, chosen from the trace kind and the game, reads each
     replayed row's value from the one running potential certify holds at a
@@ -288,11 +289,13 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
                     flag(idx, "NOT_IMPROVING", "recomputed costs do not drop")
 
         level = layer_level(step.phase)
-        own = priorities.level(step.player) if priorities.consistent else level
+        own = priorities.level(step.player) if priorities.consistent else None
         if level is None and step.phase.startswith("layer:"):
             bad = f"malformed layer phase {step.phase!r}"
         elif not fits_kind(step.phase, trace.kind):
             bad = f"phase {step.phase!r} is foreign to {trace.kind} traces"
+        elif level is not None and own is None:
+            bad = f"layer {level} on a game without consistent priorities"
         elif level is not None and level != own:
             bad = f"player {step.player} of level {own} moves in layer {level}"
         else:

@@ -324,6 +324,14 @@ CERTIFY_CASES = {
         lambda g: replayed(g, "layered", {}, [("layer:1", 1, "a"), ("layer:1", 2, "b")], CAP),
         [(1, "BAD_PHASE", "player 2 of level 2 moves in layer 1")],
     ),
+    "layer-on-inconsistent-game": (
+        make_t1,
+        lambda g: replayed(g, "layered", {}, [("layer:7", 1, "a"), ("layer:7", 2, "b")], CAP),
+        [
+            (0, "BAD_PHASE", "layer 7 on a game without consistent priorities"),
+            (1, "BAD_PHASE", "layer 7 on a game without consistent priorities"),
+        ],
+    ),
     "insertion-not-increasing": (
         make_t1,
         insertion_loss("discard"),
