@@ -170,8 +170,9 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     move between strategies lowers the recorded and the recomputed cost
     (``NOT_IMPROVING``); the phase is one of the trace kind's
     (:func:`~prioritygames.dynamics.fits_kind`), and a ``layer:`` phase
-    names a level, the mover's own, on a game with consistent priorities
-    (``BAD_PHASE``).
+    names a level, the mover's own, on a game with consistent priorities,
+    and none below the level of an earlier row that passed these checks:
+    levels never go back down (``BAD_PHASE``).
 
     One potential rule, chosen from the trace kind and the game, reads each
     replayed row's value from the one running potential certify holds at a
@@ -253,6 +254,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
     # insertion runs: the potential at the last round boundary
     round_potential = held.value if rule == "insertion" else None
     rebalanced = False
+    top = 0  # layered runs: the highest level of a row that passed the phase checks
 
     for pos, step in enumerate(trace.steps):
         idx = step.index
@@ -298,8 +300,10 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
             bad = f"layer {level} on a game without consistent priorities"
         elif level is not None and level != own:
             bad = f"player {step.player} of level {own} moves in layer {level}"
+        elif level is not None and level < top:
+            bad = f"layer {level} after layer {top}"
         else:
-            bad = None
+            bad, top = None, level or top
         if bad is not None:
             flag(idx, "BAD_PHASE", bad)
             level = None

@@ -63,7 +63,7 @@ CODES = {
     "NOT_EQUILIBRIUM",
 }
 
-CORPUS_DIGEST = "c4804fef0e2805657ff36e0ff9240637cdaa1abd1c9a8ab962d75eee8bdffdba"
+CORPUS_DIGEST = "06ab94bdd55f567bf9e00518ca5abd77f61d8b7b07dbf7e5d13d2a61b9c4cd31"
 
 
 def base_traces():

@@ -332,6 +332,11 @@ CERTIFY_CASES = {
             (1, "BAD_PHASE", "layer 7 on a game without consistent priorities"),
         ],
     ),
+    "layer-goes-back-down": (
+        make_t1_consistent,
+        lambda g: replayed(g, "layered", {}, [("layer:2", 2, "a"), ("layer:1", 1, "b")], CAP),
+        [(1, "BAD_PHASE", "layer 1 after layer 2")],
+    ),
     "insertion-not-increasing": (
         make_t1,
         insertion_loss("discard"),
