@@ -26,12 +26,12 @@ it re-asks a player only when a row at her level or above touched her
 ground (the level rule of :func:`_drop_answers`).  The insertion solver
 reads the same verdict from the tolerance records of its
 :class:`~prioritygames.potentials.InsertionRun`, which re-prices them by the
-same rule, read off the changed count rows.  Every solver steps from state to state by
-:func:`~prioritygames.congestion.step_state`, which derives the new state's
-count table from the old one.  Moves of matroid players are realized as
-chains of single-element swaps whenever every link strictly decreases the
-mover's cost; otherwise the move is recorded whole (that only occurs across
-plateaus at infinite cost).
+same rule, read off the changed count rows.  Every solver steps from state
+to state by :func:`~prioritygames.congestion.step_state`, which derives the
+new state's count table from the old one.  Moves of matroid players are
+realized as chains of single-element swaps whenever every link strictly
+decreases the mover's cost; otherwise the move is recorded whole (that only
+occurs across plateaus at infinite cost).
 """
 
 from __future__ import annotations
@@ -307,14 +307,14 @@ def _descend(
     A scan asks each mover in turn: her entry weights, priced once, and
     ``greedy_min_base`` over them; she improves when the greedy base is
     strictly cheaper than her strategy, :func:`best_response`'s rule.
-    Roundrobin moves the first
-    improver after the last mover, first the first in ``movers``, best the
-    steepest gain (ties to the earliest).  The entry weights her answer was
-    priced from give the gain, the swaps and both costs of every row,
-    exactly: a mover's weights do not depend on her own strategy.  A move
-    is one round, and ``snapshot`` gives each row's potential.  Each link
-    steps the state by :func:`~prioritygames.congestion.step_state`, so the
-    new state's count table is derived from the old one.
+    Roundrobin moves the first improver after the last mover, first the
+    first in ``movers``, best the steepest gain (ties to the earliest).  The
+    entry weights her answer was priced from give the gain, the swaps and
+    both costs of every row, exactly: a mover's weights do not depend on
+    her own strategy.  A move is one round, and ``snapshot`` gives each
+    row's potential.  Each link steps the state by
+    :func:`~prioritygames.congestion.step_state`, so the new state's count
+    table is derived from the old one.
 
     Every asked mover's answer is kept in ``answers``: her best response,
     the entry weights it was priced from, and her gain, None when the
@@ -590,14 +590,14 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
     player, and re-prices only the records the level rule names: a row of
     mover m on resource r changes r's count row only at m's level q there,
     so only the players p of ``reach[r]`` with ``priority(r, p) >= q``, m
-    among them.  A resident improves when she is in ``run.improvable``, and the stray scan
-    discards its least member until it is empty.  That is the least
-    improver among the players whose ground holds a resource touched this
-    round: the set is empty when a round begins (the round invariant), and
-    a row changes only the records of players reaching a resource it
-    touched.  ``certify_trace`` steps its own run, and at the end holds the
-    final state to the greedy ``is_pure_nash`` and its running potential to
-    a fresh ``insertion_potential``.
+    among them.  A resident improves when she is in ``run.improvable``, and
+    the stray scan discards its least member until it is empty.  That is
+    the least improver among the players whose ground holds a resource
+    touched this round: the set is empty when a round begins (the round
+    invariant), and a row changes only the records of players reaching a
+    resource it touched.  ``certify_trace`` reads its own run, and at the
+    end holds the final state to the greedy ``is_pure_nash`` and its
+    running potential to a fresh ``insertion_potential``.
     """
     if not game.is_singleton_game():
         raise NotSingletonError("the insertion algorithm needs singleton strategy spaces")
