@@ -263,15 +263,22 @@ def count_below(row: Mapping[int, int], level: int) -> int:
 def player_cost(game: Game, state: State, player: int) -> ExtCost:
     """Total delay over the player's strategy; saturates at infinity.
 
-    The counts come from the state's :func:`tally` table.
+    The counts come from the state's :func:`tally` table; the prices are
+    read by her plan, as in :func:`entry_weights`.
     """
     strategy = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
-    counts = tally(game, state)
+    counts, points = tally(game, state), game._points
     parts = []
-    for r in strategy:
-        q = game.priority(r, player)
-        row = counts[r]
-        parts.append(game.delay(player, r, count_below(row, q), row[q]))
+    for r, q, k in game.plan(player):
+        if r in strategy:
+            x = y = 0
+            for level, c in counts[r].items():
+                if level < q:
+                    x += c
+                elif level == q:
+                    y += c
+            cost = points.get((r, x, y) if k is None else (r, x, y, k))
+            parts.append(game.delay(player, r, x, y) if cost is None else cost)
     return sum_costs(parts)
 
 
@@ -285,15 +292,23 @@ def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
     reproduces its exact cost, which is what makes greedy best responses
     exact for matroid spaces.  Every call prices her whole ground afresh;
     a caller that needs the weights twice keeps them.
+
+    The walk follows her :meth:`~prioritygames.core.Game.plan`, compiled
+    once per game: per (r, her level q, key player), one pass over r's row
+    counts the players below and at q, and the price is the stored point.
     """
-    counts = tally(game, state)
+    counts, points = tally(game, state), game._points
     own = state._strats.get(player, frozenset())
     weights = {}
-    for r in sorted(game.ground_of(player)):
-        q = game.priority(r, player)
-        row = counts.get(r, {})
-        same = row.get(q, 0) + (0 if r in own else 1)
-        weights[r] = game.delay(player, r, count_below(row, q), same)
+    for r, q, k in game.plan(player):
+        x, y = 0, 0 if r in own else 1
+        for level, c in counts.get(r, {}).items():
+            if level < q:
+                x += c
+            elif level == q:
+                y += c
+        weight = points.get((r, x, y) if k is None else (r, x, y, k))
+        weights[r] = game.delay(player, r, x, y) if weight is None else weight
     return weights
 
 

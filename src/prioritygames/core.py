@@ -377,6 +377,8 @@ class Game:
     singleton: bool  # every strategy space is singleton, fixed by build_game
     # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # player -> her pricing plan, built by Game.plan on first ask
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the last state congestion.tally counted, with its level-count table;
     # only congestion.py reads it
     _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -400,7 +402,8 @@ class Game:
         resources whose spec is a :class:`PerPlayerDelay`, and is ignored
         (may be None) elsewhere.  Failed evaluations are not stored, so an
         out-of-domain or out-of-table probe raises ``OutOfBoundError`` on
-        every call.
+        every call.  The entry-price loops build this key from the player's
+        :meth:`plan`, read the stored point, and call here only on a miss.
         """
         spec = self.delays[resource]
         key = (resource, x, y, player) if isinstance(spec, PerPlayerDelay) else (resource, x, y)
@@ -409,6 +412,24 @@ class Game:
         except KeyError:
             value = self._points[key] = evaluate_delay(spec, x, y, player=player)
             return value
+
+    def plan(self, player: int) -> tuple[tuple[str, int, int | None], ...]:
+        """The player's pricing plan, built on the first ask and kept: per
+        resource r of her ground, ascending, ``(r, q, k)`` with q her level
+        on r and k herself where r's spec is a :class:`PerPlayerDelay`, else
+        None.  So ``(r, x, y)`` if k is None, else ``(r, x, y, k)``, is the
+        key :meth:`delay` writes; the entry-price loops read it, and call
+        :meth:`delay` on a miss, without sorting, priority or type lookups.
+        """
+        try:
+            return self._plans[player]
+        except KeyError:
+            plan = self._plans[player] = tuple(
+                (r, self.priorities.of(r, player),
+                 player if isinstance(self.delays[r], PerPlayerDelay) else None)
+                for r in sorted(self.spaces[player].ground())
+            )
+            return plan
 
     def ground_of(self, player: int) -> frozenset[str]:
         return self.spaces[player].ground()

@@ -617,7 +617,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         frm = state.strategy(j)
         cost = player_cost(game, state, j)  # priced on the state she leaves
         state = step_state(game, state, j, None)
-        potential = run.at(state)
+        potential = run.at(state, j)
         queue.append(j)
         _append_row(trace, round_no, phase, j, frm, None, cost, None, potential.canonical())
         return potential
@@ -638,7 +638,7 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
             if p in run.records and rid in state.strategy(p)
         }
         state = step_state(game, state, i, placed)
-        potential = run.at(state)
+        potential = run.at(state, i)
         # her entry weight at rid is exactly her cost once placed there
         _append_row(
             trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()

@@ -19,7 +19,7 @@ bases to list still parses and solves.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .costs import ExtCost, sum_costs
 from .errors import (
@@ -406,7 +406,11 @@ def singleton_resources(space: StrategySpace) -> frozenset[str]:
     return space._singletons
 
 
-def base_weight(s: Iterable[str], weights: Mapping[str, ExtCost]) -> ExtCost:
+def base_weight(s: Collection[str], weights: Mapping[str, ExtCost]) -> ExtCost:
+    """The total weight of a strategy; a one-element one's is read, not summed."""
+    if len(s) == 1:
+        (r,) = s
+        return weights[r]
     return sum_costs(weights[r] for r in s)
 
 
@@ -421,6 +425,11 @@ def greedy_min_base(
     exists, otherwise enumerates the explicit family; either way ties go to
     the smallest sorted id list (greedy scans elements by (weight, id)).
     Exact for matroids because per-element weights are independent.
+
+    A matroid of rank 1 takes one pass, the least element of
+    :func:`singleton_resources` by (weight, id), which is the greedy's
+    answer: the sorted scan keeps the first element whose singleton is
+    independent, and on rank 1 an independent singleton is a base.
     """
     missing = space.ground() - set(weights)
     if missing:
@@ -430,6 +439,8 @@ def greedy_min_base(
             space.all_bases(),
             key=lambda b: (base_weight(b, weights), _set_key(b)),
         )
+    if space.rank() == 1:
+        return frozenset([min(singleton_resources(space), key=lambda r: (weights[r], r))])
     chosen: set[str] = set()
     for r in sorted(space.ground(), key=lambda r: (weights[r], r)):
         if len(chosen) == space.rank():

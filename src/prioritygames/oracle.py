@@ -312,7 +312,7 @@ def certify_trace(game: Game, trace: MoveTrace) -> CertifyReport:
 
         above = None  # the held value this row's potential must fall below
         if rule == "insertion":
-            potential = held.at(state)
+            potential = held.at(state, step.player)  # the replay stepped her alone
         elif rule == "lex" and state.is_full(game):
             above, potential = held.value, held.at(state)
             if len(potential.pairs) != game.n_players:  # a block the vector failed to re-derive

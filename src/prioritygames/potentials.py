@@ -456,7 +456,8 @@ def tolerance(game: Game, state: State, player: int) -> Tolerance:
     delay over ``singleton_resources`` of her space other than her own
     resource, each read straight from the state's :func:`tally` table (she
     is not on an alternative, so she joins its level-q count).  Dead ground
-    elements, which no strategy uses, are never priced.  Only the counts on
+    elements, which no strategy uses, are never priced: the walk over her
+    :meth:`~prioritygames.core.Game.plan` skips them.  Only the counts on
     resources in her ground are read, so a move on a resource she cannot
     reach leaves her record unchanged; the insertion solver relies on that
     to refresh tolerances incrementally.  Her own membership needs no
@@ -469,21 +470,29 @@ def tolerance(game: Game, state: State, player: int) -> Tolerance:
     alternative strictly below it.  Nothing is kept: the runs that reuse
     records, :class:`InsertionRun`'s, keep their own.
     """
-    counts = tally(game, state)
+    counts, points = tally(game, state), game._points
     strategy = state.strategy(player)
     if len(strategy) != 1:
         raise NotSingletonError("tolerance is defined for singleton strategies")
     (rid,) = strategy
+    live = singleton_resources(game.spaces[player])
     ceiling = INFINITY
-    for alt in singleton_resources(game.spaces[player]):
-        if alt != rid:
-            q, row = game.priority(alt, player), counts.get(alt, {})
-            rival = game.delay(player, alt, count_below(row, q), row.get(q, 0) + 1)
-            if rival < ceiling:
-                ceiling = rival
-    q, row = game.priority(rid, player), counts[rid]
-    below = count_below(row, q)
-    stay = game.delay(player, rid, below, row[q])
+    for r, q, k in game.plan(player):
+        if r != rid and r not in live:
+            continue
+        x, y = 0, 0 if r == rid else 1
+        for level, c in counts.get(r, {}).items():
+            if level < q:
+                x += c
+            elif level == q:
+                y += c
+        price = points.get((r, x, y) if k is None else (r, x, y, k))
+        if price is None:
+            price = game.delay(player, r, x, y)
+        if r == rid:
+            below, stay = x, price
+        elif price < ceiling:
+            ceiling = price
     tol = _tolerance_count(game, player, rid, below, ceiling)
     return Tolerance(ceiling, stay, tol, ceiling < stay)
 
@@ -612,11 +621,15 @@ class InsertionRun(_RowRun):
         self._state = State({})
         self.at(state)
 
-    def at(self, state: State) -> InsertionPotentialValue:
-        """The value of ``state``."""
-        moved = self._state._strats.items() ^ state._strats.items()
-        if moved:
-            self._queued.update(p for p, _ in moved)
+    def at(self, state: State, mover: int | None = None) -> InsertionPotentialValue:
+        """The value of ``state``.  A caller that stepped exactly one player
+        since its last read, as the solver and certify do, names her as
+        ``mover``; otherwise the two states' strategies are diffed."""
+        if mover is None:
+            self._queued.update(p for p, _ in self._state._strats.items() ^ state._strats.items())
+        elif state is not self._state:
+            self._queued.add(mover)
+        if self._queued:
             self.value = None
         self._state = state
         return super().at(state)

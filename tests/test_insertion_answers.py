@@ -56,9 +56,9 @@ def audit(monkeypatch, rederive=None) -> list[int]:
         row["priced"].append(p)
         return tolerance(game, state, p)
 
-    def reading(run, state, original=potentials.InsertionRun.at):
+    def reading(run, state, mover=None, original=potentials.InsertionRun.at):
         row["priced"] = []
-        value = original(run, state)
+        value = original(run, state, mover)
         before, last[run] = last.get(run), state
         if before is None:  # the run's start
             return value

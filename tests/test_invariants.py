@@ -141,9 +141,9 @@ def test_insertion_potential_once_per_row(monkeypatch, singleton_game):
     priced: list[list[int]] = []  # per read of certify's run, the players it prices
     row: list[list[int]] = []  # the read under way, while it is
 
-    def reading(run, state, original=potentials.InsertionRun.at):
+    def reading(run, state, mover=None, original=potentials.InsertionRun.at):
         row.append([])
-        value = original(run, state)
+        value = original(run, state, mover)
         priced.append(row.pop())
         return value
 

@@ -6,7 +6,9 @@ they read one shared table.  A seeded sweep over the generator's instance
 classes compares both on full and partial states.  The running level
 potential (``LevelRun``) is held to a fresh ``level_potential`` on every
 state of layered traces, and certify's final check is shown to catch a
-kept term no row can see.
+kept term no row can see.  Each player's pricing plan (``Game.plan``) is
+checked against the game's priorities and delay specs, and shown to be
+built at most once per player in a solve and its certify.
 """
 
 import random
@@ -17,10 +19,12 @@ import pytest
 import prioritygames as pg
 from conftest import gen_source
 from prioritygames import oracle
+from prioritygames.core import PerPlayerDelay
 from prioritygames.congestion import level_counts, step_state
 from prioritygames.costs import sum_costs
 from prioritygames.matroids import singleton_resources
 from prioritygames.potentials import InsertionRun, LevelRun, tolerance
+from test_trace_digests import make_affine_n24
 
 # (model, space kind, consistent priorities, player-specific delays)
 CLASSES = (
@@ -469,3 +473,72 @@ def test_final_check_catches_a_term_from_a_wrong_row_split(monkeypatch):
     monkeypatch.setattr(oracle, "_check_replay", drifting)
     with pytest.raises(pg.InvariantViolatedError, match="running level potential differs"):
         pg.certify_trace(game, blank)
+
+
+# ---------------------------------------------------------------------------
+# The pricing plan: one per player, compiled once per game
+
+
+@pytest.mark.parametrize("model,space,consistent,specific", CLASSES)
+def test_plan_rows_hold_levels_and_key_players(model, space, consistent, specific):
+    """Per resource of the ground, ascending: her priority there, and
+    herself as the memo key's player exactly on player-specific specs."""
+    keyed = set()
+    for seed in SEEDS:
+        game = priority_game(
+            gen_source(
+                seed,
+                players=3 + seed % 4,
+                resources=2 + seed % 3,
+                model=model,
+                space_kind=space,
+                levels=2 + seed % 2,
+                consistent=consistent,
+                player_specific=specific,
+            )
+        )
+        for p in game.players():
+            plan = game.plan(p)
+            assert [r for r, _, _ in plan] == sorted(game.ground_of(p))
+            for r, level, key_player in plan:
+                assert level == game.priority(r, p)
+                specific_spec = isinstance(game.delays[r], PerPlayerDelay)
+                assert key_player == (p if specific_spec else None)
+                keyed.add(key_player is not None)
+            assert game.plan(p) is plan  # kept, not rebuilt
+    assert keyed == ({True} if specific or model == "market" else {False})
+
+
+def test_plans_leave_game_equality_alone():
+    a, b = make_affine_n24(), make_affine_n24()
+    a.plan(1)
+    assert a._plans and not b._plans
+    assert a == b and "_plans" not in repr(a)
+
+
+class CountingDict(dict):
+    """A dict that counts how often each key is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets: dict = {}
+
+    def __setitem__(self, key, value):
+        self.sets[key] = self.sets.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def _br(game):
+    start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    return pg.run_dynamics(game, start, policy="roundrobin")
+
+
+@pytest.mark.parametrize("solve", [pg.solve_insertion, _br], ids=["insertion", "br"])
+def test_solve_and_certify_build_each_plan_once(solve):
+    game = make_affine_n24()
+    plans = CountingDict()
+    object.__setattr__(game, "_plans", plans)
+    _, trace = solve(game)
+    assert pg.certify_trace(game, trace).ok
+    assert set(plans.sets) == set(game.players())
+    assert max(plans.sets.values()) == 1

@@ -117,6 +117,51 @@ def test_greedy_matches_enumeration_randomized():
         assert base_weight(got, weights) == best
 
 
+def sorted_scan_greedy(space, weights):
+    """The generic greedy, kept as the reference: scan the ground by
+    (weight, id) and keep each element that stays independent; explicit
+    families are enumerated, ties to the smallest sorted id list."""
+    if not space.matroid:
+        return min(space.all_bases(), key=lambda b: (base_weight(b, weights), sorted(b)))
+    chosen = set()
+    for r in sorted(space.ground(), key=lambda r: (weights[r], r)):
+        if len(chosen) < space.rank() and space.is_independent(frozenset(chosen | {r})):
+            chosen.add(r)
+    return frozenset(chosen)
+
+
+def rank_one_spaces(rng):
+    """Every rank-1 kind over a random id set; the explicit family is the
+    non-matroid (enumeration) path."""
+    ids = rng.sample("abcdefgh", rng.randint(2, 8))
+    live = ids[: rng.randint(1, len(ids) - 1)]
+    yield pg.SingletonSpace(ids)
+    yield pg.UniformMatroid(ids, 1)
+    yield pg.PartitionMatroid([live, ids[len(live) :]], [1, 0])  # a zero-cap block
+    yield pg.GraphicMatroid([("u", "v", r) for r in ids])  # parallel edges
+    yield pg.ExplicitBasesSpace([[r] for r in live])
+    yield pg.ExplicitSpace([[r] for r in live])
+
+
+def test_rank_one_greedy_returns_the_sorted_scan_base():
+    """Not just an equally cheap base: the same one, under ties and +inf."""
+    rng = random.Random(20261020)
+    kinds, tied, all_infinite = set(), 0, 0
+    choices = [pg.cost(0), pg.cost(1), pg.cost(Fraction(3, 2)), pg.INFINITY]
+    for _ in range(200):
+        for space in rank_one_spaces(rng):
+            assert space.rank() == 1
+            weights = {r: rng.choice(choices) for r in space.ground()}
+            got = pg.greedy_min_base(space, weights)
+            assert got == sorted_scan_greedy(space, weights)
+            kinds.add(space.kind)
+            live = [weights[r] for r in singleton_resources(space)]
+            tied += live.count(min(live)) > 1
+            all_infinite += all(not c.is_finite for c in live)
+    assert kinds == {"singleton", "uniform", "partition", "graphic", "explicit_bases", "explicit"}
+    assert tied > 100 and all_infinite > 10
+
+
 class TestLazyPath:
     def test_single_swap(self):
         space = pg.UniformMatroid(["a", "b", "c"], 2)
