@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .costs import ExtCost, sum_costs
-from .core import Game
+from .core import Game, Points
 from .errors import PlayerNotPlacedError, ValidationFailed, Violation
 from .matroids import base_weight, greedy_min_base
 
@@ -260,6 +260,19 @@ def count_below(row: Mapping[int, int], level: int) -> int:
     return sum(c for q, c in row.items() if q < level)
 
 
+def entry_price(row: Mapping[int, int], q: int, table: Points, y: int) -> ExtCost:
+    """``table[x, y]`` for a level-q player on a resource with level-count
+    ``row``: one pass counts x, the players below q, and adds those at q to
+    ``y``, 0 for a player the row counts and 1 for one who would join it."""
+    x = 0
+    for level, c in row.items():
+        if level < q:
+            x += c
+        elif level == q:
+            y += c
+    return table[x, y]
+
+
 def player_cost(game: Game, state: State, player: int) -> ExtCost:
     """Total delay over the player's strategy; saturates at infinity.
 
@@ -267,19 +280,10 @@ def player_cost(game: Game, state: State, player: int) -> ExtCost:
     read by her plan, as in :func:`entry_weights`.
     """
     strategy = state.strategy(player)  # raises PLAYER_NOT_PLACED if absent
-    counts, points = tally(game, state), game._points
-    parts = []
-    for r, q, k in game.plan(player):
-        if r in strategy:
-            x = y = 0
-            for level, c in counts[r].items():
-                if level < q:
-                    x += c
-                elif level == q:
-                    y += c
-            cost = points.get((r, x, y) if k is None else (r, x, y, k))
-            parts.append(game.delay(player, r, x, y) if cost is None else cost)
-    return sum_costs(parts)
+    counts = tally(game, state)
+    return sum_costs(
+        [entry_price(counts[r], q, table, 0) for r, q, table in game.plan(player) if r in strategy]
+    )
 
 
 def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
@@ -294,22 +298,15 @@ def entry_weights(game: Game, state: State, player: int) -> dict[str, ExtCost]:
     a caller that needs the weights twice keeps them.
 
     The walk follows her :meth:`~prioritygames.core.Game.plan`, compiled
-    once per game: per (r, her level q, key player), one pass over r's row
-    counts the players below and at q, and the price is the stored point.
+    once per game: per (r, her level q, her point table on r),
+    :func:`entry_price` reads the weight off r's row.
     """
-    counts, points = tally(game, state), game._points
+    counts = tally(game, state)
     own = state._strats.get(player, frozenset())
-    weights = {}
-    for r, q, k in game.plan(player):
-        x, y = 0, 0 if r in own else 1
-        for level, c in counts.get(r, {}).items():
-            if level < q:
-                x += c
-            elif level == q:
-                y += c
-        weight = points.get((r, x, y) if k is None else (r, x, y, k))
-        weights[r] = game.delay(player, r, x, y) if weight is None else weight
-    return weights
+    return {
+        r: entry_price(counts.get(r, {}), q, table, 0 if r in own else 1)
+        for r, q, table in game.plan(player)
+    }
 
 
 def best_response(game: Game, state: State, player: int) -> frozenset[str]:

@@ -214,7 +214,9 @@ class PerPlayerDelay(DelaySpec):
 
     kind = "per_player"
 
-    def for_player(self, player: int) -> DelaySpec:
+    def for_player(self, player: int | None) -> DelaySpec:
+        if player is None:
+            raise TypeError("player required for player-specific delay")
         try:
             return self.specs[player]
         except KeyError:
@@ -233,10 +235,28 @@ def evaluate_delay(spec: DelaySpec, x: int, y: int, player: int | None = None) -
     if x < 0 or y < 1:
         raise OutOfBoundError(f"delay arguments out of domain: (x={x}, y={y})")
     if isinstance(spec, PerPlayerDelay):
-        if player is None:
-            raise TypeError("player required for player-specific delay")
         spec = spec.for_player(player)
     return spec.value(x, y)
+
+
+class Points(dict):
+    """The kept points of one plain ``spec``: ``table[x, y]`` is d(x, y).
+
+    A first read stores what :func:`evaluate_delay` returns; later reads
+    return that same ``ExtCost``.  Specs are frozen and evaluation is pure,
+    so that is exact.  A failed evaluation is not stored: an out-of-domain
+    or out-of-table probe raises ``OutOfBoundError`` on every read.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: DelaySpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, point: tuple[int, int]) -> ExtCost:
+        value = self[point] = evaluate_delay(self.spec, *point)
+        return value
 
 
 def domain_points(bound: int) -> Iterable[tuple[int, int]]:
@@ -375,7 +395,7 @@ class Game:
     delays: Mapping[str, DelaySpec]
     player_specific: bool
     singleton: bool  # every strategy space is singleton, fixed by build_game
-    # (resource, x, y[, player]) -> the ExtCost evaluate_delay returned there
+    # resource, or (resource, player) on a PerPlayerDelay -> its Points table
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # player -> her pricing plan, built by Game.plan on first ask
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -389,44 +409,36 @@ class Game:
     def priority(self, resource: str, player: int) -> int:
         return self.priorities.of(resource, player)
 
-    def delay(self, player: int | None, resource: str, x: int, y: int) -> ExtCost:
-        """d_e(x, y) for the player at ``resource``, built once per game.
-
-        Every cost, potential and tolerance on the solver, potential and
-        certify paths reads its delays here.  The first call at a point
-        stores what :func:`evaluate_delay` returns; later calls return that
-        same ``ExtCost`` object.  That is exact, not an approximation: specs
-        are frozen and ``evaluate_delay`` is a pure function of
-        (spec, x, y, player), so a stored value is the value a fresh
-        evaluation would give.  The player is part of the key only on
-        resources whose spec is a :class:`PerPlayerDelay`, and is ignored
-        (may be None) elsewhere.  Failed evaluations are not stored, so an
-        out-of-domain or out-of-table probe raises ``OutOfBoundError`` on
-        every call.  The entry-price loops build this key from the player's
-        :meth:`plan`, read the stored point, and call here only on a miss.
+    def points(self, resource: str, player: int | None = None) -> Points:
+        """The :class:`Points` table of ``resource``'s delay, built on first ask:
+        one per resource, or per (resource, player) on a
+        :class:`PerPlayerDelay` (elsewhere the player may be None).  Every
+        solver, potential and certify path prices delays from these tables.
         """
-        spec = self.delays[resource]
-        key = (resource, x, y, player) if isinstance(spec, PerPlayerDelay) else (resource, x, y)
+        spec, key = self.delays[resource], resource
+        if isinstance(spec, PerPlayerDelay):
+            spec, key = spec.for_player(player), (resource, player)
         try:
             return self._points[key]
         except KeyError:
-            value = self._points[key] = evaluate_delay(spec, x, y, player=player)
-            return value
+            table = self._points[key] = Points(spec)
+            return table
 
-    def plan(self, player: int) -> tuple[tuple[str, int, int | None], ...]:
+    def delay(self, player: int | None, resource: str, x: int, y: int) -> ExtCost:
+        """d_e(x, y) for the player at ``resource``, read from its :meth:`points` table."""
+        return self.points(resource, player)[x, y]
+
+    def plan(self, player: int) -> tuple[tuple[str, int, Points], ...]:
         """The player's pricing plan, built on the first ask and kept: per
-        resource r of her ground, ascending, ``(r, q, k)`` with q her level
-        on r and k herself where r's spec is a :class:`PerPlayerDelay`, else
-        None.  So ``(r, x, y)`` if k is None, else ``(r, x, y, k)``, is the
-        key :meth:`delay` writes; the entry-price loops read it, and call
-        :meth:`delay` on a miss, without sorting, priority or type lookups.
+        resource r of her ground, ascending, ``(r, q, table)`` with q her
+        level on r and table her :meth:`points` table there.  The
+        entry-price loops walk it without sorting, priority or spec lookups.
         """
         try:
             return self._plans[player]
         except KeyError:
             plan = self._plans[player] = tuple(
-                (r, self.priorities.of(r, player),
-                 player if isinstance(self.delays[r], PerPlayerDelay) else None)
+                (r, self.priorities.of(r, player), self.points(r, player))
                 for r in sorted(self.spaces[player].ground())
             )
             return plan

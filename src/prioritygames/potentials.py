@@ -40,11 +40,12 @@ from .congestion import (
     State,
     congestion_view,  # noqa: F401  (bench/test_bench.py reads it from this module)
     count_below,
+    entry_price,
     reach_index,
     tally,
     validate_state,
 )
-from .core import AffineDelay, Game, PerPlayerDelay
+from .core import AffineDelay, Game, Points
 from .costs import INFINITY, ExtCost, sum_costs
 from .errors import (
     InconsistentPrioritiesError,
@@ -174,13 +175,14 @@ def _delay_block(game: Game, rid: str, row: dict[int, int]) -> list[Pair]:
     """The pairs one resource contributes, from its level-count row.
 
     Per present level q, ascending, and per y = 1..count(q), the pair
-    (d(below(q), y), q), with the game's shared delay on ``rid``.
+    (d(below(q), y), q), read from the shared delay's ``game.points(rid)``.
     """
+    table = game.points(rid)
     block: list[Pair] = []
     prefix = 0
     for q, cnt in sorted(row.items()):
         for y in range(1, cnt + 1):
-            block.append((game.delay(None, rid, prefix, y), q))
+            block.append((table[prefix, y], q))
         prefix += cnt
     return block
 
@@ -346,16 +348,10 @@ def level_potential(game: Game, state: State, q: int) -> ScalarPotential:
     frozen, players at q are active, and less prioritized players (above q)
     are ignored.  The value is sum over resources e of
     sum_{k=1..count at q} d_e(count below q, k), read from the state's
-    :func:`tally` table; changes under a unilateral level-q deviation
-    equal the deviator's cost change exactly.
+    :func:`tally` table by a new :class:`LevelRun`; changes under a
+    unilateral level-q deviation equal the deviator's cost change exactly.
     """
-    _require_level_game(game)
-    counts = tally(game, state)
-    parts: list[ExtCost] = []
-    for rid, row in counts.items():
-        below = count_below(row, q)
-        parts.extend(game.delay(None, rid, below, k) for k in range(1, row.get(q, 0) + 1))
-    return ScalarPotential(value=sum_costs(parts))
+    return LevelRun(game, state, q).value
 
 
 def _require_level_game(game: Game) -> None:
@@ -370,7 +366,8 @@ class LevelRun(_RowRun):
 
     Per resource it keeps (see :class:`_RowRun`) its term of
     :func:`level_potential`, sum_{k=1..count at q} d(count below q, k),
-    read from its row; the value is the sum of the kept terms.  The
+    read from its row and the point table of the resource's delay; the
+    value is the sum of the kept terms.  The
     layered solver steps one run per shared-delay layer, and
     ``certify_trace`` starts one on each ``layer:<q>`` phase.
     """
@@ -389,9 +386,9 @@ class LevelRun(_RowRun):
 
     def _rederive(self, rid: str, row: dict[int, int] | None) -> None:
         self._rows[rid], self.value = row, None
-        below, at_q = count_below(row or {}, self.q), (row or {}).get(self.q, 0)
-        delays = (self.game.delay(None, rid, below, k) for k in range(1, at_q + 1))
-        self._terms[rid] = sum_costs(delays)
+        row, table = row or {}, self.game.points(rid)
+        below = count_below(row, self.q)
+        self._terms[rid] = sum_costs(table[below, k] for k in range(1, row.get(self.q, 0) + 1))
 
 
 def market_lex_potential(market: MarketGame, prof: State) -> LexVector:
@@ -452,17 +449,15 @@ class Tolerance(NamedTuple):
 def tolerance(game: Game, state: State, player: int) -> Tolerance:
     """The player's :class:`Tolerance` record, priced afresh on every call.
 
-    Only her alternatives are priced: the ceiling is the least post-move
-    delay over ``singleton_resources`` of her space other than her own
-    resource, each read straight from the state's :func:`tally` table (she
-    is not on an alternative, so she joins its level-q count).  Dead ground
-    elements, which no strategy uses, are never priced: the walk over her
-    :meth:`~prioritygames.core.Game.plan` skips them.  Only the counts on
-    resources in her ground are read, so a move on a resource she cannot
-    reach leaves her record unchanged; the insertion solver relies on that
-    to refresh tolerances incrementally.  Her own membership needs no
-    removal: she sits at level q on her resource, so the count strictly
-    below q is the same with or without her.
+    The walk over her :meth:`~prioritygames.core.Game.plan` reads the
+    state's :func:`tally` rows and her point tables.  Her stay is
+    d(below, count at q) on her own resource; the ceiling is the least
+    :func:`~prioritygames.congestion.entry_price` over ``singleton_resources``
+    of her space other than her own resource.  Dead ground elements, which
+    no strategy uses, are never priced.  Only the counts on resources in her ground are
+    read, so a move on a resource she cannot reach leaves her record
+    unchanged; the insertion solver relies on that to refresh tolerances
+    incrementally.  Her tolerance is counted on her own point table.
 
     For a singleton player, ``improvable`` is exactly
     :func:`~prioritygames.congestion.has_better_response`: her entry weight
@@ -470,30 +465,23 @@ def tolerance(game: Game, state: State, player: int) -> Tolerance:
     alternative strictly below it.  Nothing is kept: the runs that reuse
     records, :class:`InsertionRun`'s, keep their own.
     """
-    counts, points = tally(game, state), game._points
+    counts = tally(game, state)
     strategy = state.strategy(player)
     if len(strategy) != 1:
         raise NotSingletonError("tolerance is defined for singleton strategies")
     (rid,) = strategy
     live = singleton_resources(game.spaces[player])
     ceiling = INFINITY
-    for r, q, k in game.plan(player):
-        if r != rid and r not in live:
-            continue
-        x, y = 0, 0 if r == rid else 1
-        for level, c in counts.get(r, {}).items():
-            if level < q:
-                x += c
-            elif level == q:
-                y += c
-        price = points.get((r, x, y) if k is None else (r, x, y, k))
-        if price is None:
-            price = game.delay(player, r, x, y)
+    for r, q, table in game.plan(player):
         if r == rid:
-            below, stay = x, price
-        elif price < ceiling:
-            ceiling = price
-    tol = _tolerance_count(game, player, rid, below, ceiling)
+            row = counts[r]
+            own, below = table, count_below(row, q)
+            stay = table[below, row[q]]
+        elif r in live:
+            price = entry_price(counts.get(r, {}), q, table, 1)
+            if price < ceiling:
+                ceiling = price
+    tol = _tolerance_count(game.n_players, own, below, ceiling)
     return Tolerance(ceiling, stay, tol, ceiling < stay)
 
 
@@ -509,29 +497,26 @@ def tol_value(game: Game, state: State, player: int) -> int:
     return tolerance(game, state, player).tol
 
 
-def _tolerance_count(game: Game, player: int, rid: str, below: int, ceiling: ExtCost) -> int:
+def _tolerance_count(n: int, table: Points, below: int, ceiling: ExtCost) -> int:
     """The largest y in 0..n with d(below, y') <= ceiling for every y' <= y.
 
-    An affine delay d(x, y) = alpha * (x + (y + 1)/2) + beta, shared or
-    the player's own, solves for y in closed form with integers.  With
+    An affine ``table.spec`` d(x, y) = alpha * (x + (y + 1)/2) + beta
+    solves for y in closed form with integers.  With
     alpha = a_n/a_d, beta = b_n/b_d and ceiling c = c_n/c_d, d(below, y) <= c
     reads y <= 2(c - beta)/alpha - 2 below - 1, so
     y = floor(2 a_d (c_n b_d - b_n c_d) / (c_d b_d a_n)) - 2 below - 1,
     clipped to [0, n].  With alpha = 0 the delay is beta everywhere: n when
     beta <= c, else 0.  An infinite ceiling gives n.
 
-    Any other spec is bisected.  ``build_game`` checks that every accepted
-    spec is nondecreasing in y on the whole domain up to
+    Any other spec is bisected on the table.  ``build_game`` checks that
+    every accepted spec is nondecreasing in y on the whole domain up to
     ``required_table_bound``, which for singleton games holds every probe
     here (x = below <= n - 1, y <= n), so "d(below, y) <= ceiling" holds on
     a prefix of 1..n and the bisection finds that prefix's end, the value a
     linear scan stopping at the first failure would find.  Every probe lies
     in that same domain, so no probe raises where the scan would not.
     """
-    n = game.n_players
-    spec = game.delays[rid]
-    if isinstance(spec, PerPlayerDelay):
-        spec = spec.for_player(player)
+    spec = table.spec
     if isinstance(spec, AffineDelay):
         c = ceiling.frac
         if c is None:
@@ -546,7 +531,7 @@ def _tolerance_count(game: Game, player: int, rid: str, below: int, ceiling: Ext
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if game.delay(player, rid, below, mid) <= ceiling:
+        if table[below, mid] <= ceiling:
             lo = mid
         else:
             hi = mid - 1

@@ -99,8 +99,9 @@ def read_trace_csv(source) -> MoveTrace:
     ``insert``, ``discard``, ``rebalance`` or ``layer:<level>``, the level
     a decimal >= 1 with no leading zero; any other phase is a ParseError
     naming its line.  So is a ``step`` cell other than the row's 0-based
-    position in ASCII decimal, as the writer numbers rows, and a second
-    ``start`` row for one player.
+    position in ASCII decimal, as the writer numbers rows, a second
+    ``start`` row for one player, a ``start`` row after a step row, and
+    any row after the ``cap`` row, which closes a capped run.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
@@ -124,7 +125,11 @@ def read_trace_csv(source) -> MoveTrace:
         step, phase, player, frm, to, cost_b, cost_a, potential = row
         if step != str(lineno - 2):
             raise ParseError(f"line {lineno}: step {step!r} is not the row's position {lineno - 2}")
+        if status == CAP_REACHED:
+            raise ParseError(f"line {lineno}: a row after the cap row")
         if phase == "start":
+            if steps:
+                raise ParseError(f"line {lineno}: a start row after a step row")
             strategy = _parse_strategy(to)
             if strategy is None:
                 raise ParseError(f"line {lineno}: start rows need a strategy")

@@ -1,10 +1,11 @@
 """Each game builds a delay point once, and the point is the pure function's value.
 
-``Game.delay`` stores what ``evaluate_delay`` returns at each point it is
-asked for.  These tests check the stored values against fresh evaluations
-on every generator class, check that failed probes are never stored, and
-pin that a full solve and certify on a fixed instance evaluates no point
-twice.
+Each delay's point table (``Game.points``) stores what ``evaluate_delay``
+returns at each point it is asked for.  These tests check the stored values
+against fresh evaluations on every generator class, check that failed
+probes are never stored, pin that a full solve and certify on a fixed
+instance evaluates no point twice, and show that no solver or certify path
+goes through ``Game.delay``.
 """
 
 from collections import Counter
@@ -16,6 +17,7 @@ import prioritygames as pg
 from conftest import gen_source
 from prioritygames import core
 from prioritygames.core import PerPlayerDelay, domain_points, evaluate_delay
+from prioritygames.dynamics import CONVERGED, POLICIES
 from test_kernel import CLASSES, priority_game
 from test_trace_digests import make_affine_n24
 
@@ -23,7 +25,7 @@ from test_trace_digests import make_affine_n24
 def _probe(game, player, rid, x, y):
     """The game's answer at a point: a value, or the error type it raised."""
     try:
-        return game.delay(player, rid, x, y)
+        return game.points(rid, player)[x, y]
     except pg.OutOfBoundError as exc:
         return type(exc)
 
@@ -64,7 +66,7 @@ def test_memo_matches_fresh_evaluation_everywhere(model, space, consistent, spec
                     # the second call returns the stored object, or raises again
                     assert _probe(game, player, rid, x, y) is first
                     if fresh is pg.OutOfBoundError:
-                        assert not any(k[:3] == (rid, x, y) for k in game._points)
+                        assert (x, y) not in game.points(rid, player)
                     else:
                         infinite += not fresh.is_finite
     if model == "classic":
@@ -74,14 +76,22 @@ def test_memo_matches_fresh_evaluation_everywhere(model, space, consistent, spec
 def test_player_enters_the_key_only_for_player_specific_specs():
     game = priority_game(gen_source(0, players=3, resources=2, player_specific=True))
     rid = game.resources[0]
+    one, two = game.points(rid, 1), game.points(rid, 2)
+    assert one is not two
+    assert one.spec is game.delays[rid].for_player(1) and two.spec is game.delays[rid].for_player(2)
     game.delay(1, rid, 0, 1)
     game.delay(2, rid, 0, 1)
-    assert {k for k in game._points} == {(rid, 0, 1, 1), (rid, 0, 1, 2)}
+    assert game.points(rid, 1) is one and list(one) == list(two) == [(0, 1)]
+    with pytest.raises(TypeError):
+        game.points(rid)
 
     shared = priority_game(gen_source(0, players=3, resources=2))
+    table = shared.points(rid)
+    assert shared.points(rid, 1) is table and shared.points(rid, 2) is table
+    assert table.spec is shared.delays[rid]
     first = shared.delay(1, rid, 0, 1)
     assert shared.delay(2, rid, 0, 1) is first and shared.delay(None, rid, 0, 1) is first
-    assert list(shared._points) == [(rid, 0, 1)]
+    assert list(table) == [(0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -101,10 +111,13 @@ def test_failed_probes_raise_every_time_and_are_not_stored(spec, x, y):
         priorities=pg.PriorityFunction({"a": {1: 1, 2: 1}}),
         delays={"a": spec},
     )
+    table = game.points("a")
     for _ in range(2):
         with pytest.raises(pg.OutOfBoundError):
             game.delay(1, "a", x, y)
-        assert game._points == {}
+        with pytest.raises(pg.OutOfBoundError):
+            table[x, y]
+        assert table == {}
 
 
 def test_memo_leaves_game_equality_alone():
@@ -140,4 +153,39 @@ def test_solve_and_certify_evaluate_each_point_once(evaluations, solve):
     _, trace = solve(game)
     assert pg.certify_trace(game, trace).ok
     assert evaluations and max(evaluations.values()) == 1
-    assert len(evaluations) == len(game._points)
+    assert len(evaluations) == sum(len(game.points(r)) for r in game.resources)
+
+
+@pytest.mark.parametrize("model,space,consistent,specific", CLASSES)
+def test_solvers_and_certify_read_the_tables_not_game_delay(
+    monkeypatch, model, space, consistent, specific
+):
+    """Every pricing path reads the point tables; ``Game.delay`` is only the
+    public read, so solving and certifying never call it."""
+
+    def refuse(self, player, resource, x, y):
+        raise AssertionError(f"Game.delay called at {resource} ({x}, {y})")
+
+    monkeypatch.setattr(pg.Game, "delay", refuse)
+    for seed in range(3):
+        game = priority_game(
+            gen_source(
+                seed,
+                players=5 + seed,
+                resources=3,
+                model=model,
+                space_kind=space,
+                levels=2,
+                consistent=consistent,
+                player_specific=specific,
+            )
+        )
+        start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+        runs = [pg.run_dynamics(game, start, policy=policy, cap=200) for policy in POLICIES]
+        if game.is_singleton_game():
+            runs.append(pg.solve_insertion(game))
+        if game.priorities.consistent:
+            runs.append(pg.solve_consistent_layered(game))
+        for final, trace in runs:
+            assert trace.status == CONVERGED
+            assert pg.certify_trace(game, trace).ok and pg.is_pure_nash(game, final)

@@ -13,7 +13,7 @@ import pytest
 import prioritygames as pg
 from conftest import gen_game
 from test_trace_digests import BR_GAMES, LAYERED_GAMES, make_affine_n24
-from prioritygames import congestion, dynamics, oracle, potentials
+from prioritygames import congestion, core, dynamics, oracle, potentials
 from prioritygames.cli import cli_main
 from prioritygames.jsonio import emit_instance
 
@@ -395,18 +395,21 @@ def test_failed_probe_raises_on_every_call(monkeypatch, singleton_game):
     state = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
     *probed, failing = sorted(game.ground_of(1))
     assert probed  # the failure comes after some probes succeeded
-    delay = pg.Game.delay
+    spec = game.delays[failing]
+    assert all(game.delays[r] is not spec for r in probed)
+    evaluate = core.evaluate_delay
 
-    def probe(self, player, resource, x, y):
-        if resource == failing:
-            raise pg.OutOfBoundError(f"no delay at {resource}")
-        return delay(self, player, resource, x, y)
+    def probe(at, x, y, player=None):
+        if at is spec:
+            raise pg.OutOfBoundError(f"no delay at {failing}")
+        return evaluate(at, x, y, player)
 
-    monkeypatch.setattr(pg.Game, "delay", probe)
+    monkeypatch.setattr(core, "evaluate_delay", probe)
     for _ in range(2):
         with pytest.raises(pg.OutOfBoundError):
             congestion.entry_weights(game, state, 1)
-    monkeypatch.setattr(pg.Game, "delay", delay)
+    assert game.points(failing) == {}
+    monkeypatch.setattr(core, "evaluate_delay", evaluate)
     weights = congestion.entry_weights(game, state, 1)
     assert weights == congestion.entry_weights(game, pg.State(dict(state.items())), 1)
     assert sorted(weights) == sorted(game.ground_of(1))

@@ -19,7 +19,7 @@ import pytest
 import prioritygames as pg
 from conftest import gen_source
 from prioritygames import oracle
-from prioritygames.core import PerPlayerDelay
+from prioritygames.core import PerPlayerDelay, evaluate_delay
 from prioritygames.congestion import level_counts, step_state
 from prioritygames.costs import sum_costs
 from prioritygames.matroids import singleton_resources
@@ -60,7 +60,8 @@ def naive_cost(game, state, player):
     for rid in state.strategy(player):
         q = game.priority(rid, player)
         counts = naive_counts(game, state, rid)
-        parts.append(game.delay(player, rid, naive_below(counts, q), counts[q]))
+        below = naive_below(counts, q)
+        parts.append(evaluate_delay(game.delays[rid], below, counts[q], player))
     return sum_costs(parts)
 
 
@@ -70,7 +71,8 @@ def naive_weights(game, state, player):
     for rid in sorted(game.ground_of(player)):
         q = game.priority(rid, player)
         counts = naive_counts(game, others, rid)
-        weights[rid] = game.delay(player, rid, naive_below(counts, q), counts.get(q, 0) + 1)
+        below = naive_below(counts, q)
+        weights[rid] = evaluate_delay(game.delays[rid], below, counts.get(q, 0) + 1, player)
     return weights
 
 
@@ -106,7 +108,7 @@ def naive_tol(game, state, player) -> int:
     below = naive_below(naive_counts(game, state.without_player(player), rid), q)
     best = 0
     for y in range(1, game.n_players + 1):
-        if not game.delay(player, rid, below, y) <= ceiling:
+        if not evaluate_delay(game.delays[rid], below, y, player) <= ceiling:
             break
         best = y
     return best
@@ -481,8 +483,9 @@ def test_final_check_catches_a_term_from_a_wrong_row_split(monkeypatch):
 
 @pytest.mark.parametrize("model,space,consistent,specific", CLASSES)
 def test_plan_rows_hold_levels_and_key_players(model, space, consistent, specific):
-    """Per resource of the ground, ascending: her priority there, and
-    herself as the memo key's player exactly on player-specific specs."""
+    """Per resource of the ground, ascending: her priority there, and her
+    point table there, keyed by herself exactly on player-specific specs:
+    a table is shared across players exactly on shared specs."""
     keyed = set()
     for seed in SEEDS:
         game = priority_game(
@@ -497,15 +500,23 @@ def test_plan_rows_hold_levels_and_key_players(model, space, consistent, specifi
                 player_specific=specific,
             )
         )
+        users: dict[str, dict[int, object]] = {r: {} for r in game.resources}
         for p in game.players():
             plan = game.plan(p)
             assert [r for r, _, _ in plan] == sorted(game.ground_of(p))
-            for r, level, key_player in plan:
+            for r, level, table in plan:
                 assert level == game.priority(r, p)
-                specific_spec = isinstance(game.delays[r], PerPlayerDelay)
-                assert key_player == (p if specific_spec else None)
-                keyed.add(key_player is not None)
+                assert table is game.points(r, p)
+                spec = game.delays[r]
+                specific_spec = isinstance(spec, PerPlayerDelay)
+                assert table.spec is (spec.for_player(p) if specific_spec else spec)
+                users[r][p] = table
+                keyed.add(specific_spec)
             assert game.plan(p) is plan  # kept, not rebuilt
+        for r, tables in users.items():
+            distinct = len({id(t) for t in tables.values()})
+            specific_spec = isinstance(game.delays[r], PerPlayerDelay)
+            assert distinct == (len(tables) if specific_spec else min(len(tables), 1))
     assert keyed == ({True} if specific or model == "market" else {False})
 
 

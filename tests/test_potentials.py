@@ -457,10 +457,10 @@ def test_closed_form_affine_tolerance_matches_scan(alpha, beta, ceiling, below, 
     bound = pg.INFINITY if ceiling is None else pg.cost(ceiling)
     below = min(below, n - 1)
     expected = scan_tolerance(spec, below, bound, n)
-    assert _tolerance_count(game, 1, "a", below, bound) == expected
+    assert _tolerance_count(n, game.points("a"), below, bound) == expected
     # a table of the same values takes the bisection to the same answer
     table = crowd_game(n, pg.table_from_function(spec.value, game.required_bound()))
-    assert _tolerance_count(table, 1, "a", below, bound) == expected
+    assert _tolerance_count(n, table.points("a"), below, bound) == expected
 
 
 AFFINE_PARAMS = st.tuples(

@@ -1,13 +1,16 @@
 import io
 import re
+from pathlib import Path
 
 import pytest
 
 import prioritygames as pg
 from conftest import gen_game
 from prioritygames.cli import cli_main
-from prioritygames.jsonio import emit_instance
+from prioritygames.jsonio import emit_instance, parse_instance
 from prioritygames.traceio import read_trace_csv, trace_to_csv_text, write_trace_csv
+
+REBALANCE_FIXTURE = Path(__file__).parent / "data" / "rebalance_n6.json"
 
 
 def test_header_and_shape(t1):
@@ -165,3 +168,42 @@ def test_verify_rejects_a_trace_naming_player_01(t1, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "PARSE_ERROR" in err and f"line {line}: player ids" in err and "'01'" in err
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (
+            "1,br,1,a,b,1/1,0/1,\n2,cap,,,,,,\n3,br,1,b,a,1/1,0/1,\n",
+            "line 5: a row after the cap row",
+        ),
+        ("1,cap,,,,,,\n2,cap,,,,,,\n", "line 4: a row after the cap row"),
+        ("1,cap,,,,,,\n2,start,2,,a,,,\n", "line 4: a row after the cap row"),
+        ("1,br,1,a,b,1/1,0/1,\n2,start,2,,a,,,\n", "line 4: a start row after a step row"),
+    ],
+)
+def test_cap_closes_and_steps_follow_start_rows(rows, message):
+    text = TRACE_HEADER + "0,start,1,,a,,,\n" + rows
+    with pytest.raises(pg.ParseError, match=re.escape(message)):
+        read_trace_csv(io.StringIO(text))
+
+
+def test_verify_rejects_a_move_after_the_cap_row(tmp_path, capsys):
+    """A capped run's trace with the run's next move appended after ``cap``."""
+    instance = REBALANCE_FIXTURE
+    game = parse_instance(instance.read_bytes())
+    start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
+    _, capped = pg.run_dynamics(game, start, cap=1)
+    _, longer = pg.run_dynamics(game, start, cap=2)
+    assert capped.status == longer.status == "CapReached"
+    lines = trace_to_csv_text(capped).splitlines(keepends=True)
+    step = trace_to_csv_text(longer).splitlines(keepends=True)[-2]
+    cells = step.split(",")
+    assert cells[1] == "br" and lines[-1].split(",")[1] == "cap"
+    cells[0] = str(len(lines) - 1)
+    trace = tmp_path / "t.csv"
+    trace.write_text("".join(lines) + ",".join(cells))
+    code = cli_main(["verify", str(instance), "--trace", str(trace)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "PARSE_ERROR" in err and f"line {len(lines) + 1}: a row after the cap row" in err
