@@ -246,13 +246,23 @@ class Points(dict):
     return that same ``ExtCost``.  Specs are frozen and evaluation is pure,
     so that is exact.  A failed evaluation is not stored: an out-of-domain
     or out-of-table probe raises ``OutOfBoundError`` on every read.
+
+    For an :class:`AffineDelay` spec, ``affine`` keeps alpha = a_n/a_d and
+    beta = b_n/b_d as the four ints ``(a_n, a_d, b_n, b_d)``, each pair
+    reduced with a positive denominator, read once when the table is built;
+    for any other spec it is None.  Closed forms over the affine line
+    (``potentials._tolerance_count``) compute on these ints.
     """
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "affine")
 
     def __init__(self, spec: DelaySpec):
         super().__init__()
         self.spec = spec
+        self.affine: tuple[int, int, int, int] | None = None
+        if isinstance(spec, AffineDelay):
+            a, b = spec.alpha, spec.beta
+            self.affine = (a.numerator, a.denominator, b.numerator, b.denominator)
 
     def __missing__(self, point: tuple[int, int]) -> ExtCost:
         value = self[point] = evaluate_delay(self.spec, *point)

@@ -20,18 +20,21 @@ run, :class:`LexRun` and :class:`LevelRun` keep one part per resource, a
 block of pairs or a level-q term, beside the level-count row it was read
 from, and re-derive only the parts whose row a state changed, with the
 same builders as :func:`lex_potential_singleton` and
-:func:`level_potential`; :class:`InsertionRun` keeps the rows and the
-insertion potential's tolerance records, and re-prices only the records a
-changed row can change.  All three read a state by ``at(state)``.
+:func:`level_potential`; :class:`InsertionRun` keeps the insertion
+potential's tolerance records, and re-prices only the records a changed
+row can change, and keeps each row's counts with their canonical token in
+one sorted list, so a read re-formats and re-sorts only the rows it
+changed.  All three read a state by ``at(state)``.
 :func:`falls` is the one strict-drop rule of the descending runs.
 Everything compares exactly; no tolerances anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from operator import itemgetter, le
 from typing import Mapping, NamedTuple
@@ -45,7 +48,7 @@ from .congestion import (
     tally,
     validate_state,
 )
-from .core import AffineDelay, Game, Points
+from .core import Game, Points
 from .costs import INFINITY, ExtCost, sum_costs
 from .errors import (
     InconsistentPrioritiesError,
@@ -100,12 +103,20 @@ class ScalarPotential:
 
 @dataclass(frozen=True)
 class InsertionPotentialValue:
-    """Sorted per-resource level-count rows plus the summed tolerance."""
+    """Sorted per-resource level-count rows plus the summed tolerance.
+
+    A value from :class:`InsertionRun` keeps its canonical ``text``, joined
+    from the run's kept row tokens.  Only the rows and the sum take part in
+    equality.
+    """
 
     rows: tuple[tuple[int, ...], ...]
     tol_sum: int
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def canonical(self) -> str:
+        if self.text is not None:
+            return self.text
         rows = "|".join(",".join(str(c) for c in row) for row in self.rows)
         return f"phi={rows};tol={self.tol_sum}"
 
@@ -500,13 +511,15 @@ def tol_value(game: Game, state: State, player: int) -> int:
 def _tolerance_count(n: int, table: Points, below: int, ceiling: ExtCost) -> int:
     """The largest y in 0..n with d(below, y') <= ceiling for every y' <= y.
 
-    An affine ``table.spec`` d(x, y) = alpha * (x + (y + 1)/2) + beta
-    solves for y in closed form with integers.  With
-    alpha = a_n/a_d, beta = b_n/b_d and ceiling c = c_n/c_d, d(below, y) <= c
-    reads y <= 2(c - beta)/alpha - 2 below - 1, so
+    An affine spec d(x, y) = alpha * (x + (y + 1)/2) + beta solves for y
+    in closed form on ints alone: the table's kept ``affine`` ints
+    alpha = a_n/a_d, beta = b_n/b_d, and the ceiling's kept ``num`` and
+    ``den``, c = c_n/c_d.  d(below, y) <= c reads
+    y <= 2(c - beta)/alpha - 2 below - 1, so
     y = floor(2 a_d (c_n b_d - b_n c_d) / (c_d b_d a_n)) - 2 below - 1,
     clipped to [0, n].  With alpha = 0 the delay is beta everywhere: n when
-    beta <= c, else 0.  An infinite ceiling gives n.
+    b_n c_d <= c_n b_d (beta <= c), else 0.  An infinite ceiling (c_d = 0)
+    gives n.  No ``Fraction`` is read.
 
     Any other spec is bisected on the table.  ``build_game`` checks that
     every accepted spec is nondecreasing in y on the whole domain up to
@@ -516,16 +529,15 @@ def _tolerance_count(n: int, table: Points, below: int, ceiling: ExtCost) -> int
     linear scan stopping at the first failure would find.  Every probe lies
     in that same domain, so no probe raises where the scan would not.
     """
-    spec = table.spec
-    if isinstance(spec, AffineDelay):
-        c = ceiling.frac
-        if c is None:
+    affine = table.affine
+    if affine is not None:
+        c_n, c_d = ceiling.num, ceiling.den
+        if not c_d:
             return n
-        a, b = spec.alpha, spec.beta
-        if a == 0:
-            return n if b <= c else 0
-        slack = 2 * a.denominator * (c.numerator * b.denominator - b.numerator * c.denominator)
-        y = slack // (c.denominator * b.denominator * a.numerator) - 2 * below - 1
+        a_n, a_d, b_n, b_d = affine
+        if not a_n:
+            return n if b_n * c_d <= c_n * b_d else 0
+        y = 2 * a_d * (c_n * b_d - b_n * c_d) // (c_d * b_d * a_n) - 2 * below - 1
         return max(0, min(n, y))
     # d(below, y) <= ceiling for every 1 <= y <= lo, and > ceiling for y > hi
     lo, hi = 0, n
@@ -554,16 +566,16 @@ def insertion_potential(game: Game, state: State) -> InsertionPotentialValue:
     return InsertionPotentialValue(rows=insertion_rows(game, tally(game, state)), tol_sum=tol_sum)
 
 
-def insertion_rows(game: Game, counts: Mapping[str, dict | None]) -> tuple[tuple[int, ...], ...]:
-    """The insertion potential's first part, read from a level-count table
-    or from a run's kept rows (None: an empty row).
+def insertion_rows(game: Game, counts: Mapping[str, dict]) -> tuple[tuple[int, ...], ...]:
+    """The insertion potential's first part, read afresh from a level-count
+    table.
 
     Per resource e, the counts at levels 1..q*_e (q*_e its largest level in
     the game), rows sorted lexicographically nondecreasing.
     """
     rows = []
     for rid in game.resources:
-        row = counts.get(rid) or {}
+        row = counts.get(rid, {})
         rows.append(tuple(row.get(q, 0) for q in range(1, game.priorities.max_level(rid) + 1)))
     return tuple(sorted(rows))
 
@@ -576,15 +588,25 @@ class InsertionRun(_RowRun):
     alternative, ``value`` the potential of the last state, and ``reach``
     the game's :func:`~prioritygames.congestion.reach_index` over all its
     players.  Per resource it keeps the level-count row (see
-    :class:`_RowRun`) and no part: ``_rederive`` queues the players whose
+    :class:`_RowRun`) and, as its part, the row's entry of the first part:
+    the tuple of its counts at levels 1..q*_e (q*_e the resource's largest
+    level in the game) and that tuple's ``","``-joined token.  The m
+    entries sit in one list sorted by tuple, which is the order
+    :func:`insertion_rows` gives.  ``_rederive`` queues the players whose
     record a changed row can change, those of ``reach[r]`` at or above its
-    lowest changed level, and ``_merge`` re-prices the queued placed
-    players, runs the tolerance sum along and reads the first part off the
-    kept rows.  That is exact.  A record reads only (count below, count at)
-    her own level on resources in her ground, so a p whose level on r is
-    below every changed level of r's row reads no changed count there.  A
-    player whose own strategy changed is queued too (:meth:`at`): a jump
-    that moves several players at once can leave her rows as they were.
+    lowest changed level.  ``_merge`` re-prices the queued placed players
+    and runs the tolerance sum along.  It then re-reads the entry of every
+    resource whose kept row is not the row object its entry was built
+    from, moving it by bisection in the sorted list, and reads the value
+    off that list: the rows are its tuples, and the canonical text joins
+    its tokens.  So a read formats only the rows it changed.  That is
+    exact.  A record reads only (count below, count at) her own level on
+    resources in her ground, so a p whose level on r is below every changed
+    level of r's row reads no changed count there.  A player whose own
+    strategy changed is queued too (:meth:`at`): a jump that moves several
+    players at once can leave her rows as they were.  Tied rows have equal
+    tuples and equal tokens, so which of them a bisection removes does not
+    matter.
 
     The insertion solver and ``certify_trace`` each read their own run by
     :meth:`at`, on their own states; certify checks its last ``value``
@@ -604,6 +626,11 @@ class InsertionRun(_RowRun):
         self._tol_sum = 0
         self._queued: set[int] = set()
         self._state = State({})
+        self._tops = {rid: game.priorities.max_level(rid) for rid in game.resources}
+        # per resource, the row its entry was built from, and the entry
+        self._built: dict[str, dict[int, int] | None] = dict.fromkeys(game.resources)
+        self._entries = {rid: _row_entry({}, top) for rid, top in self._tops.items()}
+        self._sorted = sorted(self._entries.values())
         self.at(state)
 
     def at(self, state: State, mover: int | None = None) -> InsertionPotentialValue:
@@ -638,7 +665,22 @@ class InsertionRun(_RowRun):
                 if record.improvable:
                     improvable.add(p)
         self._queued.clear()
-        return InsertionPotentialValue(insertion_rows(game, self._rows), self._tol_sum)
+        built, entries, ordered = self._built, self._entries, self._sorted
+        for rid, row in self._rows.items():
+            if row is not built[rid]:
+                del ordered[bisect_left(ordered, entries[rid])]
+                entry = entries[rid] = _row_entry(row or {}, self._tops[rid])
+                insort(ordered, entry)
+                built[rid] = row
+        text = f"phi={'|'.join(map(itemgetter(1), ordered))};tol={self._tol_sum}"
+        return InsertionPotentialValue(tuple(map(itemgetter(0), ordered)), self._tol_sum, text)
+
+
+def _row_entry(row: dict[int, int], top: int) -> tuple[tuple[int, ...], str]:
+    """A resource's entry of the insertion potential's first part: its
+    counts at levels 1..``top`` and their ``","``-joined token."""
+    counts = tuple(map(row.get, range(1, top + 1), repeat(0)))
+    return counts, ",".join(map(str, counts))
 
 
 def insertion_potential_compare(a: InsertionPotentialValue, b: InsertionPotentialValue) -> int:

@@ -14,6 +14,7 @@ certify once at n=320.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +152,116 @@ def test_rebalance_order_is_pinned():
         assert pg.certify_trace(game, trace).ok, (k, n, m)
         digest.update(trace_to_csv_text(trace).encode())
     assert digest.hexdigest() == REBALANCED_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The kept rows and text of the insertion potential
+
+
+def assert_kept_value(game: pg.Game, state: pg.State, value: pg.InsertionPotentialValue) -> None:
+    """The run's value has the rows and canonical text of fresh ones, read
+    from a new copy of ``state``, and its text is the run's kept one."""
+    copy = state.copy()
+    assert value.text is not None
+    assert value.rows == potentials.insertion_rows(game, congestion.level_counts(game, copy))
+    assert value.canonical() == pg.insertion_potential(game, copy).canonical()
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_kept_rows_and_text_are_fresh_after_every_read(monkeypatch, name):
+    """Along the solver's run and certify's, every read's value is checked."""
+    game = GAMES_BY_NAME[name]
+    reads = []
+
+    def reading(run, state, mover=None, original=potentials.InsertionRun.at):
+        value = original(run, state, mover)
+        assert_kept_value(run.game, state, value)
+        reads.append(value)
+        return value
+
+    monkeypatch.setattr(potentials.InsertionRun, "at", reading)
+    _, trace = pg.solve_insertion(game)
+    assert [v.canonical() for v in reads[1:]] == [s.potential for s in trace.steps]
+    solver_reads = len(reads)
+    assert pg.certify_trace(game, trace).ok
+    assert len(reads) - solver_reads > len(trace.steps)  # the start and every row
+
+
+def test_runs_build_no_fresh_rows(monkeypatch):
+    """The solver's run never calls ``insertion_rows``; certify calls it
+    once, in its final fresh ``insertion_potential`` check."""
+    calls = []
+
+    def rows(game, counts, original=potentials.insertion_rows):
+        calls.append(counts)
+        return original(game, counts)
+
+    monkeypatch.setattr(potentials, "insertion_rows", rows)
+    for name in AUDITED:
+        game = GAMES_BY_NAME[name]
+        _, trace = pg.solve_insertion(game)
+        assert calls == [], name
+        assert pg.certify_trace(game, trace).ok
+        assert len(calls) == 1, name
+        calls.clear()
+
+
+def tied_rows_game() -> pg.Game:
+    """Five players on three resources; ``a`` and ``b`` have two levels, ``c`` three."""
+    return pg.build_game(
+        n_players=5,
+        resources=["a", "b", "c"],
+        spaces={p: pg.SingletonSpace(["a", "b", "c"]) for p in range(1, 6)},
+        priorities=pg.PriorityFunction(
+            {
+                "a": {1: 1, 2: 2, 3: 1, 4: 2, 5: 1},
+                "b": {1: 1, 2: 2, 3: 1, 4: 2, 5: 2},
+                "c": {1: 1, 2: 2, 3: 3, 4: 1, 5: 2},
+            }
+        ),
+        delays={r: pg.AffineDelay(alpha=Fraction(1), beta=Fraction(0)) for r in "abc"},
+    )
+
+
+def test_kept_rows_follow_jumps_over_tied_rows_and_mixed_tops():
+    """Reads without a mover, several players moved at once, through states
+    whose rows tie, tie on a prefix across top levels, and part again."""
+    game = tied_rows_game()
+    states = [
+        {1: "a", 2: "a", 3: "b", 4: "b"},  # a and b tie at (1, 1)
+        {1: "c", 2: "b", 3: "a", 5: "c"},  # (1, 0), (0, 1), (1, 1, 0)
+        {1: "a", 3: "b", 4: "c"},  # a and b tie at (1, 0), c (1, 0, 0) ties on a prefix
+        {1: "b", 2: "c", 3: "a", 4: "a", 5: "b"},
+        {},
+        {1: "c", 2: "c", 3: "c", 4: "c", 5: "c"},
+        {1: "a", 2: "a", 3: "b", 4: "b"},
+    ]
+    run = potentials.InsertionRun(game, pg.State({}))
+    assert_kept_value(game, pg.State({}), run.value)
+    seen = set()
+    for strategies in states:
+        state = pg.State(dict(strategies))
+        value = run.at(state)
+        assert_kept_value(game, state, value)
+        seen.update(r for r, s in zip(value.rows, value.rows[1:]) if r == s)
+        assert value == pg.insertion_potential(game, state.copy())
+    assert (1, 0) in seen and (1, 1) in seen
+
+
+def test_kept_rows_follow_a_jump_along_a_solved_run():
+    """On ``rebalance_n6.json`` (top levels 3 and 4), a run read at every
+    third row of a solved trace, without a mover, and back to the start."""
+    game = GAMES_BY_NAME["rebalance-n6"]
+    _, trace = pg.solve_insertion(game)
+    strategies = dict(trace.start.items())
+    run = potentials.InsertionRun(game, trace.start.copy())
+    for k, step in enumerate(trace.steps, 1):
+        if step.to is None:
+            strategies.pop(step.player, None)
+        else:
+            strategies[step.player] = step.to
+        if k % 3 == 0 or k == len(trace.steps):
+            state = pg.State(dict(strategies))
+            assert_kept_value(game, state, run.at(state))
+            assert run.value.canonical() == step.potential
+    assert_kept_value(game, trace.start, run.at(trace.start.copy()))

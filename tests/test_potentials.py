@@ -408,6 +408,30 @@ class TestInsertionPotential:
         with pytest.raises(pg.ShapeMismatchError):
             pg.insertion_potential_compare(a, b)
 
+    def test_kept_text_takes_no_part_in_equality_hash_or_compare(self):
+        plain = [
+            pg.InsertionPotentialValue(rows=((0, 1), (1, 0)), tol_sum=3),
+            pg.InsertionPotentialValue(rows=((0, 1), (1, 0)), tol_sum=4),
+            pg.InsertionPotentialValue(rows=((0, 1), (1, 1)), tol_sum=0),
+            pg.InsertionPotentialValue(rows=((0, 0), (0, 0, 2)), tol_sum=7),
+        ]
+        assert plain[0].canonical() == "phi=0,1|1,0;tol=3"
+        assert plain[3].canonical() == "phi=0,0|0,0,2;tol=7"
+        kept = [dataclasses.replace(v, text=v.canonical()) for v in plain]
+        for v, k in zip(plain, kept):
+            assert k.text is not None and v.text is None
+            assert k == v and hash(k) == hash(v)
+            assert k.canonical() == v.canonical()
+            assert repr(k) == repr(v)
+            # equality never reads the text, even a wrong one
+            assert dataclasses.replace(v, text="phi=9;tol=9") == v
+        same_shape = list(zip(plain[:3], kept[:3]))
+        for a, ka in same_shape:
+            for b, kb in same_shape:
+                expected = pg.insertion_potential_compare(a, b)
+                assert pg.insertion_potential_compare(ka, kb) == expected
+                assert pg.insertion_potential_compare(ka, b) == expected
+
 
 # ---------------------------------------------------------------------------
 # Affine tolerances in closed form against a linear scan
@@ -451,6 +475,10 @@ def crowd_game(n, spec):
 @example(alpha=Fraction(1, 2), beta=Fraction(0), ceiling=Fraction(100), below=0, n=4)  # clip at n
 @example(alpha=Fraction(3), beta=Fraction(2), ceiling=Fraction(1), below=2, n=6)  # clip at 0
 @example(alpha=Fraction(1), beta=Fraction(1, 3), ceiling=Fraction(7, 3), below=1, n=8)  # d == c
+@example(alpha=Fraction(0), beta=Fraction(1, 3), ceiling=Fraction(1, 2), below=2, n=6)  # beta < c
+@example(alpha=Fraction(0), beta=Fraction(5, 2), ceiling=Fraction(7, 3), below=0, n=6)  # beta > c
+@example(alpha=Fraction(0), beta=Fraction(5, 2), ceiling=Fraction(5, 2), below=4, n=6)  # beta == c
+@example(alpha=Fraction(0), beta=Fraction(0), ceiling=Fraction(0), below=0, n=3)  # 0 == c
 def test_closed_form_affine_tolerance_matches_scan(alpha, beta, ceiling, below, n):
     spec = pg.AffineDelay(alpha=alpha, beta=beta)
     game = crowd_game(n, spec)
@@ -504,3 +532,55 @@ def test_per_player_affine_tolerances_match_scan_and_bisection(data, n, m):
         expected = naive_tol(affine, state, p)
         assert pg.tol_value(affine, state, p) == expected
         assert pg.tol_value(tabled, pg.State(dict(state.items())), p) == expected
+
+
+# ---------------------------------------------------------------------------
+# The integer affine form a point table keeps
+
+ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(3, 2)]
+BETAS = [Fraction(0), Fraction(1, 3), Fraction(5, 2)]
+
+
+def parts(spec) -> tuple[int, int, int, int]:
+    a, b = spec.alpha, spec.beta
+    return (a.numerator, a.denominator, b.numerator, b.denominator)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("beta", BETAS)
+def test_points_keep_the_reduced_affine_ints(alpha, beta):
+    spec = pg.AffineDelay(alpha=alpha, beta=beta)
+    shared = crowd_game(3, spec).points("a")
+    assert shared.spec is spec and shared.affine == parts(spec)
+    assert all(type(k) is int for k in shared.affine) and shared.affine[1] > 0 < shared.affine[3]
+    other = pg.AffineDelay(alpha=beta + 1, beta=alpha * 2)
+    game = pg.build_game(
+        n_players=2,
+        resources=["a"],
+        spaces={1: pg.SingletonSpace(["a"]), 2: pg.SingletonSpace(["a"])},
+        priorities=pg.PriorityFunction.constant(["a"], [1, 2]),
+        delays={"a": pg.PerPlayerDelay(specs={1: spec, 2: other})},
+    )
+    assert game.points("a", 1).affine == parts(spec)
+    assert game.points("a", 2).affine == parts(other)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pg.table_from_function(lambda x, y: 2 * x + y, 8),
+        pg.ClassicDelay(values=tuple(pg.cost(k) for k in (1, 2, 4, 4))),
+    ],
+    ids=["table", "classic"],
+)
+def test_a_non_affine_table_keeps_none_and_bisects(spec):
+    n = 4
+    table = crowd_game(n, spec).points("a")
+    assert table.affine is None
+    for ceiling in (pg.cost(0), pg.cost(3), pg.cost(Fraction(9, 2)), pg.INFINITY):
+        assert _tolerance_count(n, table, 0, ceiling) == scan_tolerance(spec, 0, ceiling, n)
+    assert len(table) > 0  # the bisection probed the table
+    # the closed form reads no point at all
+    affine = crowd_game(n, pg.AffineDelay(alpha=Fraction(1, 2), beta=Fraction(1, 3))).points("a")
+    _tolerance_count(n, affine, 1, pg.cost(2))
+    assert len(affine) == 0
