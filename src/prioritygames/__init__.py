@@ -14,7 +14,6 @@ from .congestion import (
     congestion_view,
     entry_weights,
     has_better_response,
-    is_better_response,
     is_pure_nash,
     player_cost,
     profile,
@@ -92,7 +91,6 @@ from .matroids import (
     StrategySpace,
     UniformMatroid,
     greedy_min_base,
-    is_base,
     lazy_path,
 )
 from .oracle import (

@@ -323,21 +323,6 @@ def best_response(game: Game, state: State, player: int) -> frozenset[str]:
     return best if base_weight(best, weights) < base_weight(current, weights) else current
 
 
-def is_better_response(
-    game: Game, state: State, player: int, new_strategy: Iterable[str] | str
-) -> bool:
-    """Strictly cheaper?  Equal-cost moves are not better responses."""
-    new = frozenset([new_strategy]) if isinstance(new_strategy, str) else frozenset(new_strategy)
-    if not game.spaces[player].is_base(new):
-        raise ValidationFailed(
-            "strategy outside the player's space",
-            [Violation("BAD_STRATEGY", f"player {player}", f"{sorted(new)}")],
-        )
-    current = state.strategy(player)
-    weights = entry_weights(game, state, player)
-    return base_weight(new, weights) < base_weight(current, weights)
-
-
 def has_better_response(game: Game, state: State, player: int) -> bool:
     """True when some strategy strictly beats the player's current one."""
     return best_response(game, state, player) != state.strategy(player)

@@ -434,10 +434,6 @@ class Game:
             table = self._points[key] = Points(spec)
             return table
 
-    def delay(self, player: int | None, resource: str, x: int, y: int) -> ExtCost:
-        """d_e(x, y) for the player at ``resource``, read from its :meth:`points` table."""
-        return self.points(resource, player)[x, y]
-
     def plan(self, player: int) -> tuple[tuple[str, int, Points], ...]:
         """The player's pricing plan, built on the first ask and kept: per
         resource r of her ground, ascending, ``(r, q, table)`` with q her

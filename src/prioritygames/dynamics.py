@@ -211,22 +211,7 @@ def _append_move(
     and after, the others held fixed.
     """
     cost_before = None if frm is None else base_weight(frm, weights)
-    _append_row(
-        trace, round_no, phase, player, frm, to, cost_before, base_weight(to, weights), potential
-    )
-
-
-def _append_row(
-    trace: MoveTrace,
-    round_no: int,
-    phase: str,
-    player: int,
-    frm: frozenset[str] | None,
-    to: frozenset[str] | None,
-    cost_before: ExtCost | None,
-    cost_after: ExtCost | None,
-    potential: str,
-) -> None:
+    cost_after = base_weight(to, weights)
     trace.steps.append(
         TraceStep(
             len(trace.steps), round_no, phase, player, frm, to, cost_before, cost_after, potential
@@ -451,13 +436,19 @@ def _place(
     trace: MoveTrace,
     round_no: int,
     phase: str,
-    pick: Callable[[int, int, dict[str, ExtCost]], frozenset[str]],
     snapshot: Callable[[State], str],
+    attempt: int = 0,
 ) -> tuple[State, int]:
-    """Put the j-th player i of ``layer`` on ``pick(j, i, her weights)``, a round each."""
+    """Put each player of ``layer`` on her cheapest strategy, a round each;
+    restart ``attempt`` > 0 puts the j-th one on her bases' entry
+    ``attempt + j`` instead, rotated."""
     for j, i in enumerate(layer):
         weights = entry_weights(game, state, i)
-        s = pick(j, i, weights)
+        if attempt == 0:
+            s = greedy_min_base(game.spaces[i], weights)
+        else:
+            bases = game.spaces[i].all_bases()
+            s = bases[(attempt + j) % len(bases)]
         state = step_state(game, state, i, s)
         _append_move(trace, round_no, phase, i, None, s, weights, snapshot(state))
         round_no += 1
@@ -481,9 +472,8 @@ def _solve_layer_potential(
             )
         return after.canonical()
 
-    cheapest = lambda j, i, weights: greedy_min_base(game.spaces[i], weights)  # noqa: E731
     placed = lambda state: run.at(state).canonical()  # noqa: E731
-    working, round_no = _place(game, outer, layer, trace, round_no, phase, cheapest, placed)
+    working, round_no = _place(game, outer, layer, trace, round_no, phase, placed)
     # the potential strictly drops, so the row limit is unreachable for finite delays
     limit = len(trace.steps) + 8 * cap
     working, round_no, status = _descend(
@@ -500,17 +490,9 @@ def _solve_layer_capped(
     """Displaced-player-first capped dynamics with deterministic restarts."""
     phase = f"layer:{q}"
     checkpoint, round0 = len(trace.steps), round_no
-
-    def pick(j: int, i: int, weights: dict[str, ExtCost]) -> frozenset[str]:
-        """Cheapest first; each restart rotates the j-th player's bases."""
-        if attempt == 0:
-            return greedy_min_base(game.spaces[i], weights)
-        bases = game.spaces[i].all_bases()
-        return bases[(attempt + j) % len(bases)]
-
     for attempt in range(LAYER_RESTARTS + 1):
         del trace.steps[checkpoint:]
-        working, round_no = _place(game, outer, layer, trace, round0, phase, pick, lambda s: "")
+        working, round_no = _place(game, outer, layer, trace, round0, phase, lambda s: "", attempt)
 
         steps_used = 0
         pending = deque(layer)
@@ -619,7 +601,11 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         state = step_state(game, state, j, None)
         potential = run.at(state, j)
         queue.append(j)
-        _append_row(trace, round_no, phase, j, frm, None, cost, None, potential.canonical())
+        trace.steps.append(
+            TraceStep(
+                len(trace.steps), round_no, phase, j, frm, None, cost, None, potential.canonical()
+            )
+        )
         return potential
 
     while queue:
@@ -639,9 +625,12 @@ def solve_insertion(game: Game) -> tuple[State, MoveTrace]:
         }
         state = step_state(game, state, i, placed)
         potential = run.at(state, i)
+        text = potential.canonical()
         # her entry weight at rid is exactly her cost once placed there
-        _append_row(
-            trace, round_no, "insert", i, None, placed, None, weights[rid], potential.canonical()
+        trace.steps.append(
+            TraceStep(
+                len(trace.steps), round_no, "insert", i, None, placed, None, weights[rid], text
+            )
         )
 
         improvers = [p for p in residents if p in run.improvable]

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core import required_table_bound
 from .costs import format_fraction
-from .jsonio import document_to_source, instance_to_document
+from .jsonio import _parse_space, document_to_source, instance_to_document
 
 MAX_PLAYERS = 8
 MAX_RESOURCES = 6
@@ -71,7 +71,7 @@ def generate_random_instance(params: GenParams, seed: int) -> dict:
         pool = [Fraction(v) for v in range(1, min(4, params.levels + 1) + 1)]
         costs: dict[str, dict[str, Fraction]] = {}
         for i in range(1, n + 1):
-            ground = _space_ground(doc["strategies"][str(i)])
+            ground = sorted(_parse_space(doc["strategies"][str(i)], f"strategies.{i}").ground())
             costs[str(i)] = {rid: rng.choice(pool) for rid in ground}
         doc["cost_matrix"] = {
             key: {rid: format_fraction(c) for rid, c in rmap.items()}
@@ -95,7 +95,7 @@ def generate_random_instance(params: GenParams, seed: int) -> dict:
         elif params.player_specific:
             doc["player_specific"] = {}
             for i in range(1, n + 1):
-                ground = _space_ground(doc["strategies"][str(i)])
+                ground = sorted(_parse_space(doc["strategies"][str(i)], f"strategies.{i}").ground())
                 doc["player_specific"][str(i)] = {
                     rid: _random_table(rng, bound, params.max_delay) for rid in ground
                 }
@@ -115,21 +115,6 @@ def generate_random_instance(params: GenParams, seed: int) -> dict:
 
     # round through the parser: validates, then canonicalizes field order
     return instance_to_document(document_to_source(doc))
-
-
-def _space_ground(space_doc: dict) -> list[str]:
-    kind = space_doc["kind"]
-    if kind == "singleton":
-        return sorted(space_doc["allowed"])
-    if kind == "explicit":
-        return sorted({r for s in space_doc["sets"] for r in s})
-    if kind == "uniform":
-        return sorted(space_doc["ground"])
-    if kind == "partition":
-        return sorted({r for b in space_doc["blocks"] for r in b})
-    if kind == "graphic":
-        return sorted({e[2] for e in space_doc["edges"]})
-    raise ValueError(kind)
 
 
 def _random_space(rng: random.Random, kind: str, rids: list[str]) -> dict:

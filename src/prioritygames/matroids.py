@@ -388,10 +388,6 @@ class ExplicitBasesSpace(StrategySpace):
         return self._bases
 
 
-def is_base(space: StrategySpace, s: Iterable[str]) -> bool:
-    return space.is_base(frozenset(s))
-
-
 def singleton_resources(space: StrategySpace) -> frozenset[str]:
     """Resources r with {r} a legal strategy.
 

@@ -103,7 +103,7 @@ class TestEntryWeights:
         state = pg.State({})
         weights = pg.entry_weights(game, state, 1)
         for rid, val in weights.items():
-            assert val == game.delay(1, rid, 0, 1)
+            assert val == game.points(rid, 1)[0, 1]
 
     def test_weights_match_singleton_deviations(self):
         for seed in range(8):
@@ -147,25 +147,17 @@ class TestEntryWeights:
 
 class TestBetterResponse:
     def test_t1_examples(self, t1):
-        assert pg.is_better_response(t1, pg.profile({1: "a", 2: "a"}), 2, "b")
-        assert not pg.is_better_response(t1, pg.profile({1: "a", 2: "a"}), 2, "a")
-        assert not pg.is_better_response(t1, pg.profile({1: "a", 2: "b"}), 1, "b")
-
-    def test_strategy_outside_space_rejected(self, t1):
-        game = pg.build_game(
-            n_players=1,
-            resources=["a", "b"],
-            spaces={1: pg.SingletonSpace(["a"])},
-            priorities=pg.PriorityFunction({"a": {1: 1}, "b": {1: 1}}),
-            delays={r: pg.table_from_function(lambda x, y: x + y, 2) for r in ("a", "b")},
-        )
-        with pytest.raises(pg.ValidationFailed):
-            pg.is_better_response(game, pg.profile({1: "a"}), 1, "b")
+        both = pg.profile({1: "a", 2: "a"})
+        assert pg.best_response(t1, both, 2) == frozenset({"b"})
+        assert pg.has_better_response(t1, both, 2)
+        split = pg.profile({1: "a", 2: "b"})
+        assert pg.best_response(t1, split, 1) == frozenset({"a"})
+        assert not pg.has_better_response(t1, split, 1)
 
     @SWEEP_KINDS
     def test_queries_match_the_naive_scan(self, kw):
-        """best_response, has_better_response and is_better_response against
-        the cost of every deviation, each priced on its own state."""
+        """best_response and has_better_response against the cost of every
+        deviation, each priced on its own state."""
         saw_move = saw_infinite = False
         for seed in range(4):
             game = gen_game(600 + seed, players=3, resources=4, **kw)
@@ -183,8 +175,6 @@ class TestBetterResponse:
                         assert cost[br] == min(cost.values()) and br in better
                     else:
                         assert br == current
-                    for base in cost:
-                        assert pg.is_better_response(game, prof, p, base) == (base in better)
                     saw_move |= bool(better)
                     saw_infinite |= pg.INFINITY in cost.values()
         assert saw_move

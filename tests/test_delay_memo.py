@@ -4,8 +4,8 @@ Each delay's point table (``Game.points``) stores what ``evaluate_delay``
 returns at each point it is asked for.  These tests check the stored values
 against fresh evaluations on every generator class, check that failed
 probes are never stored, pin that a full solve and certify on a fixed
-instance evaluates no point twice, and show that no solver or certify path
-goes through ``Game.delay``.
+instance evaluates no point twice, and show that every solver and certify
+path on every generator class evaluates a delay only to fill a table.
 """
 
 from collections import Counter
@@ -79,8 +79,8 @@ def test_player_enters_the_key_only_for_player_specific_specs():
     one, two = game.points(rid, 1), game.points(rid, 2)
     assert one is not two
     assert one.spec is game.delays[rid].for_player(1) and two.spec is game.delays[rid].for_player(2)
-    game.delay(1, rid, 0, 1)
-    game.delay(2, rid, 0, 1)
+    one[0, 1]
+    two[0, 1]
     assert game.points(rid, 1) is one and list(one) == list(two) == [(0, 1)]
     with pytest.raises(TypeError):
         game.points(rid)
@@ -89,8 +89,8 @@ def test_player_enters_the_key_only_for_player_specific_specs():
     table = shared.points(rid)
     assert shared.points(rid, 1) is table and shared.points(rid, 2) is table
     assert table.spec is shared.delays[rid]
-    first = shared.delay(1, rid, 0, 1)
-    assert shared.delay(2, rid, 0, 1) is first and shared.delay(None, rid, 0, 1) is first
+    first = shared.points(rid, 1)[0, 1]
+    assert shared.points(rid, 2)[0, 1] is first and shared.points(rid)[0, 1] is first
     assert list(table) == [(0, 1)]
 
 
@@ -114,15 +114,13 @@ def test_failed_probes_raise_every_time_and_are_not_stored(spec, x, y):
     table = game.points("a")
     for _ in range(2):
         with pytest.raises(pg.OutOfBoundError):
-            game.delay(1, "a", x, y)
-        with pytest.raises(pg.OutOfBoundError):
             table[x, y]
         assert table == {}
 
 
 def test_memo_leaves_game_equality_alone():
     a, b = make_affine_n24(), make_affine_n24()
-    a.delay(1, "a", 0, 1)
+    a.points("a")[0, 1]
     assert a == b and "_points" not in repr(a)
 
 
@@ -158,15 +156,10 @@ def test_solve_and_certify_evaluate_each_point_once(evaluations, solve):
 
 @pytest.mark.parametrize("model,space,consistent,specific", CLASSES)
 def test_solvers_and_certify_read_the_tables_not_game_delay(
-    monkeypatch, model, space, consistent, specific
+    evaluations, model, space, consistent, specific
 ):
-    """Every pricing path reads the point tables; ``Game.delay`` is only the
-    public read, so solving and certifying never call it."""
-
-    def refuse(self, player, resource, x, y):
-        raise AssertionError(f"Game.delay called at {resource} ({x}, {y})")
-
-    monkeypatch.setattr(pg.Game, "delay", refuse)
+    """Every pricing path reads the point tables: solving and certifying
+    evaluate a delay only to fill a table, and each point once."""
     for seed in range(3):
         game = priority_game(
             gen_source(
@@ -180,6 +173,7 @@ def test_solvers_and_certify_read_the_tables_not_game_delay(
                 player_specific=specific,
             )
         )
+        evaluations.clear()  # building the game validated its delays
         start = pg.State({p: game.spaces[p].all_bases()[0] for p in game.players()})
         runs = [pg.run_dynamics(game, start, policy=policy, cap=200) for policy in POLICIES]
         if game.is_singleton_game():
@@ -189,3 +183,7 @@ def test_solvers_and_certify_read_the_tables_not_game_delay(
         for final, trace in runs:
             assert trace.status == CONVERGED
             assert pg.certify_trace(game, trace).ok and pg.is_pure_nash(game, final)
+        tables = {
+            id(t): t for p in game.players() for r in game.ground_of(p) for t in [game.points(r, p)]
+        }
+        assert evaluations and sum(evaluations.values()) == sum(map(len, tables.values()))

@@ -19,13 +19,13 @@ def w(**kw):
 class TestIsBase:
     def test_uniform(self):
         space = pg.UniformMatroid(["a", "b", "c"], 2)
-        assert pg.is_base(space, {"a", "c"})
-        assert not pg.is_base(space, {"a"})
+        assert space.is_base(frozenset({"a", "c"}))
+        assert not space.is_base(frozenset({"a"}))
 
     def test_explicit_bases_membership(self):
         space = pg.ExplicitBasesSpace([{"a", "b"}, {"b", "c"}])
-        assert not pg.is_base(space, {"a", "c"})
-        assert pg.is_base(space, {"a", "b"})
+        assert not space.is_base(frozenset({"a", "c"}))
+        assert space.is_base(frozenset({"a", "b"}))
 
     def test_graphic_spanning_trees(self):
         tri = pg.GraphicMatroid([("A", "B", "ab"), ("B", "C", "bc"), ("C", "A", "ca")])

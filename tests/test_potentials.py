@@ -97,8 +97,9 @@ def test_better_response_decreases_lex_potential_small_sweep():
             before = pg.lex_potential_singleton(game, prof)
             for p in game.players():
                 for alt in alternatives(game, prof, p):
-                    if pg.is_better_response(game, prof, p, alt):
-                        after = pg.lex_potential_singleton(game, prof.with_player(p, alt))
+                    moved = prof.with_player(p, alt)
+                    if pg.player_cost(game, moved, p) < pg.player_cost(game, prof, p):
+                        after = pg.lex_potential_singleton(game, moved)
                         assert pg.lex_compare(after, before) == LESS
                         checked += 1
     assert checked > 50
@@ -120,7 +121,7 @@ def test_lex_potential_with_infinite_entries():
     assert vec.pairs == ((pg.cost(2), 1), (pg.INFINITY, 2))
     # the trapped player escaping is a better response; the potential drops
     split = pg.profile({1: "e", 2: "f"})
-    assert pg.is_better_response(game, both, 2, "f")
+    assert pg.player_cost(game, split, 2) < pg.player_cost(game, both, 2)
     assert pg.lex_compare(pg.lex_potential_singleton(game, split), vec) == LESS
 
 
@@ -207,8 +208,9 @@ def test_decrease_holds_on_classic_wrapped_games():
             before = pg.lex_potential_singleton(game, prof)
             for p in game.players():
                 for alt in alternatives(game, prof, p):
-                    if pg.is_better_response(game, prof, p, alt):
-                        after = pg.lex_potential_singleton(game, prof.with_player(p, alt))
+                    moved = prof.with_player(p, alt)
+                    if pg.player_cost(game, moved, p) < pg.player_cost(game, prof, p):
+                        after = pg.lex_potential_singleton(game, moved)
                         assert pg.lex_compare(after, before) == LESS
                         checked += 1
     assert checked > 20
