@@ -203,8 +203,11 @@ def sum_costs(values: Iterable[ExtCost]) -> ExtCost:
 def improvement(before: ExtCost, after: ExtCost) -> ExtCost:
     """How much a move gained: ``before - after`` for ``after < before``.
 
-    An infinite ``before`` with finite ``after`` yields INFINITY; used only
-    to rank strictly improving moves, so the difference is always >= 0.
+    An infinite ``before`` with finite ``after`` yields INFINITY; the
+    difference is always >= 0.  No solver path calls it: the better-response
+    descent ranks its gains as unreduced int pairs, with no Fraction built
+    per gain.  It stays public as the reference those ranks are tested
+    against.
     """
     if not after < before:
         raise ValueError("improvement requires after < before")

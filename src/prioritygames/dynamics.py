@@ -51,7 +51,7 @@ from .congestion import (
     validate_state,
 )
 from .core import Game
-from .costs import ExtCost, improvement
+from .costs import ExtCost
 from .errors import (
     InconsistentPrioritiesError,
     InvariantViolatedError,
@@ -71,9 +71,10 @@ from .potentials import (
 
 POLICIES = ("roundrobin", "first", "best")
 
-# a mover's kept answer: her best response, its entry weights and her gain,
-# None when the best response is her own strategy (settled)
-Answer = tuple[frozenset[str], dict[str, ExtCost], ExtCost | None]
+# a mover's kept answer: her best response, its entry weights and her gain
+# as an unreduced (numerator, denominator) pair, None when the best response
+# is her own strategy (settled)
+Answer = tuple[frozenset[str], dict[str, ExtCost], tuple[int, int] | None]
 
 # row phases besides the layered solver's "layer:<level>"
 PHASES = ("br", "insert", "discard", "rebalance")
@@ -301,6 +302,15 @@ def _descend(
     :func:`~prioritygames.congestion.step_state`, so the new state's count
     table is derived from the old one.
 
+    A gain is ranked as an unreduced pair of ints, never a Fraction: own
+    cost a/b less new cost c/d is ``(a*d - c*b, b*d)``, and ``(1, 0)`` when
+    her own cost is infinite (the new one, cheaper, is finite).  Pairs are
+    compared by cross-multiplying, as :class:`~prioritygames.costs.ExtCost`
+    compares costs: the denominators of finite gains are positive, and
+    ``(1, 0)`` ranks above every finite gain and ties every infinite one.
+    So the ranking is :func:`~prioritygames.costs.improvement`'s, with no
+    gcd and no object per gain; a gain never leaves the descent.
+
     Every asked mover's answer is kept in ``answers``: her best response,
     the entry weights it was priced from, and her gain, None when the
     answer is her own strategy (settled).  A kept answer is read instead of
@@ -315,7 +325,7 @@ def _descend(
     rr_idx = 0
     while True:
         mover: int | None = None
-        best_gain: ExtCost | None = None
+        best_gain: tuple[int, int] | None = None
         begin = rr_idx if policy == "roundrobin" else 0
         for off in range(len(movers)):
             p = movers[(begin + off) % len(movers)]
@@ -324,7 +334,12 @@ def _descend(
                 br, mine = greedy_min_base(game.spaces[p], w), state.strategy(p)
                 own, new = base_weight(mine, w), base_weight(br, w)
                 if new < own:
-                    answer = answers[p] = (br, w, improvement(own, new))
+                    gain = (
+                        (1, 0)
+                        if own.den == 0
+                        else (own.num * new.den - new.num * own.den, own.den * new.den)
+                    )
+                    answer = answers[p] = (br, w, gain)
                 elif own.is_finite:
                     answer = answers[p] = (mine, w, None)
                 else:
@@ -336,7 +351,7 @@ def _descend(
                 mover, target, weights = p, br, w
                 rr_idx = (begin + off + 1) % len(movers)
                 break
-            if best_gain is None or best_gain < gain:
+            if best_gain is None or best_gain[0] * gain[1] < gain[0] * best_gain[1]:
                 best_gain, mover, target, weights = gain, p, br, w
         if mover is None:
             return state, round_no, CONVERGED

@@ -40,6 +40,7 @@ class StrategySpace:
     kind = "abstract"
     matroid = False  # True when the greedy/exchange machinery applies
     _singletons: frozenset[str] | None = None  # kept by singleton_resources
+    _picks: tuple[tuple[str, frozenset[str]], ...] | None = None  # kept by greedy_min_base
     _ground: frozenset[str]  # set by every constructor
     _rank: int  # set by every constructor: the size of the longest strategy
 
@@ -422,13 +423,18 @@ def greedy_min_base(
     the smallest sorted id list (greedy scans elements by (weight, id)).
     Exact for matroids because per-element weights are independent.
 
-    A matroid of rank 1 takes one pass, the least element of
-    :func:`singleton_resources` by (weight, id), which is the greedy's
-    answer: the sorted scan keeps the first element whose singleton is
-    independent, and on rank 1 an independent singleton is a base.
+    A matroid of rank 1 takes one pass, which is the greedy's answer: the
+    sorted scan keeps the first element whose singleton is independent, and
+    on rank 1 an independent singleton is a base.  The space keeps its
+    picks on first use, the (r, {r}) pairs of :func:`singleton_resources`
+    sorted by id, and the pass keeps a pick only when its weight is
+    strictly below the lightest so far, so the smallest id wins a tie.  It
+    returns the kept base itself and builds no set.
+
+    Raises ``ValueError`` naming the ground elements ``weights`` lacks.
     """
-    missing = space.ground() - set(weights)
-    if missing:
+    if not weights.keys() >= space.ground():
+        missing = space.ground() - weights.keys()
         raise ValueError(f"weights missing for {sorted(missing)}")
     if not space.matroid:
         return min(
@@ -436,7 +442,16 @@ def greedy_min_base(
             key=lambda b: (base_weight(b, weights), _set_key(b)),
         )
     if space.rank() == 1:
-        return frozenset([min(singleton_resources(space), key=lambda r: (weights[r], r))])
+        picks = space._picks
+        if picks is None:
+            picks = space._picks = tuple(
+                (r, frozenset([r])) for r in sorted(singleton_resources(space))
+            )
+        kept, low = picks[0][1], weights[picks[0][0]]
+        for r, base in picks:
+            if (w := weights[r]) < low:
+                low, kept = w, base
+        return kept
     chosen: set[str] = set()
     for r in sorted(space.ground(), key=lambda r: (weights[r], r)):
         if len(chosen) == space.rank():

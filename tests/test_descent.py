@@ -227,6 +227,44 @@ def test_a_player_at_infinite_cost_is_asked_again(monkeypatch):
     assert fast.final.strategy(1) == frozenset("ab") and pg.is_pure_nash(game, fast.final)
 
 
+def test_best_ranks_equal_gains_by_value_and_ties_to_the_earliest(monkeypatch):
+    """Five players, each alone on two private resources of constant delay,
+    moving from ``o<i>`` to ``n<i>`` for these gains:
+
+    - 1: 1 -> 1/2 and 2: 5/4 -> 3/4, both 1/2, kept as the unreduced pairs
+      (1, 2) and (8, 16);
+    - 3: 4 -> 1, a finite 3 ranked before two infinite gains;
+    - 4: inf -> 2 and 5: inf -> 7, both infinite.
+
+    ``best`` moves the infinite gains first, 4 before 5, then 3, then the
+    equal gains, 1 before 2: each tie goes to the earliest mover.
+    """
+    moves = {1: ("1", "1/2"), 2: ("5/4", "3/4"), 3: ("4", "1"), 4: ("inf", "2"), 5: ("inf", "7")}
+    delays = {}
+    for p, (before, after) in moves.items():
+        delays[f"o{p}"] = pg.table_from_function(lambda x, y, c=before: c, 9)
+        delays[f"n{p}"] = pg.table_from_function(lambda x, y, c=after: c, 9)
+    game = pg.build_game(
+        n_players=5,
+        resources=sorted(delays),
+        spaces={p: pg.SingletonSpace([f"o{p}", f"n{p}"]) for p in moves},
+        priorities=pg.PriorityFunction({r: {int(r[1:]): 1} for r in delays}),
+        delays=delays,
+    )
+    start = pg.State({p: f"o{p}" for p in moves})
+    fast, slow = solve_both(monkeypatch, lambda: pg.run_dynamics(game, start, policy="best")[1])
+    assert rows(fast) == rows(slow)
+    assert [(s.player, str(s.cost_before), str(s.cost_after)) for s in fast.steps] == [
+        (4, "inf", "2/1"),
+        (5, "inf", "7/1"),
+        (3, "4/1", "1/1"),
+        (1, "1/1", "1/2"),
+        (2, "5/4", "3/4"),
+    ]
+    assert improvement(pg.cost("5/4"), pg.cost("3/4")) == improvement(pg.cost(1), pg.cost("1/2"))
+    assert fast.status == dynamics.CONVERGED and pg.is_pure_nash(game, fast.final)
+
+
 def affine_document_n32() -> dict:
     """32 singleton players on 8 shared affine resources, per-resource levels 1..3."""
     rng = random.Random("descent:affine:32")

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -160,6 +162,32 @@ def test_rank_one_greedy_returns_the_sorted_scan_base():
             all_infinite += all(not c.is_finite for c in live)
     assert kinds == {"singleton", "uniform", "partition", "graphic", "explicit_bases", "explicit"}
     assert tied > 100 and all_infinite > 10
+
+
+def missing_weight_cases():
+    """Every space kind, each with the ground elements its weights leave out.
+    The partition's are the dead elements of its zero-cap block, which its
+    rank-1 pass never reads."""
+    yield pg.SingletonSpace(["a", "b", "c"]), {"b"}
+    yield pg.UniformMatroid(["a", "b", "c"], 1), {"a", "c"}
+    yield pg.UniformMatroid(["a", "b", "c", "d"], 2), {"d"}
+    yield pg.PartitionMatroid([["a", "b"], ["y", "z"]], [1, 0]), {"y", "z"}
+    yield pg.GraphicMatroid([("A", "B", "ab"), ("B", "C", "bc"), ("C", "A", "ca")]), {"ca"}
+    yield pg.ExplicitBasesSpace([{"a", "b"}, {"b", "c"}]), {"a"}
+    yield pg.ExplicitSpace([{"a"}, {"b", "c"}]), {"c"}
+
+
+@pytest.mark.parametrize("mapping", [dict, MappingProxyType])
+def test_greedy_names_the_resources_its_weights_lack(mapping):
+    kinds = set()
+    for space, missing in missing_weight_cases():
+        weights = mapping({r: pg.cost(1) for r in space.ground() - missing})
+        with pytest.raises(ValueError, match=re.escape(f"weights missing for {sorted(missing)}")):
+            pg.greedy_min_base(space, weights)
+        full = mapping({r: pg.cost(1) for r in space.ground() | {"extra"}})
+        assert space.is_base(pg.greedy_min_base(space, full))
+        kinds.add((space.kind, space.rank() == 1))
+    assert len(kinds) == 7
 
 
 class TestLazyPath:
