@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 validation/verification failure, 2 solver cap or
 enumeration budget exhaustion.  All costs print as exact ``p/q`` strings;
 ``--approx`` adds float renderings.  The environment variable ``PCG_BUDGET``
 overrides the brute-force enumeration budget.
+
+Start-up is most of a small call, so the top level imports only what every
+verb uses (parse, models, errors).  Each verb imports the rest when it
+runs: a fresh ``validate``, ``reduce`` or ``gen`` loads no solver,
+certifier or trace I/O, while ``solve`` and ``verify`` load nearly all of
+the package.
 """
 
 from __future__ import annotations
@@ -14,17 +20,9 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .congestion import State, is_pure_nash, player_cost, validate_state
 from .core import Game
-from .costs import ZERO
-from .dynamics import (
-    CAP_REACHED,
-    MoveTrace,
-    run_dynamics,
-    solve_consistent_layered,
-    solve_insertion,
-)
 from .errors import (
     BudgetExceededError,
     GameError,
@@ -32,7 +30,6 @@ from .errors import (
     ParseError,
     ValidationFailed,
 )
-from .generator import GenParams, generate_random_instance
 from .jsonio import emit_instance, is_canonical_player_key, parse_instance
 from .markets import (
     MarketGame,
@@ -41,9 +38,11 @@ from .markets import (
     reduce_market_to_playerspecific,
     reduce_priority_to_market,
 )
-from .matroids import greedy_min_base
-from .oracle import EnumerationBudget, brute_force_pne, certify_trace
-from .traceio import read_trace_csv, write_trace_csv
+
+if TYPE_CHECKING:
+    from .congestion import State
+    from .dynamics import MoveTrace
+    from .oracle import EnumerationBudget
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -179,6 +178,8 @@ def _int_arg(text: str) -> int:
 
 
 def _budget() -> EnumerationBudget:
+    from .oracle import EnumerationBudget
+
     raw = os.environ.get("PCG_BUDGET")
     if raw is None:
         return EnumerationBudget()
@@ -200,6 +201,8 @@ def _profile_json(state: State) -> dict:
 
 
 def _parse_profile_arg(raw: str, game: Game | MarketGame) -> State:
+    from .congestion import State, validate_state
+
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -222,6 +225,8 @@ def _parse_profile_arg(raw: str, game: Game | MarketGame) -> State:
 
 
 def _print_profile(state: State, game, approx: bool) -> None:
+    from .congestion import player_cost
+
     for p, s in state.items():
         cost = (
             market_player_cost(game, state, p)
@@ -256,6 +261,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .congestion import State, is_pure_nash
+    from .costs import ZERO
+    from .dynamics import CAP_REACHED, run_dynamics, solve_consistent_layered, solve_insertion
+    from .matroids import greedy_min_base
+
     if args.max_steps < 0:
         raise ParseError(f"--max-steps must be >= 0, got {args.max_steps}")
     instance = _load(args.file)
@@ -263,6 +273,8 @@ def _cmd_solve(args) -> int:
 
     trace: MoveTrace | None = None
     if args.method == "brute":
+        from .oracle import brute_force_pne
+
         pnes = brute_force_pne(instance, _budget())
         final = pnes[0] if pnes else None
         status = "Converged" if final is not None else "NoEquilibrium"
@@ -282,6 +294,8 @@ def _cmd_solve(args) -> int:
         status = trace.status
 
     if trace is not None and args.trace is not None:
+        from .traceio import write_trace_csv
+
         write_trace_csv(trace, args.trace)
 
     result = {
@@ -311,6 +325,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     instance = _load(args.file)
     if args.profile is not None:
+        from .congestion import is_pure_nash
+
         state = _parse_profile_arg(args.profile, instance)
         if isinstance(instance, MarketGame):
             ok = market_is_pure_nash(instance, state)
@@ -321,6 +337,9 @@ def _cmd_verify(args) -> int:
         else:
             print(f"PNE: {str(ok).lower()}")
         return EXIT_OK if ok else EXIT_INVALID
+
+    from .oracle import certify_trace
+    from .traceio import read_trace_csv
 
     game = _as_game(instance)
     trace = read_trace_csv(args.trace)
@@ -367,6 +386,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GenParams, generate_random_instance
+
     params = GenParams(
         players=args.players,
         resources=args.resources,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Union
 
@@ -333,6 +334,9 @@ def _parse_spaces(obj: Any, n: int) -> dict[int, StrategySpace]:
 def _id_list(obj: Any, path: str) -> list[str]:
     if not isinstance(obj, list) or not all(isinstance(r, str) and r for r in obj):
         raise ParseError(f"{path}: expected a list of resource ids")
+    if len(set(obj)) < len(obj):
+        repeated = sorted(r for r, k in Counter(obj).items() if k > 1)
+        raise ParseError(f"{path}: repeated resource ids {repeated}")
     return obj
 
 

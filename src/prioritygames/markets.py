@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .congestion import State
 from .core import (
     AffineDelay,
     ClassicDelay,
@@ -45,6 +44,9 @@ from .errors import (
     Violation,
 )
 from .matroids import StrategySpace, base_weight, greedy_min_base
+
+if TYPE_CHECKING:
+    from .congestion import State
 
 
 @dataclass(frozen=True, eq=True)

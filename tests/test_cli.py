@@ -452,3 +452,45 @@ def test_fresh_process_matches_in_process(capsys, t1_file, tmp_path):
     assert warm == fresh
     assert fresh[0][0] == fresh[1][0] == fresh[2][0] == 0
     assert trace_path.read_bytes() == fresh_trace
+
+
+# one verb in a fresh interpreter, then the package modules it loaded: other
+# tests' imports would hide a module a verb loads for nothing
+LOADED_BY = (
+    "import json, sys; from prioritygames.cli import cli_main; cli_main(sys.argv[1:]); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'prioritygames')))"
+)
+
+
+def _loaded_by(argv) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *map(str, argv)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return {m.removeprefix("prioritygames.") for m in json.loads(done.stdout.splitlines()[-1])}
+
+
+class TestVerbImports:
+    def test_validate_loads_parse_modules_only(self, t1_file):
+        assert _loaded_by(["validate", t1_file]) == {
+            "prioritygames", "cli", "jsonio", "core", "costs", "errors", "matroids", "markets"
+        }
+
+    @pytest.mark.parametrize("verb", ["gen", "reduce"])
+    def test_no_solver_certifier_or_trace_io(self, t1_file, tmp_path, verb):
+        out = tmp_path / "out.json"
+        if verb == "gen":
+            argv = ["gen", "--seed", 3, "--players", 4, "--resources", 3, "-o", out]
+        else:
+            argv = ["reduce", t1_file, "--to", "market", "-o", out]
+        loaded = _loaded_by(argv)
+        assert out.exists() and "markets" in loaded
+        assert loaded.isdisjoint({"dynamics", "potentials", "oracle", "traceio"})
+
+    def test_insertion_solve_loads_no_oracle_or_generator(self, t1_file):
+        loaded = _loaded_by(["solve", t1_file, "--method", "insertion"])
+        assert "dynamics" in loaded and loaded.isdisjoint({"oracle", "generator"})

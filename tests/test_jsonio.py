@@ -238,6 +238,27 @@ def test_explicit_bases_round_trip(t1):
     assert emit_instance(parse_instance(blob)) == blob
 
 
+# A repeat inside one id list is refused, as one across partition blocks or
+# graphic edges is: merged away, a 3-id ground of rank 2 would parse as 2 ids.
+@pytest.mark.parametrize(
+    "space, path",
+    [
+        ({"kind": "singleton", "allowed": ["a", "b", "a"]}, "allowed"),
+        ({"kind": "explicit", "sets": [["b"], ["a", "a"]]}, "sets"),
+        ({"kind": "uniform", "ground": ["a", "a", "b"], "rank": 2}, "ground"),
+        ({"kind": "partition", "blocks": [["a", "a"], ["b"]], "caps": [1, 1]}, "blocks"),
+        ({"kind": "explicit_bases", "bases": [["b"], ["a", "b", "a"]]}, "bases"),
+    ],
+    ids=["singleton", "explicit", "uniform", "partition", "explicit_bases"],
+)
+def test_repeated_id_in_one_list_is_refused(t1, space, path):
+    doc = instance_to_document(t1)
+    doc["strategies"]["1"] = space
+    with pytest.raises(pg.ParseError) as err:
+        document_to_source(doc)
+    assert str(err.value) == f"strategies.1.{path}: repeated resource ids ['a']"
+
+
 class TestPlayerKeys:
     # "01" and "1" would name one player, the later key silently winning
     def test_strategies(self, t1):
