@@ -27,6 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from math import lcm
+from operator import attrgetter, le, mul
 from typing import Container, Iterable, Mapping
 
 from .costs import INFINITY, ExtCost
@@ -269,6 +273,39 @@ class Points(dict):
         return value
 
 
+def first_non_cost(entries: Mapping[tuple[int, ...], object]) -> tuple[int, ...] | None:
+    """The least point of ``entries`` whose value is not an ``ExtCost``, or None."""
+    if all(map(isinstance, entries.values(), repeat(ExtCost))):
+        return None
+    return min(p for p, v in entries.items() if not isinstance(v, ExtCost))
+
+
+def malformed_delay(spec) -> str | None:
+    """Why ``spec`` is not a plain delay spec over exact costs, or None.
+
+    It must be a :class:`DelaySpec`; table entries and classic values must
+    be ``ExtCost`` values, and affine parameters ints or ``Fraction``s.
+    The reason names the spec kind and its first bad value: tables in
+    point order, classic values by index.
+    """
+    if not isinstance(spec, DelaySpec):
+        return f"{spec!r} is not a delay spec"
+    if isinstance(spec, TableDelay):
+        point = first_non_cost(spec.entries)
+        if point is not None:
+            x, y = point
+            return f"table entry (x={x}, y={y}) is {spec.entries[point]!r}, not an ExtCost"
+    elif isinstance(spec, ClassicDelay):
+        for k, v in enumerate(spec.values):
+            if not isinstance(v, ExtCost):
+                return f"classic values[{k}] is {v!r}, not an ExtCost"
+    elif isinstance(spec, AffineDelay):
+        for name, v in (("alpha", spec.alpha), ("beta", spec.beta)):
+            if not isinstance(v, (int, Fraction)):
+                return f"affine {name} is {v!r}, not an int or Fraction"
+    return None
+
+
 def domain_points(bound: int) -> Iterable[tuple[int, int]]:
     """All (x, y) with x >= 0, y >= 1, x + y <= bound."""
     for x in range(0, bound):
@@ -308,6 +345,52 @@ def missing_entries(
     return out
 
 
+@lru_cache(maxsize=16)
+def _layout(bound: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The points of :func:`domain_points` as a tuple, and each column x's
+    [start, stop) span in it.  Kept for a few bounds: every table of a game
+    shares one."""
+    spans, at = [], 0
+    for x in range(bound):
+        spans.append((at, at + bound - x))
+        at += bound - x
+    return tuple(domain_points(bound)), tuple(spans)
+
+
+def table_values(entries: Mapping[tuple[int, int], ExtCost], bound: int) -> list[ExtCost]:
+    """The table's values at :func:`domain_points` up to ``bound``, in that
+    order; a hole raises ``KeyError``."""
+    return list(map(entries.__getitem__, _layout(bound)[0]))
+
+
+def by_column(flat: list, bound: int) -> list[list]:
+    """A list in :func:`domain_points` order, cut into columns: column x
+    holds the items of (x, 1), ..., (x, bound - x)."""
+    return [flat[start:stop] for start, stop in _layout(bound)[1]]
+
+
+_NUM, _DEN = attrgetter("num"), attrgetter("den")
+
+
+def order_keys(values: list[ExtCost]) -> list[int]:
+    """``values`` as plain ints on one scale, ordered exactly as the costs.
+
+    With L the lcm of the finite denominators, a finite num/den keys as
+    num * (L // den), which is its value times L.  +infinity keys as
+    (max num + 1) * L: every finite num/den is at most num, so that lies
+    above every finite key.  Keys compare with C-level ``int`` comparisons,
+    and nothing here builds a ``Fraction`` or calls ``ExtCost.__le__``.
+    Every value must be an ``ExtCost`` (its ``num`` and ``den`` are read).
+    """
+    nums, dens = list(map(_NUM, values)), list(map(_DEN, values))
+    finite = set(dens)
+    finite.discard(0)
+    scale = lcm(*finite)
+    factor = {den: scale // den for den in finite}
+    factor[0] = (max(nums, default=0) + 1) * scale  # +infinity is (1, 0)
+    return list(map(mul, nums, map(factor.__getitem__, dens)))
+
+
 def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     """Check the three delay axioms on the whole domain up to ``bound``.
 
@@ -317,11 +400,20 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
     and d(x + y - 1, 1) - d(x, y) = alpha * (y - 1)/2 >= 0.  A classic wrap
     is +infinity for x >= 1, so only its x = 0 column can fail, and only by
     decreasing: adjacent values among the first ``bound`` are compared.
-    Anything else, tables in practice, is walked point by point:
-    monotonicity on adjacent points, which is equivalent by transitivity,
-    and the replacement axiom at every in-bound point.  A table whose own
-    bound is below ``bound``, or with holes inside it, is reported by its
-    missing points alone.
+
+    Anything else is walked point by point: monotonicity on adjacent
+    points, which is equivalent by transitivity, and the replacement axiom
+    at every in-bound point.  A table is screened first.  It is read once
+    (:func:`table_values`), keyed as ints on one scale (:func:`order_keys`,
+    which needs ``ExtCost`` entries) and cut into columns, column x holding
+    d(x, 1..bound - x) (:func:`by_column`).  Column x is clean when its
+    keys are nondecreasing along y, at most column x + 1 point by point
+    (x), and at most the y = 1 row from x on (replacement,
+    d(x, y) <= d(x + y - 1, 1)).  The point walk then visits only the
+    columns that are not clean, in x order, so it alone writes violations,
+    in the order a walk of every point would.  A table whose own bound is
+    below ``bound``, or with holes inside it, is reported by its missing
+    points alone.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
@@ -341,52 +433,68 @@ def validate_delay_properties(spec: DelaySpec, bound: int) -> list[Violation]:
             if not a <= b
         ]
 
-    out: list[Violation] = []
+    walk: Iterable[int] = range(bound)
     if isinstance(spec, TableDelay):
-        out = [
-            Violation(
-                "MISSING_ENTRY",
-                f"(x={x}, y={y})",
-                "domain point not supported"
-                if x + y > spec.bound
-                else "no table entry within bound",
-            )
-            for x, y in domain_points(bound)
-            if x + y > spec.bound or (x, y) not in spec.entries
-        ]
-        if out:
-            return out
-
-    for x, y in domain_points(bound):
-        here = spec.value(x, y)
-        if x + y < bound:
-            right = spec.value(x + 1, y)
-            if not here <= right:
-                out.append(
-                    Violation(
-                        "NOT_MONOTONE_X",
-                        f"(x={x}, y={y})",
-                        f"d({x},{y})={here} > d({x + 1},{y})={right}",
-                    )
-                )
-            up = spec.value(x, y + 1)
-            if not here <= up:
-                out.append(
-                    Violation(
-                        "NOT_MONOTONE_Y",
-                        f"(x={x}, y={y})",
-                        f"d({x},{y})={here} > d({x},{y + 1})={up}",
-                    )
-                )
-        swapped = spec.value(x + y - 1, 1)
-        if not here <= swapped:
-            out.append(
+        try:
+            values = table_values(spec.entries, bound) if spec.bound >= bound else None
+        except KeyError:
+            values = None
+        if values is None:
+            return [
                 Violation(
-                    "REPLACEMENT_FAILED",
+                    "MISSING_ENTRY",
                     f"(x={x}, y={y})",
-                    f"d({x},{y})={here} > d({x + y - 1},1)={swapped}",
+                    "domain point not supported"
+                    if x + y > spec.bound
+                    else "no table entry within bound",
                 )
+                for x, y in domain_points(bound)
+                if x + y > spec.bound or (x, y) not in spec.entries
+            ]
+        keys = by_column(order_keys(values), bound)
+        first = [col[0] for col in keys]
+        walk = [
+            x
+            for x, (col, right) in enumerate(zip(keys, keys[1:] + [[]]))
+            if not (
+                all(map(le, col, col[1:]))
+                and all(map(le, col, right))
+                and all(map(le, col, first[x:]))
             )
+        ]
+
+    out: list[Violation] = []
+    for x in walk:
+        for y in range(1, bound - x + 1):
+            here = spec.value(x, y)
+            if x + y < bound:
+                right = spec.value(x + 1, y)
+                if not here <= right:
+                    out.append(
+                        Violation(
+                            "NOT_MONOTONE_X",
+                            f"(x={x}, y={y})",
+                            f"d({x},{y})={here} > d({x + 1},{y})={right}",
+                        )
+                    )
+                up = spec.value(x, y + 1)
+                if not here <= up:
+                    out.append(
+                        Violation(
+                            "NOT_MONOTONE_Y",
+                            f"(x={x}, y={y})",
+                            f"d({x},{y})={here} > d({x},{y + 1})={up}",
+                        )
+                    )
+            swapped = spec.value(x + y - 1, 1)
+            if not here <= swapped:
+                out.append(
+                    Violation(
+                        "REPLACEMENT_FAILED",
+                        f"(x={x}, y={y})",
+                        f"d({x},{y})={here} > d({x + y - 1},1)={swapped}",
+                    )
+                )
     return out
 
 
@@ -540,8 +648,11 @@ def build_game(
 
     Checks: player ids are exactly 1..n; every strategy uses listed
     resources; priorities exist wherever a player can reach a resource;
-    every reachable delay spec passes the three axioms up to the computed
-    required bound.  Spaces are nonempty by construction.
+    every delay is a plain spec holding ``ExtCost`` values (else
+    BAD_DELAY); every reachable delay spec passes the three axioms up to
+    the computed required bound.  A spec object shared by several players
+    or resources is checked once, and its violations are reported under
+    each of them.  Spaces are nonempty by construction.
     """
     resources = tuple(sorted(resources))
     violations = structural_violations(n_players, resources, spaces)
@@ -556,6 +667,9 @@ def build_game(
     # values; their axioms are fully determined by points with y <= n + 1
     classic_bound = max(2, min(bound, n_players + 1))
     player_specific = False
+    # id of a spec -> its axiom violations: a spec shared by players or
+    # resources is checked once.  Ids stay unique while ``delays`` holds them.
+    checked: dict[int, list[Violation]] = {}
 
     def shape_violations(spec: DelaySpec, where: str) -> list[Violation]:
         if isinstance(spec, PerPlayerDelay):
@@ -567,6 +681,9 @@ def build_game(
                     "a player-specific delay holds plain specs, not another one",
                 )
             ]
+        bad = malformed_delay(spec)
+        if bad:
+            return [Violation("BAD_DELAY", where, bad)]
         if isinstance(spec, TableDelay):
             if spec.bound < bound:
                 return [
@@ -614,8 +731,11 @@ def build_game(
             violations.extend(local)
             continue
         for where, sub in subspecs:
-            sub_bound = classic_bound if isinstance(sub, ClassicDelay) else bound
-            for v in validate_delay_properties(sub, sub_bound):
+            found = checked.get(id(sub))
+            if found is None:
+                sub_bound = classic_bound if isinstance(sub, ClassicDelay) else bound
+                found = checked[id(sub)] = validate_delay_properties(sub, sub_bound)
+            for v in found:
                 violations.append(Violation(v.code, f"{where}: {v.where}", v.message))
 
     if violations:

@@ -4,8 +4,11 @@ Instances are deterministic per seed and valid by construction: bivariate
 tables are built monotone-completed (row y = 1 first, then each (x, y)
 sampled between its monotonicity floor and its replacement ceiling
 d(x+y-1, 1)), so the three delay axioms hold everywhere; trivariate market
-tables add nondecreasing per-cost-level offsets on top.  Every generated
-document is re-validated through the parser before being returned.
+tables add nondecreasing per-cost-level offsets on top.  A table is built
+on plain ints, each value a numerator over the one scale 4^(bound - 1),
+which holds every value exactly (see :func:`_monotone_table`); each is
+written out as ``p/q`` reduced by one gcd.  Every generated document is
+re-validated through the parser before being returned.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .core import required_table_bound
+from .core import domain_points, required_table_bound
 from .costs import format_fraction
 from .jsonio import _parse_space, document_to_source, instance_to_document
 
@@ -177,26 +181,44 @@ def _random_priorities(
     return {"per_resource": {rid: draw_map() for rid in rids}}
 
 
-def _monotone_table(rng: random.Random, bound: int, max_delay: int) -> dict:
-    """The monotone-completed bivariate table of the module docstring."""
-    row1 = [Fraction(rng.randint(0, max(1, max_delay // 3)))]
+def _monotone_table(
+    rng: random.Random, bound: int, max_delay: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """The monotone-completed bivariate table of the module docstring, as
+    int numerators over ``scale = 4 ** (bound - 1)``; returns both.
+
+    Row y = 1 holds integers.  A point of row y >= 2 adds k/4 of
+    d(x + y - 1, 1) - lo to its floor lo, which lies in row y - 1 or row y;
+    by induction a value of row y has a denominator dividing 4^(y - 1).
+    Over the common scale, both numerators of that difference are multiples
+    of 4 (row y = bound has only x = 0, whose floor lies in row bound - 1),
+    so each step is exact integer arithmetic and draws the same random
+    numbers, in the same order, as the rational construction.
+    """
+    scale = 4 ** (bound - 1)
+    top = max_delay * scale
+    row1 = [rng.randint(0, max(1, max_delay // 3)) * scale]
     for _ in range(1, bound):
-        step = Fraction(rng.choice([0, 0, 1, 1, 2]))
-        row1.append(min(Fraction(max_delay), row1[-1] + step))
-    values: dict[tuple[int, int], Fraction] = {(x, 1): row1[x] for x in range(bound)}
+        row1.append(min(top, row1[-1] + rng.choice([0, 0, 1, 1, 2]) * scale))
+    values = {(x, 1): row1[x] for x in range(bound)}
     for y in range(2, bound + 1):
         for x in range(0, bound - y + 1):
             lo = values[(x, y - 1)]
             if x > 0:
                 lo = max(lo, values[(x - 1, y)])
-            hi = row1[x + y - 1]
-            values[(x, y)] = lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
-    return values
+            values[(x, y)] = lo + (row1[x + y - 1] - lo) // 4 * rng.randint(0, 4)
+    return values, scale
+
+
+def _ratio(num: int, den: int) -> str:
+    """``num/den`` in the wire form of :func:`format_fraction`, reduced by one gcd."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _random_table(rng: random.Random, bound: int, max_delay: int) -> dict:
-    values = _monotone_table(rng, bound, max_delay)
-    entries = [[x, y, format_fraction(v)] for (x, y), v in sorted(values.items())]
+    values, scale = _monotone_table(rng, bound, max_delay)
+    entries = [[x, y, _ratio(values[x, y], scale)] for x, y in domain_points(bound)]
     return {"kind": "table", "bound": bound, "entries": entries}
 
 
@@ -214,15 +236,15 @@ def _random_affine(rng: random.Random) -> dict:
 
 
 def _random_tritable(rng: random.Random, levels: int, bound: int, max_delay: int) -> dict:
-    base = _monotone_table(rng, bound, max_delay)
+    base, scale = _monotone_table(rng, bound, max_delay)
     offsets = []
-    cur = Fraction(0)
+    cur = 0
     for _ in range(levels):
-        offsets.append(cur)
-        cur += Fraction(rng.randint(0, 2))
+        offsets.append(cur * scale)
+        cur += rng.randint(0, 2)
     entries = [
-        [l + 1, x, y, format_fraction(v + offsets[l])]
+        [l + 1, x, y, _ratio(base[x, y] + offsets[l], scale)]
         for l in range(levels)
-        for (x, y), v in sorted(base.items())
+        for x, y in domain_points(bound)
     ]
     return {"kind": "tritable", "levels": levels, "bound": bound, "entries": entries}

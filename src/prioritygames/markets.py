@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import (
@@ -27,12 +28,16 @@ from .core import (
     PriorityFunction,
     TableDelay,
     build_game,
+    by_column,
     domain_points,
     domain_size,
+    first_non_cost,
     missing_entries,
+    order_keys,
     priority_coverage_violations,
     required_table_bound,
     structural_violations,
+    table_values,
     validate_delay_properties,
 )
 from .costs import INFINITY, ExtCost, sum_costs
@@ -134,11 +139,12 @@ def build_market(
     """Validate and freeze a market; raises ValidationFailed with diagnostics.
 
     Beyond the structural checks shared with priority games
-    (:func:`~prioritygames.core.structural_violations`), every
-    trivariate table must cover all its cost levels up to the required
-    bound, hold no entry outside those levels and that bound, and satisfy
-    the four market axioms exactly: nondecreasing in the cost level,
-    nondecreasing in x and in y, and d(c, x, y) <= d(c, x+y-1, 1).
+    (:func:`~prioritygames.core.structural_violations`), every delay must
+    be a :class:`TriTable` of ``ExtCost`` values (else BAD_DELAY), cover
+    all its cost levels up to the required bound, hold no entry outside
+    those levels and that bound, and satisfy the four market axioms
+    exactly: nondecreasing in the cost level, nondecreasing in x and in y,
+    and d(c, x, y) <= d(c, x+y-1, 1).
     """
     resources = tuple(sorted(resources))
     violations = structural_violations(n_players, resources, spaces)
@@ -174,6 +180,23 @@ def build_market(
         tri = delays.get(rid)
         if tri is None:
             violations.append(Violation("MISSING_DELAY", f"resource {rid}", "no trivariate table"))
+            continue
+        if not isinstance(tri, TriTable):
+            violations.append(
+                Violation("BAD_DELAY", f"resource {rid}", f"{tri!r} is not a TriTable")
+            )
+            continue
+        point = first_non_cost(tri.entries)
+        if point is not None:
+            l, x, y = point
+            violations.append(
+                Violation(
+                    "BAD_DELAY",
+                    f"resource {rid}",
+                    f"tritable entry (level={l}, x={x}, y={y}) is {tri.entries[point]!r}, "
+                    "not an ExtCost",
+                )
+            )
             continue
         want_levels = len(market.distinct_costs(rid))
         if tri.levels != want_levels:
@@ -217,22 +240,31 @@ def build_market(
         if incomplete:
             violations.extend(incomplete)
             continue
-        for l in range(1, tri.levels + 1):
-            for v in validate_delay_properties(tri.level_slice(l), tri.bound):
+        slices = [tri.level_slice(l) for l in range(1, tri.levels + 1)]
+        for l, piece in enumerate(slices, start=1):
+            for v in validate_delay_properties(piece, tri.bound):
                 violations.append(
                     Violation(v.code, f"resource {rid}, level {l}: {v.where}", v.message)
                 )
+        # NOT_MONOTONE_C on int keys, one scale for the whole table: only a
+        # (level, x) column whose keys exceed the next level's is walked
+        b, size = tri.bound, domain_size(tri.bound)
+        keys = order_keys([v for piece in slices for v in table_values(piece.entries, b)])
+        columns = [by_column(keys[k : k + size], b) for k in range(0, len(keys), size)]
         for l in range(1, tri.levels):
-            for x, y in domain_points(tri.bound):
-                lo, hi = tri.value(l, x, y), tri.value(l + 1, x, y)
-                if not lo <= hi:
-                    violations.append(
-                        Violation(
-                            "NOT_MONOTONE_C",
-                            f"resource {rid}: (level={l}->{l + 1}, x={x}, y={y})",
-                            f"{lo} > {hi}",
+            for x, (lo_keys, hi_keys) in enumerate(zip(columns[l - 1], columns[l])):
+                if all(map(le, lo_keys, hi_keys)):
+                    continue
+                for y in range(1, b - x + 1):
+                    lo, hi = tri.value(l, x, y), tri.value(l + 1, x, y)
+                    if not lo <= hi:
+                        violations.append(
+                            Violation(
+                                "NOT_MONOTONE_C",
+                                f"resource {rid}: (level={l}->{l + 1}, x={x}, y={y})",
+                                f"{lo} > {hi}",
+                            )
                         )
-                    )
 
     if violations:
         raise ValidationFailed("invalid market description", violations)
@@ -526,19 +558,21 @@ def reduce_market_to_playerspecific(market: MarketGame) -> Game:
     Priorities are the dense ranks of the raw costs per resource (ties map
     to equal priorities), and each player's bivariate delay is her cost
     level's slice of the trivariate table; a resource nobody can reach gets
-    an all-zero table.  Cost-identical on every profile.
+    an all-zero table.  Cost-identical on every profile.  The players of
+    one level share one slice object, so :func:`build_game` checks each
+    (resource, level) slice once, however many players sit on that level.
     """
     bound = required_table_bound(market.n_players, singleton=market.singleton)
     maps: dict[str, dict[int, int]] = {}
     delays: dict[str, TableDelay | PerPlayerDelay] = {}
     for rid in market.resources:
         reachable = market.reachable_players(rid)
-        maps[rid] = {i: market.player_level(rid, i) for i in reachable}
+        rank = {c: k for k, c in enumerate(market.distinct_costs(rid), start=1)}
+        levels = maps[rid] = {i: rank[market.costs[(i, rid)]] for i in reachable}
         tri = market.delays[rid]
         if reachable:
-            delays[rid] = PerPlayerDelay(
-                specs={i: tri.level_slice(maps[rid][i]) for i in reachable}
-            )
+            slices = {q: tri.level_slice(q) for q in set(levels.values())}
+            delays[rid] = PerPlayerDelay(specs={i: slices[levels[i]] for i in reachable})
         else:
             delays[rid] = TableDelay(
                 entries={(x, y): ExtCost.of(0) for x, y in domain_points(bound)},

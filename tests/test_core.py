@@ -353,6 +353,66 @@ def test_validate_matches_naive_grid_walk(make):
         assert flagged > 30
 
 
+def stepped_table(bound, den):
+    """d(x, y) = (2x + y) / den: every step is one or two units of 1/den."""
+    return pg.table_from_function(lambda x, y: Fraction(2 * x + y, den), bound)
+
+
+def with_points(table, **points):
+    """A copy of ``table`` with the named points, ``x_y=value``, replaced."""
+    entries = dict(table.entries)
+    for name, value in points.items():
+        x, y = map(int, name.lstrip("p").split("_"))
+        entries[(x, y)] = pg.cost(value)
+    return pg.TableDelay(entries=entries, bound=table.bound)
+
+
+M61, M31 = 2**61 - 1, 2**31 - 1
+HAND_BUILT_TABLES = {
+    # two coprime huge denominators: the one int scale is their product
+    "huge-lcm": (
+        pg.table_from_function(
+            lambda x, y: Fraction(2 * x + y, M61) + Fraction(x, M31), 7
+        ),
+        7,
+    ),
+    # d(2, 2) one step of 1/den above d(2, 3) and d(3, 1)
+    "one-step-61": (with_points(stepped_table(6, M61), p2_2=Fraction(8, M61)), 6),
+    "one-step-31": (with_points(stepped_table(6, M31), p2_2=Fraction(8, M31)), 6),
+    # d(1, 2) 1/(2^61 - 1) above d(1, 3) and d(2, 1), on the product scale
+    "one-step-mixed": (
+        with_points(
+            pg.table_from_function(lambda x, y: Fraction(2 * x + y, M31) + Fraction(1, M61), 6),
+            p1_2=Fraction(5, M31) + Fraction(2, M61),
+        ),
+        6,
+    ),
+    "all-infinite": (pg.table_from_function(lambda x, y: "inf", 6), 6),
+    "infinite-last-column": (with_points(linear_table(6), p5_1="inf"), 6),
+    "infinite-first-point": (with_points(linear_table(6), p0_1="inf"), 6),
+    # d(4, 2) above d(5, 1) only: one REPLACEMENT_FAILED in the last column
+    # that is compared with anything but itself
+    "one-violation-last-column": (with_points(linear_table(6), p4_2=Fraction(23, 2)), 6),
+    # column x = 1 fails all three axioms: (1, 1) against x and y, (1, 2)
+    # against d(2, 1)
+    "three-codes-one-column": (
+        with_points(linear_table(6), p1_1=100, p1_2=Fraction(11, 2)),
+        6,
+    ),
+    # drops past the checked bound 5 are not the check's business
+    "drop-beyond-bound": (with_points(linear_table(8), p2_4=0, p0_6=0, p6_1=0), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_TABLES))
+def test_validate_matches_naive_grid_walk_on_hand_built_tables(name):
+    spec, bound = HAND_BUILT_TABLES[name]
+    expected = as_tuples(naive_validate(spec, bound))
+    assert as_tuples(pg.validate_delay_properties(spec, bound)) == expected, (spec, bound)
+    # the cases are clean or failing on purpose
+    assert bool(expected) == (name.startswith(("one-", "three-", "infinite-first"))), expected
+
+
 def classic_game(values, n=4):
     return pg.build_game(
         n_players=n,
@@ -423,6 +483,67 @@ def test_nested_player_delay_rejected():
     assert [(v.code, v.where) for v in err.value.violations] == [
         ("NESTED_PLAYER_DELAY", f"resource a, player {i}") for i in range(1, 5)
     ]
+
+
+def two_player_game(delay):
+    return pg.build_game(
+        n_players=2,
+        resources=["a"],
+        spaces={i: pg.SingletonSpace(["a"]) for i in (1, 2)},
+        priorities=pg.PriorityFunction.constant(["a"], (1, 2)),
+        delays={"a": delay},
+    )
+
+
+class TestMalformedDelays:
+    # a value that is not an ExtCost would fail inside a solver, not at
+    # build time: each is one BAD_DELAY naming the spec and its first bad value
+
+    def bad(self, delay):
+        with pytest.raises(pg.ValidationFailed) as err:
+            two_player_game(delay)
+        return as_tuples(err.value.violations)
+
+    def test_table_of_fractions(self):
+        entries = {(x, y): Fraction(2 * x + y) for x, y in domain_points(3)}
+        assert self.bad(pg.TableDelay(entries=entries, bound=3)) == [
+            ("BAD_DELAY", "resource a", "table entry (x=0, y=1) is Fraction(1, 1), not an ExtCost")
+        ]
+
+    def test_table_with_one_fraction_names_that_point(self):
+        entries = dict(linear_table(3).entries)
+        entries[(1, 2)] = Fraction(4)
+        entries[(2, 1)] = 5
+        assert self.bad(pg.TableDelay(entries=entries, bound=3)) == [
+            ("BAD_DELAY", "resource a", "table entry (x=1, y=2) is Fraction(4, 1), not an ExtCost")
+        ]
+
+    def test_classic_of_fractions(self):
+        assert self.bad(pg.ClassicDelay(values=(Fraction(1), Fraction(2)))) == [
+            ("BAD_DELAY", "resource a", "classic values[0] is Fraction(1, 1), not an ExtCost")
+        ]
+
+    def test_not_a_spec(self):
+        assert self.bad("foo") == [("BAD_DELAY", "resource a", "'foo' is not a delay spec")]
+
+    def test_player_specific_non_specs(self):
+        assert self.bad(pg.PerPlayerDelay(specs={1: 3, 2: 4})) == [
+            ("BAD_DELAY", "resource a, player 1", "3 is not a delay spec"),
+            ("BAD_DELAY", "resource a, player 2", "4 is not a delay spec"),
+        ]
+
+    def test_affine_float(self):
+        assert self.bad(pg.AffineDelay(alpha=0.5, beta=Fraction(1))) == [
+            ("BAD_DELAY", "resource a", "affine alpha is 0.5, not an int or Fraction")
+        ]
+
+    def test_well_formed_specs_pass_the_gate(self):
+        for delay in (
+            linear_table(3),
+            pg.ClassicDelay(values=(pg.cost(1), pg.cost(2))),
+            pg.AffineDelay(alpha=1, beta=Fraction(1, 2)),
+        ):
+            assert two_player_game(delay).delays["a"] is delay
 
 
 def test_table_hole_reported_as_missing_entry():

@@ -355,3 +355,67 @@ def test_build_market_rejects_stray_entries():
         ("STRAY_ENTRY", "resource e: (level=1, x=2, y=2)"),
         ("STRAY_ENTRY", "resource e: (level=2, x=0, y=1)"),
     ]
+
+
+def test_build_market_rejects_malformed_tables():
+    costs = {(1, "e"): Fraction(1), (2, "e"): Fraction(1)}
+    tri = pg.tritable_from_function(lambda l, x, y: x + y, levels=1, bound=3)
+
+    def violations(table):
+        with pytest.raises(pg.ValidationFailed) as exc:
+            pg.build_market(
+                n_players=2,
+                resources=["e"],
+                spaces={i: pg.SingletonSpace(["e"]) for i in (1, 2)},
+                costs=costs,
+                delays={"e": table},
+            )
+        return [(v.code, v.where, v.message) for v in exc.value.violations]
+
+    entries = dict(tri.entries)
+    entries[(1, 1, 1)] = Fraction(2)
+    entries[(1, 0, 2)] = 2.0
+    assert violations(pg.TriTable(levels=1, bound=3, entries=entries)) == [
+        (
+            "BAD_DELAY",
+            "resource e",
+            "tritable entry (level=1, x=0, y=2) is 2.0, not an ExtCost",
+        )
+    ]
+    assert violations(tri.level_slice(1)) == [
+        ("BAD_DELAY", "resource e", f"{tri.level_slice(1)!r} is not a TriTable")
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reduction_checks_each_level_slice_once(monkeypatch, seed):
+    # the players of one cost level share that level's slice, so build_game
+    # checks it once; violations would still be reported once per player
+    import prioritygames.core as core
+
+    market = gen_source(seed, players=8, resources=6, model="market", levels=3)
+    slices = {
+        (r, market.player_level(r, i))
+        for r in market.resources
+        for i in market.reachable_players(r)
+    }
+    uses = sum(len(market.reachable_players(r)) for r in market.resources)
+    assert all(market.reachable_players(r) for r in market.resources)
+    assert len(slices) < uses
+
+    calls = []
+    check = core.validate_delay_properties
+
+    def counted(spec, bound):
+        calls.append(spec)
+        return check(spec, bound)
+
+    monkeypatch.setattr(core, "validate_delay_properties", counted)
+    game = pg.reduce_market_to_playerspecific(market)
+    assert len(calls) == len(slices)
+    assert len({id(spec) for spec in calls}) == len(slices)
+    for r in market.resources:
+        for i in market.reachable_players(r):
+            assert game.delays[r].for_player(i) == market.delays[r].level_slice(
+                market.player_level(r, i)
+            )
